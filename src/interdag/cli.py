@@ -7,6 +7,7 @@ error, 4 capacity guard.
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -72,7 +73,7 @@ def ingest_csv(path: str | Path) -> Dataset:
                 raise DataError(
                     f"{path}: line {lineno}: column x{col}: not a number: {cell.strip()!r}"
                 ) from None
-            if not np.isfinite(x):
+            if not math.isfinite(x):
                 raise DataError(f"{path}: line {lineno}: column x{col}: non-finite value")
             row.append(x)
         targets.append(target)

@@ -11,6 +11,15 @@ rows whose target does NOT contain that vertex.  The per-vertex mixture
 
 is all the data a vertex's parameters ever see, which is what makes greedy
 and exact search tractable.
+
+Every regression of a vertex on a parent set goes through one kernel,
+``_fit_rows``, which fits a stack of equal-size parent sets of one vertex at
+once.  Its rule is that each set's numbers are the same bits whatever stack
+it comes in, a stack of one included: the scores feed comparisons against a
+1e-9 threshold in greedy search, so a last-bit change would change which
+moves are taken.  So it batches only what does not round differently (the
+gather and the condition-number SVDs) and factors each usable block with the
+same LAPACK routines scipy's cho_factor/cho_solve call.
 """
 
 import math
@@ -18,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DataError, DegenerateFitError, ParameterError
 from .model import (
@@ -47,6 +56,8 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12  # parent moment blocks worse-conditioned than this are unusable
+# parent sets per kernel call: about 0.7 MB of gathered blocks at 8 parents
+_CHUNK = 1024
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -160,33 +171,57 @@ def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> L
     return LocalStats(p, stats.n, counts, mixtures)
 
 
-def _fit_row(S: np.ndarray, k_idx: int, pa_idx: list[int]) -> tuple[np.ndarray, float] | None:
-    """Least-squares coefficients of one vertex on its parents and the residual
-    second moment, or None when the parent block is unusable.
+def _cond_or_inf(block: np.ndarray) -> float:
+    try:
+        return np.linalg.cond(block)
+    except np.linalg.LinAlgError:
+        return math.inf
 
-    Solved through a Cholesky factorization of the parent block; the residual
-    is evaluated as the quadratic form of (1, -b), which keeps it a true
+
+def _fit_rows(
+    S: np.ndarray, k_idx: int, parent_idx: np.ndarray | list[list[int]]
+) -> list[tuple[np.ndarray, float] | None]:
+    """Least-squares fits of one vertex on each of a stack of parent sets.
+
+    ``parent_idx`` holds one row of 0-based parent indices per set, all rows
+    of one length.  Per set: the coefficients and the residual second moment,
+    or None when the parent block is conditioned worse than 1e12 or is not
+    positive definite.
+
+    Each ``[k, pa...]`` block is gathered with one fancy index and the parent
+    blocks' condition numbers come from one stacked SVD; a block whose SVD
+    does not converge is unusable, and only it.  Each usable parent block is
+    Cholesky-factored and solved on its own; the residual is evaluated as the
+    quadratic form of (1, -b) with the gathered block, which keeps it a true
     quadratic form of a positive semidefinite matrix.
     """
-    if not pa_idx:
-        return np.zeros(0), float(S[k_idx, k_idx])
-    Spp = S[np.ix_(pa_idx, pa_idx)]
+    parents = np.asarray(parent_idx, dtype=np.intp)
+    m, d = parents.shape
+    if d == 0:
+        return [(np.zeros(0), float(S[k_idx, k_idx])) for _ in range(m)]
+    full = np.empty((m, d + 1), dtype=np.intp)
+    full[:, 0] = k_idx
+    full[:, 1:] = parents
+    blocks = S[full[:, :, None], full[:, None, :]]
     try:
-        if np.linalg.cond(Spp) > _COND_LIMIT:
-            return None
+        conds = np.linalg.cond(blocks[:, 1:, 1:])
     except np.linalg.LinAlgError:
-        return None
-    try:
-        factor = scipy.linalg.cho_factor(Spp, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return None
-    b = scipy.linalg.cho_solve(factor, S[pa_idx, k_idx], check_finite=False)
-    full = [k_idx, *pa_idx]
-    v = np.empty(len(full))
-    v[0] = 1.0
-    v[1:] = -b
-    resid = float(v @ S[np.ix_(full, full)] @ v)
-    return b, resid
+        conds = [_cond_or_inf(block[1:, 1:]) for block in blocks]
+    fits: list[tuple[np.ndarray, float] | None] = []
+    for block, cond in zip(blocks, conds):
+        if cond > _COND_LIMIT:
+            fits.append(None)
+            continue
+        factor, info = dpotrf(block[1:, 1:], lower=1, clean=0)
+        if info > 0:
+            fits.append(None)
+            continue
+        b, _ = dpotrs(factor, block[1:, 0], lower=1)
+        v = np.empty(d + 1)
+        v[0] = 1.0
+        v[1:] = -b
+        fits.append((b, float(v @ block @ v)))
+    return fits
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +265,7 @@ def mle_given_dag(dag: Dag, local: LocalStats) -> FittedModel:
             raise DegenerateFitError(
                 f"vertex {k}: {n_ex} usable rows cannot identify {len(pa)} parents"
             )
-        fit = _fit_row(local.mixture(k), k - 1, [j - 1 for j in pa])
+        fit = _fit_rows(local.mixture(k), k - 1, [[j - 1 for j in pa]])[0]
         if fit is None:
             raise DegenerateFitError(f"vertex {k}: singular parent moment block")
         b, resid = fit
@@ -373,6 +408,45 @@ def decomposed_log_likelihood(
     return total
 
 
+def _checked_parents(k: int, parent_set: Iterable[int], p: int) -> tuple[int, ...]:
+    """The sorted parent labels; raises ParameterError on a bad vertex or parent."""
+    pa = tuple(sorted(set(map(int, parent_set))))
+    if not 1 <= k <= p:
+        raise ParameterError(f"vertex {k} is out of range 1..{p}")
+    for j in pa:
+        if not 1 <= j <= p:
+            raise ParameterError(f"parent {j} is out of range 1..{p}")
+        if j == k:
+            raise ParameterError(f"vertex {k} cannot be its own parent")
+    return pa
+
+
+def _checked_penalty(n: int, penalty: float | None) -> float:
+    if penalty is None:
+        penalty = 0.5 * math.log(n)
+    if penalty < 0 or not math.isfinite(penalty):
+        raise ParameterError(f"penalty must be finite and non-negative, got {penalty!r}")
+    return penalty
+
+
+def _scores(k: int, parent_sets: list[tuple[int, ...]], local: LocalStats, penalty: float) -> list[float]:
+    """Penalized scores of checked parent sets of vertex k, all of one size."""
+    size = len(parent_sets[0])
+    n_ex = local.count_excluding(k)
+    if n_ex <= size:
+        return [-math.inf] * len(parent_sets)
+    cost = penalty * size
+    scores = []
+    for start in range(0, len(parent_sets), _CHUNK):
+        idx = np.array(parent_sets[start:start + _CHUNK], dtype=np.intp) - 1
+        for fit in _fit_rows(local.mixture(k), k - 1, idx):
+            if fit is None or fit[1] <= 0 or not math.isfinite(fit[1]):
+                scores.append(-math.inf)
+            else:
+                scores.append(-0.5 * n_ex * (1.0 + math.log(fit[1])) - cost)
+    return scores
+
+
 def local_score(
     k: int,
     parent_set: Iterable[int],
@@ -387,30 +461,9 @@ def local_score(
     than parents, an unidentified vertex, or a parent block that is singular
     or conditioned worse than 1e12.
     """
-    pa = tuple(sorted(set(int(j) for j in parent_set)))
-    if not 1 <= k <= local.p:
-        raise ParameterError(f"vertex {k} is out of range 1..{local.p}")
-    for j in pa:
-        if not 1 <= j <= local.p:
-            raise ParameterError(f"parent {j} is out of range 1..{local.p}")
-        if j == k:
-            raise ParameterError(f"vertex {k} cannot be its own parent")
-    if n is None:
-        n = local.n
-    if penalty is None:
-        penalty = 0.5 * math.log(n)
-    if penalty < 0 or not math.isfinite(penalty):
-        raise ParameterError(f"penalty must be finite and non-negative, got {penalty!r}")
-    n_ex = local.count_excluding(k)
-    if n_ex <= len(pa):
-        return -math.inf
-    fit = _fit_row(local.mixture(k), k - 1, [j - 1 for j in pa])
-    if fit is None:
-        return -math.inf
-    _, resid = fit
-    if resid <= 0 or not math.isfinite(resid):
-        return -math.inf
-    return -0.5 * n_ex * (1.0 + math.log(resid)) - penalty * len(pa)
+    pa = _checked_parents(k, parent_set, local.p)
+    penalty = _checked_penalty(local.n if n is None else n, penalty)
+    return _scores(k, [pa], local, penalty)[0]
 
 
 def bic_score(
@@ -453,6 +506,25 @@ class LocalScoreCache:
             hit = local_score(k, key[1], self._local, self._n, self._penalty)
             self._table[key] = hit
         return hit
+
+    def score_many(self, k: int, parent_sets: Iterable[Iterable[int]]) -> list[float]:
+        """Scores of many parent sets of vertex k, in order.
+
+        The sets not yet cached are fitted together, one kernel call per set
+        size; every result is then read through ``score``, the one lookup path.
+        """
+        keys = [tuple(sorted(ps)) for ps in parent_sets]
+        missing: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
+        for key in keys:
+            if (k, key) not in self._table:
+                pa = _checked_parents(k, key, self._local.p)
+                missing.setdefault(len(pa), {})[key] = pa
+        if missing:
+            penalty = _checked_penalty(self._n, self._penalty)
+            for group in missing.values():
+                scores = _scores(k, list(group.values()), self._local, penalty)
+                self._table.update(zip(((k, key) for key in group), scores))
+        return [self.score(k, key) for key in keys]
 
     def dag_score(self, dag: Dag) -> float:
         return sum(self.score(k, dag.parents(k)) for k in range(1, dag.p + 1))

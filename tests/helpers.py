@@ -3,12 +3,14 @@ and random instance generators.
 
 Everything here is deliberately independent of the library internals it is
 used to check: DAG enumeration walks all orientation patterns directly,
-and the likelihood oracle sums exact multivariate normal log-densities.
+the likelihood oracle sums exact multivariate normal log-densities, and the
+regression oracle fits one parent set at a time through scipy's wrappers.
 """
 
 import itertools
 
 import numpy as np
+import scipy.linalg
 from scipy.stats import multivariate_normal
 
 from interdag import (
@@ -130,3 +132,33 @@ def density_oracle_loglik(model, dataset: Dataset, spec) -> float:
         mu, cov = cache[target]
         total += float(multivariate_normal.logpdf(x, mean=mu, cov=cov))
     return total
+
+
+def reference_fit_row(S: np.ndarray, k_idx: int, pa_idx: list[int]):
+    """One vertex regressed on one parent set, the way the score was first
+    computed: coefficients and residual second moment, or None when the
+    parent block is unusable.
+
+    The batched kernel ``likelihood._fit_rows`` must give these same bits for
+    every set, because greedy search compares score gains against a 1e-9
+    threshold.
+    """
+    if not pa_idx:
+        return np.zeros(0), float(S[k_idx, k_idx])
+    Spp = S[np.ix_(pa_idx, pa_idx)]
+    try:
+        if np.linalg.cond(Spp) > 1e12:
+            return None
+    except np.linalg.LinAlgError:
+        return None
+    try:
+        factor = scipy.linalg.cho_factor(Spp, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return None
+    b = scipy.linalg.cho_solve(factor, S[pa_idx, k_idx], check_finite=False)
+    full = [k_idx, *pa_idx]
+    v = np.empty(len(full))
+    v[0] = 1.0
+    v[1:] = -b
+    resid = float(v @ S[np.ix_(full, full)] @ v)
+    return b, resid

@@ -11,7 +11,11 @@ Core claims:
     - Both searchers respect max_parents; the DP refuses p > 20.
     - Score equivalence: every member of the estimate's class gets the
       same BIC up to float noise.
+    - Greedy traces and DP results on fixed seeds are pinned to the bit, so
+      any drift in the scores' arithmetic fails here.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -162,7 +166,40 @@ def test_greedy_degenerate_on_zero_variance_column():
         greedy_search(_local(data), TargetFamily.of(()))
 
 
+# Greedy's covered-edge reversal gains sit at the 1e-9 threshold, so a change
+# in the last bit of a score can change its path.  The digests were recorded
+# with the one-set-at-a-time arithmetic of helpers.reference_fit_row, on
+# numpy 2.4 and scipy 1.17 wheels (x86-64 OpenBLAS); another BLAS build may
+# round differently.
+@pytest.mark.parametrize(
+    "seed, p, n, digest",
+    [
+        (5, 10, 1000, "c11df5cc69b99bf027ab3d93499338eb00e8a078484ce4191c7c1a87f87f55ef"),
+        (6, 10, 300, "aad46a416a0bc3512c78eea690e3ac219771ecebff4730b2c518ff39e48b70bc"),
+        (8, 40, 500, "0885084f84a0a7f98d1501cff9a21c827fe998c4d9ec8767e347471e17997653"),
+        (12, 40, 5000, "ee308626cfead1ce96574ca2616c60234ef292f5a7875972301014a3055bd370"),
+    ],
+)
+def test_greedy_trace_pinned(seed, p, n, digest):
+    model, family, spec, data = random_instance(seed, p=p, n=n)
+    _, trace = greedy_search(_local(data, family), family)
+    assert hashlib.sha256(format_trace(trace).encode()).hexdigest() == digest
+
+
 # -- exact DP ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "seed, n, parent_sets",
+    [
+        (9, 400, ((8,), (4, 6), (1,), (8,), (), (4,), (6,), (5,))),
+        (10, 2000, ((), (), (), (), (4,), (1, 3), (3, 6), (3, 4))),
+    ],
+)
+def test_dp_result_pinned(seed, n, parent_sets):
+    model, family, spec, data = random_instance(seed, p=8, n=n)
+    assert exhaustive_dp(_local(data, family)).parent_sets == parent_sets
+
 
 
 def test_dp_matches_brute_force_small():
