@@ -8,6 +8,7 @@ error, 4 capacity guard.
 
 import argparse
 import math
+import statistics
 import sys
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .equivalence import essential_graph, format_essential_graph
 from .errors import CapacityError, DataError, ParameterError
-from .experiments import ExperimentConfig, run_consistency_experiment, run_fit
+from .experiments import METHODS, ExperimentConfig, run_consistency_experiment, run_fit
 from .model import (
     Dataset,
     InterventionSpec,
@@ -156,10 +157,12 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.seed is None:
-        raise ParameterError("--seed is mandatory")
-    if args.k and args.n < args.k * args.replicates_per_target:
-        raise ParameterError("n is smaller than the interventional row count")
+    # one dataset is one cell of an experiment grid, under the same rules
+    ExperimentConfig(
+        seed=args.seed, p=args.p, expected_degree=args.expected_degree, k=args.k,
+        replicates_per_target=args.replicates_per_target, tau=args.tau,
+        n_grid=(args.n,), mu_grid=(args.mu,),
+    ).validate()
     dag = sample_random_dag(args.p, args.expected_degree, derive_seed(args.seed, 1))
     model = sample_normalized_model(dag, derive_seed(args.seed, 2))
     singles = []
@@ -193,18 +196,12 @@ def _cmd_experiment(args) -> int:
             settings[key] = override
     if "seed" not in settings:
         raise ParameterError("--seed is mandatory for experiments")
-    config = ExperimentConfig(**settings)
-    config.validate()
-    rows = run_consistency_experiment(config, out_dir=args.out)
+    rows = run_consistency_experiment(ExperimentConfig(**settings), out_dir=args.out)
     by_cell: dict[tuple[int, float], list[int]] = {}
     for r in rows:
         by_cell.setdefault((r.n, r.mu), []).append(r.shd)
     for (n, mu), shds in sorted(by_cell.items()):
-        shds.sort()
-        median = shds[len(shds) // 2] if len(shds) % 2 else (
-            (shds[len(shds) // 2 - 1] + shds[len(shds) // 2]) / 2
-        )
-        print(f"n={n} mu={mu:g} replicates={len(shds)} median_shd={median:g}")
+        print(f"n={n} mu={mu:g} replicates={len(shds)} median_shd={statistics.median(shds):g}")
     if args.out:
         print(f"wrote rows.csv, medians.csv, timings.csv to {args.out}")
     return 0
@@ -219,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="fit a structure to a dataset CSV")
     fit.add_argument("--data", required=True, help="dataset CSV path")
-    fit.add_argument("--method", default="greedy", choices=["greedy", "dp"])
+    fit.add_argument("--method", default="greedy", choices=METHODS)
     fit.add_argument("--out", default=None, help="directory for fit artifacts")
     fit.add_argument("--max-parents", type=int, default=None)
     fit.add_argument("--max-steps", type=int, default=100_000)
@@ -250,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--mu-grid", dest="mu_grid", type=_parse_float_list, default=None)
     exp.add_argument("--tau", type=float, default=None)
     exp.add_argument("--replicates", type=int, default=None)
-    exp.add_argument("--method", default=None, choices=["greedy", "dp"])
+    exp.add_argument("--method", default=None, choices=METHODS)
     exp.add_argument("--seed", type=int, default=None)
     exp.add_argument("--max-parents", dest="max_parents", type=int, default=None)
     exp.add_argument("--workers", type=int, default=None)

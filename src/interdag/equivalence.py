@@ -99,7 +99,8 @@ def conservative(family: TargetFamily, p: int) -> bool:
     return all(any(j not in t for t in family) for j in range(1, p + 1))
 
 
-def _check_family(p: int, family: TargetFamily) -> None:
+def check_conservative(family: TargetFamily, p: int) -> None:
+    """Raise ParameterError unless every vertex lies outside some target."""
     if not conservative(family, p):
         raise ParameterError(
             "target family must be conservative: every vertex must lie outside some target"
@@ -110,7 +111,7 @@ def markov_equivalent_interventional(d1: Dag, d2: Dag, family: TargetFamily) -> 
     """Decide equivalence with respect to a conservative target family."""
     if d1.p != d2.p:
         raise ParameterError("cannot compare DAGs with different vertex counts")
-    _check_family(d1.p, family)
+    check_conservative(family, d1.p)
     if skeleton(d1) != skeleton(d2):
         return False
     for target in family:
@@ -232,7 +233,7 @@ def enumerate_class(dag: Dag, family: TargetFamily) -> list[Dag]:
     MAX_UNDECIDED_EDGES or the class would exceed MAX_CLASS_MEMBERS.
     """
     p = dag.p
-    _check_family(p, family)
+    check_conservative(family, p)
     pairs = sorted(skeleton(dag).edges)
     ref_skel = {}
     ref_vs = {}

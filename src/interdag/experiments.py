@@ -1,4 +1,4 @@
-"""Experiment orchestration: single fits and seeded replicate grids.
+"""The fit pipeline (``fit_structure``), single fits, and seeded replicate grids.
 
 A consistency experiment draws, per replicate, one random normalized model,
 a fixed set of single-vertex intervention targets, and then one dataset per
@@ -15,11 +15,18 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .equivalence import EssentialGraph, conservative, essential_graph, format_essential_graph
+from .equivalence import (
+    EssentialGraph,
+    check_conservative,
+    conservative,
+    essential_graph,
+    format_essential_graph,
+)
 from .errors import DataError, ParameterError
-from .likelihood import FittedModel, local_stats, mle_given_dag, sufficient_stats
+from .likelihood import FittedModel, LocalStats, local_stats, mle_given_dag, sufficient_stats
 from .metrics import directed_confusion, shd, skeleton_confusion
 from .model import (
+    Dag,
     Dataset,
     InterventionSpec,
     InterventionTarget,
@@ -33,9 +40,17 @@ from .model import (
 )
 from .search import SearchConfig, SearchTrace, exhaustive_dp, format_trace, greedy_search
 
-__all__ = ["ExperimentConfig", "ResultRow", "run_fit", "run_consistency_experiment"]
+__all__ = ["METHODS", "ExperimentConfig", "ResultRow", "fit_structure", "estimate_essential_graph",
+           "run_fit", "run_consistency_experiment"]
 
 _FMT = "{:.17g}".format
+
+METHODS = ("greedy", "dp")  # greedy hill climbing or the exact DP
+
+
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +92,7 @@ class ExperimentConfig:
             raise ParameterError("tau must be positive")
         if self.replicates < 1:
             raise ParameterError("replicates must be positive")
-        if self.method not in ("greedy", "dp"):
-            raise ParameterError(f"method must be 'greedy' or 'dp', got {self.method!r}")
+        _check_method(self.method)
         if self.workers < 1:
             raise ParameterError("workers must be positive")
         n_int = self.k * self.replicates_per_target
@@ -125,6 +139,36 @@ class ResultRow:
     directed_tn: int
 
 
+def fit_structure(
+    dataset: Dataset,
+    family: TargetFamily,
+    method: str = "greedy",
+    config: SearchConfig | None = None,
+) -> tuple[LocalStats, Dag, SearchTrace | None]:
+    """Search a DAG for the data under a conservative target family.
+
+    Returns the per-vertex statistics the search scored, the DAG it found,
+    and the greedy search's trace (None for the exact search).
+    """
+    _check_method(method)
+    check_conservative(family, dataset.p)
+    local = local_stats(sufficient_stats(dataset), family)
+    if method == "greedy":
+        dag, trace = greedy_search(local, family, config)
+        return local, dag, trace
+    return local, exhaustive_dp(local, config), None
+
+
+def estimate_essential_graph(
+    dataset: Dataset,
+    family: TargetFamily,
+    config: SearchConfig | None = None,
+    method: str = "greedy",
+) -> EssentialGraph:
+    """Fit a structure to the data and report its equivalence class."""
+    return essential_graph(fit_structure(dataset, family, method, config)[1], family)
+
+
 def run_fit(
     dataset: Dataset,
     family: TargetFamily | None = None,
@@ -138,25 +182,14 @@ def run_fit(
     ``out_dir`` is given, the fitted model, essential graph, search trace,
     and a JSON summary are written there.
     """
-    if method not in ("greedy", "dp"):
-        raise ParameterError(f"method must be 'greedy' or 'dp', got {method!r}")
-    derived = family is None
-    if derived:
+    if family is None:
         family = dataset.observed_targets()
-    if not conservative(family, dataset.p):
-        if derived:
+        if not conservative(family, dataset.p):
             raise DataError(
                 "the family of observed targets is not conservative: some "
                 "vertex is intervened in every row"
             )
-        raise ParameterError("target family must be conservative")
-    stats = sufficient_stats(dataset)
-    local = local_stats(stats, family)
-    trace: SearchTrace | None = None
-    if method == "greedy":
-        dag, trace = greedy_search(local, family, config)
-    else:
-        dag = exhaustive_dp(local, config)
+    local, dag, trace = fit_structure(dataset, family, method, config)
     fitted = mle_given_dag(dag, local)
     graph = essential_graph(dag, family)
     if out_dir is not None:
@@ -204,13 +237,8 @@ def _run_cell(args: tuple) -> ResultRow:
     family = data.observed_targets()
 
     search_config = SearchConfig(max_parents=config.max_parents)
-    stats = sufficient_stats(data)
-    local = local_stats(stats, family)
     t0 = time.perf_counter()
-    if config.method == "greedy":
-        fitted_dag, _ = greedy_search(local, family, search_config)
-    else:
-        fitted_dag = exhaustive_dp(local, search_config)
+    _, fitted_dag, _ = fit_structure(data, family, config.method, search_config)
     runtime = time.perf_counter() - t0
 
     truth_graph = essential_graph(dag, family)

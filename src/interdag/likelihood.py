@@ -485,25 +485,16 @@ class LocalScoreCache:
     a racing overwrite stores the same number.
     """
 
-    def __init__(self, local: LocalStats, n: int | None = None, penalty: float | None = None):
+    def __init__(self, local: LocalStats, penalty: float | None = None):
         self._local = local
-        self._n = local.n if n is None else n
-        self._penalty = 0.5 * math.log(self._n) if penalty is None else penalty
+        self._penalty = 0.5 * math.log(local.n) if penalty is None else penalty
         self._table: dict[tuple[int, tuple[int, ...]], float] = {}
-
-    @property
-    def local(self) -> LocalStats:
-        return self._local
-
-    @property
-    def penalty(self) -> float:
-        return self._penalty
 
     def score(self, k: int, parent_set: Iterable[int]) -> float:
         key = (k, tuple(sorted(parent_set)))
         hit = self._table.get(key)
         if hit is None:
-            hit = local_score(k, key[1], self._local, self._n, self._penalty)
+            hit = local_score(k, key[1], self._local, penalty=self._penalty)
             self._table[key] = hit
         return hit
 
@@ -520,7 +511,7 @@ class LocalScoreCache:
                 pa = _checked_parents(k, key, self._local.p)
                 missing.setdefault(len(pa), {})[key] = pa
         if missing:
-            penalty = _checked_penalty(self._n, self._penalty)
+            penalty = _checked_penalty(self._local.n, self._penalty)
             for group in missing.values():
                 scores = _scores(k, list(group.values()), self._local, penalty)
                 self._table.update(zip(((k, key) for key in group), scores))

@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .equivalence import EssentialGraph, conservative, essential_graph
+from .equivalence import check_conservative
 from .errors import CapacityError, DegenerateFitError, ParameterError
-from .likelihood import LocalScoreCache, LocalStats, local_stats, sufficient_stats
-from .model import Dag, Dataset, TargetFamily
+from .likelihood import LocalScoreCache, LocalStats, _checked_penalty, _scores
+from .model import Dag, TargetFamily
 
 __all__ = [
     "SearchConfig",
@@ -23,7 +23,6 @@ __all__ = [
     "SearchTrace",
     "greedy_search",
     "exhaustive_dp",
-    "estimate_essential_graph",
     "format_trace",
 ]
 
@@ -38,14 +37,13 @@ class SearchConfig:
     """Knobs shared by both searchers.
 
     ``max_parents`` defaults to min(p - 1, 8) at run time; ``penalty_weight``
-    defaults to half log n.  ``seed`` only labels the run for audit purposes;
-    every tie is broken lexicographically, so searches are deterministic.
+    defaults to half log n.  Every tie is broken lexicographically, so
+    searches are deterministic.
     """
 
     max_parents: int | None = None
     max_steps: int = 100_000
     penalty_weight: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_parents is not None and self.max_parents < 0:
@@ -142,11 +140,7 @@ def greedy_search(
     if config is None:
         config = SearchConfig()
     p = local.p
-    family.validate_for(p)
-    if not conservative(family, p):
-        raise ParameterError(
-            "target family must be conservative: every vertex must lie outside some target"
-        )
+    check_conservative(family, p)
     if local.unidentified_vertices:
         raise DegenerateFitError(
             f"vertices {local.unidentified_vertices} appear in every observed target"
@@ -276,9 +270,9 @@ def exhaustive_dp(local: LocalStats, config: SearchConfig | None = None) -> Dag:
 
     Exact over all DAGs whose in-degrees respect max_parents.  Memory and
     time grow as p * 2^p; vertices are hard-capped at DP_VERTEX_LIMIT.  With
-    the default max_parents on one core (Python 3.11, numpy 2.4) it took
-    0.7 s at p=12, 3.2 s at p=14, 14 s at p=16 and 51 s with a 422 MB peak
-    at p=18.
+    the default max_parents and n=2000, on one core of a shared 2-core host
+    (Python 3.11, numpy 2.4), it took 0.5 s at p=12, 2.3 s at p=14, 12 s at
+    p=16 and 39 s with a 119 MB peak RSS at p=18.
     """
     if config is None:
         config = SearchConfig()
@@ -289,7 +283,7 @@ def exhaustive_dp(local: LocalStats, config: SearchConfig | None = None) -> Dag:
         raise DegenerateFitError(
             f"vertices {local.unidentified_vertices} appear in every observed target"
         )
-    cache = LocalScoreCache(local, penalty=config.penalty_weight)
+    penalty = _checked_penalty(local.n, config.penalty_weight)
     max_parents = config.resolved_max_parents(p)
 
     others: list[list[int]] = [[v for v in range(1, p + 1) if v != k] for k in range(p + 1)]
@@ -297,14 +291,15 @@ def exhaustive_dp(local: LocalStats, config: SearchConfig | None = None) -> Dag:
     best_set: list[list[tuple[int, ...]]] = [[] for _ in range(p + 1)]
     for k in range(1, p + 1):
         size = 1 << (p - 1)
-        # each mask's own parent set first, scored in one batch per set size;
-        # masks over max_parents stay -inf with the empty set
+        # each mask's own parent set first, scored in one batch per set size
+        # and not cached, since each score is read once; masks over
+        # max_parents stay -inf with the empty set
         scores = [-math.inf] * size
         sets: list[tuple[int, ...]] = [()] * size
         for d in range(max_parents + 1):
             positions = list(itertools.combinations(range(p - 1), d))
             psets = [tuple(others[k][i] for i in pos) for pos in positions]
-            for pos, pset, score in zip(positions, psets, cache.score_many(k, psets)):
+            for pos, pset, score in zip(positions, psets, _scores(k, psets, local, penalty)):
                 mask = sum(1 << i for i in pos)
                 scores[mask] = score
                 sets[mask] = pset
@@ -369,25 +364,3 @@ def exhaustive_dp(local: LocalStats, config: SearchConfig | None = None) -> Dag:
         parent_sets[s - 1] = best_set[s][to_local_mask(s, rest)]
         mask = rest
     return Dag(p, tuple(parent_sets))
-
-
-def estimate_essential_graph(
-    dataset: Dataset,
-    family: TargetFamily,
-    config: SearchConfig | None = None,
-    method: str = "greedy",
-) -> EssentialGraph:
-    """Fit a structure to the data and report its equivalence class."""
-    if method not in ("greedy", "dp"):
-        raise ParameterError(f"method must be 'greedy' or 'dp', got {method!r}")
-    stats = sufficient_stats(dataset)
-    local = local_stats(stats, family)
-    if method == "greedy":
-        dag, _ = greedy_search(local, family, config)
-    else:
-        if not conservative(family, dataset.p):
-            raise ParameterError(
-                "target family must be conservative: every vertex must lie outside some target"
-            )
-        dag = exhaustive_dp(local, config)
-    return essential_graph(dag, family)

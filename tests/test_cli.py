@@ -155,6 +155,14 @@ def test_fit_missing_file_is_a_data_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_fit_on_rows_all_targeting_one_vertex_is_a_data_error(tmp_path, capsys):
+    csv = tmp_path / "d.csv"
+    csv.write_text("target,x1,x2\n" + "1,0.5,1.5\n1,-0.25,0.75\n1,2,-1\n")
+    code = main(["fit", "--data", str(csv)])
+    assert code == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def test_fit_dp_capacity_exit_code(tmp_path, capsys):
     rng = np.random.default_rng(0)
     p = 21
@@ -202,6 +210,27 @@ def test_simulate_rejects_overfull_grid(tmp_path, capsys):
                  "--replicates-per-target", "2", "--seed", "1",
                  "--out", str(tmp_path / "x")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--k", "5"],  # more targets than vertices
+        ["--k", "-1"],
+        ["--n", "0"],
+        ["--k", "2", "--replicates-per-target", "0"],
+        ["--k", "1", "--replicates-per-target", "4", "--n", "4"],  # no observational rows, one target
+        ["--tau", "0"],
+        ["--seed", "-1"],
+    ],
+)
+def test_simulate_rejects_what_an_experiment_grid_rejects(tmp_path, capsys, flags):
+    args = {"--p": "3", "--seed": "1", "--out": str(tmp_path / "x")}
+    args.update(zip(flags[::2], flags[1::2]))
+    code = main(["simulate", *(part for item in args.items() for part in item)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 # -- experiment command ----------------------------------------------------------------
