@@ -222,52 +222,61 @@ def _replicate_targets(config: ExperimentConfig, rep: int) -> list[InterventionT
     return [InterventionTarget.of(v) for v in chosen]
 
 
-def _run_cell(args: tuple) -> ResultRow:
-    config, n_idx, mu_idx, rep = args
-    n = config.n_grid[n_idx]
-    mu = config.mu_grid[mu_idx]
+def _run_replicate(args: tuple) -> list[ResultRow]:
+    """Every grid point of one replicate: its DAG, model and targets are
+    drawn once, and the true essential graph is built once per observed
+    family."""
+    config, rep = args
     dag = sample_random_dag(config.p, config.expected_degree, derive_seed(config.seed, 1, rep))
     model = sample_normalized_model(dag, derive_seed(config.seed, 2, rep))
     singles = _replicate_targets(config, rep)
-    sequence = [InterventionTarget.empty()] * (n - config.n_interventional)
-    for t in singles:
-        sequence.extend([t] * config.replicates_per_target)
-    spec = InterventionSpec.constant(singles, mu, config.tau**2)
-    data = sample_dataset(model, sequence, spec, derive_seed(config.seed, 4, rep, n_idx, mu_idx))
-    family = data.observed_targets()
-
     search_config = SearchConfig(max_parents=config.max_parents)
-    t0 = time.perf_counter()
-    _, fitted_dag, _ = fit_structure(data, family, config.method, search_config)
-    runtime = time.perf_counter() - t0
+    truth_graphs: dict[TargetFamily, EssentialGraph] = {}
+    rows = []
+    for n_idx, n in enumerate(config.n_grid):
+        sequence = [InterventionTarget.empty()] * (n - config.n_interventional)
+        for t in singles:
+            sequence.extend([t] * config.replicates_per_target)
+        for mu_idx, mu in enumerate(config.mu_grid):
+            spec = InterventionSpec.constant(singles, mu, config.tau**2)
+            data = sample_dataset(model, sequence, spec, derive_seed(config.seed, 4, rep, n_idx, mu_idx))
+            family = data.observed_targets()
 
-    truth_graph = essential_graph(dag, family)
-    est_graph = essential_graph(fitted_dag, family)
-    distance = shd(truth_graph, est_graph)
-    skel = skeleton_confusion(truth_graph, est_graph)
-    direct = directed_confusion(truth_graph, est_graph)
-    return ResultRow(
-        p=config.p,
-        expected_degree=config.expected_degree,
-        k=config.k,
-        replicates_per_target=config.replicates_per_target,
-        tau=config.tau,
-        method=config.method,
-        n=n,
-        mu=mu,
-        replicate=rep,
-        shd=distance,
-        exact=distance == 0,
-        runtime_seconds=runtime,
-        skeleton_tp=skel.true_positives,
-        skeleton_fp=skel.false_positives,
-        skeleton_fn=skel.false_negatives,
-        skeleton_tn=skel.true_negatives,
-        directed_tp=direct.true_positives,
-        directed_fp=direct.false_positives,
-        directed_fn=direct.false_negatives,
-        directed_tn=direct.true_negatives,
-    )
+            t0 = time.perf_counter()
+            _, fitted_dag, _ = fit_structure(data, family, config.method, search_config)
+            runtime = time.perf_counter() - t0
+
+            if family not in truth_graphs:
+                truth_graphs[family] = essential_graph(dag, family)
+            truth_graph = truth_graphs[family]
+            est_graph = essential_graph(fitted_dag, family)
+            distance = shd(truth_graph, est_graph)
+            skel = skeleton_confusion(truth_graph, est_graph)
+            direct = directed_confusion(truth_graph, est_graph)
+            row = ResultRow(
+                p=config.p,
+                expected_degree=config.expected_degree,
+                k=config.k,
+                replicates_per_target=config.replicates_per_target,
+                tau=config.tau,
+                method=config.method,
+                n=n,
+                mu=mu,
+                replicate=rep,
+                shd=distance,
+                exact=distance == 0,
+                runtime_seconds=runtime,
+                skeleton_tp=skel.true_positives,
+                skeleton_fp=skel.false_positives,
+                skeleton_fn=skel.false_negatives,
+                skeleton_tn=skel.true_negatives,
+                directed_tp=direct.true_positives,
+                directed_fp=direct.false_positives,
+                directed_fn=direct.false_negatives,
+                directed_tn=direct.true_negatives,
+            )
+            rows.append(row)
+    return rows
 
 
 def run_consistency_experiment(
@@ -281,17 +290,13 @@ def run_consistency_experiment(
     file varies.
     """
     config.validate()
-    jobs = [
-        (config, n_idx, mu_idx, rep)
-        for n_idx in range(len(config.n_grid))
-        for mu_idx in range(len(config.mu_grid))
-        for rep in range(config.replicates)
-    ]
+    jobs = [(config, rep) for rep in range(config.replicates)]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(_run_cell, jobs))
+            per_replicate = list(pool.map(_run_replicate, jobs))
     else:
-        rows = [_run_cell(job) for job in jobs]
+        per_replicate = [_run_replicate(job) for job in jobs]
+    rows = [row for replicate_rows in per_replicate for row in replicate_rows]
     rows.sort(key=lambda r: (r.n, r.mu, r.replicate))
     if out_dir is not None:
         out = Path(out_dir)

@@ -138,6 +138,14 @@ class LocalStats:
         return tuple(k for k in range(1, self.p + 1) if not self.identified(k))
 
 
+def check_identified(local: LocalStats) -> None:
+    """Raise DegenerateFitError when some vertex has no rows to fit it on."""
+    if local.unidentified_vertices:
+        raise DegenerateFitError(
+            f"vertices {local.unidentified_vertices} appear in every observed target"
+        )
+
+
 def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> LocalStats:
     """Mix the per-target moments into the per-vertex exclusion statistics.
 
@@ -502,7 +510,10 @@ class LocalScoreCache:
         """Scores of many parent sets of vertex k, in order.
 
         The sets not yet cached are fitted together, one kernel call per set
-        size; every result is then read through ``score``, the one lookup path.
+        size and at most 1024 sets per call; every result is then read
+        through ``score``, the one lookup path, so each set counts as one
+        lookup.  Greedy search rescores a head's row of insertions with one
+        call, which is where nearly all of its fits happen.
         """
         keys = [tuple(sorted(ps)) for ps in parent_sets]
         missing: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}

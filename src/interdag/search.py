@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .equivalence import check_conservative
 from .errors import CapacityError, DegenerateFitError, ParameterError
-from .likelihood import LocalScoreCache, LocalStats, _checked_penalty, _scores
+from .likelihood import LocalScoreCache, LocalStats, _checked_penalty, _scores, check_identified
 from .model import Dag, TargetFamily
 
 __all__ = [
@@ -136,15 +136,25 @@ def greedy_search(
     full cycle accepts nothing, which certifies a local optimum over all
     three move kinds.  Ties take the lexicographically smallest
     (kind, tail, head); only gains above IMPROVEMENT_EPS are accepted.
+
+    Insertions come from a move table.  A vertex's score depends only on its
+    own parent set, so the gain of inserting tail -> head changes only when
+    head's parents change (Chickering 2002).  Each head keeps its improving
+    insertions as (-gain, tail) in sorted order, together with the parent set
+    they were scored for; a row is rescored, in one batch, only when the
+    head's parents differ from that set, which covers inserts into and
+    deletes from the head and reversals at either end.  Acyclicity depends on
+    the whole graph, so feasibility is checked again on every step: a head's
+    best move is the first feasible entry of its row.  Deletion and
+    reversal scan the current edges on every step instead: there are few of
+    them, each costs one or two score lookups, and together they took no
+    measurable share of a p=100 search.
     """
     if config is None:
         config = SearchConfig()
     p = local.p
     check_conservative(family, p)
-    if local.unidentified_vertices:
-        raise DegenerateFitError(
-            f"vertices {local.unidentified_vertices} appear in every observed target"
-        )
+    check_identified(local)
     cache = LocalScoreCache(local, penalty=config.penalty_weight)
     max_parents = config.resolved_max_parents(p)
 
@@ -158,6 +168,10 @@ def greedy_search(
     start_score = total
 
     steps: list[TraceStep] = []
+    # per head: improving insertions as sorted (-gain, tail), and the parent
+    # set they were scored for
+    rows: list[list[tuple[float, int]]] = [[] for _ in range(p)]
+    rows_for: list[frozenset[int] | None] = [None] * p
 
     def best_insert():
         desc = _descendant_sets(p, children)
@@ -166,22 +180,21 @@ def greedy_search(
             pa = parents[head - 1]
             if len(pa) >= max_parents:
                 continue
-            tails = [
-                tail
-                for tail in range(1, p + 1)
-                if tail != head
-                and tail not in pa
-                and head not in parents[tail - 1]
-                and tail not in desc[head - 1]  # a path head -> tail exists
-            ]
-            scores = cache.score_many(head, [pa | {tail} for tail in tails])
-            for tail, score in zip(tails, scores):
-                gain = score - vertex_score[head - 1]
+            if rows_for[head - 1] != pa:
+                tails = [tail for tail in range(1, p + 1) if tail != head and tail not in pa]
+                scores = cache.score_many(head, [pa | {tail} for tail in tails])
+                gains = [(score - vertex_score[head - 1], tail) for tail, score in zip(tails, scores)]
+                rows[head - 1] = sorted((-gain, tail) for gain, tail in gains if gain > IMPROVEMENT_EPS)
+                rows_for[head - 1] = frozenset(pa)
+            for neg_gain, tail in rows[head - 1]:
+                # head -> tail, or a longer path head ~> tail, would close a cycle
+                if head in parents[tail - 1] or tail in desc[head - 1]:
+                    continue
                 # as a scan in (tail, head) order keeping the first strict maximum
-                if gain > IMPROVEMENT_EPS and (
-                    best is None or gain > best[0] or (gain == best[0] and (tail, head) < best[1:])
-                ):
+                gain = -neg_gain
+                if best is None or gain > best[0] or (gain == best[0] and (tail, head) < best[1:]):
                     best = (gain, tail, head)
+                break
         return best
 
     def best_delete():
@@ -279,10 +292,7 @@ def exhaustive_dp(local: LocalStats, config: SearchConfig | None = None) -> Dag:
     p = local.p
     if p > DP_VERTEX_LIMIT:
         raise CapacityError(f"exact search supports at most {DP_VERTEX_LIMIT} vertices, got {p}")
-    if local.unidentified_vertices:
-        raise DegenerateFitError(
-            f"vertices {local.unidentified_vertices} appear in every observed target"
-        )
+    check_identified(local)
     penalty = _checked_penalty(local.n, config.penalty_weight)
     max_parents = config.resolved_max_parents(p)
 

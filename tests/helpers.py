@@ -3,8 +3,10 @@ and random instance generators.
 
 Everything here is deliberately independent of the library internals it is
 used to check: DAG enumeration walks all orientation patterns directly,
-the likelihood oracle sums exact multivariate normal log-densities, and the
-regression oracle fits one parent set at a time through scipy's wrappers.
+the likelihood oracle sums exact multivariate normal log-densities, the
+regression oracle fits one parent set at a time through scipy's wrappers,
+and the greedy oracle rescans every candidate move on every step, reading
+one score at a time.
 """
 
 import itertools
@@ -18,13 +20,18 @@ from interdag import (
     Dataset,
     InterventionSpec,
     InterventionTarget,
+    LocalScoreCache,
+    SearchConfig,
+    SearchTrace,
     TargetFamily,
+    TraceStep,
     derive_seed,
     interventional_moments,
     sample_dataset,
     sample_normalized_model,
     sample_random_dag,
 )
+from interdag.search import IMPROVEMENT_EPS
 
 
 def demo_trio() -> tuple[Dag, Dag, Dag]:
@@ -162,3 +169,96 @@ def reference_fit_row(S: np.ndarray, k_idx: int, pa_idx: list[int]):
     v[1:] = -b
     resid = float(v @ S[np.ix_(full, full)] @ v)
     return b, resid
+
+
+def _reaches(children: list[set[int]], start: int, goal: int, skip_edge=None) -> bool:
+    stack = [start]
+    seen = {start}
+    while stack:
+        v = stack.pop()
+        if v == goal:
+            return True
+        for c in children[v - 1]:
+            if (v, c) != skip_edge and c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return False
+
+
+def reference_greedy_search(local, config: SearchConfig | None = None):
+    """Greedy search the way it was first written: every step rescans every
+    candidate move of the phase and reads each score from the cache.
+
+    ``search.greedy_search`` keeps a table of insertions instead and must
+    return this same DAG and trace to the bit: the same phases, the same
+    1e-9 threshold, the same tie rule (largest gain, then smallest
+    (tail, head)) and the same float expressions for gains and totals.
+    """
+    if config is None:
+        config = SearchConfig()
+    p = local.p
+    cache = LocalScoreCache(local, penalty=config.penalty_weight)
+    max_parents = config.resolved_max_parents(p)
+    parents: list[set[int]] = [set() for _ in range(p)]
+    children: list[set[int]] = [set() for _ in range(p)]
+    vertex_score = [cache.score(k, ()) for k in range(1, p + 1)]
+
+    def gain(kind, tail, head):
+        """The move's score gain, or None when it is not a legal move."""
+        pa_h, pa_t = parents[head - 1], parents[tail - 1]
+        if kind == "insert":
+            if tail in pa_h or len(pa_h) >= max_parents or _reaches(children, head, tail):
+                return None
+            return cache.score(head, pa_h | {tail}) - vertex_score[head - 1]
+        if tail not in pa_h:
+            return None
+        if kind == "delete":
+            return cache.score(head, pa_h - {tail}) - vertex_score[head - 1]
+        if len(pa_t) >= max_parents or _reaches(children, tail, head, skip_edge=(tail, head)):
+            return None
+        return (
+            cache.score(head, pa_h - {tail})
+            - vertex_score[head - 1]
+            + cache.score(tail, pa_t | {head})
+            - vertex_score[tail - 1]
+        )
+
+    total = start_score = sum(vertex_score)
+    steps = []
+    improved = True
+    while improved and len(steps) < config.max_steps:
+        improved = False
+        for kind in ("insert", "delete", "reverse"):
+            while len(steps) < config.max_steps:
+                best = None
+                for tail in range(1, p + 1):
+                    for head in range(1, p + 1):
+                        g = None if tail == head else gain(kind, tail, head)
+                        if g is not None and g > IMPROVEMENT_EPS and (best is None or g > best[0]):
+                            best = (g, tail, head)
+                if best is None:
+                    break
+                _, tail, head = best
+                before = total
+                if kind == "reverse":
+                    parents[tail - 1].add(head)
+                    children[head - 1].add(tail)
+                if kind == "insert":
+                    parents[head - 1].add(tail)
+                    children[tail - 1].add(head)
+                else:
+                    parents[head - 1].remove(tail)
+                    children[tail - 1].remove(head)
+                new_head = cache.score(head, parents[head - 1])
+                if kind == "reverse":
+                    new_tail = cache.score(tail, parents[tail - 1])
+                    total += (new_head - vertex_score[head - 1]) + (new_tail - vertex_score[tail - 1])
+                    vertex_score[tail - 1] = new_tail
+                else:
+                    total += new_head - vertex_score[head - 1]
+                vertex_score[head - 1] = new_head
+                steps.append(TraceStep(len(steps) + 1, kind, (tail, head), before, total))
+                improved = True
+
+    dag = Dag(p, tuple(tuple(sorted(s)) for s in parents))
+    return dag, SearchTrace(start_score, tuple(steps))

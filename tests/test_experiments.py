@@ -6,7 +6,7 @@ Core claims:
     - A supplied target family that is not conservative is a ParameterError
       for both methods, from run_fit and from estimate_essential_graph.
     - Seeded greedy and DP grids write rows.csv and medians.csv to the
-      byte, pinned by sha256.
+      byte, pinned by sha256, and the same bytes with one worker or two.
 """
 
 import hashlib
@@ -93,3 +93,15 @@ def test_grid_outputs_pinned(tmp_path, method, rows_digest, medians_digest):
     run_consistency_experiment(config, out_dir=tmp_path)
     for name, digest in (("rows.csv", rows_digest), ("medians.csv", medians_digest)):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_grid_outputs_do_not_depend_on_worker_count(tmp_path):
+    outputs = []
+    for workers in (1, 2):
+        config = ExperimentConfig(
+            seed=3, p=5, n_grid=(40, 200), k=2, replicates_per_target=2, replicates=3, workers=workers
+        )
+        out = tmp_path / str(workers)
+        run_consistency_experiment(config, out_dir=out)
+        outputs.append([(out / name).read_bytes() for name in ("rows.csv", "medians.csv")])
+    assert outputs[0] == outputs[1]
