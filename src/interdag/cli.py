@@ -36,7 +36,12 @@ _FLOAT_FMT = "{:.17g}"
 
 
 def ingest_csv(path: str | Path) -> Dataset:
-    """Read a dataset CSV; malformed rows are rejected with their line number."""
+    """Read a dataset CSV; malformed rows are rejected with their line number.
+
+    Each distinct target field is parsed once.  A row's cells are converted
+    with one ``float`` pass and checked for finiteness at once; only a row
+    that fails is scanned cell by cell, to name the first bad column.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -50,44 +55,61 @@ def ingest_csv(path: str | Path) -> Dataset:
         raise DataError(
             f"{path}: line 1: header must be 'target,x1,...,xp', got {lines[0]!r}"
         )
+    parsed: dict[str, InterventionTarget] = {}
     targets: list[InterventionTarget] = []
-    values: list[list[float]] = []
+    values = np.empty((len(lines) - 1, p))
     for lineno, raw in enumerate(lines[1:], start=2):
         cells = raw.split(",")
         if len(cells) != p + 1:
             raise DataError(f"{path}: line {lineno}: expected {p + 1} fields, got {len(cells)}")
-        field = cells[0].strip()
-        if field:
-            try:
-                labels = [int(part) for part in field.split(";")]
-                target = InterventionTarget(tuple(labels))
-                target.validate_for(p)
-            except (ValueError, ParameterError) as exc:
-                raise DataError(f"{path}: line {lineno}: bad target {field!r} ({exc})") from None
-        else:
-            target = InterventionTarget.empty()
-        row = []
-        for col, cell in enumerate(cells[1:], start=1):
-            try:
-                x = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {lineno}: column x{col}: not a number: {cell.strip()!r}"
-                ) from None
-            if not math.isfinite(x):
-                raise DataError(f"{path}: line {lineno}: column x{col}: non-finite value")
-            row.append(x)
+        target = parsed.get(cells[0])
+        if target is None:
+            field = cells[0].strip()
+            if field:
+                try:
+                    labels = [int(part) for part in field.split(";")]
+                    target = InterventionTarget(tuple(labels))
+                    target.validate_for(p)
+                except (ValueError, ParameterError) as exc:
+                    raise DataError(
+                        f"{path}: line {lineno}: bad target {field!r} ({exc})"
+                    ) from None
+            else:
+                target = InterventionTarget.empty()
+            parsed[cells[0]] = target
+        try:
+            row = list(map(float, cells[1:]))
+        except ValueError:
+            row = None
+        if row is None or not math.isfinite(sum(row)):
+            # find the first bad cell; a row of finite cells whose sum overflows passes
+            row = []
+            for col, cell in enumerate(cells[1:], start=1):
+                try:
+                    x = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: line {lineno}: column x{col}: not a number: {cell.strip()!r}"
+                    ) from None
+                if not math.isfinite(x):
+                    raise DataError(f"{path}: line {lineno}: column x{col}: non-finite value")
+                row.append(x)
         targets.append(target)
-        values.append(row)
-    return Dataset(p, tuple(targets), np.array(values, dtype=float).reshape(len(values), p))
+        values[lineno - 2] = row
+    return Dataset(p, tuple(targets), values)
 
 
 def emit_csv(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset CSV that ingest_csv reads back bit-exactly."""
+    """Write a dataset CSV that ingest_csv reads back bit-exactly.
+
+    Each distinct target's label is computed once; each row is formatted
+    from one ``tolist`` of its values by one call of a row-wide template.
+    """
+    labels = {t: t.label() for t in dataset.row_groups}
+    row_text = ",".join([_FLOAT_FMT] * dataset.p).format
     lines = ["target," + ",".join(f"x{i}" for i in range(1, dataset.p + 1))]
     for target, row in dataset.rows():
-        cells = [target.label()] + [_FLOAT_FMT.format(v) for v in row]
-        lines.append(",".join(cells))
+        lines.append(labels[target] + "," + row_text(*row.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -183,6 +183,8 @@ def run_fit(
     and a JSON summary are written there.
     """
     if family is None:
+        if dataset.n == 0:
+            raise DataError("the dataset has no rows to fit")
         family = dataset.observed_targets()
         if not conservative(family, dataset.p):
             raise DataError(

@@ -88,16 +88,17 @@ class SufficientStats:
 
 
 def sufficient_stats(dataset: Dataset) -> SufficientStats:
-    """Accumulate per-target counts and moments; rejects empty datasets."""
+    """Accumulate per-target counts and moments; rejects empty datasets.
+
+    Reads the dataset's cached row grouping, so the rows are not hashed
+    again; each distinct target costs one gather and one matrix product.
+    """
     if dataset.n == 0:
         raise DataError("cannot compute statistics of an empty dataset")
     counts: dict[InterventionTarget, int] = {}
     seconds: dict[InterventionTarget, np.ndarray] = {}
     firsts: dict[InterventionTarget, np.ndarray] = {}
-    groups: dict[InterventionTarget, list[int]] = {}
-    for i, t in enumerate(dataset.targets):
-        groups.setdefault(t, []).append(i)
-    for t, rows in groups.items():
+    for t, rows in dataset.row_groups.items():
         X = dataset.values[rows]
         n_t = len(rows)
         S = (X.T @ X) / n_t
@@ -150,27 +151,30 @@ def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> L
     """Mix the per-target moments into the per-vertex exclusion statistics.
 
     ``family``, when given, must cover every observed target; targets in the
-    family without data contribute nothing to the mixtures.
+    family without data contribute nothing to the mixtures.  Each target's
+    weighted moment n_t * S_t is formed once and then added, in the same
+    target order, into the sum of every vertex it does not contain.
     """
     p = stats.p
+    targets = stats.targets()
     if family is not None:
         family.validate_for(p)
-        for t in stats.targets():
+        for t in targets:
             if t not in family:
                 raise ParameterError(
                     f"observed target {t.members} is missing from the supplied family"
                 )
+    weighted = [(t, stats.count(t), stats.count(t) * stats.second_moment(t)) for t in targets]
     counts = np.zeros(p, dtype=np.int64)
     mixtures = np.zeros((p, p, p))
     for k in range(1, p + 1):
         n_ex = 0
         acc = np.zeros((p, p))
-        for t in stats.targets():
+        for t, n_t, moment in weighted:
             if k in t:
                 continue
-            n_t = stats.count(t)
             n_ex += n_t
-            acc += n_t * stats.second_moment(t)
+            acc += moment
         counts[k - 1] = n_ex
         if n_ex > 0:
             mixtures[k - 1] = acc / n_ex

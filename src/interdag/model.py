@@ -34,6 +34,7 @@ __all__ = [
     "intervention_dag",
     "interventional_moments",
     "sample_dataset",
+    "group_rows",
     "format_model",
     "parse_model",
     "derive_seed",
@@ -322,9 +323,33 @@ class GaussianCausalModel:
         return self.dag.p
 
 
+def group_rows(targets: Sequence[InterventionTarget]) -> dict[InterventionTarget, np.ndarray]:
+    """Row indices per distinct target, in one pass over the rows.
+
+    The groups come out in first-appearance order, each as a read-only
+    ascending index array.  A row holding the same target object as the row
+    before it costs one identity check; any other row costs one dict lookup.
+    """
+    groups: dict[InterventionTarget, list[int]] = {}
+    last = rows = None
+    for i, t in enumerate(targets):
+        if t is not last:
+            rows = groups.setdefault(t, [])
+            last = t
+        rows.append(i)
+    arrays = {t: np.array(rows, dtype=np.intp) for t, rows in groups.items()}
+    for rows in arrays.values():
+        rows.setflags(write=False)
+    return arrays
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Rows of (target, value vector); row order is meaningful and preserved."""
+    """Rows of (target, value vector); row order is meaningful and preserved.
+
+    Construction groups the rows by target once (``row_groups``) and
+    validates each distinct target once, not once per row.
+    """
 
     p: int
     targets: tuple[InterventionTarget, ...]
@@ -341,12 +366,12 @@ class Dataset:
             )
         if values.size and not np.all(np.isfinite(values)):
             raise DataError("dataset contains non-finite values")
-        for t in self.targets:
-            t.validate_for(self.p)
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "targets", tuple(self.targets))
+        for t in self.row_groups:
+            t.validate_for(self.p)
 
     @property
     def n(self) -> int:
@@ -356,8 +381,13 @@ class Dataset:
         for i, t in enumerate(self.targets):
             yield t, self.values[i]
 
+    @cached_property
+    def row_groups(self) -> dict[InterventionTarget, np.ndarray]:
+        """Row indices per distinct target (see ``group_rows``); do not mutate."""
+        return group_rows(self.targets)
+
     def observed_targets(self) -> TargetFamily:
-        return TargetFamily(frozenset(self.targets))
+        return TargetFamily(frozenset(self.row_groups))
 
 
 # ---------------------------------------------------------------------------
@@ -512,22 +542,24 @@ def sample_dataset(
     spec: InterventionSpec | None = None,
     seed: int = 0,
 ) -> Dataset:
-    """Draw one independent row per entry of ``target_sequence``, in order."""
+    """Draw one independent row per entry of ``target_sequence``, in order.
+
+    The rows are grouped by target in one pass; each distinct target is
+    validated once and gets its mean and covariance root once, and its rows
+    are drawn with one matrix product.
+    """
     p = model.p
     targets = tuple(target_sequence)
-    for t in targets:
+    groups = group_rows(targets)
+    for t in groups:
         t.validate_for(p)
     rng = _rng(seed)
     n = len(targets)
     X = np.zeros((n, p))
     if n:
         Z = rng.standard_normal((n, p))
-        moments: dict[InterventionTarget, tuple[np.ndarray, np.ndarray]] = {}
-        for t in targets:
-            if t not in moments:
-                moments[t] = _mean_and_root(model, t, spec)
-        for t, (mu, A) in moments.items():
-            rows = [i for i, ti in enumerate(targets) if ti == t]
+        for t, rows in groups.items():
+            mu, A = _mean_and_root(model, t, spec)
             X[rows] = Z[rows] @ A.T + mu
     return Dataset(p, targets, X)
 

@@ -5,8 +5,9 @@ Everything here is deliberately independent of the library internals it is
 used to check: DAG enumeration walks all orientation patterns directly,
 the likelihood oracle sums exact multivariate normal log-densities, the
 regression oracle fits one parent set at a time through scipy's wrappers,
-and the greedy oracle rescans every candidate move on every step, reading
-one score at a time.
+the greedy oracle rescans every candidate move on every step, reading
+one score at a time, and the sampling and statistics oracles are the
+per-row loops those functions were first written as.
 """
 
 import itertools
@@ -18,6 +19,7 @@ from scipy.stats import multivariate_normal
 from interdag import (
     Dag,
     Dataset,
+    GaussianCausalModel,
     InterventionSpec,
     InterventionTarget,
     LocalScoreCache,
@@ -31,6 +33,7 @@ from interdag import (
     sample_normalized_model,
     sample_random_dag,
 )
+from interdag.model import _mean_and_root, _rng
 from interdag.search import IMPROVEMENT_EPS
 
 
@@ -139,6 +142,70 @@ def density_oracle_loglik(model, dataset: Dataset, spec) -> float:
         mu, cov = cache[target]
         total += float(multivariate_normal.logpdf(x, mean=mu, cov=cov))
     return total
+
+
+def reference_sample_dataset(
+    model: GaussianCausalModel, target_sequence, spec=None, seed: int = 0
+) -> Dataset:
+    """``sample_dataset`` the way it was first written: every row validates
+    its target, and each distinct target scans the whole sequence with
+    ``==`` to find its rows.
+
+    The one-pass grouping in ``sample_dataset`` must give these same bits.
+    """
+    p = model.p
+    targets = tuple(target_sequence)
+    for t in targets:
+        t.validate_for(p)
+    rng = _rng(seed)
+    n = len(targets)
+    X = np.zeros((n, p))
+    if n:
+        Z = rng.standard_normal((n, p))
+        moments = {}
+        for t in targets:
+            if t not in moments:
+                moments[t] = _mean_and_root(model, t, spec)
+        for t, (mu, A) in moments.items():
+            rows = [i for i, ti in enumerate(targets) if ti == t]
+            X[rows] = Z[rows] @ A.T + mu
+    return Dataset(p, targets, X)
+
+
+def reference_sufficient_stats(dataset: Dataset):
+    """Per-target (count, second moment, first moment), grouping the rows by
+    hashing every row's target, the way ``sufficient_stats`` was first written."""
+    groups = {}
+    for i, t in enumerate(dataset.targets):
+        groups.setdefault(t, []).append(i)
+    out = {}
+    for t, rows in groups.items():
+        X = dataset.values[rows]
+        n_t = len(rows)
+        out[t] = (n_t, (X.T @ X) / n_t, X.sum(axis=0) / n_t)
+    return out
+
+
+def reference_local_stats(stats):
+    """Exclusion counts and mixtures the way ``local_stats`` was first
+    written: every vertex sorts the targets again and forms every n_t * S_t
+    again.  The once-per-target products must give these same bits."""
+    p = stats.p
+    counts = np.zeros(p, dtype=np.int64)
+    mixtures = np.zeros((p, p, p))
+    for k in range(1, p + 1):
+        n_ex = 0
+        acc = np.zeros((p, p))
+        for t in stats.targets():
+            if k in t:
+                continue
+            n_t = stats.count(t)
+            n_ex += n_t
+            acc += n_t * stats.second_moment(t)
+        counts[k - 1] = n_ex
+        if n_ex > 0:
+            mixtures[k - 1] = acc / n_ex
+    return counts, mixtures
 
 
 def reference_fit_row(S: np.ndarray, k_idx: int, pa_idx: list[int]):

@@ -3,18 +3,24 @@
 Core claims:
     - emit_csv/ingest_csv round-trip values bit-exactly (17 significant
       digits) and re-emitting reproduces the same bytes.
-    - Malformed CSV input is rejected with the offending line number.
+    - Malformed CSV input is rejected with the offending line number, the
+      first bad column, and a bad target before a bad cell on one row.
+    - A seeded simulate writes the same dataset.csv bytes as recorded.
     - Exit codes: 0 success, 2 parameter/config error, 3 data error,
       4 capacity guard.
     - fit/simulate/experiment write the documented artifact files, and
       experiment output is bit-identical across runs with the same seed.
 """
 
+import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interdag import (
     Dag,
@@ -25,6 +31,7 @@ from interdag import (
     InterventionTarget,
     parse_essential_graph,
     parse_model,
+    run_fit,
     sample_dataset,
 )
 from interdag.cli import emit_csv, ingest_csv, main
@@ -70,6 +77,57 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+_EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                 1.7976931348623157e308, -1.7976931348623157e308]
+_POOL = [InterventionTarget.empty(), InterventionTarget.of(1), InterventionTarget.of(2),
+         InterventionTarget.of(1, 3), InterventionTarget.of(1, 2, 3)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cells=st.lists(
+        st.tuples(
+            st.sampled_from(_POOL),
+            st.lists(
+                st.one_of(
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_EDGE_DOUBLES),
+                ),
+                min_size=3,
+                max_size=3,
+            ),
+        ),
+        max_size=12,
+    )
+)
+def test_csv_round_trip_property(cells):
+    targets = tuple(t for t, _ in cells)
+    values = np.array([row for _, row in cells], dtype=float).reshape(len(cells), 3)
+    data = Dataset(3, targets, values)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+        emit_csv(data, first)
+        back = ingest_csv(first)
+        assert back.targets == targets
+        assert back.values.tobytes() == data.values.tobytes()
+        emit_csv(back, second)
+        assert first.read_bytes() == second.read_bytes()
+
+
+def test_csv_row_whose_sum_overflows_is_accepted(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("target,x1,x2,x3\n,1e308,1e308,-1e308\n")
+    assert ingest_csv(path).values.tolist() == [[1e308, 1e308, -1e308]]
+
+
+def test_simulate_dataset_bytes_pinned(tmp_path):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--p", "8", "--n", "500", "--k", "3",
+                 "--replicates-per-target", "2", "--seed", "1", "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "dataset.csv").read_bytes()).hexdigest()
+    assert digest == "c368f4b6f26a134614e5f4af1afd8e5aba7748f1aacf7c7c04661339a0465dae"
+
+
 def test_csv_header_and_target_text(tmp_path):
     path = tmp_path / "d.csv"
     _sample_csv(path)
@@ -105,6 +163,13 @@ def test_multi_label_target_round_trip(tmp_path):
         ("target,x1,x2\n3,1.0,2.0\n", "line 2"),
         ("target,x1,x2\n1;1,1.0,2.0\n", "line 2"),
         ("", "empty"),
+        ("target,x1\n,nan\n", "line 2: column x1: non-finite value"),
+        ("target,x1,x2\n,1.0,-inf\n", "line 2: column x2: non-finite value"),
+        ("target,x1\n,0.5\n,1e999\n", "line 3: column x1: non-finite value"),
+        ("target,x1,x2\n,,2.0\n", "line 2: column x1: not a number: ''"),
+        ("target,x1,x2\n,1.0,  \n", "line 2: column x2: not a number: ''"),
+        ("target,x1,x2,x3\n,1.0,2.0,x\n", "line 2: column x3: not a number: 'x'"),
+        ("target,x1,x2\n,1,2\n9,1.0,oops\n", "line 3: bad target '9' \\(target vertex 9"),
     ],
 )
 def test_ingest_rejections_carry_line_numbers(tmp_path, text, fragment):
@@ -161,6 +226,17 @@ def test_fit_on_rows_all_targeting_one_vertex_is_a_data_error(tmp_path, capsys):
     code = main(["fit", "--data", str(csv)])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["greedy", "dp"])
+def test_fit_on_header_only_csv_is_a_data_error(tmp_path, capsys, method):
+    csv = tmp_path / "d.csv"
+    csv.write_text("target,x1,x2\n")
+    code = main(["fit", "--data", str(csv), "--method", method])
+    assert code == 3
+    assert "has no rows" in capsys.readouterr().err
+    with pytest.raises(DataError, match="has no rows"):
+        run_fit(ingest_csv(csv), method=method)
 
 
 def test_fit_dp_capacity_exit_code(tmp_path, capsys):

@@ -152,6 +152,8 @@ def test_dataset_validation():
         Dataset(2, (t,), [[1.0, math.nan]])
     with pytest.raises(ParameterError):
         Dataset(2, (t, t), [[1.0, 2.0]])
+    with pytest.raises(ParameterError, match="out of range"):
+        Dataset(2, (t, InterventionTarget.of(3)), [[0.0, 1.0], [2.0, 3.0]])
     ds = Dataset(2, (t, InterventionTarget.of(1)), [[0.0, 1.0], [2.0, 3.0]])
     assert ds.n == 2
     fam = ds.observed_targets()
