@@ -2,12 +2,16 @@
 
 Two DAGs are equivalent with respect to a conservative target family when
 they share a skeleton and, for every target, their cut graphs share both
-skeleton and v-structures.  Classes are materialized by exhaustive
-enumeration of skeleton orientations rather than by orientation-propagation
-rules: orientations pinned by the targets (cut edges) and by v-structures
-are fixed first, the remaining edges are searched component by component
-with collider and cycle pruning, and every emitted member satisfies the
-equivalence criterion by construction.
+skeleton and v-structures.  A class is represented by its interventional
+essential graph, built directly in polynomial time (Hauser and Buhlmann,
+JMLR 13, 2012): both edges of every v-structure and every edge with exactly
+one endpoint in some target are directed as in the DAG, the result is
+closed under Meek's orientation rules R1-R4 (Meek 1995), and every other
+edge stays undirected.  The undirected edges form chordal chain components
+that orient independently, so ``enumerate_class`` lists a class as the
+essential graph's directed edges combined with every acyclic orientation
+without v-structures of each chain component.  Only that listing is
+exponential, and only it has capacity guards.
 """
 
 import itertools
@@ -32,8 +36,8 @@ __all__ = [
     "parse_essential_graph",
 ]
 
-# Hard guards keeping enumeration desk-scale: bound on undecided edges per
-# connected component of the free skeleton, and on emitted class members.
+# Hard guards keeping enumerate_class desk-scale: bound on undirected edges
+# per chain component of the essential graph, and on emitted class members.
 MAX_UNDECIDED_EDGES = 20
 MAX_CLASS_MEMBERS = 200_000
 
@@ -124,236 +128,133 @@ def markov_equivalent_interventional(d1: Dag, d2: Dag, family: TargetFamily) -> 
     return True
 
 
-def _forced_orientations(
-    dag: Dag, family: TargetFamily, pairs: list[tuple[int, int]],
-    ref_skel: dict, ref_vs: dict,
-) -> dict[tuple[int, int], tuple[int, int]]:
-    """Orientations every class member must share.
+def _neighbours(pairs) -> dict[int, set[int]]:
+    """Adjacency sets of the vertices that the (a, b) pairs touch."""
+    adj: dict[int, set[int]] = defaultdict(set)
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
 
-    A cut edge (exactly one endpoint intervened) survives in the cut graph
-    exactly when it points out of the target, so its presence there pins its
-    direction; both edges of any reference v-structure are pinned as well.
+
+def _meek_closure(adj: dict[int, set[int]], directed: set[tuple[int, int]]) -> set[tuple[int, int]]:
+    """Close a partial orientation of a skeleton under Meek's rules R1-R4.
+
+    ``adj`` is the skeleton and ``directed`` the (tail, head) pairs oriented
+    so far; every other skeleton edge is undirected.  Returns the directed
+    pairs once no rule orients another edge.  The rules are sound and
+    complete (Meek 1995): the result holds exactly the orientations shared
+    by every acyclic extension that adds no v-structure, whatever order the
+    rules fire in.
     """
-    forced: dict[tuple[int, int], tuple[int, int]] = {}
+    pa = {v: set() for v in adj}
+    ch = {v: set() for v in adj}
+    und = {v: set(nb) for v, nb in adj.items()}
 
-    def force(pair, orientation):
-        prev = forced.setdefault(pair, orientation)
-        if prev != orientation:  # the input DAG realizes every pin, so this cannot fire
-            raise AssertionError(f"conflicting forced orientations for {pair}")
+    def orient(x: int, y: int) -> None:
+        pa[y].add(x)
+        ch[x].add(y)
+        und[x].discard(y)
+        und[y].discard(x)
 
-    for target in family:
-        members = set(target.members)
-        skel_t = ref_skel[target]
-        for a, b in pairs:
-            a_in, b_in = a in members, b in members
-            if a_in == b_in:
-                continue
-            x, y = (a, b) if a_in else (b, a)
-            force((a, b), (x, y) if (a, b) in skel_t else (y, x))
-        for vs in ref_vs[target]:
-            force(_pair(vs.a, vs.b), (vs.a, vs.b))
-            force(_pair(vs.c, vs.b), (vs.c, vs.b))
-    return forced
+    def forced(x: int, y: int) -> bool:
+        # R1: z -> x - y with z, y non-adjacent
+        if any(z not in adj[y] for z in pa[x]):
+            return True
+        # R2: x -> z -> y
+        if ch[x] & pa[y]:
+            return True
+        # R3: x - c -> y and x - d -> y with c, d non-adjacent
+        if any(d not in adj[c] for c, d in itertools.combinations(und[x] & pa[y], 2)):
+            return True
+        # R4: x - d -> c -> y with x, c adjacent and d, y non-adjacent
+        return any(d not in adj[y] for c in pa[y] & adj[x] for d in pa[c] & und[x])
 
-
-def _collider_constraints(p: int, family: TargetFamily, ref_skel: dict, ref_vs: dict):
-    """Triples that must (or must not) collide in some cut graph.
-
-    Cut-graph skeletons are identical for every candidate once cut edges are
-    pinned, so the potential collider triples are a fixed set; the expected
-    answer is whether the reference collides there.
-    """
-    records: dict[tuple[tuple[int, int], tuple[int, int], int], bool] = {}
-    for target in family:
-        adj: dict[int, set[int]] = defaultdict(set)
-        for a, b in ref_skel[target]:
-            adj[a].add(b)
-            adj[b].add(a)
-        vs_t = {(v.a, v.b, v.c) for v in ref_vs[target]}
-        for b in range(1, p + 1):
-            nb = sorted(adj[b])
-            for i in range(len(nb)):
-                for j in range(i + 1, len(nb)):
-                    a, c = nb[i], nb[j]
-                    if c in adj[a]:
-                        continue
-                    records[(_pair(a, b), _pair(b, c), b)] = (a, b, c) in vs_t
-    return sorted(records.items())
+    for t, h in directed:
+        orient(t, h)
+    changed = True
+    while changed:
+        changed = False
+        for x in sorted(und):
+            for y in sorted(und[x]):
+                if y in und[x] and forced(x, y):
+                    orient(x, y)
+                    changed = True
+    return {(t, h) for h in pa for t in pa[h]}
 
 
-def _free_components(free: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
-    """Group undecided edges into connected components through shared vertices."""
-    edge_by_vertex: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for e in free:
-        edge_by_vertex[e[0]].append(e)
-        edge_by_vertex[e[1]].append(e)
-    seen: set[tuple[int, int]] = set()
+def _chain_components(pairs) -> list[list[tuple[int, int]]]:
+    """Undirected (a, b) pairs grouped into connected components, each sorted."""
+    adj = _neighbours(pairs)
     components = []
-    for start in free:
+    seen: set[int] = set()
+    for start in sorted(adj):
         if start in seen:
             continue
-        comp = []
-        queue = [start]
-        seen.add(start)
-        while queue:
-            e = queue.pop()
-            comp.append(e)
-            for v in e:
-                for other in edge_by_vertex[v]:
-                    if other not in seen:
-                        seen.add(other)
-                        queue.append(other)
-        # breadth-first reordering from the smallest edge keeps adjacent edges
-        # close together, which lets collider pruning fire early
-        comp.sort()
-        ordered = [comp[0]]
-        rest = comp[1:]
-        touched = set(comp[0])
-        while rest:
-            pick = None
-            for e in rest:
-                if e[0] in touched or e[1] in touched:
-                    pick = e
-                    break
-            if pick is None:
-                pick = rest[0]
-            rest.remove(pick)
-            ordered.append(pick)
-            touched.update(pick)
-        components.append(ordered)
-    components.sort(key=lambda comp: comp[0])
+        stack, members = [start], {start}
+        while stack:
+            for w in adj[stack.pop()] - members:
+                members.add(w)
+                stack.append(w)
+        seen |= members
+        components.append(sorted(e for e in pairs if e[0] in members))
     return components
+
+
+def _component_orientations(pairs: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """Every acyclic orientation without v-structures of one chain component.
+
+    A chain component of an essential graph is chordal, and each such
+    orientation of it has exactly one source.  Fixing the source, directing
+    its edges outward and closing under Meek's rules leaves smaller chordal
+    chain components whose orientations combine freely (He, Jia and Yu,
+    JMLR 16, 2015), so every orientation comes out once, with no search
+    that backtracks.
+    """
+    adj = _neighbours(pairs)
+    out = []
+    for root in sorted(adj):
+        directed = _meek_closure(adj, {(root, w) for w in adj[root]})
+        rest = [(a, b) for a, b in pairs if (a, b) not in directed and (b, a) not in directed]
+        choices = [_component_orientations(comp) for comp in _chain_components(rest)]
+        fixed = sorted(directed)
+        for combo in itertools.product(*choices):
+            out.append(fixed + [e for part in combo for e in part])
+    return out
 
 
 def enumerate_class(dag: Dag, family: TargetFamily) -> list[Dag]:
     """Materialize every DAG equivalent to ``dag`` under the family.
 
+    Members keep the directed edges of ``essential_graph(dag, family)`` and
+    orient each of its chain components (the connected components of its
+    undirected edges) acyclically and without v-structures, in every way.
     The output is sorted by edge list and always contains ``dag`` itself.
-    Raises CapacityError when a connected block of undecided edges exceeds
-    MAX_UNDECIDED_EDGES or the class would exceed MAX_CLASS_MEMBERS.
+    Raises CapacityError when a chain component has more than
+    MAX_UNDECIDED_EDGES undirected edges or the class would exceed
+    MAX_CLASS_MEMBERS.
     """
-    p = dag.p
-    check_conservative(family, p)
-    pairs = sorted(skeleton(dag).edges)
-    ref_skel = {}
-    ref_vs = {}
-    for target in family:
-        cut = intervention_dag(dag, target)
-        ref_skel[target] = skeleton(cut).edges
-        ref_vs[target] = v_structures(cut)
-
-    forced = _forced_orientations(dag, family, pairs, ref_skel, ref_vs)
-    constraints = _collider_constraints(p, family, ref_skel, ref_vs)
-    by_edge: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for idx, ((e1, e2, _), _) in enumerate(constraints):
-        by_edge[e1].append(idx)
-        by_edge[e2].append(idx)
-
-    free = [e for e in pairs if e not in forced]
-    components = _free_components(free)
+    graph = essential_graph(dag, family)
+    components = _chain_components(graph.undirected)
     for comp in components:
         if len(comp) > MAX_UNDECIDED_EDGES:
             raise CapacityError(
                 f"{len(comp)} mutually connected undecided edges exceed the "
                 f"enumeration guard of {MAX_UNDECIDED_EDGES}"
             )
-
-    orient: dict[tuple[int, int], tuple[int, int]] = dict(forced)
-    children: dict[int, set[int]] = defaultdict(set)
-    for t, h in forced.values():
-        children[t].add(h)
-
-    def reaches(start: int, goal: int) -> bool:
-        stack = [start]
-        visited = {start}
-        while stack:
-            v = stack.pop()
-            if v == goal:
-                return True
-            for c in children[v]:
-                if c not in visited:
-                    visited.add(c)
-                    stack.append(c)
-        return False
-
-    def collider_ok(edge, head) -> bool:
-        for idx in by_edge[edge]:
-            (e1, e2, b), expected = constraints[idx]
-            other = e2 if e1 == edge else e1
-            other_orient = orient.get(other)
-            if other_orient is None:
-                continue
-            actual = head == b and other_orient[1] == b
-            if actual != expected:
-                return False
-        return True
-
-    def explore(ordered: list[tuple[int, int]]) -> list[tuple[tuple[int, int], ...]]:
-        out: list[tuple[tuple[int, int], ...]] = []
-
-        def dfs(i: int) -> None:
-            if i == len(ordered):
-                out.append(tuple(orient[e] for e in ordered))
-                if len(out) > MAX_CLASS_MEMBERS:
-                    raise CapacityError("equivalence class exceeds the member guard")
-                return
-            edge = ordered[i]
-            a, b = edge
-            for tail, head in ((a, b), (b, a)):
-                if reaches(head, tail):
-                    continue
-                if not collider_ok(edge, head):
-                    continue
-                orient[edge] = (tail, head)
-                children[tail].add(head)
-                dfs(i + 1)
-                del orient[edge]
-                children[tail].discard(head)
-
-        dfs(0)
-        return out
-
-    component_choices = [explore(comp) for comp in components]
-
+    choices = [_component_orientations(comp) for comp in components]
     total = 1
-    for choices in component_choices:
-        total *= len(choices)
+    for options in choices:
+        total *= len(options)
         if total > MAX_CLASS_MEMBERS:
             raise CapacityError("equivalence class exceeds the member guard")
-
-    members: list[Dag] = []
-    for combo in itertools.product(*component_choices):
-        parents: list[list[int]] = [[] for _ in range(p)]
-        for t, h in forced.values():
-            parents[h - 1].append(t)
-        for comp, assignment in zip(components, combo):
-            for _, (t, h) in zip(comp, assignment):
-                parents[h - 1].append(t)
-        # orientations from different components can interleave through the
-        # pinned edges, so global acyclicity still needs one full check
-        if not _acyclic(p, parents):
-            continue
-        members.append(Dag(p, tuple(tuple(ps) for ps in parents)))
+    fixed = sorted(graph.directed)
+    members = [
+        Dag.from_edges(dag.p, fixed + [e for part in combo for e in part])
+        for combo in itertools.product(*choices)
+    ]
     members.sort(key=lambda d: d.edges)
     return members
-
-
-def _acyclic(p: int, parents: list[list[int]]) -> bool:
-    indeg = [len(ps) for ps in parents]
-    children: list[list[int]] = [[] for _ in range(p)]
-    for k in range(p):
-        for j in parents[k]:
-            children[j - 1].append(k + 1)
-    ready = [v for v in range(1, p + 1) if indeg[v - 1] == 0]
-    count = 0
-    while ready:
-        v = ready.pop()
-        count += 1
-        for c in children[v - 1]:
-            indeg[c - 1] -= 1
-            if indeg[c - 1] == 0:
-                ready.append(c)
-    return count == p
 
 
 @dataclass(frozen=True)
@@ -395,18 +296,23 @@ class EssentialGraph:
 
 
 def essential_graph(dag: Dag, family: TargetFamily) -> EssentialGraph:
-    """Orient exactly the edges on which the whole class agrees."""
-    members = enumerate_class(dag, family)
-    directed = []
-    undirected = []
-    for a, b in sorted(skeleton(dag).edges):
-        forward = sum(1 for m in members if m.has_edge(a, b))
-        if forward == len(members):
-            directed.append((a, b))
-        elif forward == 0:
-            directed.append((b, a))
-        else:
-            undirected.append((a, b))
+    """Orient exactly the edges on which the whole class agrees.
+
+    Both edges of every v-structure of ``dag`` and every edge with exactly
+    one endpoint in some target are directed as in ``dag``; closing that
+    under Meek's rules R1-R4 directs the rest of the class-invariant edges
+    (Hauser and Buhlmann 2012), and every other edge stays undirected.
+    """
+    check_conservative(family, dag.p)
+    directed = set()
+    for vs in v_structures(dag):
+        directed.update(((vs.a, vs.b), (vs.c, vs.b)))
+    for target in family:
+        members = set(target.members)
+        directed.update((t, h) for t, h in dag.edges if (t in members) != (h in members))
+    pairs = skeleton(dag).edges
+    directed = _meek_closure(_neighbours(pairs), directed)
+    undirected = pairs - {_pair(t, h) for t, h in directed}
     return EssentialGraph(dag.p, frozenset(directed), frozenset(undirected))
 
 

@@ -373,6 +373,16 @@ class Dataset:
         for t in self.row_groups:
             t.validate_for(self.p)
 
+    @classmethod
+    def _grouped(cls, p: int, targets, values: np.ndarray, groups) -> "Dataset":
+        """Build a Dataset whose ``row_groups`` cache starts as ``groups``,
+        which must be ``group_rows(targets)``, so construction validates
+        those groups instead of grouping the rows a second time."""
+        data = cls.__new__(cls)
+        data.__dict__["row_groups"] = groups
+        data.__init__(p, targets, values)
+        return data
+
     @property
     def n(self) -> int:
         return len(self.targets)
@@ -544,9 +554,10 @@ def sample_dataset(
 ) -> Dataset:
     """Draw one independent row per entry of ``target_sequence``, in order.
 
-    The rows are grouped by target in one pass; each distinct target is
-    validated once and gets its mean and covariance root once, and its rows
-    are drawn with one matrix product.
+    The rows are grouped by target in one pass, and the returned Dataset
+    keeps that grouping as its ``row_groups``; each distinct target is
+    validated once here and once by the Dataset, gets its mean and
+    covariance root once, and has its rows drawn with one matrix product.
     """
     p = model.p
     targets = tuple(target_sequence)
@@ -561,7 +572,7 @@ def sample_dataset(
         for t, rows in groups.items():
             mu, A = _mean_and_root(model, t, spec)
             X[rows] = Z[rows] @ A.T + mu
-    return Dataset(p, targets, X)
+    return Dataset._grouped(p, targets, X, groups)
 
 
 # ---------------------------------------------------------------------------

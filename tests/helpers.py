@@ -3,7 +3,8 @@ and random instance generators.
 
 Everything here is deliberately independent of the library internals it is
 used to check: DAG enumeration walks all orientation patterns directly,
-the likelihood oracle sums exact multivariate normal log-densities, the
+the class enumeration oracle is the pruned backtracking search that listed
+classes before essential graphs were built directly, the likelihood oracle sums exact multivariate normal log-densities, the
 regression oracle fits one parent set at a time through scipy's wrappers,
 the greedy oracle rescans every candidate move on every step, reading
 one score at a time, and the sampling and statistics oracles are the
@@ -11,12 +12,14 @@ per-row loops those functions were first written as.
 """
 
 import itertools
+from collections import defaultdict
 
 import numpy as np
 import scipy.linalg
 from scipy.stats import multivariate_normal
 
 from interdag import (
+    CapacityError,
     Dag,
     Dataset,
     GaussianCausalModel,
@@ -28,11 +31,15 @@ from interdag import (
     TargetFamily,
     TraceStep,
     derive_seed,
+    intervention_dag,
     interventional_moments,
     sample_dataset,
     sample_normalized_model,
     sample_random_dag,
+    skeleton,
+    v_structures,
 )
+from interdag.equivalence import MAX_CLASS_MEMBERS, MAX_UNDECIDED_EDGES, _pair, check_conservative
 from interdag.model import _mean_and_root, _rng
 from interdag.search import IMPROVEMENT_EPS
 
@@ -95,6 +102,243 @@ def _acyclic_edges(p: int, edges: list[tuple[int, int]]) -> bool:
             if indeg[c] == 0:
                 ready.append(c)
     return seen == p
+
+
+def _forced_orientations(
+    dag: Dag, family: TargetFamily, pairs: list[tuple[int, int]],
+    ref_skel: dict, ref_vs: dict,
+) -> dict[tuple[int, int], tuple[int, int]]:
+    """Orientations every class member must share.
+
+    A cut edge (exactly one endpoint intervened) survives in the cut graph
+    exactly when it points out of the target, so its presence there pins its
+    direction; both edges of any reference v-structure are pinned as well.
+    """
+    forced: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def force(pair, orientation):
+        prev = forced.setdefault(pair, orientation)
+        if prev != orientation:  # the input DAG realizes every pin, so this cannot fire
+            raise AssertionError(f"conflicting forced orientations for {pair}")
+
+    for target in family:
+        members = set(target.members)
+        skel_t = ref_skel[target]
+        for a, b in pairs:
+            a_in, b_in = a in members, b in members
+            if a_in == b_in:
+                continue
+            x, y = (a, b) if a_in else (b, a)
+            force((a, b), (x, y) if (a, b) in skel_t else (y, x))
+        for vs in ref_vs[target]:
+            force(_pair(vs.a, vs.b), (vs.a, vs.b))
+            force(_pair(vs.c, vs.b), (vs.c, vs.b))
+    return forced
+
+
+def _collider_constraints(p: int, family: TargetFamily, ref_skel: dict, ref_vs: dict):
+    """Triples that must (or must not) collide in some cut graph.
+
+    Cut-graph skeletons are identical for every candidate once cut edges are
+    pinned, so the potential collider triples are a fixed set; the expected
+    answer is whether the reference collides there.
+    """
+    records: dict[tuple[tuple[int, int], tuple[int, int], int], bool] = {}
+    for target in family:
+        adj: dict[int, set[int]] = defaultdict(set)
+        for a, b in ref_skel[target]:
+            adj[a].add(b)
+            adj[b].add(a)
+        vs_t = {(v.a, v.b, v.c) for v in ref_vs[target]}
+        for b in range(1, p + 1):
+            nb = sorted(adj[b])
+            for i in range(len(nb)):
+                for j in range(i + 1, len(nb)):
+                    a, c = nb[i], nb[j]
+                    if c in adj[a]:
+                        continue
+                    records[(_pair(a, b), _pair(b, c), b)] = (a, b, c) in vs_t
+    return sorted(records.items())
+
+
+def _free_components(free: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """Group undecided edges into connected components through shared vertices."""
+    edge_by_vertex: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for e in free:
+        edge_by_vertex[e[0]].append(e)
+        edge_by_vertex[e[1]].append(e)
+    seen: set[tuple[int, int]] = set()
+    components = []
+    for start in free:
+        if start in seen:
+            continue
+        comp = []
+        queue = [start]
+        seen.add(start)
+        while queue:
+            e = queue.pop()
+            comp.append(e)
+            for v in e:
+                for other in edge_by_vertex[v]:
+                    if other not in seen:
+                        seen.add(other)
+                        queue.append(other)
+        # breadth-first reordering from the smallest edge keeps adjacent edges
+        # close together, which lets collider pruning fire early
+        comp.sort()
+        ordered = [comp[0]]
+        rest = comp[1:]
+        touched = set(comp[0])
+        while rest:
+            pick = None
+            for e in rest:
+                if e[0] in touched or e[1] in touched:
+                    pick = e
+                    break
+            if pick is None:
+                pick = rest[0]
+            rest.remove(pick)
+            ordered.append(pick)
+            touched.update(pick)
+        components.append(ordered)
+    components.sort(key=lambda comp: comp[0])
+    return components
+
+
+def reference_enumerate_class(dag: Dag, family: TargetFamily) -> list[Dag]:
+    """Every DAG equivalent to ``dag`` under the family, the way
+    ``enumerate_class`` was first written: orientations pinned by the targets
+    (cut edges) and by the cut graphs' v-structures are fixed first, and the
+    remaining edges are searched component by component with collider and
+    cycle pruning.  ``essential_graph`` must equal the intersection of this
+    list, and ``enumerate_class`` this list itself.
+
+    The output is sorted by edge list and always contains ``dag`` itself.
+    Raises CapacityError when a connected block of undecided edges exceeds
+    MAX_UNDECIDED_EDGES or the class would exceed MAX_CLASS_MEMBERS.
+    """
+    p = dag.p
+    check_conservative(family, p)
+    pairs = sorted(skeleton(dag).edges)
+    ref_skel = {}
+    ref_vs = {}
+    for target in family:
+        cut = intervention_dag(dag, target)
+        ref_skel[target] = skeleton(cut).edges
+        ref_vs[target] = v_structures(cut)
+
+    forced = _forced_orientations(dag, family, pairs, ref_skel, ref_vs)
+    constraints = _collider_constraints(p, family, ref_skel, ref_vs)
+    by_edge: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for idx, ((e1, e2, _), _) in enumerate(constraints):
+        by_edge[e1].append(idx)
+        by_edge[e2].append(idx)
+
+    free = [e for e in pairs if e not in forced]
+    components = _free_components(free)
+    for comp in components:
+        if len(comp) > MAX_UNDECIDED_EDGES:
+            raise CapacityError(
+                f"{len(comp)} mutually connected undecided edges exceed the "
+                f"enumeration guard of {MAX_UNDECIDED_EDGES}"
+            )
+
+    orient: dict[tuple[int, int], tuple[int, int]] = dict(forced)
+    children: dict[int, set[int]] = defaultdict(set)
+    for t, h in forced.values():
+        children[t].add(h)
+
+    def reaches(start: int, goal: int) -> bool:
+        stack = [start]
+        visited = {start}
+        while stack:
+            v = stack.pop()
+            if v == goal:
+                return True
+            for c in children[v]:
+                if c not in visited:
+                    visited.add(c)
+                    stack.append(c)
+        return False
+
+    def collider_ok(edge, head) -> bool:
+        for idx in by_edge[edge]:
+            (e1, e2, b), expected = constraints[idx]
+            other = e2 if e1 == edge else e1
+            other_orient = orient.get(other)
+            if other_orient is None:
+                continue
+            actual = head == b and other_orient[1] == b
+            if actual != expected:
+                return False
+        return True
+
+    def explore(ordered: list[tuple[int, int]]) -> list[tuple[tuple[int, int], ...]]:
+        out: list[tuple[tuple[int, int], ...]] = []
+
+        def dfs(i: int) -> None:
+            if i == len(ordered):
+                out.append(tuple(orient[e] for e in ordered))
+                if len(out) > MAX_CLASS_MEMBERS:
+                    raise CapacityError("equivalence class exceeds the member guard")
+                return
+            edge = ordered[i]
+            a, b = edge
+            for tail, head in ((a, b), (b, a)):
+                if reaches(head, tail):
+                    continue
+                if not collider_ok(edge, head):
+                    continue
+                orient[edge] = (tail, head)
+                children[tail].add(head)
+                dfs(i + 1)
+                del orient[edge]
+                children[tail].discard(head)
+
+        dfs(0)
+        return out
+
+    component_choices = [explore(comp) for comp in components]
+
+    total = 1
+    for choices in component_choices:
+        total *= len(choices)
+        if total > MAX_CLASS_MEMBERS:
+            raise CapacityError("equivalence class exceeds the member guard")
+
+    members: list[Dag] = []
+    for combo in itertools.product(*component_choices):
+        parents: list[list[int]] = [[] for _ in range(p)]
+        for t, h in forced.values():
+            parents[h - 1].append(t)
+        for comp, assignment in zip(components, combo):
+            for _, (t, h) in zip(comp, assignment):
+                parents[h - 1].append(t)
+        # orientations from different components can interleave through the
+        # pinned edges, so global acyclicity still needs one full check
+        if not _acyclic(p, parents):
+            continue
+        members.append(Dag(p, tuple(tuple(ps) for ps in parents)))
+    members.sort(key=lambda d: d.edges)
+    return members
+
+
+def _acyclic(p: int, parents: list[list[int]]) -> bool:
+    indeg = [len(ps) for ps in parents]
+    children: list[list[int]] = [[] for _ in range(p)]
+    for k in range(p):
+        for j in parents[k]:
+            children[j - 1].append(k + 1)
+    ready = [v for v in range(1, p + 1) if indeg[v - 1] == 0]
+    count = 0
+    while ready:
+        v = ready.pop()
+        count += 1
+        for c in children[v - 1]:
+            indeg[c - 1] -= 1
+            if indeg[c - 1] == 0:
+                ready.append(c)
+    return count == p
 
 
 def random_conservative_family(rng: np.random.Generator, p: int) -> TargetFamily:

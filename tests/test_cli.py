@@ -5,7 +5,8 @@ Core claims:
       digits) and re-emitting reproduces the same bytes.
     - Malformed CSV input is rejected with the offending line number, the
       first bad column, and a bad target before a bad cell on one row.
-    - A seeded simulate writes the same dataset.csv bytes as recorded.
+    - A seeded simulate writes the same dataset.csv bytes as recorded, and
+      one at p=100 whose class is too large to list exits 0.
     - Exit codes: 0 success, 2 parameter/config error, 3 data error,
       4 capacity guard.
     - fit/simulate/experiment write the documented artifact files, and
@@ -270,6 +271,16 @@ def test_simulate_writes_three_files(tmp_path, capsys):
     model = parse_model((out / "model.txt").read_text())
     assert model.p == 5
     parse_essential_graph((out / "essential.txt").read_text(), 5)
+
+
+def test_simulate_large_class_exits_zero(tmp_path, capsys):
+    # the true graph's class here is too large to list, but its essential
+    # graph needs no listing
+    out = tmp_path / "sim"
+    assert main(["simulate", "--p", "100", "--seed", "42", "--out", str(out)]) == 0
+    graph = parse_essential_graph((out / "essential.txt").read_text(), 100)
+    assert graph.undirected
+    assert "wrote 1000 rows over 100 columns" in capsys.readouterr().out
 
 
 def test_simulate_deterministic(tmp_path):

@@ -7,14 +7,24 @@ Core claims:
       observationally, the third distinguishable once vertex 4 is a target.
     - enumerate_class agrees with a brute-force filter over all acyclic
       skeleton orientations, and shrinks (weakly) as targets are added.
-    - essential_graph directs exactly the orientation-invariant edges.
-    - Capacity guards trip on oversized undecided-edge blocks.
+    - essential_graph, built directly from v-structures, cut edges and
+      Meek's rules, equals the intersection of the class that the old
+      backtracking enumerator (helpers.reference_enumerate_class) lists:
+      on every DAG with p <= 4 under fixed families, and on random DAGs and
+      families with p <= 8, where enumerate_class also returns that list.
+    - essential_graph has no capacity guard: a 22-vertex chain and a
+      complete DAG on 7 vertices get 21 undirected edges each, and a
+      one-member class with a long chain is listed as itself.
+    - enumerate_class's capacity guard trips on a chain component with
+      more than 20 undirected edges.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interdag import (
     CapacityError,
@@ -37,7 +47,7 @@ from interdag import (
 )
 from interdag.equivalence import VStructure, _pair
 
-from helpers import demo_trio
+from helpers import all_dags, demo_trio, random_conservative_family, reference_enumerate_class
 
 
 def _orientations_of_skeleton(dag: Dag):
@@ -182,6 +192,15 @@ def test_enumeration_guard_trips_on_long_undecided_chain():
         enumerate_class(path, TargetFamily.of(()))
 
 
+def test_collider_then_long_chain_is_a_one_member_class():
+    # the collider orients the whole 21-edge chain, so nothing is left to list
+    dag = Dag.from_edges(24, [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, 24)])
+    assert enumerate_class(dag, OBS) == [dag]
+    g = essential_graph(dag, OBS)
+    assert g.undirected == frozenset()
+    assert g.directed == frozenset(dag.edges)
+
+
 # -- essential graphs -----------------------------------------------------------------
 
 
@@ -223,6 +242,75 @@ def test_essential_graph_directs_all_cut_graph_collider_edges():
                 for vs in v_structures(cut):
                     assert (vs.a, vs.b) in g.directed
                     assert (vs.c, vs.b) in g.directed
+
+
+def test_essential_graph_of_large_observational_classes():
+    chain = Dag.from_edges(22, [(i, i + 1) for i in range(1, 22)])
+    complete = Dag.from_edges(7, list(itertools.combinations(range(1, 8), 2)))
+    for dag in (chain, complete):
+        g = essential_graph(dag, OBS)
+        assert g.directed == frozenset()
+        assert g.undirected == skeleton(dag).edges
+        assert len(g.undirected) == 21
+
+
+def _class_intersection(dag: Dag, members: list[Dag]) -> EssentialGraph:
+    """The edges every member orients alike are directed, the rest undirected."""
+    directed, undirected = set(), set()
+    for a, b in skeleton(dag).edges:
+        forward = sum(1 for m in members if m.has_edge(a, b))
+        if forward == len(members):
+            directed.add((a, b))
+        elif forward == 0:
+            directed.add((b, a))
+        else:
+            undirected.add((a, b))
+    return EssentialGraph(dag.p, frozenset(directed), frozenset(undirected))
+
+
+SMALL_FAMILIES = [
+    ((),),
+    ((), (1,)),
+    ((), (4,)),
+    ((), (2, 3)),
+    ((1,), (2, 4)),
+    ((), (1,), (3,)),
+    ((1, 2), (3, 4)),
+]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_essential_graph_matches_reference_on_every_small_dag(p):
+    families = [
+        TargetFamily.of(*f)
+        for f in SMALL_FAMILIES
+        if all(v <= p for t in f for v in t)
+    ]
+    assert all(conservative(f, p) for f in families)
+    for dag in all_dags(p):
+        for family in families:
+            members = reference_enumerate_class(dag, family)
+            assert essential_graph(dag, family) == _class_intersection(dag, members)
+            assert [m.edges for m in enumerate_class(dag, family)] == [m.edges for m in members]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.integers(2, 8),
+    degree=st.floats(0.5, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+    observational=st.booleans(),
+)
+def test_essential_graph_and_class_match_reference(p, degree, seed, observational):
+    dag = sample_random_dag(p, min(degree, p - 0.5), seed)
+    rng = np.random.default_rng(seed)
+    family = OBS if observational else random_conservative_family(rng, p)
+    try:
+        members = reference_enumerate_class(dag, family)
+    except CapacityError:
+        return
+    assert essential_graph(dag, family) == _class_intersection(dag, members)
+    assert [m.edges for m in enumerate_class(dag, family)] == [m.edges for m in members]
 
 
 def test_essential_graph_validation():

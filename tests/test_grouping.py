@@ -9,8 +9,9 @@ Core claims:
     - sufficient_stats counts and moments and local_stats mixtures are the
       same bits as copies of the loops that hash every row and form every
       n_t * S_t once per vertex, including a vertex in every target.
-    - Sampling validates each distinct target once in sample_dataset and
-      once in Dataset, and never compares targets row by row.
+    - Sampling groups the rows once, validates each distinct target once in
+      sample_dataset and once in Dataset, and never compares targets row by
+      row.
 """
 
 import numpy as np
@@ -28,6 +29,7 @@ from interdag import (
     sample_random_dag,
     sufficient_stats,
 )
+from interdag import model as model_module
 from interdag.model import group_rows
 
 from helpers import reference_local_stats, reference_sample_dataset, reference_sufficient_stats
@@ -129,10 +131,21 @@ def test_sampling_validates_each_distinct_target_once(monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(InterventionTarget, name, counted)
+    groupings = []
+
+    def counted_group_rows(targets, _original=model_module.group_rows):
+        groupings.append(len(targets))
+        return _original(targets)
+
+    monkeypatch.setattr(model_module, "group_rows", counted_group_rows)
     model = sample_normalized_model(sample_random_dag(5, 1.5, 8), 9)
     singles = [InterventionTarget.of(v) for v in (1, 3, 5)]
     sequence = [InterventionTarget.empty()] * 1000
     for t in singles:
         sequence.extend([t] * 4)
-    sample_dataset(model, sequence, InterventionSpec.constant(singles, 1.0, 0.5), 10)
+    data = sample_dataset(model, sequence, InterventionSpec.constant(singles, 1.0, 0.5), 10)
     assert calls == {"validate_for": 2 * 4, "__eq__": 0}
+    # the Dataset keeps sample_dataset's grouping instead of grouping again
+    assert groupings == [1012]
+    assert list(data.row_groups) == [InterventionTarget.empty(), *singles]
+    assert groupings == [1012]
