@@ -17,9 +17,12 @@ Every regression of a vertex on a parent set goes through one kernel,
 once.  Its rule is that each set's numbers are the same bits whatever stack
 it comes in, a stack of one included: the scores feed comparisons against a
 1e-9 threshold in greedy search, so a last-bit change would change which
-moves are taken.  So it batches only what does not round differently (the
-gather and the condition-number SVDs) and factors each usable block with the
-same LAPACK routines scipy's cho_factor/cho_solve call.
+moves are taken.  So it batches only what rounds the same in a stack as
+alone: the gather of the blocks; a rigorous bound on every parent block's
+condition number, from one stacked inverse; the SVD condition number, only
+of the few blocks that bound does not clear; and the residual quadratic
+forms.  It factors each usable block on its own with the same LAPACK
+routines scipy's cho_factor/cho_solve call.
 """
 
 import math
@@ -56,6 +59,9 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12  # parent moment blocks worse-conditioned than this are unusable
+# blocks proven conditioned no worse than this skip the SVD; the margin of ten
+# dwarfs the SVD's relative error of about cond * 1e-16 just below it
+_COND_BOUND = 1e11
 # parent sets per kernel call: about 0.7 MB of gathered blocks at 8 parents
 _CHUNK = 1024
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -147,6 +153,16 @@ def check_identified(local: LocalStats) -> None:
         )
 
 
+def check_marginal_variance(local: LocalStats) -> None:
+    """Raise DegenerateFitError when some vertex's own second moment under its
+    exclusion mixture is not positive and finite, so that even its empty
+    parent set scores -inf."""
+    diag = np.diagonal(local.mixtures, axis1=1, axis2=2).diagonal()
+    bad = np.flatnonzero(~((diag > 0) & (diag < math.inf))) + 1
+    if len(bad):
+        raise DegenerateFitError(f"vertices {bad.tolist()} have no usable marginal variance")
+
+
 def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> LocalStats:
     """Mix the per-target moments into the per-vertex exclusion statistics.
 
@@ -190,50 +206,91 @@ def _cond_or_inf(block: np.ndarray) -> float:
         return math.inf
 
 
+def _norm_1(blocks: np.ndarray) -> np.ndarray:
+    """Induced 1-norm (largest absolute column sum) of each block in a stack."""
+    return np.abs(blocks).sum(axis=1).max(axis=1)
+
+
+def _may_be_ill_conditioned(blocks: np.ndarray) -> np.ndarray:
+    """Per block of a stack of symmetric blocks: False when it is proven to be
+    conditioned no worse than _COND_BOUND, True otherwise.
+
+    For symmetric M, cond_2(M) <= ||M||_1 * ||M^-1||_1, and one stacked
+    ``inv`` gives every M^-1.  A NaN or infinite bound is not proven; when
+    the stacked ``inv`` raises, no block is.
+    """
+    try:
+        inverses = np.linalg.inv(blocks)
+    except np.linalg.LinAlgError:
+        return np.ones(len(blocks), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ~(_norm_1(blocks) * _norm_1(inverses) <= _COND_BOUND)
+
+
 def _fit_rows(
     S: np.ndarray, k_idx: int, parent_idx: np.ndarray | list[list[int]]
-) -> list[tuple[np.ndarray, float] | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares fits of one vertex on each of a stack of parent sets.
 
     ``parent_idx`` holds one row of 0-based parent indices per set, all rows
-    of one length.  Per set: the coefficients and the residual second moment,
-    or None when the parent block is conditioned worse than 1e12 or is not
-    positive definite.
+    of one length.  Returns ``(usable, coefs, resid)``, one entry per set:
+    whether the fit is usable, its coefficients and its residual second
+    moment.  A set is unusable when its parent block is conditioned worse
+    than 1e12 or is not positive definite; its coefficients are then zero
+    and its residual NaN.
 
-    Each ``[k, pa...]`` block is gathered with one fancy index and the parent
-    blocks' condition numbers come from one stacked SVD; a block whose SVD
-    does not converge is unusable, and only it.  Each usable parent block is
-    Cholesky-factored and solved on its own; the residual is evaluated as the
-    quadratic form of (1, -b) with the gathered block, which keeps it a true
-    quadratic form of a positive semidefinite matrix.
+    Batched over the whole stack: the gather of every ``[k, pa...]`` block;
+    the bound cond_2(M) <= ||M||_1 * ||M^-1||_1 on every parent block M, from
+    one stacked inverse; the SVD condition number, only of the blocks whose
+    bound is not <= 1e11 (of every block when the stacked inverse raises; a
+    block whose SVD does not converge is unusable, and only it); and the
+    residuals, as quadratic forms of (1, -b) with the gathered blocks, which
+    keeps each a true quadratic form of a positive semidefinite matrix.  Each
+    usable parent block is Cholesky-factored and solved on its own.  A block
+    the bound clears has an SVD condition number far below 1e12, since that
+    number's relative error is about cond * 1e-16, and a stacked product
+    rounds as the one-block product does: each set gets the bits it would
+    get alone.
     """
     parents = np.asarray(parent_idx, dtype=np.intp)
     m, d = parents.shape
+    coefs = np.zeros((m, d))
     if d == 0:
-        return [(np.zeros(0), float(S[k_idx, k_idx])) for _ in range(m)]
+        return np.ones(m, dtype=bool), coefs, np.full(m, S[k_idx, k_idx])
     full = np.empty((m, d + 1), dtype=np.intp)
     full[:, 0] = k_idx
     full[:, 1:] = parents
     blocks = S[full[:, :, None], full[:, None, :]]
-    try:
-        conds = np.linalg.cond(blocks[:, 1:, 1:])
-    except np.linalg.LinAlgError:
-        conds = [_cond_or_inf(block[1:, 1:]) for block in blocks]
-    fits: list[tuple[np.ndarray, float] | None] = []
-    for block, cond in zip(blocks, conds):
-        if cond > _COND_LIMIT:
-            fits.append(None)
+    parent_blocks = blocks[:, 1:, 1:]
+    flagged = _may_be_ill_conditioned(parent_blocks)
+    usable = ~flagged
+    if flagged.any():
+        try:
+            conds = np.linalg.cond(parent_blocks[flagged])
+        except np.linalg.LinAlgError:
+            conds = np.array([_cond_or_inf(block) for block in parent_blocks[flagged]])
+        usable[flagged] = ~(conds > _COND_LIMIT)
+    rhs = blocks[:, 1:, 0]
+    solved, solutions = [], []
+    for i, ok in enumerate(usable.tolist()):
+        if not ok:
             continue
-        factor, info = dpotrf(block[1:, 1:], lower=1, clean=0)
+        factor, info = dpotrf(parent_blocks[i], lower=1, clean=0)
         if info > 0:
-            fits.append(None)
+            usable[i] = False
             continue
-        b, _ = dpotrs(factor, block[1:, 0], lower=1)
-        v = np.empty(d + 1)
-        v[0] = 1.0
-        v[1:] = -b
-        fits.append((b, float(v @ block @ v)))
-    return fits
+        b, _ = dpotrs(factor, rhs[i], lower=1)
+        solved.append(i)
+        solutions.append(b)
+    if solved:
+        coefs[solved] = solutions
+    v = np.empty((m, d + 1))
+    v[:, 0] = 1.0
+    v[:, 1:] = -coefs
+    v = v[usable]
+    resid = np.full(m, math.nan)
+    resid[usable] = np.matmul(np.matmul(v[:, None, :], blocks[usable]), v[:, :, None])[:, 0, 0]
+    return usable, coefs, resid
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,10 +334,10 @@ def mle_given_dag(dag: Dag, local: LocalStats) -> FittedModel:
             raise DegenerateFitError(
                 f"vertex {k}: {n_ex} usable rows cannot identify {len(pa)} parents"
             )
-        fit = _fit_rows(local.mixture(k), k - 1, [[j - 1 for j in pa]])[0]
-        if fit is None:
+        usable, coefs, resids = _fit_rows(local.mixture(k), k - 1, [[j - 1 for j in pa]])
+        if not usable[0]:
             raise DegenerateFitError(f"vertex {k}: singular parent moment block")
-        b, resid = fit
+        b, resid = coefs[0], float(resids[0])
         if resid <= 0 or not math.isfinite(resid):
             raise DegenerateFitError(f"vertex {k}: degenerate residual variance {resid!r}")
         W[k - 1, [j - 1 for j in pa]] = b
@@ -441,8 +498,12 @@ def _checked_penalty(n: int, penalty: float | None) -> float:
     return penalty
 
 
-def _scores(k: int, parent_sets: list[tuple[int, ...]], local: LocalStats, penalty: float) -> list[float]:
-    """Penalized scores of checked parent sets of vertex k, all of one size."""
+def _scores(k: int, parent_sets, local: LocalStats, penalty: float) -> list[float]:
+    """Penalized scores of checked parent sets of vertex k, all of one size.
+
+    ``parent_sets`` is a sequence of label tuples or a 2-D array of labels,
+    one set per row.
+    """
     size = len(parent_sets[0])
     n_ex = local.count_excluding(k)
     if n_ex <= size:
@@ -451,11 +512,13 @@ def _scores(k: int, parent_sets: list[tuple[int, ...]], local: LocalStats, penal
     scores = []
     for start in range(0, len(parent_sets), _CHUNK):
         idx = np.array(parent_sets[start:start + _CHUNK], dtype=np.intp) - 1
-        for fit in _fit_rows(local.mixture(k), k - 1, idx):
-            if fit is None or fit[1] <= 0 or not math.isfinite(fit[1]):
-                scores.append(-math.inf)
+        _, _, resid = _fit_rows(local.mixture(k), k - 1, idx)
+        for r in resid.tolist():
+            # the NaN residual of an unusable set fails this test too
+            if 0 < r < math.inf:
+                scores.append(-0.5 * n_ex * (1.0 + math.log(r)) - cost)
             else:
-                scores.append(-0.5 * n_ex * (1.0 + math.log(fit[1])) - cost)
+                scores.append(-math.inf)
     return scores
 
 

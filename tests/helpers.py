@@ -7,11 +7,13 @@ the class enumeration oracle is the pruned backtracking search that listed
 classes before essential graphs were built directly, the likelihood oracle sums exact multivariate normal log-densities, the
 regression oracle fits one parent set at a time through scipy's wrappers,
 the greedy oracle rescans every candidate move on every step, reading
-one score at a time, and the sampling and statistics oracles are the
+one score at a time, the DP oracle loops over subset masks in Python, and
+the sampling and statistics oracles are the
 per-row loops those functions were first written as.
 """
 
 import itertools
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -22,6 +24,7 @@ from interdag import (
     CapacityError,
     Dag,
     Dataset,
+    DegenerateFitError,
     GaussianCausalModel,
     InterventionSpec,
     InterventionTarget,
@@ -40,6 +43,7 @@ from interdag import (
     v_structures,
 )
 from interdag.equivalence import MAX_CLASS_MEMBERS, MAX_UNDECIDED_EDGES, _pair, check_conservative
+from interdag.likelihood import _checked_penalty, _scores, check_identified
 from interdag.model import _mean_and_root, _rng
 from interdag.search import IMPROVEMENT_EPS
 
@@ -573,3 +577,110 @@ def reference_greedy_search(local, config: SearchConfig | None = None):
 
     dag = Dag(p, tuple(tuple(sorted(s)) for s in parents))
     return dag, SearchTrace(start_score, tuple(steps))
+
+
+def _beats(score: float, size: int, pset: tuple, inc_score: float, inc_size: int, inc_set: tuple) -> bool:
+    """Strict preference between parent-set candidates: higher score, then
+    smaller set, then lexicographically smaller."""
+    if score != inc_score:
+        return score > inc_score
+    if size != inc_size:
+        return size < inc_size
+    return pset < inc_set
+
+
+def reference_exhaustive_dp(local, config: SearchConfig | None = None) -> Dag:
+    """The exact DP the way it was first written: per vertex, Python loops
+    over masks keep the best parent set of every subset under ``_beats``'
+    order, and the sink recursion maps each mask to a vertex's local mask one
+    bit at a time.
+
+    ``search.exhaustive_dp`` ranks the sets, takes subset minima of ranks
+    with numpy and runs the sink recursion one popcount layer at a time; it
+    must return these same parent sets, ties included.
+    """
+    if config is None:
+        config = SearchConfig()
+    p = local.p
+    check_identified(local)
+    penalty = _checked_penalty(local.n, config.penalty_weight)
+    max_parents = config.resolved_max_parents(p)
+
+    others: list[list[int]] = [[v for v in range(1, p + 1) if v != k] for k in range(p + 1)]
+    best_score: list[list[float]] = [[] for _ in range(p + 1)]
+    best_set: list[list[tuple[int, ...]]] = [[] for _ in range(p + 1)]
+    for k in range(1, p + 1):
+        size = 1 << (p - 1)
+        # each mask's own parent set first, scored in one batch per set size
+        # and not cached, since each score is read once; masks over
+        # max_parents stay -inf with the empty set
+        scores = [-math.inf] * size
+        sets: list[tuple[int, ...]] = [()] * size
+        for d in range(max_parents + 1):
+            positions = list(itertools.combinations(range(p - 1), d))
+            psets = [tuple(others[k][i] for i in pos) for pos in positions]
+            for pos, pset, score in zip(positions, psets, _scores(k, psets, local, penalty)):
+                mask = sum(1 << i for i in pos)
+                scores[mask] = score
+                sets[mask] = pset
+        for mask in range(size):
+            cand_score = scores[mask]
+            cand_set = sets[mask]
+            m = mask
+            while m:
+                bit = m & -m
+                m ^= bit
+                sub = mask ^ bit
+                if _beats(scores[sub], len(sets[sub]), sets[sub], cand_score, len(cand_set), cand_set):
+                    cand_score = scores[sub]
+                    cand_set = sets[sub]
+            scores[mask] = cand_score
+            sets[mask] = cand_set
+        best_score[k] = scores
+        best_set[k] = sets
+
+    # position of each other vertex inside k's subset indexing
+    pos: list[dict[int, int]] = [{} for _ in range(p + 1)]
+    for k in range(1, p + 1):
+        pos[k] = {v: i for i, v in enumerate(others[k])}
+
+    def to_local_mask(k: int, global_mask: int) -> int:
+        out = 0
+        m = global_mask
+        while m:
+            bit = m & -m
+            m ^= bit
+            out |= 1 << pos[k][bit.bit_length()]
+        return out
+
+    full = (1 << p) - 1
+    net = [-math.inf] * (full + 1)
+    sink = [0] * (full + 1)
+    net[0] = 0.0
+    for mask in range(1, full + 1):
+        best_val = -math.inf
+        best_sink = 0
+        m = mask
+        while m:
+            bit = m & -m
+            m ^= bit
+            s = bit.bit_length()
+            rest = mask ^ bit
+            val = net[rest] + best_score[s][to_local_mask(s, rest)]
+            if val >= best_val:  # >= so ties settle on the largest-labeled sink
+                best_val = val
+                best_sink = s
+        net[mask] = best_val
+        sink[mask] = best_sink
+
+    if not math.isfinite(net[full]):
+        raise DegenerateFitError("no feasible parent assignment for the given statistics")
+
+    parent_sets: list[tuple[int, ...]] = [()] * p
+    mask = full
+    while mask:
+        s = sink[mask]
+        rest = mask ^ (1 << (s - 1))
+        parent_sets[s - 1] = best_set[s][to_local_mask(s, rest)]
+        mask = rest
+    return Dag(p, tuple(parent_sets))

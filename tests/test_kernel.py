@@ -4,9 +4,14 @@ Core claims:
     - Fitting a stack of parent sets gives, for every set, the same bits as
       fitting that set alone, and both equal the one-set-at-a-time oracle in
       helpers (np.linalg.cond, scipy's cho_factor/cho_solve, v @ M @ v).
-    - That holds for blocks conditioned worse than 1e12, for collinear
-      blocks whose residual is not positive, and for stacks whose stacked
+    - That holds for blocks conditioned worse than 1e12, for blocks whose
+      condition number lies on either side of the 1e11 at which the cheap
+      bound hands a block to the SVD, for collinear blocks whose residual is
+      not positive, and for stacks whose stacked inverse or stacked
       condition number raises, where only the offending sets are unusable.
+    - The SVD runs only on the blocks the bound cond_2 <= ||M||_1 ||M^-1||_1
+      does not clear: none for a well-conditioned stack, one for a stack
+      with one nearly collinear block.
     - Scores from LocalScoreCache.score_many equal one-at-a-time scores,
       including the -inf of sets with no more usable rows than parents, and
       every real fit is cached once.
@@ -46,14 +51,20 @@ def _same(fit, ref) -> bool:
     return fit[0].shape == ref[0].shape and fit[0].tobytes() == ref[0].tobytes() and _bits(fit[1]) == _bits(ref[1])
 
 
+def _fits(S: np.ndarray, k_idx: int, sets: list[list[int]]) -> list:
+    """The kernel's results for ``sets`` as one stack: (b, resid) per usable set, else None."""
+    usable, coefs, resid = _fit_rows(S, k_idx, sets)
+    assert len(usable) == len(coefs) == len(resid) == len(sets)
+    return [(b, float(r)) if ok else None for ok, b, r in zip(usable, coefs, resid)]
+
+
 def _check_stack(S: np.ndarray, k_idx: int, sets: list[list[int]]) -> list:
     """Fit ``sets`` as one stack; assert each equals its single fit and the oracle."""
-    stacked = _fit_rows(S, k_idx, sets)
-    assert len(stacked) == len(sets)
+    stacked = _fits(S, k_idx, sets)
     for pa, fit in zip(sets, stacked):
         ref = reference_fit_row(S, k_idx, pa)
         assert _same(fit, ref), (k_idx, pa, fit, ref)
-        assert _same(_fit_rows(S, k_idx, [pa])[0], ref), (k_idx, pa)
+        assert _same(_fits(S, k_idx, [pa])[0], ref), (k_idx, pa)
     return stacked
 
 
@@ -79,6 +90,66 @@ def test_ill_conditioned_blocks_are_unusable():
     fits = _check_stack(S, 0, [[1, 2], [1, 3], [2, 4], [3, 4], [1, 2]])
     assert fits[0] is None and fits[4] is None
     assert all(f is not None for f in fits[1:4])
+
+
+def _spread_moments(seed: int, size: int) -> tuple[np.ndarray, list[list[int]], list[int]]:
+    """Moments of columns 0..2, copies of column 1 perturbed by eps * noise,
+    eps from 1e-3 to 1e-8, and a column of zeros.
+
+    Returns the moments, the parent sets of ``size`` (2 or 3) that hold
+    column 1 and one perturbed copy, whose blocks have cond_2 from about 1e6
+    to 1e16, and the exactly singular set that holds the zero column instead.
+    """
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((300, 3))
+    eps = np.logspace(-3, -8, 26)
+    copies = [base[:, 1] + e * rng.standard_normal(300) for e in eps]
+    S = _moments(np.column_stack([base, *copies, np.zeros(300)]))
+    zero = 3 + len(eps)
+    fixed = [1, 2][:size - 1]
+    return S, [fixed + [j] for j in range(3, zero)], fixed + [zero]
+
+
+@pytest.mark.parametrize("seed, size", [(41, 2), (42, 2), (43, 3), (44, 3)])
+def test_conditioning_spread_around_the_limit(seed, size):
+    S, near, singular = _spread_moments(seed, size)
+    conds = np.array([np.linalg.cond(S[np.ix_(pa, pa)]) for pa in near])
+    # blocks on both sides of the bound's 1e11 and of the limit's 1e12
+    for low, high in ((1e10, 1e11), (1e11, 1e12), (1e12, 1e13)):
+        assert ((conds > low) & (conds <= high)).any(), (low, high)
+    # the stacked inverse succeeds, so the bound decides which blocks get an SVD
+    fits = _check_stack(S, 0, near)
+    assert [f is None for f in fits] == list(conds > 1e12)
+    # one exactly singular block makes the stacked inverse raise: every block gets an SVD
+    mixed = near[::2] + [singular] + near[1::2]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(np.stack([S[np.ix_(pa, pa)] for pa in mixed]))
+    fits = _check_stack(S, 0, mixed)
+    assert fits[len(near[::2])] is None
+
+
+def test_svd_runs_only_on_flagged_blocks(monkeypatch):
+    seen = []
+    cond = np.linalg.cond
+
+    def counting_cond(x, *args, **kwargs):
+        seen.append(np.array(x))
+        return cond(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counting_cond)
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((200, 6))
+    sets = [list(c) for c in itertools.combinations(range(1, 6), 3)]
+    usable, _, _ = _fit_rows(_moments(X), 0, sets)
+    assert usable.all() and seen == []
+    # columns 4 and 5 nearly equal: only the one set holding both is flagged
+    X[:, 5] = X[:, 4] + 1e-7 * rng.standard_normal(200)
+    S = _moments(X)
+    sets = [[1, 2, 3], [1, 2, 4], [1, 4, 5], [2, 3, 5], [3, 4, 1]]
+    usable, _, _ = _fit_rows(S, 0, sets)
+    assert list(usable) == [True, True, False, True, True]
+    assert len(seen) == 1 and seen[0].shape == (1, 3, 3)
+    assert seen[0][0].tobytes() == S[np.ix_([1, 4, 5], [1, 4, 5])].tobytes()
 
 
 def test_collinear_blocks_have_non_positive_residuals():

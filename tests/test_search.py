@@ -8,6 +8,8 @@ Core claims:
       or reverse improves the score it returns.
     - The DP result equals the brute-force best DAG exactly (same float),
       and never scores below greedy.
+    - The vectorized DP returns the parent sets of the mask-by-mask oracle
+      in helpers, score ties and singular blocks included.
     - Both searchers respect max_parents; the DP refuses p > 20.
     - Score equivalence: every member of the estimate's class gets the
       same BIC up to float noise.
@@ -18,7 +20,8 @@ Core claims:
       parents changed: the fits and cache lookups of one seeded run are
       pinned.
     - Both searchers reject vertices that every observed target contains,
-      with one message.
+      and vertices with no positive finite second moment, with one message
+      each.
 """
 
 import hashlib
@@ -53,7 +56,7 @@ from interdag import (
     sufficient_stats,
 )
 
-from helpers import all_dags, random_instance, reference_greedy_search
+from helpers import all_dags, random_instance, reference_exhaustive_dp, reference_greedy_search
 
 
 def _local(dataset, family=None):
@@ -245,17 +248,23 @@ def test_greedy_work_counters_pinned(monkeypatch):
 
 
 def test_searchers_share_the_degeneracy_error():
-    # every row targets vertex 1, which the family allows
     rng = np.random.default_rng(4)
-    data = Dataset(3, (InterventionTarget.of(1),) * 20, rng.normal(size=(20, 3)))
-    family = TargetFamily.of((), (1,))
-    local = _local(data, family)
-    messages = []
-    for search in (lambda: greedy_search(local, family), lambda: exhaustive_dp(local)):
-        with pytest.raises(DegenerateFitError) as err:
-            search()
-        messages.append(str(err.value))
-    assert messages == ["vertices (1,) appear in every observed target"] * 2
+    # every row targets vertex 1, which the family allows
+    unidentified = Dataset(3, (InterventionTarget.of(1),) * 20, rng.normal(size=(20, 3)))
+    # observational rows whose third column is all zeros
+    values = rng.normal(size=(20, 4))
+    values[:, 2] = 0.0
+    zero_column = Dataset(4, (InterventionTarget.empty(),) * 20, values)
+    cases = [
+        (unidentified, TargetFamily.of((), (1,)), "vertices (1,) appear in every observed target"),
+        (zero_column, TargetFamily.of(()), "vertices [3] have no usable marginal variance"),
+    ]
+    for data, family, message in cases:
+        local = _local(data, family)
+        for search in (lambda: greedy_search(local, family), lambda: exhaustive_dp(local)):
+            with pytest.raises(DegenerateFitError) as err:
+                search()
+            assert str(err.value) == message
 
 
 # -- exact DP ----------------------------------------------------------------------
@@ -272,6 +281,33 @@ def test_dp_result_pinned(seed, n, parent_sets):
     model, family, spec, data = random_instance(seed, p=8, n=n)
     assert exhaustive_dp(_local(data, family)).parent_sets == parent_sets
 
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 9),
+    n=st.integers(15, 600),
+    max_parents=st.sampled_from([None, 0, 1, 2, 3]),
+    penalty_weight=st.sampled_from([None, 0.0]),
+    duplicates=st.integers(0, 2),
+)
+def test_dp_matches_reference_oracle(seed, p, n, max_parents, penalty_weight, duplicates):
+    """The vectorized DP against the mask-by-mask oracle, ties included.
+
+    Copying one column onto another makes sets that differ only by those two
+    vertices score exactly alike, and makes every parent block holding both
+    exactly singular.
+    """
+    model, family, spec, data = random_instance(seed, p=p, n=n)
+    values = np.array(data.values)
+    rng = np.random.default_rng(seed)
+    for _ in range(duplicates):
+        src, dst = rng.choice(p, size=2, replace=False)
+        values[:, dst] = values[:, src]
+    local = _local(Dataset(p, data.targets, values), family)
+    config = SearchConfig(max_parents=max_parents, penalty_weight=penalty_weight)
+    assert exhaustive_dp(local, config).parent_sets == reference_exhaustive_dp(local, config).parent_sets
 
 
 def test_dp_matches_brute_force_small():
