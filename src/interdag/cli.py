@@ -38,9 +38,13 @@ _FLOAT_FMT = "{:.17g}"
 def ingest_csv(path: str | Path) -> Dataset:
     """Read a dataset CSV; malformed rows are rejected with their line number.
 
-    Each distinct target field is parsed once.  A row's cells are converted
-    with one ``float`` pass and checked for finiteness at once; only a row
-    that fails is scanned cell by cell, to name the first bad column.
+    The numeric block is parsed by one ``np.loadtxt`` call.  Its result is
+    kept only when every data line gave p finite values and the file holds
+    exactly p commas per line; each distinct target field is then parsed
+    once, and a bad one is reported at its first line.  Any other file goes
+    through the row loop alone, which names the first bad line and cell and
+    accepts every cell ``float`` accepts, ``1_0`` included, which loadtxt
+    rejects.  Both paths give the same values and the same errors.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -55,6 +59,58 @@ def ingest_csv(path: str | Path) -> Dataset:
         raise DataError(
             f"{path}: line 1: header must be 'target,x1,...,xp', got {lines[0]!r}"
         )
+    # loadtxt warns when there is no data line, reads no field past column p
+    # (so each line must hold exactly p commas), and strips "\x1f" from a
+    # cell as whitespace where float() rejects it
+    bulk = len(lines) > 1 and text.count(",") == p * len(lines) and "\x1f" not in text
+    del text  # the lines hold the same characters
+    values = _numeric_block(lines, p) if bulk else None
+    if values is None:
+        return _ingest_rows(path, lines, p)
+    fields = [raw[:raw.find(",")] for raw in lines[1:]]
+    parsed: dict[str, InterventionTarget] = {}
+    for field in dict.fromkeys(fields):
+        try:
+            parsed[field] = _parse_target(field, p)
+        except (ValueError, ParameterError) as exc:
+            raise _bad_target(path, fields.index(field) + 2, field, exc) from None
+    return Dataset(p, tuple(map(parsed.__getitem__, fields)), values)
+
+
+def _numeric_block(lines: list[str], p: int) -> np.ndarray | None:
+    """Columns 1..p of every data line as floats, or None unless each line
+    gave p finite values."""
+    try:
+        values = np.loadtxt(
+            lines, delimiter=",", skiprows=1, usecols=range(1, p + 1), comments=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    # loadtxt skips empty lines
+    if values.shape != (len(lines) - 1, p) or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _parse_target(cell: str, p: int) -> InterventionTarget:
+    """The target a row's first field names; raises ValueError or ParameterError."""
+    field = cell.strip()
+    if not field:
+        return InterventionTarget.empty()
+    target = InterventionTarget(tuple([int(part) for part in field.split(";")]))
+    target.validate_for(p)
+    return target
+
+
+def _bad_target(path, lineno: int, cell: str, exc: Exception) -> DataError:
+    return DataError(f"{path}: line {lineno}: bad target {cell.strip()!r} ({exc})")
+
+
+def _ingest_rows(path, lines: list[str], p: int) -> Dataset:
+    """The row loop: each distinct target field is parsed once.  A row's
+    cells are converted with one ``float`` pass and checked for finiteness
+    at once; only a row that fails is scanned cell by cell, to name the
+    first bad column."""
     parsed: dict[str, InterventionTarget] = {}
     targets: list[InterventionTarget] = []
     values = np.empty((len(lines) - 1, p))
@@ -64,18 +120,10 @@ def ingest_csv(path: str | Path) -> Dataset:
             raise DataError(f"{path}: line {lineno}: expected {p + 1} fields, got {len(cells)}")
         target = parsed.get(cells[0])
         if target is None:
-            field = cells[0].strip()
-            if field:
-                try:
-                    labels = [int(part) for part in field.split(";")]
-                    target = InterventionTarget(tuple(labels))
-                    target.validate_for(p)
-                except (ValueError, ParameterError) as exc:
-                    raise DataError(
-                        f"{path}: line {lineno}: bad target {field!r} ({exc})"
-                    ) from None
-            else:
-                target = InterventionTarget.empty()
+            try:
+                target = _parse_target(cells[0], p)
+            except (ValueError, ParameterError) as exc:
+                raise _bad_target(path, lineno, cells[0], exc) from None
             parsed[cells[0]] = target
         try:
             row = list(map(float, cells[1:]))

@@ -98,9 +98,19 @@ def v_structures(dag: Dag) -> frozenset[VStructure]:
 
 
 def conservative(family: TargetFamily, p: int) -> bool:
-    """True when every vertex lies outside at least one target."""
+    """True when every vertex lies outside at least one target.
+
+    That is, when no vertex lies in all of them: the targets' member sets
+    intersect in nothing.  One pass over the targets, stopping at the first
+    empty intersection.
+    """
     family.validate_for(p)
-    return all(any(j not in t for t in family) for j in range(1, p + 1))
+    common = set(range(1, p + 1))
+    for t in family.targets:
+        common.intersection_update(t.members)
+        if not common:
+            return True
+    return False
 
 
 def check_conservative(family: TargetFamily, p: int) -> None:

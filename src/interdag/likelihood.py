@@ -216,13 +216,22 @@ def _may_be_ill_conditioned(blocks: np.ndarray) -> np.ndarray:
     conditioned no worse than _COND_BOUND, True otherwise.
 
     For symmetric M, cond_2(M) <= ||M||_1 * ||M^-1||_1, and one stacked
-    ``inv`` gives every M^-1.  A NaN or infinite bound is not proven; when
-    the stacked ``inv`` raises, no block is.
+    ``inv`` gives every M^-1.  A NaN or infinite bound is not proven.  The
+    stacked ``inv`` raises when some block's LU factorization meets an
+    exactly zero pivot; one stacked ``slogdet``, from the same
+    factorization, gives those blocks, and only those, the sign 0.  They are
+    not proven, and the others are bounded without them.  Should that
+    ``inv`` raise again, no block is proven.
     """
     try:
         inverses = np.linalg.inv(blocks)
     except np.linalg.LinAlgError:
-        return np.ones(len(blocks), dtype=bool)
+        flagged = np.linalg.slogdet(blocks).sign == 0
+        if not flagged.any():
+            return np.ones(len(blocks), dtype=bool)
+        rest = ~flagged
+        flagged[rest] = _may_be_ill_conditioned(blocks[rest])
+        return flagged
     with np.errstate(over="ignore", invalid="ignore"):
         return ~(_norm_1(blocks) * _norm_1(inverses) <= _COND_BOUND)
 
@@ -241,16 +250,16 @@ def _fit_rows(
 
     Batched over the whole stack: the gather of every ``[k, pa...]`` block;
     the bound cond_2(M) <= ||M||_1 * ||M^-1||_1 on every parent block M, from
-    one stacked inverse; the SVD condition number, only of the blocks whose
-    bound is not <= 1e11 (of every block when the stacked inverse raises; a
-    block whose SVD does not converge is unusable, and only it); and the
-    residuals, as quadratic forms of (1, -b) with the gathered blocks, which
-    keeps each a true quadratic form of a positive semidefinite matrix.  Each
-    usable parent block is Cholesky-factored and solved on its own.  A block
-    the bound clears has an SVD condition number far below 1e12, since that
-    number's relative error is about cond * 1e-16, and a stacked product
-    rounds as the one-block product does: each set gets the bits it would
-    get alone.
+    one stacked inverse (of the blocks that a stacked ``slogdet`` does not
+    find exactly singular, when some are); the SVD condition number, only of
+    the blocks whose bound is not <= 1e11 (a block whose SVD does not
+    converge is unusable, and only it); and the residuals, as quadratic
+    forms of (1, -b) with the gathered blocks, which keeps each a true
+    quadratic form of a positive semidefinite matrix.  Each usable parent
+    block is Cholesky-factored and solved on its own.  A block the bound
+    clears has an SVD condition number far below 1e12, since that number's
+    relative error is about cond * 1e-16, and a stacked product rounds as
+    the one-block product does: each set gets the bits it would get alone.
     """
     parents = np.asarray(parent_idx, dtype=np.intp)
     m, d = parents.shape
@@ -556,6 +565,10 @@ def bic_score(
 class LocalScoreCache:
     """Memoizes local scores keyed by (vertex, parent set).
 
+    ``score_insertions`` scores a whole row of one-tail insertions from
+    arrays, fitting the missing sets together; each of its results is still
+    one lookup through ``score``.
+
     Concurrent insert-or-read is safe: values for a key are deterministic, so
     a racing overwrite stores the same number.
     """
@@ -573,26 +586,36 @@ class LocalScoreCache:
             self._table[key] = hit
         return hit
 
-    def score_many(self, k: int, parent_sets: Iterable[Iterable[int]]) -> list[float]:
-        """Scores of many parent sets of vertex k, in order.
+    def score_insertions(self, k: int, parents: Iterable[int], tails: Iterable[int]) -> list[float]:
+        """Scores of ``parents`` plus one tail, for each of ``tails`` in order.
 
-        The sets not yet cached are fitted together, one kernel call per set
-        size and at most 1024 sets per call; every result is then read
-        through ``score``, the one lookup path, so each set counts as one
-        lookup.  Greedy search rescores a head's row of insertions with one
-        call, which is where nearly all of its fits happen.
+        Greedy search rescores a head's row of insertions with one call,
+        which is where nearly all of its fits happen.  The row is built as
+        one array of sorted labels, the sets not yet cached are fitted
+        together in kernel calls of at most 1024 sets, and every result is
+        then read through ``score``, the one lookup path, so each set counts
+        as one lookup.  A tail out of range, equal to ``k`` or already in
+        ``parents`` raises ParameterError.
         """
-        keys = [tuple(sorted(ps)) for ps in parent_sets]
-        missing: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
-        for key in keys:
-            if (k, key) not in self._table:
-                pa = _checked_parents(k, key, self._local.p)
-                missing.setdefault(len(pa), {})[key] = pa
+        p = self._local.p
+        pa = _checked_parents(k, parents, p)
+        tails = list(map(int, tails))
+        taken = {k, *pa}
+        bad = [t for t in tails if not 1 <= t <= p or t in taken]
+        if bad:
+            _checked_parents(k, (*pa, bad[0]), p)  # names a tail out of range or equal to k
+            raise ParameterError(f"vertex {bad[0]} is already a parent of vertex {k}")
+        idx = np.empty((len(tails), len(pa) + 1), dtype=np.intp)
+        idx[:, :-1] = pa
+        idx[:, -1] = tails
+        # the labels are distinct; the stable sort is faster on rows this short
+        idx.sort(axis=1, kind="stable")
+        keys = [tuple(row) for row in idx.tolist()]
+        missing = {key: i for i, key in enumerate(keys) if (k, key) not in self._table}
         if missing:
             penalty = _checked_penalty(self._local.n, self._penalty)
-            for group in missing.values():
-                scores = _scores(k, list(group.values()), self._local, penalty)
-                self._table.update(zip(((k, key) for key in group), scores))
+            scores = _scores(k, idx[list(missing.values())], self._local, penalty)
+            self._table.update(zip(((k, key) for key in missing), scores))
         return [self.score(k, key) for key in keys]
 
     def dag_score(self, dag: Dag) -> float:

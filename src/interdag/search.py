@@ -189,7 +189,7 @@ def greedy_search(
                 continue
             if rows_for[head - 1] != pa:
                 tails = [tail for tail in range(1, p + 1) if tail != head and tail not in pa]
-                scores = cache.score_many(head, [pa | {tail} for tail in tails])
+                scores = cache.score_insertions(head, sorted(pa), tails)
                 gains = [(score - vertex_score[head - 1], tail) for tail, score in zip(tails, scores)]
                 rows[head - 1] = sorted((-gain, tail) for gain, tail in gains if gain > IMPROVEMENT_EPS)
                 rows_for[head - 1] = frozenset(pa)

@@ -8,13 +8,14 @@ classes before essential graphs were built directly, the likelihood oracle sums 
 regression oracle fits one parent set at a time through scipy's wrappers,
 the greedy oracle rescans every candidate move on every step, reading
 one score at a time, the DP oracle loops over subset masks in Python, and
-the sampling and statistics oracles are the
-per-row loops those functions were first written as.
+the sampling, statistics and CSV-reading oracles are the per-row loops
+those functions were first written as.
 """
 
 import itertools
 import math
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -23,12 +24,14 @@ from scipy.stats import multivariate_normal
 from interdag import (
     CapacityError,
     Dag,
+    DataError,
     Dataset,
     DegenerateFitError,
     GaussianCausalModel,
     InterventionSpec,
     InterventionTarget,
     LocalScoreCache,
+    ParameterError,
     SearchConfig,
     SearchTrace,
     TargetFamily,
@@ -454,6 +457,71 @@ def reference_local_stats(stats):
         if n_ex > 0:
             mixtures[k - 1] = acc / n_ex
     return counts, mixtures
+
+
+def reference_ingest_csv(path: str | Path) -> Dataset:
+    """The CSV reader as a row loop, the way ``cli.ingest_csv`` read every file
+    before its bulk parse: malformed rows are rejected with their line number.
+
+    Each distinct target field is parsed once.  A row's cells are converted
+    with one ``float`` pass and checked for finiteness at once; only a row
+    that fails is scanned cell by cell, to name the first bad column.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    lines = text.splitlines()
+    if not lines:
+        raise DataError(f"{path}: empty file")
+    header = [c.strip() for c in lines[0].split(",")]
+    p = len(header) - 1
+    if p < 1 or header[0] != "target" or header[1:] != [f"x{i}" for i in range(1, p + 1)]:
+        raise DataError(
+            f"{path}: line 1: header must be 'target,x1,...,xp', got {lines[0]!r}"
+        )
+    parsed: dict[str, InterventionTarget] = {}
+    targets: list[InterventionTarget] = []
+    values = np.empty((len(lines) - 1, p))
+    for lineno, raw in enumerate(lines[1:], start=2):
+        cells = raw.split(",")
+        if len(cells) != p + 1:
+            raise DataError(f"{path}: line {lineno}: expected {p + 1} fields, got {len(cells)}")
+        target = parsed.get(cells[0])
+        if target is None:
+            field = cells[0].strip()
+            if field:
+                try:
+                    labels = [int(part) for part in field.split(";")]
+                    target = InterventionTarget(tuple(labels))
+                    target.validate_for(p)
+                except (ValueError, ParameterError) as exc:
+                    raise DataError(
+                        f"{path}: line {lineno}: bad target {field!r} ({exc})"
+                    ) from None
+            else:
+                target = InterventionTarget.empty()
+            parsed[cells[0]] = target
+        try:
+            row = list(map(float, cells[1:]))
+        except ValueError:
+            row = None
+        if row is None or not math.isfinite(sum(row)):
+            # find the first bad cell; a row of finite cells whose sum overflows passes
+            row = []
+            for col, cell in enumerate(cells[1:], start=1):
+                try:
+                    x = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: line {lineno}: column x{col}: not a number: {cell.strip()!r}"
+                    ) from None
+                if not math.isfinite(x):
+                    raise DataError(f"{path}: line {lineno}: column x{col}: non-finite value")
+                row.append(x)
+        targets.append(target)
+        values[lineno - 2] = row
+    return Dataset(p, tuple(targets), values)
 
 
 def reference_fit_row(S: np.ndarray, k_idx: int, pa_idx: list[int]):

@@ -5,6 +5,10 @@ Core claims:
       digits) and re-emitting reproduces the same bytes.
     - Malformed CSV input is rejected with the offending line number, the
       first bad column, and a bad target before a bad cell on one row.
+    - ingest_csv's bulk parse accepts exactly what the row loop it replaced
+      (helpers.reference_ingest_csv) accepts, with the same bits, and
+      rejects the rest with the same message; a clean file never reaches
+      the row loop.
     - A seeded simulate writes the same dataset.csv bytes as recorded, and
       one at p=100 whose class is too large to list exits 0.
     - Exit codes: 0 success, 2 parameter/config error, 3 data error,
@@ -23,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import interdag.cli
 from interdag import (
     Dag,
     DataError,
@@ -36,6 +41,8 @@ from interdag import (
     sample_dataset,
 )
 from interdag.cli import emit_csv, ingest_csv, main
+
+from helpers import reference_ingest_csv
 
 
 def _sample_csv(path, seed=5, n=40, mu=8.0):
@@ -171,6 +178,12 @@ def test_multi_label_target_round_trip(tmp_path):
         ("target,x1,x2\n,1.0,  \n", "line 2: column x2: not a number: ''"),
         ("target,x1,x2,x3\n,1.0,2.0,x\n", "line 2: column x3: not a number: 'x'"),
         ("target,x1,x2\n,1,2\n9,1.0,oops\n", "line 3: bad target '9' \\(target vertex 9"),
+        ("target,x1,x2\n,1,2\n,1,2,3\n", "line 3: expected 3 fields, got 4"),
+        ("target,x1,x2\n,1,2,3\n,1\n", "line 2: expected 3 fields, got 4"),
+        ("target,x1\n,1\n\n,2\n", "line 3: expected 2 fields, got 1"),
+        ("target,x1\n,1\n\n,2,3\n", "line 3: expected 2 fields, got 1"),
+        ("target,x1\n,1\n2,2\n2,3\n", "line 3: bad target '2' \\(target vertex 2"),
+        ("target,x1,x2\n,1,\x1f2\n", "line 2: column x2: not a number"),
     ],
 )
 def test_ingest_rejections_carry_line_numbers(tmp_path, text, fragment):
@@ -178,6 +191,89 @@ def test_ingest_rejections_carry_line_numbers(tmp_path, text, fragment):
     path.write_text(text)
     with pytest.raises(DataError, match=fragment):
         ingest_csv(path)
+
+
+def test_ingest_parses_a_clean_file_in_bulk(tmp_path, monkeypatch):
+    """A well-formed file never reaches the row loop; one ``1_5`` cell,
+    which float() reads and loadtxt does not, sends it there."""
+    path = tmp_path / "d.csv"
+    data = _sample_csv(path)
+    loops = []
+    row_loop = interdag.cli._ingest_rows
+    monkeypatch.setattr(interdag.cli, "_ingest_rows", lambda *a: loops.append(a) or row_loop(*a))
+    back = ingest_csv(path)
+    assert loops == []
+    assert back.targets == data.targets and back.values.tobytes() == data.values.tobytes()
+    lines = path.read_text().splitlines()
+    lines[7] = lines[7].rsplit(",", 1)[0] + ",1_5"
+    path.write_text("\n".join(lines) + "\n")
+    assert ingest_csv(path).values[6, 2] == 15.0 and len(loops) == 1
+
+
+# cells float() reads, with finite values
+_GOOD_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map("{:.17g}".format),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from([
+        "5e-324", "-4.9e-324", "2.2250738585072014e-308", "1e-310", "-0", "+.5", "1.", "1E5",
+        " 1.5", "\t-2 ", "\u20033", "\xa0-1\xa0", "1_0", "\uff11",
+    ]),
+)
+# cells the reader rejects: non-finite, malformed, or blank
+_BAD_CELLS = st.sampled_from([
+    "nan", "inf", "-Infinity", "1e400", "-1e400", "0x1p3", "", "  ", "junk", "1.2.3", "1__0",
+    "1 2", "\x1f1", "1\x1f", "1\x00", "1;2",
+])
+_GOOD_TARGETS = st.sampled_from(["", "1", "2", "1;2", " 2 ", "2;1"])
+_BAD_TARGETS = st.sampled_from(["0", "3;3", "a", "9", "1;", "-1"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_ingest_matches_the_row_loop_oracle(data):
+    """On generated CSVs, clean or with up to three defects, the reader
+    accepts exactly what the row loop it replaced accepts, with the same
+    bits, and rejects the rest with the same message."""
+    p = data.draw(st.integers(1, 3), label="p")
+    rows = data.draw(
+        st.lists(st.tuples(_GOOD_TARGETS, st.lists(_GOOD_CELLS, min_size=p, max_size=p)), max_size=8),
+        label="rows",
+    )
+    lines = ["target," + ",".join(f"x{i}" for i in range(1, p + 1))]
+    lines += [t + "," + ",".join(row) for t, row in rows]
+    for _ in range(data.draw(st.sampled_from([0, 1, 1, 1, 2, 3]), label="defects")):
+        i = data.draw(st.integers(1, len(lines)), label="line")
+        kind = data.draw(
+            st.sampled_from(["cell", "target", "extra", "missing", "blank", "space"]), label="kind"
+        )
+        if kind in ("blank", "space") or i == len(lines) or "," not in lines[i]:
+            lines.insert(i, "" if kind == "blank" else " \t")
+        elif kind == "cell":
+            cells = lines[i].split(",")
+            cells[data.draw(st.integers(1, len(cells) - 1), label="column")] = data.draw(_BAD_CELLS)
+            lines[i] = ",".join(cells)
+        elif kind == "target":
+            lines[i] = data.draw(_BAD_TARGETS) + lines[i][lines[i].find(","):]
+        elif kind == "extra":
+            lines[i] += ",1" * data.draw(st.integers(1, 2), label="fields")
+        else:
+            lines[i] = lines[i].rsplit(",", 1)[0]
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+    text = newline.join(lines) + data.draw(st.sampled_from(["", newline]), label="end")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            want = reference_ingest_csv(path)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                ingest_csv(path)
+            assert str(got.value) == str(exc)
+        else:
+            got = ingest_csv(path)
+            assert got.p == want.p and got.targets == want.targets
+            assert got.values.shape == want.values.shape
+            assert got.values.view(np.uint64).tolist() == want.values.view(np.uint64).tolist()
 
 
 def test_ingest_missing_file():

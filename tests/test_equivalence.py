@@ -2,7 +2,8 @@
 
 Core claims:
     - skeleton/v_structures implement their definitions on hand graphs.
-    - conservative detects families leaving every vertex uncovered somewhere.
+    - conservative detects families leaving every vertex uncovered somewhere,
+      and agrees with that vertex-by-vertex definition on random families.
     - The three demo DAGs behave exactly as documented: all equivalent
       observationally, the third distinguishable once vertex 4 is a target.
     - enumerate_class agrees with a brute-force filter over all acyclic
@@ -102,6 +103,18 @@ def test_conservative_cases():
     assert not conservative(TargetFamily.of((1, 2, 3)), 3)
     assert conservative(TargetFamily.of((1,), (2,)), 2)
     assert not conservative(TargetFamily.of((1,), (1, 2)), 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), p=st.integers(1, 6), with_empty=st.booleans())
+def test_conservative_matches_the_vertexwise_definition(data, p, with_empty):
+    targets = data.draw(
+        st.lists(st.lists(st.integers(1, p), max_size=p, unique=True), min_size=1, max_size=6)
+    )
+    family = TargetFamily.of(*targets, *([()] if with_empty else []))
+    assert conservative(family, p) == all(any(j not in t for t in family) for j in range(1, p + 1))
+    with pytest.raises(ParameterError):
+        conservative(TargetFamily.of(*targets, (p + 1,)), p)
 
 
 def test_non_conservative_family_rejected():

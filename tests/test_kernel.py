@@ -11,10 +11,12 @@ Core claims:
       condition number raises, where only the offending sets are unusable.
     - The SVD runs only on the blocks the bound cond_2 <= ||M||_1 ||M^-1||_1
       does not clear: none for a well-conditioned stack, one for a stack
-      with one nearly collinear block.
-    - Scores from LocalScoreCache.score_many equal one-at-a-time scores,
-      including the -inf of sets with no more usable rows than parents, and
-      every real fit is cached once.
+      with one nearly collinear block, and one for a stack with one exactly
+      singular block, which makes the stacked inverse raise.
+    - Scores from LocalScoreCache.score_insertions equal one-at-a-time
+      scores, including the -inf of sets with no more usable rows than
+      parents; every real fit is cached once, and a tail that is out of
+      range, equal to the vertex or already a parent is rejected.
 """
 
 import itertools
@@ -120,7 +122,8 @@ def test_conditioning_spread_around_the_limit(seed, size):
     # the stacked inverse succeeds, so the bound decides which blocks get an SVD
     fits = _check_stack(S, 0, near)
     assert [f is None for f in fits] == list(conds > 1e12)
-    # one exactly singular block makes the stacked inverse raise: every block gets an SVD
+    # one exactly singular block makes the stacked inverse raise: the halves
+    # of the stack are bounded on their own
     mixed = near[::2] + [singular] + near[1::2]
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(np.stack([S[np.ix_(pa, pa)] for pa in mixed]))
@@ -150,6 +153,21 @@ def test_svd_runs_only_on_flagged_blocks(monkeypatch):
     assert list(usable) == [True, True, False, True, True]
     assert len(seen) == 1 and seen[0].shape == (1, 3, 3)
     assert seen[0][0].tobytes() == S[np.ix_([1, 4, 5], [1, 4, 5])].tobytes()
+    # column 6 all zeros: in a stack of ten, the stacked inverse raises and
+    # only the one exactly singular block gets an SVD
+    X = np.column_stack([X, np.zeros(200)])
+    S = _moments(X)
+    sets = [list(c) for c in itertools.combinations(range(1, 5), 2)] + [[2, 6], [1, 3], [2, 4], [3, 4]]
+    assert len(sets) == 10
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(np.stack([S[np.ix_(pa, pa)] for pa in sets]))
+    seen.clear()
+    usable, _, _ = _fit_rows(S, 0, sets)
+    assert list(usable) == [pa != [2, 6] for pa in sets]
+    assert len(seen) == 1 and seen[0].shape == (1, 2, 2)
+    assert seen[0][0].tobytes() == S[np.ix_([2, 6], [2, 6])].tobytes()
+    seen.clear()
+    _check_stack(S, 0, sets)
 
 
 def test_collinear_blocks_have_non_positive_residuals():
@@ -171,8 +189,9 @@ def test_sets_with_no_more_rows_than_parents_score_minus_inf():
     X = rng.standard_normal((3, 5))
     loc = local_stats(sufficient_stats(Dataset(5, (InterventionTarget.empty(),) * 3, X)))
     cache = LocalScoreCache(loc)
-    sets = [(2, 3), (2, 4), (2, 3, 4), (3, 4, 5), (2, 3, 4, 5)]
-    scores = cache.score_many(1, sets)
+    rows = [((2,), [3, 4]), ((2, 3), [4]), ((4, 3), [5]), ((2, 3, 4), [5])]
+    scores = [s for parents, tails in rows for s in cache.score_insertions(1, parents, tails)]
+    sets = [(*parents, tail) for parents, tails in rows for tail in tails]
     assert scores == [local_score(1, pa, loc) for pa in sets]
     assert math.isfinite(scores[0]) and math.isfinite(scores[1])
     assert scores[2:] == [-math.inf] * 3
@@ -228,33 +247,51 @@ def test_stack_matches_single_fits_and_oracle(seed, p, n, size, collinear):
     _check_stack(loc.mixtures[k], k, [combos[i] for i in picked])
 
 
-def test_score_many_matches_score_and_caches_each_fit_once():
+def test_score_insertions_matches_score_and_caches_each_fit_once():
     _, family, _, data = random_instance(72, p=6, n=300)
     loc = local_stats(sufficient_stats(data), family)
     batched, single = LocalScoreCache(loc), LocalScoreCache(loc)
-    sets = [(), (2,), (3, 2), (2, 3), (4, 5, 6), (2,), {6, 3}]
-    got = batched.score_many(1, sets)
-    assert [_bits(s) for s in got] == [_bits(single.score(1, pa)) for pa in sets]
-    assert [_bits(s) for s in got] == [_bits(local_score(1, pa, loc)) for pa in sets]
-    assert len(batched) == len(single) == 5
-    assert batched.score_many(1, [(4, 6, 5)]) == [got[4]]
-    assert len(batched) == 5
+    rows = [((), [2, 3, 2]), ((3, 2), [5, 4, 6]), ({4, 5}, [6])]
+    for parents, tails in rows:
+        got = batched.score_insertions(1, parents, tails)
+        sets = [{*parents, tail} for tail in tails]
+        assert [_bits(s) for s in got] == [_bits(single.score(1, pa)) for pa in sets]
+        assert [_bits(s) for s in got] == [_bits(local_score(1, pa, loc)) for pa in sets]
+    assert len(batched) == len(single) == 6
+    # a cached set is read back, not fitted again
+    assert batched.score_insertions(1, [5, 2], [3]) == [single.score(1, (2, 3, 5))]
+    assert len(batched) == 6
+    # every row of every vertex, against one-at-a-time scores
+    for k in range(1, 7):
+        others = [j for j in range(1, 7) if j != k]
+        for size in range(3):
+            for parents in itertools.combinations(others, size):
+                tails = [j for j in others if j not in parents][::-1]
+                got = batched.score_insertions(k, parents, tails)
+                want = [local_score(k, (*parents, tail), loc) for tail in tails]
+                assert [_bits(s) for s in got] == [_bits(s) for s in want]
 
 
-def test_score_many_checks_its_arguments():
+def test_score_insertions_checks_its_arguments():
     _, family, _, data = random_instance(73, p=4, n=100)
     loc = local_stats(sufficient_stats(data), family)
     cache = LocalScoreCache(loc)
+    with pytest.raises(ParameterError, match="vertex 1 cannot be its own parent"):
+        cache.score_insertions(1, (2,), [3, 1])
+    with pytest.raises(ParameterError, match="vertex 2 is already a parent of vertex 1"):
+        cache.score_insertions(1, (2, 3), [4, 2])
+    with pytest.raises(ParameterError, match="parent 5 is out of range"):
+        cache.score_insertions(1, (), [2, 5])
+    with pytest.raises(ParameterError, match="parent 0 is out of range"):
+        cache.score_insertions(1, (2,), [0])
+    with pytest.raises(ParameterError, match="vertex 5 is out of range"):
+        cache.score_insertions(5, (), [1])
+    with pytest.raises(ParameterError, match="vertex 1 cannot be its own parent"):
+        cache.score_insertions(1, (1,), [2])
     with pytest.raises(ParameterError):
-        cache.score_many(1, [(2,), (1,)])
-    with pytest.raises(ParameterError):
-        cache.score_many(5, [()])
-    with pytest.raises(ParameterError):
-        cache.score_many(1, [(5,)])
-    with pytest.raises(ParameterError):
-        LocalScoreCache(loc, penalty=-1.0).score_many(1, [(2,)])
+        LocalScoreCache(loc, penalty=-1.0).score_insertions(1, (), [2])
     assert len(cache) == 0
-    assert cache.score_many(1, []) == []
+    assert cache.score_insertions(1, (2,), []) == []
 
 
 def test_kernel_on_hand_built_mixtures():
@@ -264,8 +301,10 @@ def test_kernel_on_hand_built_mixtures():
     mixtures = np.stack([S] * 4)
     loc = LocalStats(4, 60, np.full(4, 60), mixtures)
     cache = LocalScoreCache(loc)
-    sets = [(2, 3), (2, 4), (3, 4)]
-    for pa, score in zip(sets, cache.score_many(1, sets)):
-        b, resid = reference_fit_row(S, 0, [j - 1 for j in pa])
-        want = -0.5 * 60 * (1.0 + math.log(resid)) - 0.5 * math.log(60) * 2
-        assert _bits(score) == _bits(want)
+    rows = [((2,), [3, 4]), ((4,), [3])]
+    for parents, tails in rows:
+        for tail, score in zip(tails, cache.score_insertions(1, parents, tails)):
+            pa = sorted((*parents, tail))
+            b, resid = reference_fit_row(S, 0, [j - 1 for j in pa])
+            want = -0.5 * 60 * (1.0 + math.log(resid)) - 0.5 * math.log(60) * 2
+            assert _bits(score) == _bits(want)
