@@ -21,8 +21,9 @@ moves are taken.  So it batches only what rounds the same in a stack as
 alone: the gather of the blocks; a rigorous bound on every parent block's
 condition number, from one stacked inverse; the SVD condition number, only
 of the few blocks that bound does not clear; and the residual quadratic
-forms.  It factors each usable block on its own with the same LAPACK
-routines scipy's cho_factor/cho_solve call.
+forms.  It factors and solves each usable block on its own with one LAPACK
+``dposv`` call, which is the ``dpotrf`` and ``dpotrs`` pair that scipy's
+cho_factor/cho_solve call.
 """
 
 import math
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv
 
 from .errors import DataError, DegenerateFitError, ParameterError
 from .model import (
@@ -226,7 +227,8 @@ def _may_be_ill_conditioned(blocks: np.ndarray) -> np.ndarray:
     try:
         inverses = np.linalg.inv(blocks)
     except np.linalg.LinAlgError:
-        flagged = np.linalg.slogdet(blocks).sign == 0
+        # the sign, by position: numpy 1.x returns a plain tuple
+        flagged = np.linalg.slogdet(blocks)[0] == 0
         if not flagged.any():
             return np.ones(len(blocks), dtype=bool)
         rest = ~flagged
@@ -246,7 +248,9 @@ def _fit_rows(
     whether the fit is usable, its coefficients and its residual second
     moment.  A set is unusable when its parent block is conditioned worse
     than 1e12 or is not positive definite; its coefficients are then zero
-    and its residual NaN.
+    and its residual NaN.  ``S`` must be exactly symmetric, as every mixture
+    ``local_stats`` builds is: the condition bound below holds only for
+    symmetric blocks, and the factorization reads each block's transpose.
 
     Batched over the whole stack: the gather of every ``[k, pa...]`` block;
     the bound cond_2(M) <= ||M||_1 * ||M^-1||_1 on every parent block M, from
@@ -255,8 +259,11 @@ def _fit_rows(
     the blocks whose bound is not <= 1e11 (a block whose SVD does not
     converge is unusable, and only it); and the residuals, as quadratic
     forms of (1, -b) with the gathered blocks, which keeps each a true
-    quadratic form of a positive semidefinite matrix.  Each usable parent
-    block is Cholesky-factored and solved on its own.  A block the bound
+    quadratic form of a positive semidefinite matrix.  The usable parent
+    blocks and their right-hand sides are copied into contiguous stacks
+    once; then each block is Cholesky-factored and solved in place by one
+    ``dposv`` call, which is ``dpotrf`` followed by ``dpotrs``.  A block
+    that call finds not positive definite is unusable.  A block the bound
     clears has an SVD condition number far below 1e12, since that number's
     relative error is about cond * 1e-16, and a stacked product rounds as
     the one-block product does: each set gets the bits it would get alone.
@@ -279,20 +286,20 @@ def _fit_rows(
         except np.linalg.LinAlgError:
             conds = np.array([_cond_or_inf(block) for block in parent_blocks[flagged]])
         usable[flagged] = ~(conds > _COND_LIMIT)
-    rhs = blocks[:, 1:, 0]
-    solved, solutions = [], []
-    for i, ok in enumerate(usable.tolist()):
-        if not ok:
-            continue
-        factor, info = dpotrf(parent_blocks[i], lower=1, clean=0)
-        if info > 0:
-            usable[i] = False
-            continue
-        b, _ = dpotrs(factor, rhs[i], lower=1)
-        solved.append(i)
-        solutions.append(b)
-    if solved:
-        coefs[solved] = solutions
+    # contiguous copies of the usable parent blocks and right-hand sides; a
+    # C-ordered symmetric block's transpose is the same matrix in Fortran
+    # order, so dposv (lower, overwrite_a, overwrite_b all 1) factors it and
+    # solves into the right-hand side in place, with no copy by f2py
+    factors = parent_blocks[usable].transpose(0, 2, 1)
+    solutions = blocks[:, 1:, 0][usable]
+    infos = [dposv(a, b, 1, 1, 1)[2] for a, b in zip(factors, solutions)]
+    coefs[usable] = solutions
+    if any(infos):
+        # blocks the conditioning test cleared but dposv found not positive
+        # definite
+        failed = np.flatnonzero(usable)[np.array(infos) != 0]
+        usable[failed] = False
+        coefs[failed] = 0.0
     v = np.empty((m, d + 1))
     v[:, 0] = 1.0
     v[:, 1:] = -coefs

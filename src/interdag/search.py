@@ -325,11 +325,12 @@ def exhaustive_dp(local: LocalStats, config: SearchConfig | None = None) -> Dag:
 
     Memory and time grow as p * 2^p; vertices are hard-capped at
     DP_VERTEX_LIMIT.  With the default max_parents and n=2000, on one core
-    of a shared 2-core host (Python 3.11, numpy 2.4), it took 0.15 s at
-    p=12, 0.65 s at p=14, 3.0 s at p=16, 10 s at p=18 and 32 s at p=20, with
-    a peak RSS of 99 MB at p=18 and 198 MB at p=20.  Nearly all of that is
-    the scoring kernel, and most of the kernel is its per-set Cholesky
-    factor and solve.
+    of a shared 2-core host (Python 3.11, numpy 2.4, scipy 1.17), it took
+    0.12 s at p=12, 0.64 s at p=14, 2.6 s at p=16, 8.2 s at p=18 and 26 s at
+    p=20, with a peak RSS of 100 MB at p=18 and 200 MB at p=20.  Most of
+    that is the scoring kernel; about half of the kernel is its
+    conditioning bound (one stacked inverse and two norms), and under a
+    third its per-set Cholesky factor and solve.
     """
     if config is None:
         config = SearchConfig()

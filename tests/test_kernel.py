@@ -12,7 +12,13 @@ Core claims:
     - The SVD runs only on the blocks the bound cond_2 <= ||M||_1 ||M^-1||_1
       does not clear: none for a well-conditioned stack, one for a stack
       with one nearly collinear block, and one for a stack with one exactly
-      singular block, which makes the stacked inverse raise.
+      singular block, which makes the stacked inverse raise; also when
+      slogdet returns numpy 1.x's plain tuple.
+    - Each set that passes the conditioning test is factored and solved by
+      exactly one in-place dposv call (dpotrf then dpotrs, the routines
+      cho_factor/cho_solve call), and no other set is.  A block the bound
+      clears but dposv finds indefinite is unusable, with zero coefficients
+      and a NaN residual, and its neighbours in the stack keep their bits.
     - Scores from LocalScoreCache.score_insertions equal one-at-a-time
       scores, including the -inf of sets with no more usable rows than
       parents; every real fit is cached once, and a tail that is out of
@@ -37,7 +43,8 @@ from interdag import (
     local_stats,
     sufficient_stats,
 )
-from interdag.likelihood import LocalStats, _fit_rows
+from interdag import likelihood
+from interdag.likelihood import LocalStats, _fit_rows, _may_be_ill_conditioned
 
 from helpers import random_instance, reference_fit_row
 
@@ -131,6 +138,15 @@ def test_conditioning_spread_around_the_limit(seed, size):
     assert fits[len(near[::2])] is None
 
 
+def test_singular_block_with_numpy_1_slogdet(monkeypatch):
+    # numpy before 2.0 returns slogdet's (sign, logabsdet) as a plain tuple
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: tuple(slogdet(a)))
+    S, near, singular = _spread_moments(45, 2)
+    fits = _check_stack(S, 0, near[:5] + [singular] + near[5:10])
+    assert fits[5] is None and fits[0] is not None
+
+
 def test_svd_runs_only_on_flagged_blocks(monkeypatch):
     seen = []
     cond = np.linalg.cond
@@ -168,6 +184,63 @@ def test_svd_runs_only_on_flagged_blocks(monkeypatch):
     assert seen[0][0].tobytes() == S[np.ix_([2, 6], [2, 6])].tobytes()
     seen.clear()
     _check_stack(S, 0, sets)
+
+
+def _indefinite_moments() -> np.ndarray:
+    """Moments of five random columns, with the parent block of columns 1
+    and 2 replaced by [[1, 2], [2, 1]]: symmetric and conditioned 3, but
+    indefinite."""
+    S = _moments(np.random.default_rng(19).standard_normal((200, 5)))
+    S[np.ix_([1, 2], [1, 2])] = [[1.0, 2.0], [2.0, 1.0]]
+    return S
+
+
+def test_indefinite_block_the_bound_clears_is_unusable():
+    S = _indefinite_moments()
+    sets = [[1, 3], [3, 4], [2, 4], [1, 2], [1, 4], [2, 3], [3, 4]]
+    blocks = np.stack([S[np.ix_(pa, pa)] for pa in sets])
+    assert np.linalg.eigvalsh(blocks[3]).min() < 0
+    # the bound clears every block, so only the Cholesky factorization can
+    # reject the indefinite one
+    assert not _may_be_ill_conditioned(blocks).any()
+    fits = _check_stack(S, 0, sets)
+    assert [f is None for f in fits] == [pa == [1, 2] for pa in sets]
+    usable, coefs, resid = _fit_rows(S, 0, sets)
+    assert not usable[3] and not coefs[3].any() and math.isnan(resid[3])
+
+
+def test_dposv_runs_once_per_set_that_passes_the_conditioning_test(monkeypatch):
+    assert not hasattr(likelihood, "dpotrf") and not hasattr(likelihood, "dpotrs")
+    seen, in_place = [], []
+    dposv = likelihood.dposv
+
+    def counting_dposv(a, b, *args):
+        seen.append(np.array(a, order="C"))
+        c, x, info = dposv(a, b, *args)
+        # the factor and the solution overwrite the arguments: no copy
+        in_place.append(np.shares_memory(c, a) and np.shares_memory(x, b))
+        return c, x, info
+
+    monkeypatch.setattr(likelihood, "dposv", counting_dposv)
+    # blocks with cond_2 from about 1e6 to 1e16, and one exactly singular
+    S, near, singular = _spread_moments(41, 2)
+    sets = near[:13] + [singular] + near[13:]
+    usable, _, _ = _fit_rows(S, 0, sets)
+    passed = [pa for pa in sets if np.linalg.cond(S[np.ix_(pa, pa)]) <= 1e12]
+    assert 0 < len(passed) < len(sets) - 1
+    assert [b.tobytes() for b in seen] == [S[np.ix_(pa, pa)].tobytes() for pa in passed]
+    assert list(usable) == [pa in passed for pa in sets]
+    assert in_place and all(in_place)
+    # the indefinite block passes the conditioning test: one call, which
+    # rejects it
+    seen.clear()
+    S = _indefinite_moments()
+    usable, _, _ = _fit_rows(S, 0, [[1, 3], [1, 2], [3, 4]])
+    assert list(usable) == [True, False, True] and len(seen) == 3
+    # an empty parent set needs no factorization
+    seen.clear()
+    _fit_rows(S, 0, [[]] * 4)
+    assert seen == []
 
 
 def test_collinear_blocks_have_non_positive_residuals():
