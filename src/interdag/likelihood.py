@@ -23,7 +23,10 @@ condition number, from one stacked inverse; the SVD condition number, only
 of the few blocks that bound does not clear; and the residual quadratic
 forms.  It factors and solves each usable block on its own with one LAPACK
 ``dposv`` call, which is the ``dpotrf`` and ``dpotrs`` pair that scipy's
-cho_factor/cho_solve call.
+cho_factor/cho_solve call.  The exact DP, which fits every small parent set
+of a vertex, first asks ``_proven_well_conditioned`` of the vertex's whole
+mixture; when it holds, no parent block can fail the conditioning test, and
+the kernel skips it.
 """
 
 import math
@@ -238,8 +241,29 @@ def _may_be_ill_conditioned(blocks: np.ndarray) -> np.ndarray:
         return ~(_norm_1(blocks) * _norm_1(inverses) <= _COND_BOUND)
 
 
+def _proven_well_conditioned(S: np.ndarray) -> bool:
+    """True when the mixture S is proven to be finite, exactly symmetric,
+    positive definite and conditioned no worse than _COND_BOUND.
+
+    By Cauchy interlacing every principal sub-block M of such an S is
+    positive definite with cond_2(M) <= cond_2(S), so every parent block
+    passes ``_fit_rows``' conditioning test: the bound clears it, or the SVD
+    finds it far below _COND_LIMIT.  Definiteness matters: [[0, 1], [1, 0]]
+    has cond 1 but singular 1x1 blocks.
+    """
+    if not (np.isfinite(S).all() and np.array_equal(S, S.T)):
+        return False
+    try:
+        np.linalg.cholesky(S)
+        inverse = np.linalg.inv(S)
+    except np.linalg.LinAlgError:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(_norm_1(S[None]) * _norm_1(inverse[None]) <= _COND_BOUND)
+
+
 def _fit_rows(
-    S: np.ndarray, k_idx: int, parent_idx: np.ndarray | list[list[int]]
+    S: np.ndarray, k_idx: int, parent_idx: np.ndarray | list[list[int]], proven: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares fits of one vertex on each of a stack of parent sets.
 
@@ -267,6 +291,10 @@ def _fit_rows(
     clears has an SVD condition number far below 1e12, since that number's
     relative error is about cond * 1e-16, and a stacked product rounds as
     the one-block product does: each set gets the bits it would get alone.
+
+    ``proven`` says that ``_proven_well_conditioned(S)`` holds.  Then every
+    block passes the conditioning test, so it is skipped: no inverse, no
+    SVD, and the same usable flags and bits.
     """
     parents = np.asarray(parent_idx, dtype=np.intp)
     m, d = parents.shape
@@ -278,7 +306,7 @@ def _fit_rows(
     full[:, 1:] = parents
     blocks = S[full[:, :, None], full[:, None, :]]
     parent_blocks = blocks[:, 1:, 1:]
-    flagged = _may_be_ill_conditioned(parent_blocks)
+    flagged = np.zeros(m, dtype=bool) if proven else _may_be_ill_conditioned(parent_blocks)
     usable = ~flagged
     if flagged.any():
         try:
@@ -514,11 +542,11 @@ def _checked_penalty(n: int, penalty: float | None) -> float:
     return penalty
 
 
-def _scores(k: int, parent_sets, local: LocalStats, penalty: float) -> list[float]:
+def _scores(k: int, parent_sets, local: LocalStats, penalty: float, proven: bool = False) -> list[float]:
     """Penalized scores of checked parent sets of vertex k, all of one size.
 
     ``parent_sets`` is a sequence of label tuples or a 2-D array of labels,
-    one set per row.
+    one set per row.  ``proven`` is passed on to ``_fit_rows``.
     """
     size = len(parent_sets[0])
     n_ex = local.count_excluding(k)
@@ -528,7 +556,7 @@ def _scores(k: int, parent_sets, local: LocalStats, penalty: float) -> list[floa
     scores = []
     for start in range(0, len(parent_sets), _CHUNK):
         idx = np.array(parent_sets[start:start + _CHUNK], dtype=np.intp) - 1
-        _, _, resid = _fit_rows(local.mixture(k), k - 1, idx)
+        _, _, resid = _fit_rows(local.mixture(k), k - 1, idx, proven)
         for r in resid.tolist():
             # the NaN residual of an unusable set fails this test too
             if 0 < r < math.inf:

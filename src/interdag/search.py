@@ -20,6 +20,7 @@ from .likelihood import (
     LocalScoreCache,
     LocalStats,
     _checked_penalty,
+    _proven_well_conditioned,
     _scores,
     check_identified,
     check_marginal_variance,
@@ -315,22 +316,22 @@ def exhaustive_dp(local: LocalStats, config: SearchConfig | None = None) -> Dag:
 
     Exact over all DAGs whose in-degrees respect max_parents (Silander &
     Myllymäki, UAI 2006).  Each vertex scores every parent set of at most
-    max_parents of the others, batched by size through the scoring kernel;
-    ``_best_subsets`` then finds the best parent set within every subset of
-    the others.  Ties go to the smaller set, then the lexicographically
-    smaller one.  The best-sink recursion runs one popcount layer of vertex
-    subsets at a time, vectorized over the layer; ties go to the
-    largest-labelled sink.  Only the p sinks on the final path have their
-    parent sets decoded.
+    max_parents of the others, batched by size through the scoring kernel,
+    which skips its conditioning test when the vertex's mixture is proven
+    well conditioned; ``_best_subsets`` then finds the best parent set
+    within every subset of the others.  Ties go to the smaller set, then the
+    lexicographically smaller one.  The best-sink recursion runs one
+    popcount layer of vertex subsets at a time, vectorized over the layer;
+    ties go to the largest-labelled sink.  Only the p sinks on the final
+    path have their parent sets decoded.
 
     Memory and time grow as p * 2^p; vertices are hard-capped at
     DP_VERTEX_LIMIT.  With the default max_parents and n=2000, on one core
     of a shared 2-core host (Python 3.11, numpy 2.4, scipy 1.17), it took
-    0.12 s at p=12, 0.64 s at p=14, 2.6 s at p=16, 8.2 s at p=18 and 26 s at
-    p=20, with a peak RSS of 100 MB at p=18 and 200 MB at p=20.  Most of
-    that is the scoring kernel; about half of the kernel is its
-    conditioning bound (one stacked inverse and two norms), and under a
-    third its per-set Cholesky factor and solve.
+    0.084 s at p=12, 0.33 s at p=14, 1.35 s at p=16, 3.7 s at p=18 and 13 s
+    at p=20, with a peak RSS of 100 MB at p=18 and 200 MB at p=20.  Most of
+    that is the scoring kernel, and most of the kernel is its per-set
+    ``dposv`` calls; the rest is the gather and the residual forms.
     """
     if config is None:
         config = SearchConfig()
@@ -350,7 +351,8 @@ def exhaustive_dp(local: LocalStats, config: SearchConfig | None = None) -> Dag:
     ranked_masks: list[np.ndarray] = []
     for k in range(1, p + 1):
         others = np.delete(np.arange(1, p + 1), k - 1)
-        scores = np.concatenate([_scores(k, others[pos], local, penalty) for pos in positions])
+        proven = _proven_well_conditioned(local.mixture(k))
+        scores = np.concatenate([_scores(k, others[pos], local, penalty, proven) for pos in positions])
         best, ranked = _best_subsets(scores, set_masks, p - 1)
         best_score.append(best)
         ranked_masks.append(ranked)

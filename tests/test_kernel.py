@@ -19,6 +19,12 @@ Core claims:
       cho_factor/cho_solve call), and no other set is.  A block the bound
       clears but dposv finds indefinite is unusable, with zero coefficients
       and a NaN residual, and its neighbours in the stack keep their bits.
+    - A mixture that _proven_well_conditioned accepts (finite, exactly
+      symmetric, Cholesky-factorable, ||S||_1 ||S^-1||_1 <= 1e11) lets the
+      kernel skip the conditioning test with the same usable flags and bits
+      for every parent set; a singular mixture, a duplicated column, an
+      indefinite mixture of cond 3, a 1-ulp asymmetry and an inf entry are
+      not accepted.
     - Scores from LocalScoreCache.score_insertions equal one-at-a-time
       scores, including the -inf of sets with no more usable rows than
       parents; every real fit is cached once, and a tail that is out of
@@ -44,7 +50,7 @@ from interdag import (
     sufficient_stats,
 )
 from interdag import likelihood
-from interdag.likelihood import LocalStats, _fit_rows, _may_be_ill_conditioned
+from interdag.likelihood import LocalStats, _fit_rows, _may_be_ill_conditioned, _proven_well_conditioned
 
 from helpers import random_instance, reference_fit_row
 
@@ -241,6 +247,67 @@ def test_dposv_runs_once_per_set_that_passes_the_conditioning_test(monkeypatch):
     seen.clear()
     _fit_rows(S, 0, [[]] * 4)
     assert seen == []
+
+
+def _mixed_scale_mixture(seed: int, p: int, n: int, duplicate: bool) -> tuple[np.ndarray, int]:
+    """One vertex's exclusion mixture of n rows of mixed scale over random
+    targets, and its excluding row count; ``duplicate`` copies a column."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-3, 3, size=p)
+    X *= 10.0 ** rng.uniform(-1, 1, size=(n, 1))
+    if duplicate:
+        src, dst = rng.choice(p, size=2, replace=False)
+        X[:, dst] = X[:, src]
+    choices = [InterventionTarget.empty(), InterventionTarget.of(1), InterventionTarget.of(p)]
+    targets = tuple(choices[i] for i in rng.integers(len(choices), size=n))
+    loc = local_stats(sufficient_stats(Dataset(p, targets, X)))
+    k = int(rng.integers(1, p + 1))
+    return loc.mixture(k), loc.count_excluding(k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 7),
+    n=st.integers(1, 60),
+    duplicate=st.booleans(),
+)
+def test_proven_mixture_skips_the_conditioning_test_with_the_same_bits(seed, p, n, duplicate):
+    S, n_ex = _mixed_scale_mixture(seed, p, n, duplicate)
+    proven = _proven_well_conditioned(S)
+    if duplicate or n_ex < p:
+        assert not proven
+    if not proven:
+        return
+    for k in range(p):
+        others = [j for j in range(p) if j != k]
+        for d in range(min(3, p - 1) + 1):
+            sets = [list(c) for c in itertools.combinations(others, d)]
+            fast = _fit_rows(S, k, sets, proven=True)
+            slow = _fit_rows(S, k, sets)
+            assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow], (k, d)
+
+
+@pytest.mark.parametrize("case", ["well", "singular", "duplicate", "indefinite", "asymmetric", "inf"])
+def test_proven_well_conditioned_cases(case):
+    rng = np.random.default_rng(24)
+    X = rng.standard_normal((200, 6))
+    if case == "singular":
+        X = X[:5]  # five rows, six columns
+    if case == "duplicate":
+        X[:, 4] = X[:, 2]
+    S = _moments(X)
+    if case == "indefinite":
+        # eigenvalues 3, 3 and -1: cond 3, and ||S||_1 ||S^-1||_1 is 3 too, so
+        # only the Cholesky factorization rejects it
+        S = np.array([[3.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
+        assert np.linalg.cond(S) == pytest.approx(3.0)
+        assert not _may_be_ill_conditioned(S[None])[0]
+    if case == "asymmetric":
+        S[1, 3] = np.nextafter(S[1, 3], math.inf)
+    if case == "inf":
+        S[2, 2] = math.inf
+    assert _proven_well_conditioned(S) == (case == "well")
 
 
 def test_collinear_blocks_have_non_positive_residuals():

@@ -10,6 +10,9 @@ Core claims:
       and never scores below greedy.
     - The vectorized DP returns the parent sets of the mask-by-mask oracle
       in helpers, score ties and singular blocks included.
+    - The DP runs no per-stack conditioning test on mixtures proven well
+      conditioned, and runs it, with the oracle's parent sets, on a mixture
+      with a duplicated column; greedy always runs it.
     - Both searchers respect max_parents; the DP refuses p > 20.
     - Score equivalence: every member of the estimate's class gets the
       same BIC up to float noise.
@@ -308,6 +311,38 @@ def test_dp_matches_reference_oracle(seed, p, n, max_parents, penalty_weight, du
     local = _local(Dataset(p, data.targets, values), family)
     config = SearchConfig(max_parents=max_parents, penalty_weight=penalty_weight)
     assert exhaustive_dp(local, config).parent_sets == reference_exhaustive_dp(local, config).parent_sets
+
+
+def test_dp_runs_the_conditioning_test_only_on_unproven_mixtures(monkeypatch):
+    calls = 0
+    bound, cond = interdag.likelihood._may_be_ill_conditioned, np.linalg.cond
+
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(interdag.likelihood, "_may_be_ill_conditioned", counting(bound))
+    monkeypatch.setattr(np.linalg, "cond", counting(cond))
+    model, family, spec, data = random_instance(12, p=8, n=400)
+    local = _local(data, family)
+    assert all(interdag.likelihood._proven_well_conditioned(local.mixture(k)) for k in range(1, 9))
+    exhaustive_dp(local)
+    assert calls == 0
+    greedy_search(local, family)
+    assert calls > 0
+    # column 3 copied onto column 4: no mixture is proven, so every stack
+    # with parents gets the per-stack test, and the parent sets are the
+    # oracle's
+    values = np.array(data.values)
+    values[:, 3] = values[:, 2]
+    local = _local(Dataset(8, data.targets, values), family)
+    calls = 0
+    dag = exhaustive_dp(local)
+    assert calls > 0
+    assert dag.parent_sets == reference_exhaustive_dp(local).parent_sets
 
 
 def test_dp_matches_brute_force_small():
