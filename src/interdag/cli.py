@@ -16,7 +16,7 @@ import numpy as np
 
 from .equivalence import essential_graph, format_essential_graph
 from .errors import CapacityError, DataError, ParameterError
-from .experiments import METHODS, ExperimentConfig, run_consistency_experiment, run_fit
+from .experiments import METHODS, ExperimentConfig, _draw_cell, run_consistency_experiment, run_fit
 from .model import (
     Dataset,
     InterventionSpec,
@@ -228,23 +228,15 @@ def _cmd_fit(args) -> int:
 
 def _cmd_simulate(args) -> int:
     # one dataset is one cell of an experiment grid, under the same rules
-    ExperimentConfig(
+    config = ExperimentConfig(
         seed=args.seed, p=args.p, expected_degree=args.expected_degree, k=args.k,
         replicates_per_target=args.replicates_per_target, tau=args.tau,
         n_grid=(args.n,), mu_grid=(args.mu,),
-    ).validate()
+    )
+    config.validate()
     dag = sample_random_dag(args.p, args.expected_degree, derive_seed(args.seed, 1))
     model = sample_normalized_model(dag, derive_seed(args.seed, 2))
-    singles = []
-    if args.k:
-        rng = np.random.Generator(np.random.Philox(derive_seed(args.seed, 3)))
-        singles = [
-            InterventionTarget.of(int(v) + 1)
-            for v in sorted(rng.choice(args.p, size=args.k, replace=False))
-        ]
-    sequence = [InterventionTarget.empty()] * (args.n - args.k * args.replicates_per_target)
-    for t in singles:
-        sequence.extend([t] * args.replicates_per_target)
+    singles, sequence = _draw_cell(config, args.n, derive_seed(args.seed, 3))
     spec = InterventionSpec.constant(singles, args.mu, args.tau**2)
     data = sample_dataset(model, sequence, spec, derive_seed(args.seed, 4))
     out = Path(args.out)

@@ -215,30 +215,35 @@ def run_fit(
     return fitted, graph, trace
 
 
-def _replicate_targets(config: ExperimentConfig, rep: int) -> list[InterventionTarget]:
-    """The k single-vertex targets of one replicate, uniform without replacement."""
-    if config.k == 0:
-        return []
-    rng = _rng(derive_seed(config.seed, 3, rep))
-    chosen = sorted(int(v) + 1 for v in rng.choice(config.p, size=config.k, replace=False))
-    return [InterventionTarget.of(v) for v in chosen]
+def _draw_cell(
+    config: ExperimentConfig, n: int, seed: int
+) -> tuple[list[InterventionTarget], list[InterventionTarget]]:
+    """A cell's k single-vertex targets, drawn from ``seed`` uniformly without
+    replacement, and its row sequence of n targets: the observational rows
+    first, then ``replicates_per_target`` rows per target."""
+    singles = []
+    if config.k:
+        chosen = _rng(seed).choice(config.p, size=config.k, replace=False)
+        singles = [InterventionTarget.of(v) for v in sorted(int(v) + 1 for v in chosen)]
+    sequence = [InterventionTarget.empty()] * (n - config.n_interventional)
+    for t in singles:
+        sequence.extend([t] * config.replicates_per_target)
+    return singles, sequence
 
 
 def _run_replicate(args: tuple) -> list[ResultRow]:
-    """Every grid point of one replicate: its DAG, model and targets are
-    drawn once, and the true essential graph is built once per observed
-    family."""
+    """Every grid point of one replicate: its DAG and model are drawn once,
+    its targets from one seed at every grid point, and the true essential
+    graph is built once per observed family."""
     config, rep = args
     dag = sample_random_dag(config.p, config.expected_degree, derive_seed(config.seed, 1, rep))
     model = sample_normalized_model(dag, derive_seed(config.seed, 2, rep))
-    singles = _replicate_targets(config, rep)
+    target_seed = derive_seed(config.seed, 3, rep)
     search_config = SearchConfig(max_parents=config.max_parents)
     truth_graphs: dict[TargetFamily, EssentialGraph] = {}
     rows = []
     for n_idx, n in enumerate(config.n_grid):
-        sequence = [InterventionTarget.empty()] * (n - config.n_interventional)
-        for t in singles:
-            sequence.extend([t] * config.replicates_per_target)
+        singles, sequence = _draw_cell(config, n, target_seed)
         for mu_idx, mu in enumerate(config.mu_grid):
             spec = InterventionSpec.constant(singles, mu, config.tau**2)
             data = sample_dataset(model, sequence, spec, derive_seed(config.seed, 4, rep, n_idx, mu_idx))

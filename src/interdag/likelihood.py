@@ -18,23 +18,24 @@ once.  Its rule is that each set's numbers are the same bits whatever stack
 it comes in, a stack of one included: the scores feed comparisons against a
 1e-9 threshold in greedy search, so a last-bit change would change which
 moves are taken.  So it batches only what rounds the same in a stack as
-alone: the gather of the blocks; a rigorous bound on every parent block's
-condition number, from one stacked inverse; the SVD condition number, only
-of the few blocks that bound does not clear; and the residual quadratic
-forms.  It factors and solves each usable block on its own with one LAPACK
-``dposv`` call, which is the ``dpotrf`` and ``dpotrs`` pair that scipy's
-cho_factor/cho_solve call.  The exact DP, which fits every small parent set
-of a vertex, first asks ``_proven_well_conditioned`` of the vertex's whole
-mixture; when it holds, no parent block can fail the conditioning test, and
-the kernel skips it.
+alone: the gather of the blocks, the conditioning test and the residual
+quadratic forms.  It factors and solves each usable block on its own with
+one LAPACK ``dposv`` call, which is the ``dpotrf`` and ``dpotrs`` pair that
+scipy's cho_factor/cho_solve call.  Every block it fits is a principal
+sub-block of one vertex's mixture, so the conditioning test is decided once
+per vertex: ``LocalStats.well_conditioned`` proves each mixture well
+conditioned, and the kernel then skips the test for all of that vertex's
+blocks; for any other mixture it runs the SVD condition number on every
+parent block.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.linalg.lapack import dposv
+from scipy.linalg.lapack import dposv, dtrtri
 
 from .errors import DataError, DegenerateFitError, ParameterError
 from .model import (
@@ -63,8 +64,8 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12  # parent moment blocks worse-conditioned than this are unusable
-# blocks proven conditioned no worse than this skip the SVD; the margin of ten
-# dwarfs the SVD's relative error of about cond * 1e-16 just below it
+# a mixture proven conditioned no worse than this skips the SVD of its blocks;
+# the margin of ten dwarfs the SVD's relative error of about cond * 1e-16
 _COND_BOUND = 1e11
 # parent sets per kernel call: about 0.7 MB of gathered blocks at 8 parents
 _CHUNK = 1024
@@ -144,6 +145,12 @@ class LocalStats:
     def identified(self, k: int) -> bool:
         return self.counts_excluding[k - 1] > 0
 
+    @cached_property
+    def well_conditioned(self) -> tuple[bool, ...]:
+        """Per vertex, whether ``_proven_well_conditioned`` holds for its
+        mixture; evaluated for every vertex on first use."""
+        return tuple(_proven_well_conditioned(S) for S in self.mixtures)
+
     @property
     def unidentified_vertices(self) -> tuple[int, ...]:
         return tuple(k for k in range(1, self.p + 1) if not self.identified(k))
@@ -210,35 +217,21 @@ def _cond_or_inf(block: np.ndarray) -> float:
         return math.inf
 
 
-def _norm_1(blocks: np.ndarray) -> np.ndarray:
-    """Induced 1-norm (largest absolute column sum) of each block in a stack."""
-    return np.abs(blocks).sum(axis=1).max(axis=1)
+def _cond_bound(S: np.ndarray) -> float:
+    """An upper bound on cond_2(S) for symmetric S, or inf when numpy's
+    Cholesky factorization S = L L^T fails.
 
-
-def _may_be_ill_conditioned(blocks: np.ndarray) -> np.ndarray:
-    """Per block of a stack of symmetric blocks: False when it is proven to be
-    conditioned no worse than _COND_BOUND, True otherwise.
-
-    For symmetric M, cond_2(M) <= ||M||_1 * ||M^-1||_1, and one stacked
-    ``inv`` gives every M^-1.  A NaN or infinite bound is not proven.  The
-    stacked ``inv`` raises when some block's LU factorization meets an
-    exactly zero pivot; one stacked ``slogdet``, from the same
-    factorization, gives those blocks, and only those, the sign 0.  They are
-    not proven, and the others are bounded without them.  Should that
-    ``inv`` raise again, no block is proven.
+    S^-1 = L^-T L^-1, so cond_2(S) = ||S||_2 ||L^-1||_2^2, which is at most
+    ||S||_1 ||L^-1||_1 ||L^-1||_inf.  LAPACK's ``dtrtri`` inverts L^T, which
+    is the factor's memory in Fortran order, so f2py copies nothing.
     """
     try:
-        inverses = np.linalg.inv(blocks)
+        factor = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
-        # the sign, by position: numpy 1.x returns a plain tuple
-        flagged = np.linalg.slogdet(blocks)[0] == 0
-        if not flagged.any():
-            return np.ones(len(blocks), dtype=bool)
-        rest = ~flagged
-        flagged[rest] = _may_be_ill_conditioned(blocks[rest])
-        return flagged
+        return math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        return ~(_norm_1(blocks) * _norm_1(inverses) <= _COND_BOUND)
+        inverse = np.abs(dtrtri(factor.T, lower=0, overwrite_c=1)[0])
+        return float(np.abs(S).sum(axis=0).max() * inverse.sum(axis=0).max() * inverse.sum(axis=1).max())
 
 
 def _proven_well_conditioned(S: np.ndarray) -> bool:
@@ -246,20 +239,14 @@ def _proven_well_conditioned(S: np.ndarray) -> bool:
     positive definite and conditioned no worse than _COND_BOUND.
 
     By Cauchy interlacing every principal sub-block M of such an S is
-    positive definite with cond_2(M) <= cond_2(S), so every parent block
-    passes ``_fit_rows``' conditioning test: the bound clears it, or the SVD
-    finds it far below _COND_LIMIT.  Definiteness matters: [[0, 1], [1, 0]]
-    has cond 1 but singular 1x1 blocks.
+    positive definite with cond_2(M) <= cond_2(S), so the SVD would find
+    every parent block far below _COND_LIMIT and ``_fit_rows`` can skip it.
+    Definiteness matters: [[0, 1], [1, 0]] has cond 1 but singular 1x1
+    blocks.
     """
     if not (np.isfinite(S).all() and np.array_equal(S, S.T)):
         return False
-    try:
-        np.linalg.cholesky(S)
-        inverse = np.linalg.inv(S)
-    except np.linalg.LinAlgError:
-        return False
-    with np.errstate(over="ignore", invalid="ignore"):
-        return bool(_norm_1(S[None]) * _norm_1(inverse[None]) <= _COND_BOUND)
+    return _cond_bound(S) <= _COND_BOUND
 
 
 def _fit_rows(
@@ -273,28 +260,24 @@ def _fit_rows(
     moment.  A set is unusable when its parent block is conditioned worse
     than 1e12 or is not positive definite; its coefficients are then zero
     and its residual NaN.  ``S`` must be exactly symmetric, as every mixture
-    ``local_stats`` builds is: the condition bound below holds only for
-    symmetric blocks, and the factorization reads each block's transpose.
+    ``local_stats`` builds is, since the factorization reads each block's
+    transpose.
 
     Batched over the whole stack: the gather of every ``[k, pa...]`` block;
-    the bound cond_2(M) <= ||M||_1 * ||M^-1||_1 on every parent block M, from
-    one stacked inverse (of the blocks that a stacked ``slogdet`` does not
-    find exactly singular, when some are); the SVD condition number, only of
-    the blocks whose bound is not <= 1e11 (a block whose SVD does not
-    converge is unusable, and only it); and the residuals, as quadratic
-    forms of (1, -b) with the gathered blocks, which keeps each a true
-    quadratic form of a positive semidefinite matrix.  The usable parent
-    blocks and their right-hand sides are copied into contiguous stacks
-    once; then each block is Cholesky-factored and solved in place by one
-    ``dposv`` call, which is ``dpotrf`` followed by ``dpotrs``.  A block
-    that call finds not positive definite is unusable.  A block the bound
-    clears has an SVD condition number far below 1e12, since that number's
-    relative error is about cond * 1e-16, and a stacked product rounds as
-    the one-block product does: each set gets the bits it would get alone.
+    the SVD condition number of every parent block (block by block when the
+    stacked SVD raises, and then a block whose SVD does not converge is
+    unusable, and only it); and the residuals, as quadratic forms of (1, -b)
+    with the gathered blocks, which keeps each a true quadratic form of a
+    positive semidefinite matrix.  The usable parent blocks and their
+    right-hand sides are copied into contiguous stacks once; then each
+    block is Cholesky-factored and solved in place by one ``dposv`` call,
+    which is ``dpotrf`` followed by ``dpotrs``.  A block that call finds not
+    positive definite is unusable.  A stacked product rounds as the
+    one-block product does: each set gets the bits it would get alone.
 
     ``proven`` says that ``_proven_well_conditioned(S)`` holds.  Then every
-    block passes the conditioning test, so it is skipped: no inverse, no
-    SVD, and the same usable flags and bits.
+    block passes the conditioning test, so no SVD runs, with the same usable
+    flags and bits.
     """
     parents = np.asarray(parent_idx, dtype=np.intp)
     m, d = parents.shape
@@ -306,14 +289,14 @@ def _fit_rows(
     full[:, 1:] = parents
     blocks = S[full[:, :, None], full[:, None, :]]
     parent_blocks = blocks[:, 1:, 1:]
-    flagged = np.zeros(m, dtype=bool) if proven else _may_be_ill_conditioned(parent_blocks)
-    usable = ~flagged
-    if flagged.any():
+    if proven:
+        usable = np.ones(m, dtype=bool)
+    else:
         try:
-            conds = np.linalg.cond(parent_blocks[flagged])
+            conds = np.linalg.cond(parent_blocks)
         except np.linalg.LinAlgError:
-            conds = np.array([_cond_or_inf(block) for block in parent_blocks[flagged]])
-        usable[flagged] = ~(conds > _COND_LIMIT)
+            conds = np.array([_cond_or_inf(block) for block in parent_blocks])
+        usable = ~(conds > _COND_LIMIT)
     # contiguous copies of the usable parent blocks and right-hand sides; a
     # C-ordered symmetric block's transpose is the same matrix in Fortran
     # order, so dposv (lower, overwrite_a, overwrite_b all 1) factors it and
@@ -323,8 +306,8 @@ def _fit_rows(
     infos = [dposv(a, b, 1, 1, 1)[2] for a, b in zip(factors, solutions)]
     coefs[usable] = solutions
     if any(infos):
-        # blocks the conditioning test cleared but dposv found not positive
-        # definite
+        # blocks that passed the conditioning test but that dposv found not
+        # positive definite
         failed = np.flatnonzero(usable)[np.array(infos) != 0]
         usable[failed] = False
         coefs[failed] = 0.0
@@ -378,7 +361,9 @@ def mle_given_dag(dag: Dag, local: LocalStats) -> FittedModel:
             raise DegenerateFitError(
                 f"vertex {k}: {n_ex} usable rows cannot identify {len(pa)} parents"
             )
-        usable, coefs, resids = _fit_rows(local.mixture(k), k - 1, [[j - 1 for j in pa]])
+        usable, coefs, resids = _fit_rows(
+            local.mixture(k), k - 1, [[j - 1 for j in pa]], local.well_conditioned[k - 1]
+        )
         if not usable[0]:
             raise DegenerateFitError(f"vertex {k}: singular parent moment block")
         b, resid = coefs[0], float(resids[0])
@@ -542,11 +527,11 @@ def _checked_penalty(n: int, penalty: float | None) -> float:
     return penalty
 
 
-def _scores(k: int, parent_sets, local: LocalStats, penalty: float, proven: bool = False) -> list[float]:
+def _scores(k: int, parent_sets, local: LocalStats, penalty: float) -> list[float]:
     """Penalized scores of checked parent sets of vertex k, all of one size.
 
     ``parent_sets`` is a sequence of label tuples or a 2-D array of labels,
-    one set per row.  ``proven`` is passed on to ``_fit_rows``.
+    one set per row.
     """
     size = len(parent_sets[0])
     n_ex = local.count_excluding(k)
@@ -556,7 +541,7 @@ def _scores(k: int, parent_sets, local: LocalStats, penalty: float, proven: bool
     scores = []
     for start in range(0, len(parent_sets), _CHUNK):
         idx = np.array(parent_sets[start:start + _CHUNK], dtype=np.intp) - 1
-        _, _, resid = _fit_rows(local.mixture(k), k - 1, idx, proven)
+        _, _, resid = _fit_rows(local.mixture(k), k - 1, idx, local.well_conditioned[k - 1])
         for r in resid.tolist():
             # the NaN residual of an unusable set fails this test too
             if 0 < r < math.inf:

@@ -20,7 +20,6 @@ from .likelihood import (
     LocalScoreCache,
     LocalStats,
     _checked_penalty,
-    _proven_well_conditioned,
     _scores,
     check_identified,
     check_marginal_variance,
@@ -318,9 +317,9 @@ def exhaustive_dp(local: LocalStats, config: SearchConfig | None = None) -> Dag:
     Myllymäki, UAI 2006).  Each vertex scores every parent set of at most
     max_parents of the others, batched by size through the scoring kernel,
     which skips its conditioning test when the vertex's mixture is proven
-    well conditioned; ``_best_subsets`` then finds the best parent set
-    within every subset of the others.  Ties go to the smaller set, then the
-    lexicographically smaller one.  The best-sink recursion runs one
+    well conditioned (``LocalStats.well_conditioned``); ``_best_subsets``
+    then finds the best parent set within every subset of the others.  Ties
+    go to the smaller set, then the lexicographically smaller one.  The best-sink recursion runs one
     popcount layer of vertex subsets at a time, vectorized over the layer;
     ties go to the largest-labelled sink.  Only the p sinks on the final
     path have their parent sets decoded.
@@ -351,8 +350,7 @@ def exhaustive_dp(local: LocalStats, config: SearchConfig | None = None) -> Dag:
     ranked_masks: list[np.ndarray] = []
     for k in range(1, p + 1):
         others = np.delete(np.arange(1, p + 1), k - 1)
-        proven = _proven_well_conditioned(local.mixture(k))
-        scores = np.concatenate([_scores(k, others[pos], local, penalty, proven) for pos in positions])
+        scores = np.concatenate([_scores(k, others[pos], local, penalty) for pos in positions])
         best, ranked = _best_subsets(scores, set_masks, p - 1)
         best_score.append(best)
         ranked_masks.append(ranked)

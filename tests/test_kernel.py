@@ -5,22 +5,23 @@ Core claims:
       fitting that set alone, and both equal the one-set-at-a-time oracle in
       helpers (np.linalg.cond, scipy's cho_factor/cho_solve, v @ M @ v).
     - That holds for blocks conditioned worse than 1e12, for blocks whose
-      condition number lies on either side of the 1e11 at which the cheap
-      bound hands a block to the SVD, for collinear blocks whose residual is
-      not positive, and for stacks whose stacked inverse or stacked
-      condition number raises, where only the offending sets are unusable.
-    - The SVD runs only on the blocks the bound cond_2 <= ||M||_1 ||M^-1||_1
-      does not clear: none for a well-conditioned stack, one for a stack
-      with one nearly collinear block, and one for a stack with one exactly
-      singular block, which makes the stacked inverse raise; also when
-      slogdet returns numpy 1.x's plain tuple.
+      condition number lies on either side of 1e11 and of 1e12, for
+      collinear blocks whose residual is not positive, and for stacks with
+      an exactly singular block or whose stacked condition number raises,
+      where only the offending sets are unusable.
+    - The SVD condition number runs on every parent block of a stack from a
+      mixture that is not proven well conditioned, as one stacked call, or
+      block by block when that call raises; it runs on no block of a proven
+      one.
     - Each set that passes the conditioning test is factored and solved by
       exactly one in-place dposv call (dpotrf then dpotrs, the routines
-      cho_factor/cho_solve call), and no other set is.  A block the bound
-      clears but dposv finds indefinite is unusable, with zero coefficients
-      and a NaN residual, and its neighbours in the stack keep their bits.
-    - A mixture that _proven_well_conditioned accepts (finite, exactly
-      symmetric, Cholesky-factorable, ||S||_1 ||S^-1||_1 <= 1e11) lets the
+      cho_factor/cho_solve call), and no other set is.  A block of cond 3
+      that dposv finds indefinite is unusable, with zero coefficients and a
+      NaN residual, and its neighbours in the stack keep their bits.
+    - ||S||_1 ||L^-1||_1 ||L^-1||_inf, from the Cholesky factor L, bounds
+      cond_2(S) from above.  A mixture that _proven_well_conditioned accepts
+      (finite, exactly symmetric, Cholesky-factorable, that bound <= 1e11)
+      has every parent block conditioned no worse than 1e11, and lets the
       kernel skip the conditioning test with the same usable flags and bits
       for every parent set; a singular mixture, a duplicated column, an
       indefinite mixture of cond 3, a 1-ulp asymmetry and an inf entry are
@@ -50,7 +51,7 @@ from interdag import (
     sufficient_stats,
 )
 from interdag import likelihood
-from interdag.likelihood import LocalStats, _fit_rows, _may_be_ill_conditioned, _proven_well_conditioned
+from interdag.likelihood import LocalStats, _cond_bound, _fit_rows, _proven_well_conditioned
 
 from helpers import random_instance, reference_fit_row
 
@@ -129,31 +130,19 @@ def _spread_moments(seed: int, size: int) -> tuple[np.ndarray, list[list[int]], 
 def test_conditioning_spread_around_the_limit(seed, size):
     S, near, singular = _spread_moments(seed, size)
     conds = np.array([np.linalg.cond(S[np.ix_(pa, pa)]) for pa in near])
-    # blocks on both sides of the bound's 1e11 and of the limit's 1e12
+    # blocks on both sides of 1e11, the proof's limit, and of 1e12, the SVD's
     for low, high in ((1e10, 1e11), (1e11, 1e12), (1e12, 1e13)):
         assert ((conds > low) & (conds <= high)).any(), (low, high)
-    # the stacked inverse succeeds, so the bound decides which blocks get an SVD
     fits = _check_stack(S, 0, near)
     assert [f is None for f in fits] == list(conds > 1e12)
-    # one exactly singular block makes the stacked inverse raise: the halves
-    # of the stack are bounded on their own
+    # one exactly singular block in the middle of the stack is unusable, and
+    # only it
     mixed = near[::2] + [singular] + near[1::2]
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.inv(np.stack([S[np.ix_(pa, pa)] for pa in mixed]))
     fits = _check_stack(S, 0, mixed)
     assert fits[len(near[::2])] is None
 
 
-def test_singular_block_with_numpy_1_slogdet(monkeypatch):
-    # numpy before 2.0 returns slogdet's (sign, logabsdet) as a plain tuple
-    slogdet = np.linalg.slogdet
-    monkeypatch.setattr(np.linalg, "slogdet", lambda a: tuple(slogdet(a)))
-    S, near, singular = _spread_moments(45, 2)
-    fits = _check_stack(S, 0, near[:5] + [singular] + near[5:10])
-    assert fits[5] is None and fits[0] is not None
-
-
-def test_svd_runs_only_on_flagged_blocks(monkeypatch):
+def test_svd_runs_on_every_block_unless_the_mixture_is_proven(monkeypatch):
     seen = []
     cond = np.linalg.cond
 
@@ -163,33 +152,27 @@ def test_svd_runs_only_on_flagged_blocks(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cond", counting_cond)
     rng = np.random.default_rng(17)
-    X = rng.standard_normal((200, 6))
+    S = _moments(rng.standard_normal((200, 6)))
+    assert _proven_well_conditioned(S)
     sets = [list(c) for c in itertools.combinations(range(1, 6), 3)]
-    usable, _, _ = _fit_rows(_moments(X), 0, sets)
-    assert usable.all() and seen == []
-    # columns 4 and 5 nearly equal: only the one set holding both is flagged
-    X[:, 5] = X[:, 4] + 1e-7 * rng.standard_normal(200)
-    S = _moments(X)
-    sets = [[1, 2, 3], [1, 2, 4], [1, 4, 5], [2, 3, 5], [3, 4, 1]]
-    usable, _, _ = _fit_rows(S, 0, sets)
-    assert list(usable) == [True, True, False, True, True]
-    assert len(seen) == 1 and seen[0].shape == (1, 3, 3)
-    assert seen[0][0].tobytes() == S[np.ix_([1, 4, 5], [1, 4, 5])].tobytes()
-    # column 6 all zeros: in a stack of ten, the stacked inverse raises and
-    # only the one exactly singular block gets an SVD
-    X = np.column_stack([X, np.zeros(200)])
-    S = _moments(X)
-    sets = [list(c) for c in itertools.combinations(range(1, 5), 2)] + [[2, 6], [1, 3], [2, 4], [3, 4]]
-    assert len(sets) == 10
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.inv(np.stack([S[np.ix_(pa, pa)] for pa in sets]))
+    blocks = np.stack([S[np.ix_(pa, pa)] for pa in sets])
+    # not proven: one stacked SVD of every parent block, well conditioned or not
+    slow = _fit_rows(S, 0, sets)
+    assert slow[0].all()
+    assert len(seen) == 1 and seen[0].tobytes() == blocks.tobytes()
+    # proven: no SVD at all, and the same bits
+    seen.clear()
+    fast = _fit_rows(S, 0, sets, proven=True)
+    assert seen == []
+    assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow]
+    # a NaN in column 3 makes the stacked SVD raise: then every block gets
+    # its own, and only the sets that hold column 3 are unusable
+    S[3, :] = S[:, 3] = math.nan
     seen.clear()
     usable, _, _ = _fit_rows(S, 0, sets)
-    assert list(usable) == [pa != [2, 6] for pa in sets]
-    assert len(seen) == 1 and seen[0].shape == (1, 2, 2)
-    assert seen[0][0].tobytes() == S[np.ix_([2, 6], [2, 6])].tobytes()
-    seen.clear()
-    _check_stack(S, 0, sets)
+    assert list(usable) == [3 not in pa for pa in sets]
+    assert len(seen) == 1 + len(sets) and seen[0].shape == blocks.shape
+    assert all(b.shape == (3, 3) for b in seen[1:])
 
 
 def _indefinite_moments() -> np.ndarray:
@@ -206,9 +189,11 @@ def test_indefinite_block_the_bound_clears_is_unusable():
     sets = [[1, 3], [3, 4], [2, 4], [1, 2], [1, 4], [2, 3], [3, 4]]
     blocks = np.stack([S[np.ix_(pa, pa)] for pa in sets])
     assert np.linalg.eigvalsh(blocks[3]).min() < 0
-    # the bound clears every block, so only the Cholesky factorization can
-    # reject the indefinite one
-    assert not _may_be_ill_conditioned(blocks).any()
+    # every block passes the conditioning test, the indefinite one with cond
+    # 3 and ||M||_1 ||M^-1||_1 = 3, so only the Cholesky factorization can
+    # reject it
+    assert (np.linalg.cond(blocks) <= 1e12).all()
+    assert np.linalg.norm(blocks[3], 1) * np.linalg.norm(np.linalg.inv(blocks[3]), 1) == pytest.approx(3.0)
     fits = _check_stack(S, 0, sets)
     assert [f is None for f in fits] == [pa == [1, 2] for pa in sets]
     usable, coefs, resid = _fit_rows(S, 0, sets)
@@ -288,6 +273,32 @@ def test_proven_mixture_skips_the_conditioning_test_with_the_same_bits(seed, p, 
             assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow], (k, d)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 7),
+    n=st.integers(1, 60),
+    duplicate=st.booleans(),
+)
+def test_cond_bound_holds_and_proven_mixtures_have_well_conditioned_blocks(seed, p, n, duplicate):
+    S, _ = _mixed_scale_mixture(seed, p, n, duplicate)
+    try:
+        np.linalg.cholesky(S)
+        factored = True
+    except np.linalg.LinAlgError:
+        factored = False
+    cond = np.linalg.cond(S)
+    # past 1e12 the SVD's own relative error, about cond * 1e-16, outgrows
+    # the margin, and a numerically singular mixture that Cholesky factors
+    # by rounding gives neither number a meaning; the proof's limit is 1e11
+    if factored and cond <= 1e12:
+        assert _cond_bound(S) >= cond * (1 - 1e-6)
+    if _proven_well_conditioned(S):
+        for d in range(1, min(3, p) + 1):
+            for pa in itertools.combinations(range(p), d):
+                assert np.linalg.cond(S[np.ix_(pa, pa)]) <= 1e11 * (1 + 1e-6), pa
+
+
 @pytest.mark.parametrize("case", ["well", "singular", "duplicate", "indefinite", "asymmetric", "inf"])
 def test_proven_well_conditioned_cases(case):
     rng = np.random.default_rng(24)
@@ -301,8 +312,9 @@ def test_proven_well_conditioned_cases(case):
         # eigenvalues 3, 3 and -1: cond 3, and ||S||_1 ||S^-1||_1 is 3 too, so
         # only the Cholesky factorization rejects it
         S = np.array([[3.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
-        assert np.linalg.cond(S) == pytest.approx(3.0)
-        assert not _may_be_ill_conditioned(S[None])[0]
+        assert np.linalg.cond(S) == pytest.approx(3.0) and np.linalg.cond(S) <= 1e12
+        assert np.linalg.norm(S, 1) * np.linalg.norm(np.linalg.inv(S), 1) == pytest.approx(3.0)
+        assert _cond_bound(S) == math.inf
     if case == "asymmetric":
         S[1, 3] = np.nextafter(S[1, 3], math.inf)
     if case == "inf":

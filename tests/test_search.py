@@ -10,9 +10,10 @@ Core claims:
       and never scores below greedy.
     - The vectorized DP returns the parent sets of the mask-by-mask oracle
       in helpers, score ties and singular blocks included.
-    - The DP runs no per-stack conditioning test on mixtures proven well
-      conditioned, and runs it, with the oracle's parent sets, on a mixture
-      with a duplicated column; greedy always runs it.
+    - Greedy, the DP and the refit run no SVD on mixtures proven well
+      conditioned, and a whole fit proves each vertex's mixture once; with
+      a duplicated column no mixture is proven, and greedy's DAG and trace
+      and the DP's parent sets equal their oracles'.
     - Both searchers respect max_parents; the DP refuses p > 20.
     - Score equivalence: every member of the estimate's class gets the
       same BIC up to float noise.
@@ -55,6 +56,8 @@ from interdag import (
     format_trace,
     greedy_search,
     local_stats,
+    mle_given_dag,
+    run_fit,
     sample_dataset,
     sufficient_stats,
 )
@@ -313,36 +316,46 @@ def test_dp_matches_reference_oracle(seed, p, n, max_parents, penalty_weight, du
     assert exhaustive_dp(local, config).parent_sets == reference_exhaustive_dp(local, config).parent_sets
 
 
-def test_dp_runs_the_conditioning_test_only_on_unproven_mixtures(monkeypatch):
-    calls = 0
-    bound, cond = interdag.likelihood._may_be_ill_conditioned, np.linalg.cond
+def test_scorers_run_the_conditioning_test_only_on_unproven_mixtures(monkeypatch):
+    calls = {"cond": 0, "proof": 0}
 
-    def counting(original):
+    def counting(name, original):
         def wrapper(*args, **kwargs):
-            nonlocal calls
-            calls += 1
+            calls[name] += 1
             return original(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(interdag.likelihood, "_may_be_ill_conditioned", counting(bound))
-    monkeypatch.setattr(np.linalg, "cond", counting(cond))
+    monkeypatch.setattr(np.linalg, "cond", counting("cond", np.linalg.cond))
+    monkeypatch.setattr(
+        interdag.likelihood, "_proven_well_conditioned",
+        counting("proof", interdag.likelihood._proven_well_conditioned),
+    )
     model, family, spec, data = random_instance(12, p=8, n=400)
     local = _local(data, family)
-    assert all(interdag.likelihood._proven_well_conditioned(local.mixture(k)) for k in range(1, 9))
+    # every mixture is proven, once per vertex, so no scorer runs an SVD
+    dag, _ = greedy_search(local, family)
     exhaustive_dp(local)
-    assert calls == 0
-    greedy_search(local, family)
-    assert calls > 0
+    mle_given_dag(dag, local)
+    assert all(local.well_conditioned)
+    assert calls == {"cond": 0, "proof": 8}
+    # a whole fit, from the data on, proves each vertex exactly once
+    for method in ("greedy", "dp"):
+        calls.update(cond=0, proof=0)
+        run_fit(data, family, method=method)
+        assert calls == {"cond": 0, "proof": 8}, method
     # column 3 copied onto column 4: no mixture is proven, so every stack
-    # with parents gets the per-stack test, and the parent sets are the
-    # oracle's
+    # with parents gets the SVD, and both searchers return their oracle's
+    # result
     values = np.array(data.values)
     values[:, 3] = values[:, 2]
     local = _local(Dataset(8, data.targets, values), family)
-    calls = 0
-    dag = exhaustive_dp(local)
-    assert calls > 0
-    assert dag.parent_sets == reference_exhaustive_dp(local).parent_sets
+    calls["cond"] = 0
+    dag, trace = greedy_search(local, family)
+    assert not any(local.well_conditioned) and calls["cond"] > 0
+    ref_dag, ref_trace = reference_greedy_search(local)
+    assert dag == ref_dag
+    assert format_trace(trace) == format_trace(ref_trace)
+    assert exhaustive_dp(local).parent_sets == reference_exhaustive_dp(local).parent_sets
 
 
 def test_dp_matches_brute_force_small():
