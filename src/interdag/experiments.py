@@ -11,7 +11,6 @@ their own output file.
 import json
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -299,6 +298,10 @@ def run_consistency_experiment(
     config.validate()
     jobs = [(config, rep) for rep in range(config.replicates)]
     if config.workers > 1:
+        # imported here: it loads multiprocessing, socket and subprocess,
+        # which a one-worker run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             per_replicate = list(pool.map(_run_replicate, jobs))
     else:

@@ -23,19 +23,26 @@ quadratic forms.  It factors and solves each usable block on its own with
 one LAPACK ``dposv`` call, which is the ``dpotrf`` and ``dpotrs`` pair that
 scipy's cho_factor/cho_solve call.  Every block it fits is a principal
 sub-block of one vertex's mixture, so the conditioning test is decided once
-per vertex: ``LocalStats.well_conditioned`` proves each mixture well
-conditioned, and the kernel then skips the test for all of that vertex's
-blocks; for any other mixture it runs the SVD condition number on every
-parent block.
+per vertex, when the vertex is first scored: ``LocalStats.proven`` proves
+its mixture well conditioned, and the kernel then skips the test for all of
+that vertex's blocks; for any other mixture it runs the SVD condition
+number on every parent block.
+
+``dposv`` and ``dtrtri`` (the latter for the proof) are scipy's own
+wrappers, the very objects ``scipy.linalg.lapack`` exports, loaded straight
+from scipy's compiled ``_flapack`` module without importing the
+``scipy.linalg`` package (see ``_load_flapack``).
 """
 
+import importlib.machinery
+import importlib.util
 import math
-from dataclasses import dataclass
-from functools import cached_property
+import os
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.linalg.lapack import dposv, dtrtri
+import scipy
 
 from .errors import DataError, DegenerateFitError, ParameterError
 from .model import (
@@ -46,6 +53,34 @@ from .model import (
     InterventionTarget,
     TargetFamily,
 )
+
+
+def _load_flapack():
+    """scipy's LAPACK extension module ``scipy.linalg._flapack``, loaded
+    without running the ``scipy.linalg`` package's ``__init__``.
+
+    That package import (array-API helpers, ``numpy.f2py``, ``numpy.ma``,
+    docstring machinery) would take about half the time of
+    ``import interdag.cli`` and 18 MB of its memory, and the kernel needs
+    only two of this module's routines.  CPython initializes an extension
+    module once per process, so a later ``import scipy.linalg`` hands out
+    these very objects, whichever import comes first; ``sys.modules`` is
+    left alone.  Every scipy since 1.10 ships the file.
+    """
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    finder = importlib.machinery.FileFinder(
+        directory, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    )
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension module _flapack is not in {directory}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dposv, dtrtri = _flapack.dposv, _flapack.dtrtri
 
 __all__ = [
     "SufficientStats",
@@ -135,6 +170,7 @@ class LocalStats:
     n: int
     counts_excluding: np.ndarray
     mixtures: np.ndarray  # shape (p, p, p); mixtures[k-1] is the matrix for vertex k
+    _proofs: dict[int, bool] = field(default_factory=dict, init=False, repr=False)
 
     def count_excluding(self, k: int) -> int:
         return int(self.counts_excluding[k - 1])
@@ -145,11 +181,14 @@ class LocalStats:
     def identified(self, k: int) -> bool:
         return self.counts_excluding[k - 1] > 0
 
-    @cached_property
-    def well_conditioned(self) -> tuple[bool, ...]:
-        """Per vertex, whether ``_proven_well_conditioned`` holds for its
-        mixture; evaluated for every vertex on first use."""
-        return tuple(_proven_well_conditioned(S) for S in self.mixtures)
+    def proven(self, k: int) -> bool:
+        """Whether ``_proven_well_conditioned`` holds for vertex k's mixture;
+        decided on the first call for k and remembered, so each vertex is
+        proven at most once and only when it is scored."""
+        flag = self._proofs.get(k)
+        if flag is None:
+            flag = self._proofs[k] = _proven_well_conditioned(self.mixture(k))
+        return flag
 
     @property
     def unidentified_vertices(self) -> tuple[int, ...]:
@@ -362,7 +401,7 @@ def mle_given_dag(dag: Dag, local: LocalStats) -> FittedModel:
                 f"vertex {k}: {n_ex} usable rows cannot identify {len(pa)} parents"
             )
         usable, coefs, resids = _fit_rows(
-            local.mixture(k), k - 1, [[j - 1 for j in pa]], local.well_conditioned[k - 1]
+            local.mixture(k), k - 1, [[j - 1 for j in pa]], local.proven(k)
         )
         if not usable[0]:
             raise DegenerateFitError(f"vertex {k}: singular parent moment block")
@@ -541,7 +580,7 @@ def _scores(k: int, parent_sets, local: LocalStats, penalty: float) -> list[floa
     scores = []
     for start in range(0, len(parent_sets), _CHUNK):
         idx = np.array(parent_sets[start:start + _CHUNK], dtype=np.intp) - 1
-        _, _, resid = _fit_rows(local.mixture(k), k - 1, idx, local.well_conditioned[k - 1])
+        _, _, resid = _fit_rows(local.mixture(k), k - 1, idx, local.proven(k))
         for r in resid.tolist():
             # the NaN residual of an unusable set fails this test too
             if 0 < r < math.inf:

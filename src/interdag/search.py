@@ -317,7 +317,7 @@ def exhaustive_dp(local: LocalStats, config: SearchConfig | None = None) -> Dag:
     Myllymäki, UAI 2006).  Each vertex scores every parent set of at most
     max_parents of the others, batched by size through the scoring kernel,
     which skips its conditioning test when the vertex's mixture is proven
-    well conditioned (``LocalStats.well_conditioned``); ``_best_subsets``
+    well conditioned (``LocalStats.proven``); ``_best_subsets``
     then finds the best parent set within every subset of the others.  Ties
     go to the smaller set, then the lexicographically smaller one.  The best-sink recursion runs one
     popcount layer of vertex subsets at a time, vectorized over the layer;

@@ -13,7 +13,8 @@ Core claims:
     - Greedy, the DP and the refit run no SVD on mixtures proven well
       conditioned, and a whole fit proves each vertex's mixture once; with
       a duplicated column no mixture is proven, and greedy's DAG and trace
-      and the DP's parent sets equal their oracles'.
+      and the DP's parent sets equal their oracles'.  A lone local score
+      proves only its own vertex's mixture.
     - Both searchers respect max_parents; the DP refuses p > 20.
     - Score equivalence: every member of the estimate's class gets the
       same BIC up to float noise.
@@ -55,6 +56,7 @@ from interdag import (
     exhaustive_dp,
     format_trace,
     greedy_search,
+    local_score,
     local_stats,
     mle_given_dag,
     run_fit,
@@ -336,7 +338,7 @@ def test_scorers_run_the_conditioning_test_only_on_unproven_mixtures(monkeypatch
     dag, _ = greedy_search(local, family)
     exhaustive_dp(local)
     mle_given_dag(dag, local)
-    assert all(local.well_conditioned)
+    assert all(local.proven(k) for k in range(1, 9))
     assert calls == {"cond": 0, "proof": 8}
     # a whole fit, from the data on, proves each vertex exactly once
     for method in ("greedy", "dp"):
@@ -351,11 +353,32 @@ def test_scorers_run_the_conditioning_test_only_on_unproven_mixtures(monkeypatch
     local = _local(Dataset(8, data.targets, values), family)
     calls["cond"] = 0
     dag, trace = greedy_search(local, family)
-    assert not any(local.well_conditioned) and calls["cond"] > 0
+    assert not any(local.proven(k) for k in range(1, 9)) and calls["cond"] > 0
     ref_dag, ref_trace = reference_greedy_search(local)
     assert dag == ref_dag
     assert format_trace(trace) == format_trace(ref_trace)
     assert exhaustive_dp(local).parent_sets == reference_exhaustive_dp(local).parent_sets
+
+
+def test_a_lone_local_score_proves_only_its_own_vertex(monkeypatch):
+    calls = []
+    proof = interdag.likelihood._proven_well_conditioned
+
+    def counting(S):
+        calls.append(S)
+        return proof(S)
+
+    monkeypatch.setattr(interdag.likelihood, "_proven_well_conditioned", counting)
+    model, family, spec, data = random_instance(5, p=20, n=400)
+    local = _local(data, family)
+    local_score(7, (2, 3), local)
+    assert len(calls) == 1 and np.shares_memory(calls[0], local.mixture(7))
+    # the flag is remembered: the vertex is not proven again, by any scorer
+    local_score(7, (4,), local)
+    LocalScoreCache(local).score_insertions(7, (), (1, 2, 3))
+    assert len(calls) == 1
+    LocalScoreCache(local).score(9, (1,))
+    assert len(calls) == 2 and np.shares_memory(calls[1], local.mixture(9))
 
 
 def test_dp_matches_brute_force_small():
