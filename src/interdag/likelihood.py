@@ -94,6 +94,7 @@ __all__ = [
     "decomposed_log_likelihood",
     "natural_params",
     "local_score",
+    "score_insertions",
     "bic_score",
     "LocalScoreCache",
 ]
@@ -218,8 +219,14 @@ def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> L
 
     ``family``, when given, must cover every observed target; targets in the
     family without data contribute nothing to the mixtures.  Each target's
-    weighted moment n_t * S_t is formed once and then added, in the same
-    target order, into the sum of every vertex it does not contain.
+    weighted moment n_t * S_t is formed once.  Every vertex's sum is the
+    left fold, in target order and starting from zeros, of the weighted
+    moments of the targets that do not contain it.  The targets before the
+    first one that contains a vertex all exclude it, so that part of its
+    fold is a prefix of one running fold over all targets: the vertex's sum
+    starts as a copy of that prefix and then adds only the later targets
+    that exclude it, in order.  The bits are those of a fold per vertex,
+    and with single-vertex targets it does about half the additions.
     """
     p = stats.p
     targets = stats.targets()
@@ -231,19 +238,35 @@ def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> L
                     f"observed target {t.members} is missing from the supplied family"
                 )
     weighted = [(t, stats.count(t), stats.count(t) * stats.second_moment(t)) for t in targets]
+    # the vertices whose first containing target is targets[i], at starts[i];
+    # vertices in no target at starts[-1]
+    starts: list[list[int]] = [[] for _ in range(len(targets) + 1)]
+    first = [len(targets)] * p
+    for i in reversed(range(len(targets))):
+        for v in targets[i].members:
+            first[v - 1] = i
+    for k in range(1, p + 1):
+        starts[first[k - 1]].append(k)
     counts = np.zeros(p, dtype=np.int64)
     mixtures = np.zeros((p, p, p))
-    for k in range(1, p + 1):
-        n_ex = 0
-        acc = np.zeros((p, p))
-        for t, n_t, moment in weighted:
-            if k in t:
-                continue
-            n_ex += n_t
-            acc += moment
-        counts[k - 1] = n_ex
-        if n_ex > 0:
-            mixtures[k - 1] = acc / n_ex
+    prefix = np.zeros((p, p))  # the fold of every target before targets[i]
+    n_prefix = 0
+    for i, vertices in enumerate(starts):
+        for k in vertices:
+            acc = mixtures[k - 1]
+            acc[...] = prefix
+            n_ex = n_prefix
+            for t, n_t, moment in weighted[i + 1:]:
+                if k in t:
+                    continue
+                n_ex += n_t
+                acc += moment
+            counts[k - 1] = n_ex
+            if n_ex > 0:
+                acc /= n_ex
+        if i < len(weighted):
+            n_prefix += weighted[i][1]
+            prefix += weighted[i][2]
     mixtures.setflags(write=False)
     counts.setflags(write=False)
     return LocalStats(p, stats.n, counts, mixtures)
@@ -609,6 +632,41 @@ def local_score(
     return _scores(k, [pa], local, penalty)[0]
 
 
+def score_insertions(
+    k: int,
+    parents: Iterable[int],
+    tails: Iterable[int],
+    local: LocalStats,
+    penalty: float | None = None,
+) -> list[float]:
+    """Local scores of ``parents`` plus one tail, for each of ``tails`` in order.
+
+    Greedy search scores a head's whole row of insertions with one call,
+    which is where nearly all of its fits happen.  The row is built as one
+    array of sorted labels and fitted in kernel calls of at most 1024 sets,
+    with no cache: each score has the bits of ``local_score`` on that set.
+    A tail out of range, equal to ``k`` or already in ``parents`` raises
+    ParameterError.
+    """
+    p = local.p
+    pa = _checked_parents(k, parents, p)
+    penalty = _checked_penalty(local.n, penalty)
+    tails = list(map(int, tails))
+    taken = {k, *pa}
+    bad = [t for t in tails if not 1 <= t <= p or t in taken]
+    if bad:
+        _checked_parents(k, (*pa, bad[0]), p)  # names a tail out of range or equal to k
+        raise ParameterError(f"vertex {bad[0]} is already a parent of vertex {k}")
+    if not tails:
+        return []
+    idx = np.empty((len(tails), len(pa) + 1), dtype=np.intp)
+    idx[:, :-1] = pa
+    idx[:, -1] = tails
+    # the labels are distinct; the stable sort is faster on rows this short
+    idx.sort(axis=1, kind="stable")
+    return _scores(k, idx, local, penalty)
+
+
 def bic_score(
     dag: Dag,
     local: LocalStats,
@@ -623,10 +681,6 @@ def bic_score(
 
 class LocalScoreCache:
     """Memoizes local scores keyed by (vertex, parent set).
-
-    ``score_insertions`` scores a whole row of one-tail insertions from
-    arrays, fitting the missing sets together; each of its results is still
-    one lookup through ``score``.
 
     Concurrent insert-or-read is safe: values for a key are deterministic, so
     a racing overwrite stores the same number.
@@ -644,38 +698,6 @@ class LocalScoreCache:
             hit = local_score(k, key[1], self._local, penalty=self._penalty)
             self._table[key] = hit
         return hit
-
-    def score_insertions(self, k: int, parents: Iterable[int], tails: Iterable[int]) -> list[float]:
-        """Scores of ``parents`` plus one tail, for each of ``tails`` in order.
-
-        Greedy search rescores a head's row of insertions with one call,
-        which is where nearly all of its fits happen.  The row is built as
-        one array of sorted labels, the sets not yet cached are fitted
-        together in kernel calls of at most 1024 sets, and every result is
-        then read through ``score``, the one lookup path, so each set counts
-        as one lookup.  A tail out of range, equal to ``k`` or already in
-        ``parents`` raises ParameterError.
-        """
-        p = self._local.p
-        pa = _checked_parents(k, parents, p)
-        tails = list(map(int, tails))
-        taken = {k, *pa}
-        bad = [t for t in tails if not 1 <= t <= p or t in taken]
-        if bad:
-            _checked_parents(k, (*pa, bad[0]), p)  # names a tail out of range or equal to k
-            raise ParameterError(f"vertex {bad[0]} is already a parent of vertex {k}")
-        idx = np.empty((len(tails), len(pa) + 1), dtype=np.intp)
-        idx[:, :-1] = pa
-        idx[:, -1] = tails
-        # the labels are distinct; the stable sort is faster on rows this short
-        idx.sort(axis=1, kind="stable")
-        keys = [tuple(row) for row in idx.tolist()]
-        missing = {key: i for i, key in enumerate(keys) if (k, key) not in self._table}
-        if missing:
-            penalty = _checked_penalty(self._local.n, self._penalty)
-            scores = _scores(k, idx[list(missing.values())], self._local, penalty)
-            self._table.update(zip(((k, key) for key in missing), scores))
-        return [self.score(k, key) for key in keys]
 
     def dag_score(self, dag: Dag) -> float:
         return sum(self.score(k, dag.parents(k)) for k in range(1, dag.p + 1))

@@ -23,6 +23,7 @@ from .likelihood import (
     _scores,
     check_identified,
     check_marginal_variance,
+    score_insertions,
 )
 from .model import Dag, TargetFamily
 
@@ -102,18 +103,23 @@ def format_trace(trace: SearchTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _descendant_sets(p: int, children: list[set[int]]) -> list[set[int]]:
-    desc: list[set[int]] = [set() for _ in range(p)]
-    for start in range(1, p + 1):
-        stack = list(children[start - 1])
-        seen = set(stack)
-        while stack:
-            v = stack.pop()
-            for c in children[v - 1]:
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        desc[start - 1] = seen
+def _descendant_bits(parents: list[set[int]], children: list[set[int]]) -> list[int]:
+    """Every vertex's descendants as an integer bitset with bit j for vertex
+    j, at index k - 1 for vertex k; each vertex is finished after all of its
+    children."""
+    desc = [0] * len(children)
+    waiting = [len(c) for c in children]
+    ready = [k for k in range(1, len(children) + 1) if not waiting[k - 1]]
+    while ready:
+        v = ready.pop()
+        bits = 0
+        for c in children[v - 1]:
+            bits |= desc[c - 1] | 1 << c
+        desc[v - 1] = bits
+        for u in parents[v - 1]:
+            waiting[u - 1] -= 1
+            if not waiting[u - 1]:
+                ready.append(u)
     return desc
 
 
@@ -149,15 +155,22 @@ def greedy_search(
     Insertions come from a move table.  A vertex's score depends only on its
     own parent set, so the gain of inserting tail -> head changes only when
     head's parents change (Chickering 2002).  Each head keeps its improving
-    insertions as (-gain, tail) in sorted order, together with the parent set
-    they were scored for; a row is rescored, in one batch, only when the
-    head's parents differ from that set, which covers inserts into and
-    deletes from the head and reversals at either end.  Acyclicity depends on
+    insertions as (-gain, tail, score) in sorted order, together with the
+    parent set they were scored for; a row is rescored only when the head's
+    parents differ from that set, which covers inserts into and deletes from
+    the head and reversals at either end.  A row is scored by one
+    ``score_insertions`` call, outside the score cache, and an applied
+    insertion takes head's new score from its row.  Acyclicity depends on
     the whole graph, so feasibility is checked again on every step: a head's
-    best move is the first feasible entry of its row.  Deletion and
-    reversal scan the current edges on every step instead: there are few of
-    them, each costs one or two score lookups, and together they took no
-    measurable share of a p=100 search.
+    best move is the first entry of its row whose tail head does not reach.
+    Every vertex's descendants are kept as an integer bitset.  Inserting
+    tail -> head adds head and its descendants to tail and to every vertex
+    that reaches tail.  A deletion or a reversal removes paths, which no
+    such update can undo, so after one the bitsets are rebuilt from the
+    edges before the next insertion phase.  Deletion and reversal scan the
+    current edges on every step instead, reading their scores through the
+    cache: there are few of them, each costs one or two score lookups, and
+    together they took no measurable share of a p=100 search.
     """
     if config is None:
         config = SearchConfig()
@@ -166,6 +179,7 @@ def greedy_search(
     check_identified(local)
     check_marginal_variance(local)
     cache = LocalScoreCache(local, penalty=config.penalty_weight)
+    penalty = _checked_penalty(local.n, config.penalty_weight)
     max_parents = config.resolved_max_parents(p)
 
     parents: list[set[int]] = [set() for _ in range(p)]
@@ -175,13 +189,18 @@ def greedy_search(
     start_score = total
 
     steps: list[TraceStep] = []
-    # per head: improving insertions as sorted (-gain, tail), and the parent
-    # set they were scored for
-    rows: list[list[tuple[float, int]]] = [[] for _ in range(p)]
+    # per head: improving insertions as sorted (-gain, tail, score), and the
+    # parent set they were scored for
+    rows: list[list[tuple[float, int, float]]] = [[] for _ in range(p)]
     rows_for: list[frozenset[int] | None] = [None] * p
+    # descendant bitsets, kept up to date by insertions; None after a
+    # deletion or a reversal until the next insertion phase rebuilds them
+    desc: list[int] | None = [0] * p
 
     def best_insert():
-        desc = _descendant_sets(p, children)
+        nonlocal desc
+        if desc is None:
+            desc = _descendant_bits(parents, children)
         best = None
         for head in range(1, p + 1):
             pa = parents[head - 1]
@@ -189,18 +208,24 @@ def greedy_search(
                 continue
             if rows_for[head - 1] != pa:
                 tails = [tail for tail in range(1, p + 1) if tail != head and tail not in pa]
-                scores = cache.score_insertions(head, sorted(pa), tails)
-                gains = [(score - vertex_score[head - 1], tail) for tail, score in zip(tails, scores)]
-                rows[head - 1] = sorted((-gain, tail) for gain, tail in gains if gain > IMPROVEMENT_EPS)
+                current = vertex_score[head - 1]
+                row = []
+                for tail, score in zip(tails, score_insertions(head, pa, tails, local, penalty)):
+                    gain = score - current
+                    if gain > IMPROVEMENT_EPS:
+                        row.append((-gain, tail, score))
+                row.sort()
+                rows[head - 1] = row
                 rows_for[head - 1] = frozenset(pa)
-            for neg_gain, tail in rows[head - 1]:
-                # head -> tail, or a longer path head ~> tail, would close a cycle
-                if head in parents[tail - 1] or tail in desc[head - 1]:
+            reach = desc[head - 1]
+            for neg_gain, tail, score in rows[head - 1]:
+                # a path head ~> tail would close a cycle
+                if reach >> tail & 1:
                     continue
                 # as a scan in (tail, head) order keeping the first strict maximum
                 gain = -neg_gain
-                if best is None or gain > best[0] or (gain == best[0] and (tail, head) < best[1:]):
-                    best = (gain, tail, head)
+                if best is None or gain > best[0] or (gain == best[0] and (tail, head) < best[1:3]):
+                    best = (gain, tail, head, score)
                 break
         return best
 
@@ -244,20 +269,27 @@ def greedy_search(
                 found = finder()
                 if found is None:
                     break
-                _, tail, head = found
+                tail, head = found[1], found[2]
                 before = total
                 if kind == "insert":
                     parents[head - 1].add(tail)
                     children[tail - 1].add(head)
-                    new = cache.score(head, parents[head - 1])
+                    new = found[3]  # the score its row computed
                     total += new - vertex_score[head - 1]
                     vertex_score[head - 1] = new
+                    # tail and every vertex that reaches it now reach head and
+                    # head's descendants
+                    reached = desc[head - 1] | 1 << head
+                    for v in range(p):
+                        if v == tail - 1 or desc[v] >> tail & 1:
+                            desc[v] |= reached
                 elif kind == "delete":
                     parents[head - 1].remove(tail)
                     children[tail - 1].remove(head)
                     new = cache.score(head, parents[head - 1])
                     total += new - vertex_score[head - 1]
                     vertex_score[head - 1] = new
+                    desc = None
                 else:
                     parents[head - 1].remove(tail)
                     children[tail - 1].remove(head)
@@ -268,6 +300,7 @@ def greedy_search(
                     total += (new_head - vertex_score[head - 1]) + (new_tail - vertex_score[tail - 1])
                     vertex_score[head - 1] = new_head
                     vertex_score[tail - 1] = new_tail
+                    desc = None
                 steps.append(TraceStep(len(steps) + 1, kind, (tail, head), before, total))
                 improved = True
 

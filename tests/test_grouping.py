@@ -8,7 +8,9 @@ Core claims:
       targets, equal targets held in distinct objects, and no rows at all.
     - sufficient_stats counts and moments and local_stats mixtures are the
       same bits as copies of the loops that hash every row and form every
-      n_t * S_t once per vertex, including a vertex in every target.
+      n_t * S_t once per vertex, whichever target first contains a vertex,
+      including a vertex in no target and one in every target, and for
+      every vertex of a p=30 family of single-vertex targets.
     - Sampling groups the rows once, validates each distinct target once in
       sample_dataset and once in Dataset, and never compares targets row by
       row.
@@ -63,11 +65,16 @@ def _runs(draw):
     """A vertex count and a target sequence built from runs of pool targets.
 
     Runs of length one interleave targets; a run may hold one object
-    repeated or a fresh equal object per row.
+    repeated or a fresh equal object per row.  A vertex may be added to
+    every pool target, so that it is in every target of the sequence.
     """
-    p = draw(st.integers(2, 6))
+    p = draw(st.integers(2, 8))
     subsets = st.lists(st.integers(1, p), max_size=min(p, 3), unique=True)
-    pool = [InterventionTarget(tuple(m)) for m in draw(st.lists(subsets, min_size=1, max_size=5))]
+    shared = draw(st.one_of(st.none(), st.integers(1, p)))
+    pool = [
+        InterventionTarget(tuple({*m} if shared is None else {*m, shared}))
+        for m in draw(st.lists(subsets, min_size=1, max_size=6))
+    ]
     sequence = []
     for idx, length, fresh in draw(st.lists(
         st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 8), st.booleans()), max_size=12,
@@ -119,6 +126,21 @@ def test_vertex_in_every_target_matches_reference():
     assert local.counts_excluding.tolist() == counts.tolist() == [0, 5, 6, 6]
     assert _same_bits(local.mixtures, mixtures)
     assert not local.mixtures[0].any()
+
+
+def test_single_vertex_targets_at_p30_match_reference():
+    # the benchmark's shape: observational rows and every vertex targeted
+    # alone, so every vertex's mixture starts from a different prefix
+    p = 30
+    model = sample_normalized_model(sample_random_dag(p, 1.5, 11), 12)
+    singles = [InterventionTarget.of(v) for v in range(1, p + 1)]
+    sequence = [InterventionTarget.empty()] * 300 + [t for t in singles for _ in range(5)]
+    spec = InterventionSpec.constant(singles, 2.0, 0.5)
+    stats = sufficient_stats(sample_dataset(model, sequence, spec, 13))
+    local = local_stats(stats)
+    counts, mixtures = reference_local_stats(stats)
+    assert local.counts_excluding.tolist() == counts.tolist() == [445] * p
+    assert _same_bits(local.mixtures, mixtures)
 
 
 def test_sampling_validates_each_distinct_target_once(monkeypatch):

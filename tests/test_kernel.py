@@ -26,10 +26,10 @@ Core claims:
       for every parent set; a singular mixture, a duplicated column, an
       indefinite mixture of cond 3, a 1-ulp asymmetry and an inf entry are
       not accepted.
-    - Scores from LocalScoreCache.score_insertions equal one-at-a-time
-      scores, including the -inf of sets with no more usable rows than
-      parents; every real fit is cached once, and a tail that is out of
-      range, equal to the vertex or already a parent is rejected.
+    - Every score of a row from score_insertions has the bits of
+      local_score on that set, including the -inf of sets with no more
+      usable rows than parents, and a tail that is out of range, equal to
+      the vertex or already a parent is rejected.
 """
 
 import itertools
@@ -44,10 +44,10 @@ from hypothesis import strategies as st
 from interdag import (
     Dataset,
     InterventionTarget,
-    LocalScoreCache,
     ParameterError,
     local_score,
     local_stats,
+    score_insertions,
     sufficient_stats,
 )
 from interdag import likelihood
@@ -340,9 +340,8 @@ def test_sets_with_no_more_rows_than_parents_score_minus_inf():
     rng = np.random.default_rng(8)
     X = rng.standard_normal((3, 5))
     loc = local_stats(sufficient_stats(Dataset(5, (InterventionTarget.empty(),) * 3, X)))
-    cache = LocalScoreCache(loc)
     rows = [((2,), [3, 4]), ((2, 3), [4]), ((4, 3), [5]), ((2, 3, 4), [5])]
-    scores = [s for parents, tails in rows for s in cache.score_insertions(1, parents, tails)]
+    scores = [s for parents, tails in rows for s in score_insertions(1, parents, tails, loc)]
     sets = [(*parents, tail) for parents, tails in rows for tail in tails]
     assert scores == [local_score(1, pa, loc) for pa in sets]
     assert math.isfinite(scores[0]) and math.isfinite(scores[1])
@@ -399,27 +398,22 @@ def test_stack_matches_single_fits_and_oracle(seed, p, n, size, collinear):
     _check_stack(loc.mixtures[k], k, [combos[i] for i in picked])
 
 
-def test_score_insertions_matches_score_and_caches_each_fit_once():
+def test_score_insertions_match_local_score():
     _, family, _, data = random_instance(72, p=6, n=300)
     loc = local_stats(sufficient_stats(data), family)
-    batched, single = LocalScoreCache(loc), LocalScoreCache(loc)
     rows = [((), [2, 3, 2]), ((3, 2), [5, 4, 6]), ({4, 5}, [6])]
     for parents, tails in rows:
-        got = batched.score_insertions(1, parents, tails)
+        got = score_insertions(1, parents, tails, loc)
         sets = [{*parents, tail} for tail in tails]
-        assert [_bits(s) for s in got] == [_bits(single.score(1, pa)) for pa in sets]
         assert [_bits(s) for s in got] == [_bits(local_score(1, pa, loc)) for pa in sets]
-    assert len(batched) == len(single) == 6
-    # a cached set is read back, not fitted again
-    assert batched.score_insertions(1, [5, 2], [3]) == [single.score(1, (2, 3, 5))]
-    assert len(batched) == 6
+    assert score_insertions(1, (3,), [2], loc, penalty=0.0) == [local_score(1, (2, 3), loc, penalty=0.0)]
     # every row of every vertex, against one-at-a-time scores
     for k in range(1, 7):
         others = [j for j in range(1, 7) if j != k]
         for size in range(3):
             for parents in itertools.combinations(others, size):
                 tails = [j for j in others if j not in parents][::-1]
-                got = batched.score_insertions(k, parents, tails)
+                got = score_insertions(k, parents, tails, loc)
                 want = [local_score(k, (*parents, tail), loc) for tail in tails]
                 assert [_bits(s) for s in got] == [_bits(s) for s in want]
 
@@ -427,23 +421,21 @@ def test_score_insertions_matches_score_and_caches_each_fit_once():
 def test_score_insertions_checks_its_arguments():
     _, family, _, data = random_instance(73, p=4, n=100)
     loc = local_stats(sufficient_stats(data), family)
-    cache = LocalScoreCache(loc)
     with pytest.raises(ParameterError, match="vertex 1 cannot be its own parent"):
-        cache.score_insertions(1, (2,), [3, 1])
+        score_insertions(1, (2,), [3, 1], loc)
     with pytest.raises(ParameterError, match="vertex 2 is already a parent of vertex 1"):
-        cache.score_insertions(1, (2, 3), [4, 2])
+        score_insertions(1, (2, 3), [4, 2], loc)
     with pytest.raises(ParameterError, match="parent 5 is out of range"):
-        cache.score_insertions(1, (), [2, 5])
+        score_insertions(1, (), [2, 5], loc)
     with pytest.raises(ParameterError, match="parent 0 is out of range"):
-        cache.score_insertions(1, (2,), [0])
+        score_insertions(1, (2,), [0], loc)
     with pytest.raises(ParameterError, match="vertex 5 is out of range"):
-        cache.score_insertions(5, (), [1])
+        score_insertions(5, (), [1], loc)
     with pytest.raises(ParameterError, match="vertex 1 cannot be its own parent"):
-        cache.score_insertions(1, (1,), [2])
-    with pytest.raises(ParameterError):
-        LocalScoreCache(loc, penalty=-1.0).score_insertions(1, (), [2])
-    assert len(cache) == 0
-    assert cache.score_insertions(1, (2,), []) == []
+        score_insertions(1, (1,), [2], loc)
+    with pytest.raises(ParameterError, match="penalty must be finite and non-negative"):
+        score_insertions(1, (), [2], loc, penalty=-1.0)
+    assert score_insertions(1, (2,), [], loc) == []
 
 
 def test_kernel_on_hand_built_mixtures():
@@ -452,10 +444,9 @@ def test_kernel_on_hand_built_mixtures():
     S = _moments(rng.standard_normal((60, 4)))
     mixtures = np.stack([S] * 4)
     loc = LocalStats(4, 60, np.full(4, 60), mixtures)
-    cache = LocalScoreCache(loc)
     rows = [((2,), [3, 4]), ((4,), [3])]
     for parents, tails in rows:
-        for tail, score in zip(tails, cache.score_insertions(1, parents, tails)):
+        for tail, score in zip(tails, score_insertions(1, parents, tails, loc)):
             pa = sorted((*parents, tail))
             b, resid = reference_fit_row(S, 0, [j - 1 for j in pa])
             want = -0.5 * 60 * (1.0 + math.log(resid)) - 0.5 * math.log(60) * 2

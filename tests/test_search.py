@@ -13,17 +13,19 @@ Core claims:
     - Greedy, the DP and the refit run no SVD on mixtures proven well
       conditioned, and a whole fit proves each vertex's mixture once; with
       a duplicated column no mixture is proven, and greedy's DAG and trace
-      and the DP's parent sets equal their oracles'.  A lone local score
-      proves only its own vertex's mixture.
+      and the DP's parent sets equal their oracles'.  A lone local score or
+      row of insertion scores proves only its own vertex's mixture.
     - Both searchers respect max_parents; the DP refuses p > 20.
     - Score equivalence: every member of the estimate's class gets the
       same BIC up to float noise.
     - Greedy traces and DP results on fixed seeds are pinned to the bit, so
       any drift in the scores' arithmetic fails here.
     - Greedy's insertion table returns the same DAG and trace as a full
-      rescan of every move on every step, and rescores only the heads whose
-      parents changed: the fits and cache lookups of one seeded run are
-      pinned.
+      rescan of every move on every step, also on a run with deletions and
+      reversals, after which its descendant bitsets are rebuilt; it
+      rescores only the heads whose parents changed, and scores rows
+      without the score cache: the fits and cache lookups of one seeded run
+      are pinned.
     - Both searchers reject vertices that every observed target contains,
       and vertices with no positive finite second moment, with one message
       each.
@@ -61,6 +63,7 @@ from interdag import (
     mle_given_dag,
     run_fit,
     sample_dataset,
+    score_insertions,
     sufficient_stats,
 )
 
@@ -226,13 +229,31 @@ def test_greedy_matches_full_rescan_oracle(seed, p, n, max_parents):
     assert format_trace(trace) == format_trace(ref_trace)
 
 
+def test_greedy_after_deletes_and_reversals_matches_full_rescan_oracle():
+    """Insertions after a deletion or a reversal test acyclicity against
+    rebuilt descendant sets: this run deletes and reverses, and inserts
+    after each, and it matches the oracle only when both moves rebuild."""
+    model, family, spec, data = random_instance(12, p=30, n=300, expected_degree=2.5)
+    local = _local(data, family)
+    dag, trace = greedy_search(local, family)
+    ref_dag, ref_trace = reference_greedy_search(local)
+    kinds = [step.kind for step in trace.steps]
+    assert "delete" in kinds and "reverse" in kinds
+    assert dag == ref_dag
+    assert format_trace(trace) == format_trace(ref_trace)
+
+
 def test_greedy_work_counters_pinned(monkeypatch):
     """Parent sets fitted and score-cache lookups of one seeded p=40 run.
 
     A full rescan of every insertion on every step, as the oracle does,
     fits 3,486 sets for this run but makes 74,059 lookups.  The table fits
     a few more sets, because its rows also score tails that would close a
-    cycle at the time.
+    cycle at the time, and because rows are fitted with ``score_insertions``
+    and never cached, so a deletion or reversal fits again a set that a row
+    already scored.  Only the p empty sets, deletions, reversals and the
+    moves they apply are looked up in the cache.  The count of fits wraps
+    ``likelihood._scores``, which both the rows and the cache call.
     """
     fitted = lookups = 0
     scores, lookup = interdag.likelihood._scores, LocalScoreCache.score
@@ -252,7 +273,7 @@ def test_greedy_work_counters_pinned(monkeypatch):
     monkeypatch.setattr(interdag.likelihood, "_scores", counting_scores)
     monkeypatch.setattr(LocalScoreCache, "score", counting_lookup)
     greedy_search(local, family)
-    assert (fitted, lookups) == (3537, 4086)
+    assert (fitted, lookups) == (3657, 515)
 
 
 def test_searchers_share_the_degeneracy_error():
@@ -375,7 +396,7 @@ def test_a_lone_local_score_proves_only_its_own_vertex(monkeypatch):
     assert len(calls) == 1 and np.shares_memory(calls[0], local.mixture(7))
     # the flag is remembered: the vertex is not proven again, by any scorer
     local_score(7, (4,), local)
-    LocalScoreCache(local).score_insertions(7, (), (1, 2, 3))
+    score_insertions(7, (), (1, 2, 3), local)
     assert len(calls) == 1
     LocalScoreCache(local).score(9, (1,))
     assert len(calls) == 2 and np.shares_memory(calls[1], local.mixture(9))
