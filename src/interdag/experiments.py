@@ -11,7 +11,7 @@ their own output file.
 import json
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .equivalence import (
@@ -94,7 +94,7 @@ class ExperimentConfig:
         _check_method(self.method)
         if self.workers < 1:
             raise ParameterError("workers must be positive")
-        n_int = self.k * self.replicates_per_target
+        n_int = self.n_interventional
         for n in self.n_grid:
             if n < 1:
                 raise ParameterError("every n must be positive")
@@ -153,7 +153,7 @@ def fit_structure(
     check_conservative(family, dataset.p)
     local = local_stats(sufficient_stats(dataset), family)
     if method == "greedy":
-        dag, trace = greedy_search(local, family, config)
+        dag, trace = greedy_search(local, config)
         return local, dag, trace
     return local, exhaustive_dp(local, config), None
 
@@ -317,27 +317,7 @@ def run_consistency_experiment(
     return rows
 
 
-_ROW_COLUMNS = [
-    "p",
-    "expected_degree",
-    "k",
-    "replicates_per_target",
-    "tau",
-    "method",
-    "n",
-    "mu",
-    "replicate",
-    "shd",
-    "exact",
-    "skeleton_tp",
-    "skeleton_fp",
-    "skeleton_fn",
-    "skeleton_tn",
-    "directed_tp",
-    "directed_fp",
-    "directed_fn",
-    "directed_tn",
-]
+_ROW_COLUMNS = [f.name for f in fields(ResultRow) if f.name != "runtime_seconds"]
 
 
 def _cell_text(value) -> str:

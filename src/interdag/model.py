@@ -12,6 +12,7 @@ equations of the targeted vertices by independent N(mu_U, tau2) draws and
 cuts the edges pointing into them.
 """
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -129,19 +130,16 @@ class Dag:
         for k in range(1, self.p + 1):
             for j in self.parents(k):
                 children[j - 1].append(k)
-        ready = sorted(k for k in range(1, self.p + 1) if indeg[k - 1] == 0)
+        ready = [k for k in range(1, self.p + 1) if indeg[k - 1] == 0]
+        heapq.heapify(ready)
         order: list[int] = []
         while ready:
-            v = ready.pop(0)
+            v = heapq.heappop(ready)
             order.append(v)
             for c in children[v - 1]:
                 indeg[c - 1] -= 1
                 if indeg[c - 1] == 0:
-                    # insertion keeps the ready list ascending
-                    lo = 0
-                    while lo < len(ready) and ready[lo] < c:
-                        lo += 1
-                    ready.insert(lo, c)
+                    heapq.heappush(ready, c)
         if len(order) != self.p:
             raise ParameterError("parent sets contain a directed cycle")
         return tuple(order)

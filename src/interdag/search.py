@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .equivalence import check_conservative
 from .errors import CapacityError, ParameterError
 from .likelihood import (
     LocalScoreCache,
@@ -25,7 +24,7 @@ from .likelihood import (
     check_marginal_variance,
     score_insertions,
 )
-from .model import Dag, TargetFamily
+from .model import Dag
 
 __all__ = [
     "SearchConfig",
@@ -123,34 +122,16 @@ def _descendant_bits(parents: list[set[int]], children: list[set[int]]) -> list[
     return desc
 
 
-def _reaches(children: list[set[int]], start: int, goal: int, skip_edge=None) -> bool:
-    stack = [start]
-    seen = {start}
-    while stack:
-        v = stack.pop()
-        if v == goal:
-            return True
-        for c in children[v - 1]:
-            if skip_edge is not None and (v, c) == skip_edge:
-                continue
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
-    return False
-
-
-def greedy_search(
-    local: LocalStats,
-    family: TargetFamily,
-    config: SearchConfig | None = None,
-) -> tuple[Dag, SearchTrace]:
+def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tuple[Dag, SearchTrace]:
     """Hill-climb from the empty DAG with phase-restricted moves.
 
     Within each phase the single best improving move of that kind is applied
     repeatedly; the phase cycle (insert, delete, reverse) repeats until one
     full cycle accepts nothing, which certifies a local optimum over all
     three move kinds.  Ties take the lexicographically smallest
-    (kind, tail, head); only gains above IMPROVEMENT_EPS are accepted.
+    (kind, tail, head); only gains above IMPROVEMENT_EPS are accepted.  The
+    target family is not an argument: the score needs only ``local``, and
+    ``experiments.fit_structure`` checks that the family is conservative.
 
     Insertions come from a move table.  A vertex's score depends only on its
     own parent set, so the gain of inserting tail -> head changes only when
@@ -159,23 +140,24 @@ def greedy_search(
     parent set they were scored for; a row is rescored only when the head's
     parents differ from that set, which covers inserts into and deletes from
     the head and reversals at either end.  A row is scored by one
-    ``score_insertions`` call, outside the score cache, and an applied
-    insertion takes head's new score from its row.  Acyclicity depends on
-    the whole graph, so feasibility is checked again on every step: a head's
-    best move is the first entry of its row whose tail head does not reach.
-    Every vertex's descendants are kept as an integer bitset.  Inserting
-    tail -> head adds head and its descendants to tail and to every vertex
-    that reaches tail.  A deletion or a reversal removes paths, which no
-    such update can undo, so after one the bitsets are rebuilt from the
-    edges before the next insertion phase.  Deletion and reversal scan the
-    current edges on every step instead, reading their scores through the
-    cache: there are few of them, each costs one or two score lookups, and
-    together they took no measurable share of a p=100 search.
+    ``score_insertions`` call, outside the score cache.  Deletion and
+    reversal scan the current edges on every step instead, reading their
+    scores through the cache: there are few of them, and each costs one or
+    two score lookups.  Every finder returns (gain, tail, head, new head
+    score, new tail score or None), so applying a move looks nothing up.
+
+    Acyclicity depends on the whole graph, so it is checked again on every
+    step against every vertex's descendants, kept as an integer bitset.
+    Inserting tail -> head adds head and its descendants to tail and to
+    every vertex that reaches tail; a deletion or a reversal removes paths,
+    which no such update can undo, so the bitsets are rebuilt from the
+    edges at once.  A head's best insertion is the first entry of its row
+    whose tail head does not reach, and tail -> head may be reversed only
+    when no other child of tail reaches head.
     """
     if config is None:
         config = SearchConfig()
     p = local.p
-    check_conservative(family, p)
     check_identified(local)
     check_marginal_variance(local)
     cache = LocalScoreCache(local, penalty=config.penalty_weight)
@@ -193,14 +175,10 @@ def greedy_search(
     # parent set they were scored for
     rows: list[list[tuple[float, int, float]]] = [[] for _ in range(p)]
     rows_for: list[frozenset[int] | None] = [None] * p
-    # descendant bitsets, kept up to date by insertions; None after a
-    # deletion or a reversal until the next insertion phase rebuilds them
-    desc: list[int] | None = [0] * p
+    # the descendant bitsets of the current graph
+    desc = [0] * p
 
     def best_insert():
-        nonlocal desc
-        if desc is None:
-            desc = _descendant_bits(parents, children)
         best = None
         for head in range(1, p + 1):
             pa = parents[head - 1]
@@ -225,7 +203,7 @@ def greedy_search(
                 # as a scan in (tail, head) order keeping the first strict maximum
                 gain = -neg_gain
                 if best is None or gain > best[0] or (gain == best[0] and (tail, head) < best[1:3]):
-                    best = (gain, tail, head, score)
+                    best = (gain, tail, head, score, None)
                 break
         return best
 
@@ -234,9 +212,10 @@ def greedy_search(
         for tail, head in sorted(
             (t, h) for h in range(1, p + 1) for t in parents[h - 1]
         ):
-            gain = cache.score(head, parents[head - 1] - {tail}) - vertex_score[head - 1]
+            new_head = cache.score(head, parents[head - 1] - {tail})
+            gain = new_head - vertex_score[head - 1]
             if gain > IMPROVEMENT_EPS and (best is None or gain > best[0]):
-                best = (gain, tail, head)
+                best = (gain, tail, head, new_head, None)
         return best
 
     def best_reverse():
@@ -246,17 +225,14 @@ def greedy_search(
         ):
             if len(parents[tail - 1]) >= max_parents:
                 continue
-            # reversing tail->head is acyclic iff no other path tail ~> head
-            if _reaches(children, tail, head, skip_edge=(tail, head)):
+            # a path tail -> c ~> head other than the edge would close a cycle
+            if any(desc[c - 1] >> head & 1 for c in children[tail - 1]):
                 continue
-            gain = (
-                cache.score(head, parents[head - 1] - {tail})
-                - vertex_score[head - 1]
-                + cache.score(tail, parents[tail - 1] | {head})
-                - vertex_score[tail - 1]
-            )
+            new_head = cache.score(head, parents[head - 1] - {tail})
+            new_tail = cache.score(tail, parents[tail - 1] | {head})
+            gain = new_head - vertex_score[head - 1] + new_tail - vertex_score[tail - 1]
             if gain > IMPROVEMENT_EPS and (best is None or gain > best[0]):
-                best = (gain, tail, head)
+                best = (gain, tail, head, new_head, new_tail)
         return best
 
     finders = (("insert", best_insert), ("delete", best_delete), ("reverse", best_reverse))
@@ -269,38 +245,30 @@ def greedy_search(
                 found = finder()
                 if found is None:
                     break
-                tail, head = found[1], found[2]
+                _, tail, head, new_head, new_tail = found
                 before = total
                 if kind == "insert":
                     parents[head - 1].add(tail)
                     children[tail - 1].add(head)
-                    new = found[3]  # the score its row computed
-                    total += new - vertex_score[head - 1]
-                    vertex_score[head - 1] = new
                     # tail and every vertex that reaches it now reach head and
                     # head's descendants
                     reached = desc[head - 1] | 1 << head
                     for v in range(p):
                         if v == tail - 1 or desc[v] >> tail & 1:
                             desc[v] |= reached
-                elif kind == "delete":
-                    parents[head - 1].remove(tail)
-                    children[tail - 1].remove(head)
-                    new = cache.score(head, parents[head - 1])
-                    total += new - vertex_score[head - 1]
-                    vertex_score[head - 1] = new
-                    desc = None
                 else:
                     parents[head - 1].remove(tail)
                     children[tail - 1].remove(head)
-                    parents[tail - 1].add(head)
-                    children[head - 1].add(tail)
-                    new_head = cache.score(head, parents[head - 1])
-                    new_tail = cache.score(tail, parents[tail - 1])
+                    if kind == "reverse":
+                        parents[tail - 1].add(head)
+                        children[head - 1].add(tail)
+                    desc = _descendant_bits(parents, children)
+                if new_tail is None:
+                    total += new_head - vertex_score[head - 1]
+                else:
                     total += (new_head - vertex_score[head - 1]) + (new_tail - vertex_score[tail - 1])
-                    vertex_score[head - 1] = new_head
                     vertex_score[tail - 1] = new_tail
-                    desc = None
+                vertex_score[head - 1] = new_head
                 steps.append(TraceStep(len(steps) + 1, kind, (tail, head), before, total))
                 improved = True
 

@@ -199,7 +199,7 @@ def test_5_exact_search_is_exact():
             cache = LocalScoreCache(loc)
             best = max(cache.dag_score(d) for d in dags)
             dp_score = cache.dag_score(exhaustive_dp(loc))
-            greedy_score = cache.dag_score(greedy_search(loc, family)[0])
+            greedy_score = cache.dag_score(greedy_search(loc)[0])
             if dp_score != best:
                 score_mismatches += 1
             if dp_score < greedy_score:

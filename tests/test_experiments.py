@@ -39,7 +39,7 @@ from helpers import random_instance
 def test_fit_structure_dispatches_to_the_searchers():
     model, family, spec, data = random_instance(21, p=5, n=400)
     local = local_stats(sufficient_stats(data), family)
-    dag, trace = greedy_search(local, family)
+    dag, trace = greedy_search(local)
     assert fit_structure(data, family, "greedy")[1:] == (dag, trace)
     _, dp_dag, dp_trace = fit_structure(data, family, "dp")
     assert dp_dag == exhaustive_dp(local)

@@ -22,7 +22,7 @@ Core claims:
       any drift in the scores' arithmetic fails here.
     - Greedy's insertion table returns the same DAG and trace as a full
       rescan of every move on every step, also on a run with deletions and
-      reversals, after which its descendant bitsets are rebuilt; it
+      reversals, each of which rebuilds its descendant bitsets; it
       rescores only the heads whose parents changed, and scores rows
       without the score cache: the fits and cache lookups of one seeded run
       are pinned.
@@ -56,6 +56,7 @@ from interdag import (
     enumerate_class,
     estimate_essential_graph,
     exhaustive_dp,
+    fit_structure,
     format_trace,
     greedy_search,
     local_score,
@@ -98,7 +99,7 @@ def _edge_signal_dataset(seed, mu=10.0, n_obs=100, n_int=1):
 
 def test_greedy_on_noise_returns_empty_dag():
     data = _noise_dataset(5, 10_000, 501)
-    dag, trace = greedy_search(_local(data), TargetFamily.of(()))
+    dag, trace = greedy_search(_local(data))
     assert dag == Dag.empty(5)
     assert len(trace) == 0
     assert trace.final_score == trace.start_score
@@ -108,7 +109,7 @@ def test_greedy_orients_intervened_edge():
     hits = 0
     for rep in range(200):
         data, family = _edge_signal_dataset(7000 + rep)
-        dag, _ = greedy_search(_local(data, family), family)
+        dag, _ = greedy_search(_local(data, family))
         if dag.edges == ((1, 2),):
             hits += 1
     assert hits >= 190
@@ -117,7 +118,7 @@ def test_greedy_orients_intervened_edge():
 def test_trace_is_strictly_improving_and_formats():
     model, family, spec, data = random_instance(77, p=6, n=4000)
     local = _local(data, family)
-    dag, trace = greedy_search(local, family)
+    dag, trace = greedy_search(local)
     score = trace.start_score
     for step in trace.steps:
         assert step.score_after > step.score_before + 1e-9
@@ -134,7 +135,7 @@ def test_greedy_result_is_local_optimum():
     for seed in (31, 32, 33):
         model, family, spec, data = random_instance(seed, p=6, n=2000)
         local = _local(data, family)
-        dag, _ = greedy_search(local, family)
+        dag, _ = greedy_search(local)
         base = bic_score(dag, local)
         edges = set(dag.edges)
         # every single-edge modification must fail to improve
@@ -161,16 +162,18 @@ def test_greedy_result_is_local_optimum():
 def test_greedy_deterministic():
     model, family, spec, data = random_instance(99, p=7, n=1500)
     local = _local(data, family)
-    first = greedy_search(local, family)
-    second = greedy_search(local, family)
+    first = greedy_search(local)
+    second = greedy_search(local)
     assert first[0] == second[0]
     assert format_trace(first[1]) == format_trace(second[1])
 
 
 def test_greedy_rejects_non_conservative_family():
+    # the fit pipeline holds the one conservative check: greedy_search takes
+    # no family
     data = _noise_dataset(2, 50, 5)
     with pytest.raises(ParameterError):
-        greedy_search(_local(data), TargetFamily.of((1, 2)))
+        fit_structure(data, TargetFamily.of((1, 2)), "greedy")
 
 
 def test_greedy_degenerate_without_identifying_rows():
@@ -180,14 +183,14 @@ def test_greedy_degenerate_without_identifying_rows():
     data = Dataset(2, (t1,) * 4, rng.normal(size=(4, 2)))
     family = TargetFamily.of((1,), (2,))
     with pytest.raises(DegenerateFitError):
-        greedy_search(_local(data, family), family)
+        greedy_search(_local(data, family))
 
 
 def test_greedy_degenerate_on_zero_variance_column():
     rows = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     data = Dataset(2, (InterventionTarget.empty(),) * 3, rows)
     with pytest.raises(DegenerateFitError):
-        greedy_search(_local(data), TargetFamily.of(()))
+        greedy_search(_local(data))
 
 
 # Greedy's covered-edge reversal gains sit at the 1e-9 threshold, so a change
@@ -208,7 +211,7 @@ def test_greedy_degenerate_on_zero_variance_column():
 )
 def test_greedy_trace_pinned(seed, p, n, digest):
     model, family, spec, data = random_instance(seed, p=p, n=n)
-    _, trace = greedy_search(_local(data, family), family)
+    _, trace = greedy_search(_local(data, family))
     assert hashlib.sha256(format_trace(trace).encode()).hexdigest() == digest
 
 
@@ -223,19 +226,20 @@ def test_greedy_matches_full_rescan_oracle(seed, p, n, max_parents):
     model, family, spec, data = random_instance(seed, p=p, n=n)
     local = _local(data, family)
     config = SearchConfig(max_parents=max_parents)
-    dag, trace = greedy_search(local, family, config)
+    dag, trace = greedy_search(local, config)
     ref_dag, ref_trace = reference_greedy_search(local, config)
     assert dag == ref_dag
     assert format_trace(trace) == format_trace(ref_trace)
 
 
 def test_greedy_after_deletes_and_reversals_matches_full_rescan_oracle():
-    """Insertions after a deletion or a reversal test acyclicity against
-    rebuilt descendant sets: this run deletes and reverses, and inserts
-    after each, and it matches the oracle only when both moves rebuild."""
+    """Every move after a deletion or a reversal tests acyclicity against
+    descendant bitsets rebuilt at once: this run reverses twice in a row,
+    then inserts, deletes and inserts again, and it matches the oracle
+    only when both moves rebuild."""
     model, family, spec, data = random_instance(12, p=30, n=300, expected_degree=2.5)
     local = _local(data, family)
-    dag, trace = greedy_search(local, family)
+    dag, trace = greedy_search(local)
     ref_dag, ref_trace = reference_greedy_search(local)
     kinds = [step.kind for step in trace.steps]
     assert "delete" in kinds and "reverse" in kinds
@@ -251,9 +255,11 @@ def test_greedy_work_counters_pinned(monkeypatch):
     a few more sets, because its rows also score tails that would close a
     cycle at the time, and because rows are fitted with ``score_insertions``
     and never cached, so a deletion or reversal fits again a set that a row
-    already scored.  Only the p empty sets, deletions, reversals and the
-    moves they apply are looked up in the cache.  The count of fits wraps
-    ``likelihood._scores``, which both the rows and the cache call.
+    already scored.  Only the p empty sets and the sets that the deletion
+    and reversal scans try are looked up in the cache; applying a move
+    takes the scores its finder returned and looks nothing up.  The count
+    of fits wraps ``likelihood._scores``, which both the rows and the cache
+    call.
     """
     fitted = lookups = 0
     scores, lookup = interdag.likelihood._scores, LocalScoreCache.score
@@ -272,8 +278,8 @@ def test_greedy_work_counters_pinned(monkeypatch):
     local = _local(data, family)
     monkeypatch.setattr(interdag.likelihood, "_scores", counting_scores)
     monkeypatch.setattr(LocalScoreCache, "score", counting_lookup)
-    greedy_search(local, family)
-    assert (fitted, lookups) == (3657, 515)
+    greedy_search(local)
+    assert (fitted, lookups) == (3657, 510)
 
 
 def test_searchers_share_the_degeneracy_error():
@@ -290,7 +296,7 @@ def test_searchers_share_the_degeneracy_error():
     ]
     for data, family, message in cases:
         local = _local(data, family)
-        for search in (lambda: greedy_search(local, family), lambda: exhaustive_dp(local)):
+        for search in (lambda: greedy_search(local), lambda: exhaustive_dp(local)):
             with pytest.raises(DegenerateFitError) as err:
                 search()
             assert str(err.value) == message
@@ -356,7 +362,7 @@ def test_scorers_run_the_conditioning_test_only_on_unproven_mixtures(monkeypatch
     model, family, spec, data = random_instance(12, p=8, n=400)
     local = _local(data, family)
     # every mixture is proven, once per vertex, so no scorer runs an SVD
-    dag, _ = greedy_search(local, family)
+    dag, _ = greedy_search(local)
     exhaustive_dp(local)
     mle_given_dag(dag, local)
     assert all(local.proven(k) for k in range(1, 9))
@@ -373,7 +379,7 @@ def test_scorers_run_the_conditioning_test_only_on_unproven_mixtures(monkeypatch
     values[:, 3] = values[:, 2]
     local = _local(Dataset(8, data.targets, values), family)
     calls["cond"] = 0
-    dag, trace = greedy_search(local, family)
+    dag, trace = greedy_search(local)
     assert not any(local.proven(k) for k in range(1, 9)) and calls["cond"] > 0
     ref_dag, ref_trace = reference_greedy_search(local)
     assert dag == ref_dag
@@ -418,7 +424,7 @@ def test_dp_never_below_greedy():
     for s in range(8):
         model, family, spec, data = random_instance(400 + s, p=5, n=300)
         local = _local(data, family)
-        g, _ = greedy_search(local, family)
+        g, _ = greedy_search(local)
         d = exhaustive_dp(local)
         assert bic_score(d, local) >= bic_score(g, local) - 1e-9
 
@@ -433,7 +439,7 @@ def test_max_parents_is_honored():
     model, family, spec, data = random_instance(55, p=6, n=5000, expected_degree=3.5)
     local = _local(data, family)
     cfg = SearchConfig(max_parents=1)
-    g, _ = greedy_search(local, family, cfg)
+    g, _ = greedy_search(local, cfg)
     d = exhaustive_dp(local, cfg)
     for dag in (g, d):
         assert max(len(dag.parents(k)) for k in range(1, 7)) <= 1
@@ -471,7 +477,7 @@ def test_score_equivalence_across_estimated_class():
     for s in range(6):
         model, family, spec, data = random_instance(600 + s, p=5, n=500)
         local = _local(data, family)
-        dag, _ = greedy_search(local, family)
+        dag, _ = greedy_search(local)
         base = bic_score(dag, local)
         for member in enumerate_class(dag, family):
             assert bic_score(member, local) == pytest.approx(base, rel=1e-9)
