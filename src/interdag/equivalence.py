@@ -348,13 +348,13 @@ def parse_essential_graph(text: str, p: int) -> EssentialGraph:
         line = raw.strip()
         if not line:
             continue
-        if "->" in line:
-            t_s, h_s = line.split("->", 1)
-            directed.append((int(t_s.strip()), int(h_s.strip())))
-        elif "--" in line:
-            a_s, b_s = line.split("--", 1)
-            a, b = int(a_s.strip()), int(b_s.strip())
-            undirected.append(_pair(a, b))
+        arrow = "->" if "->" in line else "--"
+        try:
+            a, b = map(int, line.split(arrow))
+        except ValueError:
+            raise ParameterError(f"line {lineno}: cannot parse edge {raw!r}") from None
+        if arrow == "->":
+            directed.append((a, b))
         else:
-            raise ParameterError(f"line {lineno}: cannot parse edge {raw!r}")
+            undirected.append(_pair(a, b))
     return EssentialGraph(p, frozenset(directed), frozenset(undirected))

@@ -593,7 +593,7 @@ def format_model(model: GaussianCausalModel) -> str:
 def parse_model(text: str) -> GaussianCausalModel:
     """Parse the format produced by format_model; malformed lines are rejected."""
     p = None
-    edges: list[tuple[int, int, float]] = []
+    weights: dict[tuple[int, int], float] = {}
     variances: dict[int, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -608,20 +608,26 @@ def parse_model(text: str) -> GaussianCausalModel:
                     raise ValueError("vertex count must be positive")
             elif line.startswith("var "):
                 name, value = line[4:].split(":", 1)
-                variances[int(name.strip())] = float(value.strip())
+                k = int(name.strip())
+                if k in variances:
+                    raise ValueError(f"duplicate variance line for vertex {k}")
+                variances[k] = float(value.strip())
             else:
                 arrow, value = line.split(":", 1)
                 tail_s, head_s = arrow.split("->", 1)
-                edges.append((int(tail_s.strip()), int(head_s.strip()), float(value.strip())))
+                edge = (int(tail_s.strip()), int(head_s.strip()))
+                if edge in weights:
+                    raise ValueError(f"duplicate edge line for {edge[0]} -> {edge[1]}")
+                weights[edge] = float(value.strip())
         except ValueError as exc:
             raise DataError(f"line {lineno}: cannot parse {raw!r} ({exc})") from None
     if p is None:
         raise DataError("missing vertex-count line")
     if sorted(variances) != list(range(1, p + 1)):
         raise DataError("expected exactly one variance line per vertex")
-    dag = Dag.from_edges(p, [(t, h) for t, h, _ in edges])
+    dag = Dag.from_edges(p, list(weights))
     W = np.zeros((p, p))
-    for tail, head, beta in edges:
+    for (tail, head), beta in weights.items():
         W[head - 1, tail - 1] = beta
     v = np.array([variances[k] for k in range(1, p + 1)])
     return GaussianCausalModel(dag, W, v)

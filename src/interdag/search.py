@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError
 from .likelihood import (
-    LocalScoreCache,
     LocalStats,
     _checked_penalty,
     _scores,
@@ -133,18 +132,19 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
     target family is not an argument: the score needs only ``local``, and
     ``experiments.fit_structure`` checks that the family is conservative.
 
-    Insertions come from a move table.  A vertex's score depends only on its
-    own parent set, so the gain of inserting tail -> head changes only when
-    head's parents change (Chickering 2002).  Each head keeps its improving
-    insertions as (-gain, tail, score) in sorted order, together with the
-    parent set they were scored for; a row is rescored only when the head's
-    parents differ from that set, which covers inserts into and deletes from
-    the head and reversals at either end.  A row is scored by one
-    ``score_insertions`` call, outside the score cache.  Deletion and
-    reversal scan the current edges on every step instead, reading their
-    scores through the cache: there are few of them, and each costs one or
-    two score lookups.  Every finder returns (gain, tail, head, new head
-    score, new tail score or None), so applying a move looks nothing up.
+    Every score comes from one table per vertex.  A vertex's score depends
+    only on its own parent set, so a move changes the scores of the
+    vertices whose parents it changes and no others (Chickering 2002).
+    Each vertex's table holds its score with each other vertex toggled in
+    its current parent set: added (only below max_parents) or removed,
+    together with its improving insertions as (-gain, tail, score) in
+    sorted order.  A table is refreshed the first time its vertex is read
+    after the vertex's parents change, by one ``score_insertions`` call for
+    the additions and one kernel call for the removals.  There is no score
+    cache.  A deletion of tail -> head reads head's entry for tail; a
+    reversal reads that and tail's entry for head.  Every finder returns
+    (gain, tail, head, new head score, new tail score or None), so applying
+    a move scores nothing.
 
     Acyclicity depends on the whole graph, so it is checked again on every
     step against every vertex's descendants, kept as an integer bitset.
@@ -160,43 +160,49 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
     p = local.p
     check_identified(local)
     check_marginal_variance(local)
-    cache = LocalScoreCache(local, penalty=config.penalty_weight)
     penalty = _checked_penalty(local.n, config.penalty_weight)
     max_parents = config.resolved_max_parents(p)
 
     parents: list[set[int]] = [set() for _ in range(p)]
     children: list[set[int]] = [set() for _ in range(p)]
-    vertex_score = [cache.score(k, ()) for k in range(1, p + 1)]
-    total = sum(vertex_score)
-    start_score = total
+    vertex_score = [_scores(k, [()], local, penalty)[0] for k in range(1, p + 1)]
+    total = start_score = sum(vertex_score)
 
     steps: list[TraceStep] = []
-    # per head: improving insertions as sorted (-gain, tail, score), and the
-    # parent set they were scored for
-    rows: list[list[tuple[float, int, float]]] = [[] for _ in range(p)]
-    rows_for: list[frozenset[int] | None] = [None] * p
+    # per vertex: its score with each other vertex toggled in its parents,
+    # and its improving insertions as sorted (-gain, tail, score); None
+    # until the vertex is read, and again whenever its parents change
+    tables: list[tuple[dict[int, float], list[tuple[float, int, float]]] | None] = [None] * p
     # the descendant bitsets of the current graph
     desc = [0] * p
+
+    def table(v):
+        if tables[v - 1] is None:
+            pa = parents[v - 1]
+            toggled: dict[int, float] = {}
+            row = []
+            if len(pa) < max_parents:
+                tails = [u for u in range(1, p + 1) if u != v and u not in pa]
+                for tail, score in zip(tails, score_insertions(v, pa, tails, local, penalty)):
+                    toggled[tail] = score
+                    gain = score - vertex_score[v - 1]
+                    if gain > IMPROVEMENT_EPS:
+                        row.append((-gain, tail, score))
+                row.sort()
+            if pa:
+                ordered = sorted(pa)
+                removals = [tuple(u for u in ordered if u != drop) for drop in ordered]
+                toggled.update(zip(ordered, _scores(v, removals, local, penalty)))
+            tables[v - 1] = (toggled, row)
+        return tables[v - 1]
 
     def best_insert():
         best = None
         for head in range(1, p + 1):
-            pa = parents[head - 1]
-            if len(pa) >= max_parents:
+            if len(parents[head - 1]) >= max_parents:
                 continue
-            if rows_for[head - 1] != pa:
-                tails = [tail for tail in range(1, p + 1) if tail != head and tail not in pa]
-                current = vertex_score[head - 1]
-                row = []
-                for tail, score in zip(tails, score_insertions(head, pa, tails, local, penalty)):
-                    gain = score - current
-                    if gain > IMPROVEMENT_EPS:
-                        row.append((-gain, tail, score))
-                row.sort()
-                rows[head - 1] = row
-                rows_for[head - 1] = frozenset(pa)
             reach = desc[head - 1]
-            for neg_gain, tail, score in rows[head - 1]:
+            for neg_gain, tail, score in table(head)[1]:
                 # a path head ~> tail would close a cycle
                 if reach >> tail & 1:
                     continue
@@ -207,46 +213,36 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
                 break
         return best
 
-    def best_delete():
+    def best_edge_move(reverse):
         best = None
-        for tail, head in sorted(
-            (t, h) for h in range(1, p + 1) for t in parents[h - 1]
-        ):
-            new_head = cache.score(head, parents[head - 1] - {tail})
-            gain = new_head - vertex_score[head - 1]
-            if gain > IMPROVEMENT_EPS and (best is None or gain > best[0]):
-                best = (gain, tail, head, new_head, None)
-        return best
-
-    def best_reverse():
-        best = None
-        for tail, head in sorted(
-            (t, h) for h in range(1, p + 1) for t in parents[h - 1]
-        ):
-            if len(parents[tail - 1]) >= max_parents:
+        for tail, head in sorted((t, h) for h in range(1, p + 1) for t in parents[h - 1]):
+            # tail needs room for head, and a path tail -> c ~> head other than
+            # the edge would close a cycle
+            if reverse and (len(parents[tail - 1]) >= max_parents
+                            or any(desc[c - 1] >> head & 1 for c in children[tail - 1])):
                 continue
-            # a path tail -> c ~> head other than the edge would close a cycle
-            if any(desc[c - 1] >> head & 1 for c in children[tail - 1]):
-                continue
-            new_head = cache.score(head, parents[head - 1] - {tail})
-            new_tail = cache.score(tail, parents[tail - 1] | {head})
-            gain = new_head - vertex_score[head - 1] + new_tail - vertex_score[tail - 1]
+            new_head = table(head)[0][tail]
+            if reverse:
+                new_tail = table(tail)[0][head]
+                gain = new_head - vertex_score[head - 1] + new_tail - vertex_score[tail - 1]
+            else:
+                new_tail = None
+                gain = new_head - vertex_score[head - 1]
             if gain > IMPROVEMENT_EPS and (best is None or gain > best[0]):
                 best = (gain, tail, head, new_head, new_tail)
         return best
 
-    finders = (("insert", best_insert), ("delete", best_delete), ("reverse", best_reverse))
-
     improved = True
     while improved and len(steps) < config.max_steps:
         improved = False
-        for kind, finder in finders:
+        for kind in ("insert", "delete", "reverse"):
             while len(steps) < config.max_steps:
-                found = finder()
+                found = best_insert() if kind == "insert" else best_edge_move(kind == "reverse")
                 if found is None:
                     break
                 _, tail, head, new_head, new_tail = found
                 before = total
+                tables[head - 1] = None
                 if kind == "insert":
                     parents[head - 1].add(tail)
                     children[tail - 1].add(head)
@@ -262,6 +258,7 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
                     if kind == "reverse":
                         parents[tail - 1].add(head)
                         children[head - 1].add(tail)
+                        tables[tail - 1] = None
                     desc = _descendant_bits(parents, children)
                 if new_tail is None:
                     total += new_head - vertex_score[head - 1]

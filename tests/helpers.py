@@ -572,11 +572,11 @@ def reference_greedy_search(local, config: SearchConfig | None = None):
     """Greedy search the way it was first written: every step rescans every
     candidate move of the phase and reads each score from the cache.
 
-    ``search.greedy_search`` keeps a table of insertions and descendant
-    bitsets instead and must return this same DAG and trace to the bit: the
-    same phases, the same 1e-9 threshold, the same tie rule (largest gain,
-    then smallest (tail, head)) and the same float expressions for gains
-    and totals.
+    ``search.greedy_search`` keeps a score table per vertex and descendant
+    bitsets instead, with no cache, and must return this same DAG and trace
+    to the bit: the same phases, the same 1e-9 threshold, the same tie rule
+    (largest gain, then smallest (tail, head)) and the same float
+    expressions for gains and totals.
     """
     if config is None:
         config = SearchConfig()

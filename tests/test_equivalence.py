@@ -347,6 +347,10 @@ def test_essential_graph_serialization_round_trip():
     assert format_essential_graph(EssentialGraph(3, frozenset(), frozenset())) == ""
     with pytest.raises(ParameterError, match="line 1"):
         parse_essential_graph("1 ~ 2\n", 3)
+    # an end that is not a vertex label, or a line with more than one edge
+    for bad, lineno in (("x -> 2\n", 1), ("1 -> 2 -> 3", 1), ("1 -- ", 1), ("1 -- 2\n3 --> 1\n", 2)):
+        with pytest.raises(ParameterError, match=f"line {lineno}: cannot parse edge"):
+            parse_essential_graph(bad, 3)
 
 
 def test_pair_helper():

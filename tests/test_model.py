@@ -360,3 +360,14 @@ def test_parse_model_error_reporting():
         parse_model("var 1 : 1.0\n")  # no vertex count
     with pytest.raises(DataError, match="line 3"):
         parse_model("p 1\nvar 1 : 1.0\np 1\n")
+
+
+def test_parse_model_rejects_duplicated_lines():
+    """A repeated variance or edge line is an error naming the repeat, not a
+    silent overwrite by the last one."""
+    text = "p 2\n1 -> 2 : 0.5\nvar 1 : 1.0\nvar 2 : 2.0\n"
+    assert parse_model(text).weights[1, 0] == 0.5
+    with pytest.raises(DataError, match=r"line 5: .*duplicate variance line for vertex 2"):
+        parse_model(text + "var 2 : 3.0\n")
+    with pytest.raises(DataError, match=r"line 3: .*duplicate edge line for 1 -> 2"):
+        parse_model("p 2\n1 -> 2 : 0.5\n1 -> 2 : 0.7\nvar 1 : 1.0\nvar 2 : 2.0\n")

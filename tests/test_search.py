@@ -20,12 +20,13 @@ Core claims:
       same BIC up to float noise.
     - Greedy traces and DP results on fixed seeds are pinned to the bit, so
       any drift in the scores' arithmetic fails here.
-    - Greedy's insertion table returns the same DAG and trace as a full
-      rescan of every move on every step, also on a run with deletions and
-      reversals, each of which rebuilds its descendant bitsets; it
-      rescores only the heads whose parents changed, and scores rows
-      without the score cache: the fits and cache lookups of one seeded run
-      are pinned.
+    - Greedy's per-vertex score tables return the same DAG and trace as a
+      full rescan of every move on every step, also on runs with deletions
+      and reversals, each of which rebuilds its descendant bitsets, and on
+      dense inputs where both moves happen at heads with max_parents
+      parents; a table is rescored only when its vertex's parents changed,
+      and greedy makes no score-cache lookup and no ``local_score`` call:
+      the kernel calls and fits of one seeded run are pinned.
     - Both searchers reject vertices that every observed target contains,
       and vertices with no positive finite second moment, with one message
       each.
@@ -39,6 +40,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import interdag.likelihood
+import interdag.search
 
 from interdag import (
     CapacityError,
@@ -247,25 +249,66 @@ def test_greedy_after_deletes_and_reversals_matches_full_rescan_oracle():
     assert format_trace(trace) == format_trace(ref_trace)
 
 
+def _edge_moves_by_head_degree(trace, p, cap):
+    """The kinds of the deletions and reversals in ``trace``, each paired
+    with whether its head had ``cap`` parents just before the move."""
+    parents: list[set[int]] = [set() for _ in range(p)]
+    moves = set()
+    for step in trace.steps:
+        tail, head = step.edge
+        if step.kind == "insert":
+            parents[head - 1].add(tail)
+            continue
+        moves.add((step.kind, len(parents[head - 1]) == cap))
+        parents[head - 1].remove(tail)
+        if step.kind == "reverse":
+            parents[tail - 1].add(head)
+    return moves
+
+
+@pytest.mark.parametrize("max_parents", [None, 2, 3])
+def test_greedy_on_dense_inputs_matches_full_rescan_oracle(max_parents):
+    """Denser graphs than the hypothesis oracle draws, so that deletions and
+    reversals happen, and with a cap, at heads that have max_parents
+    parents, whose tables hold removals only.  Every table entry they read
+    must give the oracle's trace to the bit."""
+    config = SearchConfig(max_parents=max_parents)
+    moves = set()
+    for seed in (7, 12, 25, 99):
+        model, family, spec, data = random_instance(seed, p=30, n=300, expected_degree=2.5)
+        local = _local(data, family)
+        dag, trace = greedy_search(local, config)
+        ref_dag, ref_trace = reference_greedy_search(local, config)
+        assert dag == ref_dag
+        assert format_trace(trace) == format_trace(ref_trace)
+        moves |= _edge_moves_by_head_degree(trace, local.p, config.resolved_max_parents(local.p))
+    kinds = {kind for kind, _ in moves}
+    assert kinds == {"delete", "reverse"}
+    if max_parents is not None:
+        assert {("delete", True), ("reverse", True)} <= moves
+
+
 def test_greedy_work_counters_pinned(monkeypatch):
-    """Parent sets fitted and score-cache lookups of one seeded p=40 run.
+    """Kernel calls and parent sets fitted in one seeded p=40 run.
 
     A full rescan of every insertion on every step, as the oracle does,
-    fits 3,486 sets for this run but makes 74,059 lookups.  The table fits
-    a few more sets, because its rows also score tails that would close a
-    cycle at the time, and because rows are fitted with ``score_insertions``
-    and never cached, so a deletion or reversal fits again a set that a row
-    already scored.  Only the p empty sets and the sets that the deletion
-    and reversal scans try are looked up in the cache; applying a move
-    takes the scores its finder returned and looks nothing up.  The count
-    of fits wraps ``likelihood._scores``, which both the rows and the cache
-    call.
+    fits 3,486 sets for this run.  The per-vertex tables fit a few more,
+    because a table scores every toggle of its vertex's parents when the
+    vertex is first read after its parents change, including tails that
+    would close a cycle at the time and removals that no deletion or
+    reversal then applies.  Each refresh is at most two kernel calls, one
+    for the additions and one for the removals, after the p calls of the
+    empty sets.  Every score greedy reads comes from those calls: it makes
+    no score-cache lookup and no ``local_score`` call.  The counts wrap
+    ``_scores`` both where ``likelihood`` calls it and where ``search``
+    does.
     """
-    fitted = lookups = 0
-    scores, lookup = interdag.likelihood._scores, LocalScoreCache.score
+    calls = fitted = lookups = lone = 0
+    scores, lookup, score = interdag.likelihood._scores, LocalScoreCache.score, interdag.likelihood.local_score
 
     def counting_scores(k, parent_sets, *args):
-        nonlocal fitted
+        nonlocal calls, fitted
+        calls += 1
         fitted += len(parent_sets)
         return scores(k, parent_sets, *args)
 
@@ -274,12 +317,20 @@ def test_greedy_work_counters_pinned(monkeypatch):
         lookups += 1
         return lookup(self, *args)
 
+    def counting_local_score(*args, **kwargs):
+        nonlocal lone
+        lone += 1
+        return score(*args, **kwargs)
+
     model, family, spec, data = random_instance(8, p=40, n=500)
     local = _local(data, family)
     monkeypatch.setattr(interdag.likelihood, "_scores", counting_scores)
+    monkeypatch.setattr(interdag.search, "_scores", counting_scores)
     monkeypatch.setattr(LocalScoreCache, "score", counting_lookup)
+    monkeypatch.setattr(interdag.likelihood, "local_score", counting_local_score)
     greedy_search(local)
-    assert (fitted, lookups) == (3657, 510)
+    assert (lookups, lone) == (0, 0)
+    assert (calls, fitted) == (185, 3667)
 
 
 def test_searchers_share_the_degeneracy_error():
