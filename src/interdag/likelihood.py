@@ -13,20 +13,20 @@ is all the data a vertex's parameters ever see, which is what makes greedy
 and exact search tractable.
 
 Every regression of a vertex on a parent set goes through one kernel,
-``_fit_rows``, which fits a stack of equal-size parent sets of one vertex at
-once.  Its rule is that each set's numbers are the same bits whatever stack
-it comes in, a stack of one included: the scores feed comparisons against a
-1e-9 threshold in greedy search, so a last-bit change would change which
-moves are taken.  So it batches only what rounds the same in a stack as
-alone: the gather of the blocks, the conditioning test and the residual
-quadratic forms.  It factors and solves each usable block on its own with
-one LAPACK ``dposv`` call, which is the ``dpotrf`` and ``dpotrs`` pair that
-scipy's cho_factor/cho_solve call.  Every block it fits is a principal
-sub-block of one vertex's mixture, so the conditioning test is decided once
-per vertex, when the vertex is first scored: ``LocalStats.proven`` proves
-its mixture well conditioned, and the kernel then skips the test for all of
-that vertex's blocks; for any other mixture it runs the SVD condition
-number on every parent block.
+``_fit_rows``, which fits a stack of equal-size parent sets at once, of one
+vertex or of a vertex per set.  Its rule is that each set's numbers are the
+same bits whatever stack it comes in, a stack of one included: the scores
+feed comparisons against a 1e-9 threshold in greedy search, so a last-bit
+change would change which moves are taken.  So it batches only what rounds
+the same in a stack as alone: the gather of the blocks, the conditioning
+test and the residual quadratic forms.  It factors and solves each usable
+block on its own with one LAPACK ``dposv`` call, which is the ``dpotrf``
+and ``dpotrs`` pair that scipy's cho_factor/cho_solve call.  Every block it
+fits is a principal sub-block of its vertex's mixture, so the conditioning
+test is decided once per vertex, when the vertex is first scored:
+``LocalStats.proven`` proves its mixture well conditioned, and the kernel
+then skips the test for that vertex's sets; for any other it runs the SVD
+condition number on the parent block.
 
 ``dposv`` and ``dtrtri`` (the latter for the proof) are scipy's own
 wrappers, the very objects ``scipy.linalg.lapack`` exports, loaded straight
@@ -52,6 +52,7 @@ from .model import (
     InterventionSpec,
     InterventionTarget,
     TargetFamily,
+    _rows_index,
 )
 
 
@@ -138,7 +139,8 @@ def sufficient_stats(dataset: Dataset) -> SufficientStats:
     """Accumulate per-target counts and moments; rejects empty datasets.
 
     Reads the dataset's cached row grouping, so the rows are not hashed
-    again; each distinct target costs one gather and one matrix product.
+    again; each distinct target costs one matrix product over its rows, a
+    view of the values when they are one run (``_rows_index``).
     """
     if dataset.n == 0:
         raise DataError("cannot compute statistics of an empty dataset")
@@ -146,7 +148,7 @@ def sufficient_stats(dataset: Dataset) -> SufficientStats:
     seconds: dict[InterventionTarget, np.ndarray] = {}
     firsts: dict[InterventionTarget, np.ndarray] = {}
     for t, rows in dataset.row_groups.items():
-        X = dataset.values[rows]
+        X = dataset.values[_rows_index(rows)]
         n_t = len(rows)
         S = (X.T @ X) / n_t
         m = X.sum(axis=0) / n_t
@@ -312,53 +314,64 @@ def _proven_well_conditioned(S: np.ndarray) -> bool:
 
 
 def _fit_rows(
-    S: np.ndarray, k_idx: int, parent_idx: np.ndarray | list[list[int]], proven: bool = False
+    mixtures: np.ndarray,
+    vertex: int | np.ndarray,
+    parent_idx: np.ndarray | list[list[int]],
+    proven: bool | np.ndarray = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least-squares fits of one vertex on each of a stack of parent sets.
+    """Least-squares fits of vertices on each of a stack of parent sets.
 
-    ``parent_idx`` holds one row of 0-based parent indices per set, all rows
-    of one length.  Returns ``(usable, coefs, resid)``, one entry per set:
+    Set i regresses 0-based vertex ``vertex[i]`` on the 0-based parents
+    ``parent_idx[i]`` under ``mixtures[vertex[i]]``, where ``mixtures`` is
+    laid out as ``LocalStats.mixtures`` and ``vertex`` is one index for
+    every set or an array of one per set; the rows of ``parent_idx`` are of
+    one length.  Returns ``(usable, coefs, resid)``, one entry per set:
     whether the fit is usable, its coefficients and its residual second
     moment.  A set is unusable when its parent block is conditioned worse
     than 1e12 or is not positive definite; its coefficients are then zero
-    and its residual NaN.  ``S`` must be exactly symmetric, as every mixture
-    ``local_stats`` builds is, since the factorization reads each block's
-    transpose.
+    and its residual NaN.  Every mixture must be exactly symmetric, as every
+    mixture ``local_stats`` builds is, since the factorization reads each
+    block's transpose.
 
     Batched over the whole stack: the gather of every ``[k, pa...]`` block;
-    the SVD condition number of every parent block (block by block when the
-    stacked SVD raises, and then a block whose SVD does not converge is
-    unusable, and only it); and the residuals, as quadratic forms of (1, -b)
-    with the gathered blocks, which keeps each a true quadratic form of a
-    positive semidefinite matrix.  The usable parent blocks and their
-    right-hand sides are copied into contiguous stacks once; then each
-    block is Cholesky-factored and solved in place by one ``dposv`` call,
-    which is ``dpotrf`` followed by ``dpotrs``.  A block that call finds not
-    positive definite is unusable.  A stacked product rounds as the
-    one-block product does: each set gets the bits it would get alone.
+    the SVD condition number of every parent block that needs one (block by
+    block when the stacked SVD raises, and then a block whose SVD does not
+    converge is unusable, and only it); and the residuals, as quadratic
+    forms of (1, -b) with the gathered blocks, which keeps each a true
+    quadratic form of a positive semidefinite matrix.  The usable parent
+    blocks and their right-hand sides are copied into contiguous stacks
+    once; then each block is Cholesky-factored and solved in place by one
+    ``dposv`` call, which is ``dpotrf`` followed by ``dpotrs``.  A block that
+    call finds not positive definite is unusable.  A stacked product rounds
+    as the one-block product does: each set gets the bits it would get
+    alone, whichever vertices share its stack.
 
-    ``proven`` says that ``_proven_well_conditioned(S)`` holds.  Then every
-    block passes the conditioning test, so no SVD runs, with the same usable
-    flags and bits.
+    ``proven``, one flag for every set or an array of one per set, says that
+    ``_proven_well_conditioned`` holds for the set's mixture: then no SVD
+    runs on its block, with the same usable flag and bits.
     """
     parents = np.asarray(parent_idx, dtype=np.intp)
     m, d = parents.shape
     coefs = np.zeros((m, d))
     if d == 0:
-        return np.ones(m, dtype=bool), coefs, np.full(m, S[k_idx, k_idx])
+        return np.ones(m, dtype=bool), coefs, np.full(m, mixtures[vertex, vertex, vertex])
     full = np.empty((m, d + 1), dtype=np.intp)
-    full[:, 0] = k_idx
+    full[:, 0] = vertex
     full[:, 1:] = parents
-    blocks = S[full[:, :, None], full[:, None, :]]
+    # one vertex for the whole stack, or one per set broadcast over its block
+    at = vertex[:, None, None] if isinstance(vertex, np.ndarray) else vertex
+    blocks = mixtures[at, full[:, :, None], full[:, None, :]]
     parent_blocks = blocks[:, 1:, 1:]
-    if proven:
-        usable = np.ones(m, dtype=bool)
-    else:
+    usable = np.ones(m, dtype=bool)
+    # the sets whose parent block needs the conditioning test
+    tested = np.flatnonzero(~proven) if isinstance(proven, np.ndarray) else slice(0 if proven else m)
+    candidates = parent_blocks[tested]
+    if len(candidates):
         try:
-            conds = np.linalg.cond(parent_blocks)
+            conds = np.linalg.cond(candidates)
         except np.linalg.LinAlgError:
-            conds = np.array([_cond_or_inf(block) for block in parent_blocks])
-        usable = ~(conds > _COND_LIMIT)
+            conds = np.array([_cond_or_inf(block) for block in candidates])
+        usable[tested] = ~(conds > _COND_LIMIT)
     # contiguous copies of the usable parent blocks and right-hand sides; a
     # C-ordered symmetric block's transpose is the same matrix in Fortran
     # order, so dposv (lower, overwrite_a, overwrite_b all 1) factors it and
@@ -424,7 +437,7 @@ def mle_given_dag(dag: Dag, local: LocalStats) -> FittedModel:
                 f"vertex {k}: {n_ex} usable rows cannot identify {len(pa)} parents"
             )
         usable, coefs, resids = _fit_rows(
-            local.mixture(k), k - 1, [[j - 1 for j in pa]], local.proven(k)
+            local.mixtures, k - 1, [[j - 1 for j in pa]], local.proven(k)
         )
         if not usable[0]:
             raise DegenerateFitError(f"vertex {k}: singular parent moment block")
@@ -589,27 +602,38 @@ def _checked_penalty(n: int, penalty: float | None) -> float:
     return penalty
 
 
-def _scores(k: int, parent_sets, local: LocalStats, penalty: float) -> list[float]:
-    """Penalized scores of checked parent sets of vertex k, all of one size.
+def _scores(k: int | np.ndarray, parent_sets, local: LocalStats, penalty: float) -> list[float]:
+    """Penalized scores of checked parent sets, all of one size.
 
-    ``parent_sets`` is a sequence of label tuples or a 2-D array of labels,
-    one set per row.
+    ``k`` is the vertex label of every set, or a numpy array of one label
+    per set.  ``parent_sets`` is a sequence of label tuples or a 2-D array
+    of labels, one set per row, fitted in kernel calls of at most 1024 sets.
+    A set whose vertex has no more excluding rows than parents scores -inf.
     """
     size = len(parent_sets[0])
-    n_ex = local.count_excluding(k)
-    if n_ex <= size:
-        return [-math.inf] * len(parent_sets)
     cost = penalty * size
+    many = isinstance(k, np.ndarray)
+    if not many:
+        n_ex = local.count_excluding(k)
+        if n_ex <= size:
+            return [-math.inf] * len(parent_sets)
     scores = []
     for start in range(0, len(parent_sets), _CHUNK):
         idx = np.array(parent_sets[start:start + _CHUNK], dtype=np.intp) - 1
-        _, _, resid = _fit_rows(local.mixture(k), k - 1, idx, local.proven(k))
-        for r in resid.tolist():
-            # the NaN residual of an unusable set fails this test too
-            if 0 < r < math.inf:
-                scores.append(-0.5 * n_ex * (1.0 + math.log(r)) - cost)
-            else:
-                scores.append(-math.inf)
+        # the NaN residual of an unusable set fails the test too
+        if many:
+            vertex = k[start:start + _CHUNK] - 1
+            proven = np.array([local.proven(v + 1) for v in vertex.tolist()], dtype=bool)
+            resid = _fit_rows(local.mixtures, vertex, idx, proven)[2].tolist()
+            scores += [
+                -0.5 * n * (1.0 + math.log(r)) - cost if n > size and 0 < r < math.inf else -math.inf
+                for n, r in zip(local.counts_excluding[vertex].tolist(), resid)
+            ]
+        else:
+            # the same expression with one count for the stack, which spares
+            # the exact search a pairing per set
+            resid = _fit_rows(local.mixtures, k - 1, idx, local.proven(k))[2].tolist()
+            scores += [-0.5 * n_ex * (1.0 + math.log(r)) - cost if 0 < r < math.inf else -math.inf for r in resid]
     return scores
 
 

@@ -13,7 +13,9 @@ cuts the edges pointing into them.
 """
 
 import heapq
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -322,23 +324,31 @@ class GaussianCausalModel:
 
 
 def group_rows(targets: Sequence[InterventionTarget]) -> dict[InterventionTarget, np.ndarray]:
-    """Row indices per distinct target, in one pass over the rows.
+    """Row indices per distinct target, in one pass over the runs of rows.
 
     The groups come out in first-appearance order, each as a read-only
-    ascending index array.  A row holding the same target object as the row
-    before it costs one identity check; any other row costs one dict lookup.
+    ascending index array.  A run of rows holding the same target object is
+    found by identity checks at C level and costs one dict lookup and one
+    ``np.arange``; equal targets in distinct objects share a group.
     """
-    groups: dict[InterventionTarget, list[int]] = {}
-    last = rows = None
-    for i, t in enumerate(targets):
-        if t is not last:
-            rows = groups.setdefault(t, [])
-            last = t
-        rows.append(i)
-    arrays = {t: np.array(rows, dtype=np.intp) for t, rows in groups.items()}
-    for rows in arrays.values():
+    n = len(targets)
+    changes = map(operator.is_not, targets[1:], targets)
+    starts = [0, *itertools.compress(range(1, n), changes)] if n else []
+    runs: dict[InterventionTarget, list[np.ndarray]] = {}
+    for start, stop in zip(starts, [*starts[1:], n]):
+        runs.setdefault(targets[start], []).append(np.arange(start, stop, dtype=np.intp))
+    groups = {t: parts[0] if len(parts) == 1 else np.concatenate(parts) for t, parts in runs.items()}
+    for rows in groups.values():
         rows.setflags(write=False)
-    return arrays
+    return groups
+
+
+def _rows_index(rows: np.ndarray) -> slice | np.ndarray:
+    """An index for one group's ascending rows: a slice, whose selections are
+    views, when the rows are one run; otherwise the rows themselves."""
+    if len(rows) and rows[-1] - rows[0] == len(rows) - 1:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,7 +366,13 @@ class Dataset:
     def __post_init__(self):
         if self.p < 1:
             raise ParameterError("dataset must have at least one column")
-        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "targets", tuple(self.targets))
+        # a C-ordered copy that no caller holds
+        self._adopt(np.array(self.values, dtype=float, order="C"))
+
+    def _adopt(self, values: np.ndarray) -> None:
+        """Check ``values`` and keep it, read-only, as the rows' values, then
+        validate each distinct target."""
         if values.ndim != 2 or values.shape != (len(self.targets), self.p):
             raise ParameterError(
                 f"value array of shape {values.shape} does not match "
@@ -364,21 +380,22 @@ class Dataset:
             )
         if values.size and not np.all(np.isfinite(values)):
             raise DataError("dataset contains non-finite values")
-        values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "targets", tuple(self.targets))
         for t in self.row_groups:
             t.validate_for(self.p)
 
     @classmethod
-    def _grouped(cls, p: int, targets, values: np.ndarray, groups) -> "Dataset":
-        """Build a Dataset whose ``row_groups`` cache starts as ``groups``,
+    def _grouped(cls, p: int, targets: tuple, values: np.ndarray, groups) -> "Dataset":
+        """Build a Dataset that keeps ``values``, a float array no one else
+        holds, uncopied, and whose ``row_groups`` cache starts as ``groups``,
         which must be ``group_rows(targets)``, so construction validates
         those groups instead of grouping the rows a second time."""
         data = cls.__new__(cls)
+        object.__setattr__(data, "p", p)
+        object.__setattr__(data, "targets", targets)
         data.__dict__["row_groups"] = groups
-        data.__init__(p, targets, values)
+        data._adopt(values)
         return data
 
     @property
@@ -552,10 +569,12 @@ def sample_dataset(
 ) -> Dataset:
     """Draw one independent row per entry of ``target_sequence``, in order.
 
-    The rows are grouped by target in one pass, and the returned Dataset
-    keeps that grouping as its ``row_groups``; each distinct target is
-    validated once here and once by the Dataset, gets its mean and
-    covariance root once, and has its rows drawn with one matrix product.
+    The rows are grouped by target in one pass over their runs, and the
+    returned Dataset keeps that grouping as its ``row_groups`` and the
+    drawn values uncopied; each distinct target is validated once here and
+    once by the Dataset, gets its mean and covariance root once, and has
+    its rows drawn with one matrix product, through a slice when they are
+    one run (``_rows_index``).
     """
     p = model.p
     targets = tuple(target_sequence)
@@ -564,12 +583,13 @@ def sample_dataset(
         t.validate_for(p)
     rng = _rng(seed)
     n = len(targets)
-    X = np.zeros((n, p))
+    X = np.empty((n, p))  # the groups cover every row
     if n:
         Z = rng.standard_normal((n, p))
         for t, rows in groups.items():
             mu, A = _mean_and_root(model, t, spec)
-            X[rows] = Z[rows] @ A.T + mu
+            index = _rows_index(rows)
+            X[index] = Z[index] @ A.T + mu
     return Dataset._grouped(p, targets, X, groups)
 
 

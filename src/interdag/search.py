@@ -138,9 +138,11 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
     Each vertex's table holds its score with each other vertex toggled in
     its current parent set: added (only below max_parents) or removed,
     together with its improving insertions as (-gain, tail, score) in
-    sorted order.  A table is refreshed the first time its vertex is read
-    after the vertex's parents change, by one ``score_insertions`` call for
-    the additions and one kernel call for the removals.  There is no score
+    sorted order.  Two kernel calls fill every table before the first step:
+    one scores every vertex's empty set, the other all p(p - 1)
+    single-parent sets.  A table is refreshed the first time its vertex is
+    read after the vertex's parents change, by one ``score_insertions`` call
+    for the additions and one kernel call for the removals.  There is no score
     cache.  A deletion of tail -> head reads head's entry for tail; a
     reversal reads that and tail's entry for head.  Every finder returns
     (gain, tail, head, new head score, new tail score or None), so applying
@@ -165,36 +167,51 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
 
     parents: list[set[int]] = [set() for _ in range(p)]
     children: list[set[int]] = [set() for _ in range(p)]
-    vertex_score = [_scores(k, [()], local, penalty)[0] for k in range(1, p + 1)]
+    vertex_score = _scores(np.arange(1, p + 1), [()] * p, local, penalty)
     total = start_score = sum(vertex_score)
 
     steps: list[TraceStep] = []
     # per vertex: its score with each other vertex toggled in its parents,
     # and its improving insertions as sorted (-gain, tail, score); None
-    # until the vertex is read, and again whenever its parents change
+    # whenever its parents have changed since it was last read
     tables: list[tuple[dict[int, float], list[tuple[float, int, float]]] | None] = [None] * p
     # the descendant bitsets of the current graph
     desc = [0] * p
 
+    def fill(v, tails, added):
+        """Set vertex v's table from the scores ``added`` of its parents plus
+        each of ``tails``, scoring the removal of each of its parents."""
+        toggled = dict(zip(tails, added))
+        row = []
+        for tail, score in toggled.items():
+            gain = score - vertex_score[v - 1]
+            if gain > IMPROVEMENT_EPS:
+                row.append((-gain, tail, score))
+        row.sort()
+        pa = parents[v - 1]
+        if pa:
+            ordered = sorted(pa)
+            removals = [tuple(u for u in ordered if u != drop) for drop in ordered]
+            toggled.update(zip(ordered, _scores(v, removals, local, penalty)))
+        tables[v - 1] = (toggled, row)
+
     def table(v):
         if tables[v - 1] is None:
             pa = parents[v - 1]
-            toggled: dict[int, float] = {}
-            row = []
-            if len(pa) < max_parents:
-                tails = [u for u in range(1, p + 1) if u != v and u not in pa]
-                for tail, score in zip(tails, score_insertions(v, pa, tails, local, penalty)):
-                    toggled[tail] = score
-                    gain = score - vertex_score[v - 1]
-                    if gain > IMPROVEMENT_EPS:
-                        row.append((-gain, tail, score))
-                row.sort()
-            if pa:
-                ordered = sorted(pa)
-                removals = [tuple(u for u in ordered if u != drop) for drop in ordered]
-                toggled.update(zip(ordered, _scores(v, removals, local, penalty)))
-            tables[v - 1] = (toggled, row)
+            tails = [u for u in range(1, p + 1) if u != v and u not in pa] if len(pa) < max_parents else []
+            fill(v, tails, score_insertions(v, pa, tails, local, penalty))
         return tables[v - 1]
+
+    # every vertex's first table: all p(p - 1) single-parent sets in one
+    # call, in (head, tail) order; with no room for a parent no table is read
+    if max_parents:
+        heads, tails = np.nonzero(~np.eye(p, dtype=bool))
+        added = _scores(heads + 1, tails[:, None] + 1, local, penalty)
+        for v in range(1, p + 1):
+            row = slice((v - 1) * (p - 1), v * (p - 1))
+            fill(v, (tails[row] + 1).tolist(), added[row])
+        # only the tables keep those scores, so a refreshed table frees its old ones
+        del added, heads, tails
 
     def best_insert():
         best = None

@@ -423,6 +423,27 @@ def reference_sample_dataset(
     return Dataset(p, targets, X)
 
 
+def reference_group_rows(targets) -> dict:
+    """``group_rows`` the way it was written before it moved by runs: one
+    pass that appends every row index to its target's list, with one
+    identity check per row and one dict lookup per change of target object.
+
+    ``group_rows`` must return the same keys in the same order, with equal
+    read-only ``intp`` arrays.
+    """
+    groups = {}
+    last = rows = None
+    for i, t in enumerate(targets):
+        if t is not last:
+            rows = groups.setdefault(t, [])
+            last = t
+        rows.append(i)
+    arrays = {t: np.array(rows, dtype=np.intp) for t, rows in groups.items()}
+    for rows in arrays.values():
+        rows.setflags(write=False)
+    return arrays
+
+
 def reference_sufficient_stats(dataset: Dataset):
     """Per-target (count, second moment, first moment), grouping the rows by
     hashing every row's target, the way ``sufficient_stats`` was first written."""

@@ -7,6 +7,8 @@ Core claims:
       for both methods, from run_fit and from estimate_essential_graph.
     - Seeded greedy and DP grids write rows.csv and medians.csv to the
       byte, pinned by sha256, and the same bytes with one worker or two.
+    - The kernel calls and fitted parent sets of a small greedy grid are
+      pinned.
 """
 
 import hashlib
@@ -14,6 +16,8 @@ import hashlib
 import numpy as np
 import pytest
 
+import interdag.likelihood
+import interdag.search
 from interdag import (
     Dag,
     ExperimentConfig,
@@ -93,6 +97,27 @@ def test_grid_outputs_pinned(tmp_path, method, rows_digest, medians_digest):
     run_consistency_experiment(config, out_dir=tmp_path)
     for name, digest in (("rows.csv", rows_digest), ("medians.csv", medians_digest)):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_grid_work_counters_pinned(monkeypatch):
+    """Kernel calls and parent sets fitted by a small seeded greedy grid:
+    four fits at p=6.  Each greedy fit opens with two calls, one for every
+    vertex's empty set and one for its 30 single-parent sets.  The counts
+    wrap ``_scores`` both where ``likelihood`` calls it and where ``search``
+    does."""
+    calls = fitted = 0
+    scores = interdag.likelihood._scores
+
+    def counting_scores(k, parent_sets, *args):
+        nonlocal calls, fitted
+        calls += 1
+        fitted += len(parent_sets)
+        return scores(k, parent_sets, *args)
+
+    monkeypatch.setattr(interdag.likelihood, "_scores", counting_scores)
+    monkeypatch.setattr(interdag.search, "_scores", counting_scores)
+    run_consistency_experiment(ExperimentConfig(seed=1, p=6, replicates=2, n_grid=(50, 100)))
+    assert (calls, fitted) == (56, 264)
 
 
 def test_grid_outputs_do_not_depend_on_worker_count(tmp_path):

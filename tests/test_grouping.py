@@ -2,7 +2,11 @@
 
 Core claims:
     - group_rows returns each distinct target's rows in first-appearance
-      order, ascending, as read-only index arrays; Dataset caches it.
+      order, ascending, as read-only index arrays, exactly as the per-row
+      loop in helpers does, on sequences with interleaved runs and equal
+      targets held in distinct objects; Dataset caches it.
+    - The public Dataset constructor copies its values; sample_dataset
+      hands its freshly drawn array over uncopied, and both are read-only.
     - sample_dataset gives the same bits and targets as the per-target scan
       in helpers, on sequences with runs, interleaved rows, multi-vertex
       targets, equal targets held in distinct objects, and no rows at all.
@@ -17,7 +21,7 @@ Core claims:
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interdag import (
@@ -34,7 +38,12 @@ from interdag import (
 from interdag import model as model_module
 from interdag.model import group_rows
 
-from helpers import reference_local_stats, reference_sample_dataset, reference_sufficient_stats
+from helpers import (
+    reference_group_rows,
+    reference_local_stats,
+    reference_sample_dataset,
+    reference_sufficient_stats,
+)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -50,6 +59,17 @@ def test_group_rows_order_and_arrays():
     for g in groups.values():
         assert g.dtype == np.intp and not g.flags.writeable
     assert group_rows(()) == {}
+
+
+def test_dataset_copies_values_it_does_not_own():
+    values = np.arange(6.0).reshape(3, 2)
+    ds = Dataset(2, (InterventionTarget.empty(),) * 3, values)
+    values[0, 0] = 7.0
+    assert ds.values[0, 0] == 0.0 and not ds.values.flags.writeable
+    assert not np.shares_memory(ds.values, values)
+    model = sample_normalized_model(sample_random_dag(3, 1.0, 1), 2)
+    drawn = sample_dataset(model, [InterventionTarget.empty()] * 4, seed=3)
+    assert not drawn.values.flags.writeable
 
 
 def test_dataset_caches_grouping():
@@ -82,6 +102,24 @@ def _runs(draw):
         t = pool[idx]
         sequence.extend(InterventionTarget(t.members) if fresh else t for _ in range(length))
     return p, sequence
+
+
+_T1 = InterventionTarget.of(1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_runs())
+# interleaved runs of one object and of equal targets in distinct objects
+@example(case=(3, [_T1, _T1, InterventionTarget.empty(), InterventionTarget.of(1), _T1, _T1]))
+@example(case=(2, []))
+def test_group_rows_matches_the_row_loop(case):
+    _, sequence = case
+    targets = tuple(sequence)
+    groups, expected = group_rows(targets), reference_group_rows(targets)
+    assert list(groups) == list(expected)
+    for t, rows in expected.items():
+        assert _same_bits(groups[t], rows)
+        assert not groups[t].flags.writeable
 
 
 @settings(max_examples=120, deadline=None)

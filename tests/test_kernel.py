@@ -4,6 +4,8 @@ Core claims:
     - Fitting a stack of parent sets gives, for every set, the same bits as
       fitting that set alone, and both equal the one-set-at-a-time oracle in
       helpers (np.linalg.cond, scipy's cho_factor/cho_solve, v @ M @ v).
+      That holds too for a stack that mixes vertices, each set under its own
+      vertex's mixture, with proven and unproven mixtures in one stack.
     - That holds for blocks conditioned worse than 1e12, for blocks whose
       condition number lies on either side of 1e11 and of 1e12, for
       collinear blocks whose residual is not positive, and for stacks with
@@ -26,6 +28,9 @@ Core claims:
       for every parent set; a singular mixture, a duplicated column, an
       indefinite mixture of cond 3, a 1-ulp asymmetry and an inf entry are
       not accepted.
+    - Scores of sets of many vertices in one call have the bits of
+      local_score on each set, -inf for a vertex with no more excluding rows
+      than parents included.
     - Every score of a row from score_insertions has the bits of
       local_score on that set, including the -inf of sets with no more
       usable rows than parents, and a tail that is out of range, equal to
@@ -67,9 +72,14 @@ def _same(fit, ref) -> bool:
     return fit[0].shape == ref[0].shape and fit[0].tobytes() == ref[0].tobytes() and _bits(fit[1]) == _bits(ref[1])
 
 
+def _stack(S: np.ndarray) -> np.ndarray:
+    """``S`` as the mixture of every vertex: the stack ``_fit_rows`` indexes."""
+    return np.broadcast_to(S, (len(S), *S.shape))
+
+
 def _fits(S: np.ndarray, k_idx: int, sets: list[list[int]]) -> list:
     """The kernel's results for ``sets`` as one stack: (b, resid) per usable set, else None."""
-    usable, coefs, resid = _fit_rows(S, k_idx, sets)
+    usable, coefs, resid = _fit_rows(_stack(S), k_idx, sets)
     assert len(usable) == len(coefs) == len(resid) == len(sets)
     return [(b, float(r)) if ok else None for ok, b, r in zip(usable, coefs, resid)]
 
@@ -157,19 +167,19 @@ def test_svd_runs_on_every_block_unless_the_mixture_is_proven(monkeypatch):
     sets = [list(c) for c in itertools.combinations(range(1, 6), 3)]
     blocks = np.stack([S[np.ix_(pa, pa)] for pa in sets])
     # not proven: one stacked SVD of every parent block, well conditioned or not
-    slow = _fit_rows(S, 0, sets)
+    slow = _fit_rows(_stack(S), 0, sets)
     assert slow[0].all()
     assert len(seen) == 1 and seen[0].tobytes() == blocks.tobytes()
     # proven: no SVD at all, and the same bits
     seen.clear()
-    fast = _fit_rows(S, 0, sets, proven=True)
+    fast = _fit_rows(_stack(S), 0, sets, proven=True)
     assert seen == []
     assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow]
     # a NaN in column 3 makes the stacked SVD raise: then every block gets
     # its own, and only the sets that hold column 3 are unusable
     S[3, :] = S[:, 3] = math.nan
     seen.clear()
-    usable, _, _ = _fit_rows(S, 0, sets)
+    usable, _, _ = _fit_rows(_stack(S), 0, sets)
     assert list(usable) == [3 not in pa for pa in sets]
     assert len(seen) == 1 + len(sets) and seen[0].shape == blocks.shape
     assert all(b.shape == (3, 3) for b in seen[1:])
@@ -196,7 +206,7 @@ def test_indefinite_block_the_bound_clears_is_unusable():
     assert np.linalg.norm(blocks[3], 1) * np.linalg.norm(np.linalg.inv(blocks[3]), 1) == pytest.approx(3.0)
     fits = _check_stack(S, 0, sets)
     assert [f is None for f in fits] == [pa == [1, 2] for pa in sets]
-    usable, coefs, resid = _fit_rows(S, 0, sets)
+    usable, coefs, resid = _fit_rows(_stack(S), 0, sets)
     assert not usable[3] and not coefs[3].any() and math.isnan(resid[3])
 
 
@@ -216,7 +226,7 @@ def test_dposv_runs_once_per_set_that_passes_the_conditioning_test(monkeypatch):
     # blocks with cond_2 from about 1e6 to 1e16, and one exactly singular
     S, near, singular = _spread_moments(41, 2)
     sets = near[:13] + [singular] + near[13:]
-    usable, _, _ = _fit_rows(S, 0, sets)
+    usable, _, _ = _fit_rows(_stack(S), 0, sets)
     passed = [pa for pa in sets if np.linalg.cond(S[np.ix_(pa, pa)]) <= 1e12]
     assert 0 < len(passed) < len(sets) - 1
     assert [b.tobytes() for b in seen] == [S[np.ix_(pa, pa)].tobytes() for pa in passed]
@@ -226,11 +236,11 @@ def test_dposv_runs_once_per_set_that_passes_the_conditioning_test(monkeypatch):
     # rejects it
     seen.clear()
     S = _indefinite_moments()
-    usable, _, _ = _fit_rows(S, 0, [[1, 3], [1, 2], [3, 4]])
+    usable, _, _ = _fit_rows(_stack(S), 0, [[1, 3], [1, 2], [3, 4]])
     assert list(usable) == [True, False, True] and len(seen) == 3
     # an empty parent set needs no factorization
     seen.clear()
-    _fit_rows(S, 0, [[]] * 4)
+    _fit_rows(_stack(S), 0, [[]] * 4)
     assert seen == []
 
 
@@ -268,8 +278,8 @@ def test_proven_mixture_skips_the_conditioning_test_with_the_same_bits(seed, p, 
         others = [j for j in range(p) if j != k]
         for d in range(min(3, p - 1) + 1):
             sets = [list(c) for c in itertools.combinations(others, d)]
-            fast = _fit_rows(S, k, sets, proven=True)
-            slow = _fit_rows(S, k, sets)
+            fast = _fit_rows(_stack(S), k, sets, proven=True)
+            slow = _fit_rows(_stack(S), k, sets)
             assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow], (k, d)
 
 
@@ -396,6 +406,66 @@ def test_stack_matches_single_fits_and_oracle(seed, p, n, size, collinear):
     combos = [list(c) for c in itertools.combinations(others, size)]
     picked = rng.choice(len(combos), size=min(len(combos), 12), replace=True)
     _check_stack(loc.mixtures[k], k, [combos[i] for i in picked])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 7),
+    n=st.integers(1, 60),
+    size=st.integers(0, 4),
+    trust=st.booleans(),
+)
+def test_stack_of_many_vertices_matches_single_vertex_fits_and_oracle(seed, p, n, size, trust):
+    """One stack mixing vertices, and mixing mixtures that are proven well
+    conditioned with ones that are not: every vertex takes its mixture at
+    random from a clean draw or from one with a duplicated column, which no
+    proof accepts.  The duplicate is exact or off by about 1e-7, which
+    leaves blocks positive definite but conditioned worse than 1e12, so
+    that only the conditioning test rejects them.  ``trust`` passes the
+    proofs on; otherwise every set runs the conditioning test."""
+    rng = np.random.default_rng(seed)
+    clean = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-2, 2, size=p)
+    spoiled = clean.copy()
+    src, dst = rng.choice(p, size=2, replace=False)
+    spoiled[:, dst] = spoiled[:, src] * (1.0 + rng.choice([0.0, 1e-7]) * rng.standard_normal(n))
+    choices = [InterventionTarget.empty(), InterventionTarget.of(1), InterventionTarget.of(p)]
+    targets = tuple(choices[i] for i in rng.integers(len(choices), size=n))
+    stacks = [local_stats(sufficient_stats(Dataset(p, targets, X))).mixtures for X in (clean, spoiled)]
+    pick = rng.integers(2, size=p)
+    mixtures = np.stack([stacks[pick[k]][k] for k in range(p)])
+    proofs = np.array([trust and _proven_well_conditioned(M) for M in mixtures])
+    assert not proofs[pick == 1].any()
+    size = min(size, p - 1)
+    vertex = rng.integers(p, size=12)
+    sets = [sorted(rng.choice(np.delete(np.arange(p), k), size=size, replace=False)) for k in vertex]
+    usable, coefs, resid = _fit_rows(mixtures, vertex, sets, proofs[vertex])
+    assert len(usable) == len(coefs) == len(resid) == len(sets)
+    for i, (k, pa) in enumerate(zip(vertex.tolist(), sets)):
+        alone = _fit_rows(mixtures, k, [pa], bool(proofs[k]))
+        stacked = (usable[i], coefs[i], resid[i])
+        assert [a[0].tobytes() for a in alone] == [a.tobytes() for a in stacked], (k, pa)
+        fit = (coefs[i], float(resid[i])) if usable[i] else None
+        assert _same(fit, reference_fit_row(mixtures[k], k, pa)), (k, pa)
+
+
+def test_scores_of_many_vertices_match_local_scores():
+    # vertex 1 is in every target and vertex 2 has two excluding rows, so
+    # their sets of two parents score -inf among finite scores of the others
+    rng = np.random.default_rng(5)
+    t1, t12 = InterventionTarget.of(1), InterventionTarget.of(1, 2)
+    data = Dataset(5, (t1,) * 2 + (t12,) * 48, rng.standard_normal((50, 5)))
+    loc = local_stats(sufficient_stats(data))
+    assert loc.counts_excluding.tolist() == [0, 2, 50, 50, 50]
+    heads = np.array([3, 1, 2, 5, 4, 2, 3, 5])
+    sets = [(1, 2), (2, 3), (1, 3), (3, 4), (1, 5), (4, 5), (4, 5), (1, 2)]
+    got = likelihood._scores(heads, sets, loc, 0.7)
+    want = [local_score(k, pa, loc, penalty=0.7) for k, pa in zip(heads.tolist(), sets)]
+    assert [_bits(s) for s in got] == [_bits(s) for s in want]
+    assert [math.isfinite(s) for s in got] == [k > 2 for k in heads.tolist()]
+    # the empty sets of every vertex in one call
+    got = likelihood._scores(np.arange(1, 6), [()] * 5, loc, 0.7)
+    assert [_bits(s) for s in got] == [_bits(local_score(k, (), loc, penalty=0.7)) for k in range(1, 6)]
 
 
 def test_score_insertions_match_local_score():

@@ -24,9 +24,10 @@ Core claims:
       full rescan of every move on every step, also on runs with deletions
       and reversals, each of which rebuilds its descendant bitsets, and on
       dense inputs where both moves happen at heads with max_parents
-      parents; a table is rescored only when its vertex's parents changed,
-      and greedy makes no score-cache lookup and no ``local_score`` call:
-      the kernel calls and fits of one seeded run are pinned.
+      parents; two kernel calls open every vertex's table, a table is
+      rescored only when its vertex's parents changed, and greedy makes no
+      score-cache lookup and no ``local_score`` call: the kernel calls and
+      fits of one seeded run are pinned.
     - Both searchers reject vertices that every observed target contains,
       and vertices with no positive finite second moment, with one message
       each.
@@ -296,9 +297,10 @@ def test_greedy_work_counters_pinned(monkeypatch):
     because a table scores every toggle of its vertex's parents when the
     vertex is first read after its parents change, including tails that
     would close a cycle at the time and removals that no deletion or
-    reversal then applies.  Each refresh is at most two kernel calls, one
-    for the additions and one for the removals, after the p calls of the
-    empty sets.  Every score greedy reads comes from those calls: it makes
+    reversal then applies.  The search opens with two calls, one for every
+    vertex's empty set and one for all p(p - 1) single-parent sets; each
+    later refresh is at most two, one for the additions and one for the
+    removals.  Every score greedy reads comes from those calls: it makes
     no score-cache lookup and no ``local_score`` call.  The counts wrap
     ``_scores`` both where ``likelihood`` calls it and where ``search``
     does.
@@ -330,7 +332,7 @@ def test_greedy_work_counters_pinned(monkeypatch):
     monkeypatch.setattr(interdag.likelihood, "local_score", counting_local_score)
     greedy_search(local)
     assert (lookups, lone) == (0, 0)
-    assert (calls, fitted) == (185, 3667)
+    assert (calls, fitted) == (107, 3667)
 
 
 def test_searchers_share_the_degeneracy_error():
