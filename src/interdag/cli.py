@@ -4,35 +4,36 @@ Datasets travel as CSV with header ``target,x1,...,xp``; the target field is
 empty for observational rows or a semicolon-separated list of 1-based vertex
 labels.  Exit codes: 0 success, 2 configuration or parameter error, 3 data
 error, 4 capacity guard.
+
+The search flags of ``fit`` and the flags and config keys of ``experiment``
+are the fields of ``SearchConfig`` and ``ExperimentConfig``, read by type.
 """
 
 import argparse
 import math
-import statistics
 import sys
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .equivalence import essential_graph, format_essential_graph
 from .errors import CapacityError, DataError, ParameterError
-from .experiments import METHODS, ExperimentConfig, _draw_cell, run_consistency_experiment, run_fit
+from .experiments import METHODS, ExperimentConfig, _cell_summaries, _draw_cell, _draw_model
+from .experiments import run_consistency_experiment, run_fit
 from .model import (
+    _FLOAT_FMT,
     Dataset,
     InterventionSpec,
     InterventionTarget,
-    TargetFamily,
     derive_seed,
     format_model,
     sample_dataset,
-    sample_normalized_model,
-    sample_random_dag,
 )
 from .search import SearchConfig
 
 __all__ = ["ingest_csv", "emit_csv", "main"]
-
-_FLOAT_FMT = "{:.17g}"
 
 
 def ingest_csv(path: str | Path) -> Dataset:
@@ -162,29 +163,29 @@ def emit_csv(dataset: Dataset, path: str | Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# experiment configuration files
-
-_INT_KEYS = {"p", "k", "replicates_per_target", "replicates", "seed", "max_parents", "workers"}
-_FLOAT_KEYS = {"expected_degree", "tau"}
-_INT_LIST_KEYS = {"n_grid"}
-_FLOAT_LIST_KEYS = {"mu_grid"}
-_STR_KEYS = {"method"}
-_CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _INT_LIST_KEYS | _FLOAT_LIST_KEYS | _STR_KEYS
+# settings: flags and config-file keys, one per field of a config dataclass
 
 
-def _parse_config_value(key: str, value: str):
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _INT_LIST_KEYS:
-            return tuple(int(v.strip()) for v in value.split(",") if v.strip())
-        if key in _FLOAT_LIST_KEYS:
-            return tuple(float(v.strip()) for v in value.split(",") if v.strip())
-        return value
-    except ValueError as exc:
-        raise ParameterError(f"bad value for {key}: {value!r} ({exc})") from None
+def _setting_types(config_cls) -> dict:
+    """Each field name of ``config_cls`` with the parser of its text, from the
+    field's type: a tuple takes a comma-separated list, an optional its inner type."""
+    types = {}
+    for name, hint in typing.get_type_hints(config_cls).items():
+        inner = [a for a in typing.get_args(hint) if a is not type(None)]
+        if typing.get_origin(hint) is tuple:
+            types[name] = {int: _parse_int_list, float: _parse_float_list}[inner[0]]
+        else:
+            types[name] = inner[0] if inner else hint
+    return types
+
+
+def _add_settings(parser: argparse.ArgumentParser, config_cls, defaults: bool) -> None:
+    """One ``--field-name`` flag per field of ``config_cls``, defaulting to
+    the field's default, or to None when ``defaults`` is false."""
+    types = _setting_types(config_cls)
+    for f in fields(config_cls):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=types[f.name],
+                            default=f.default if defaults else None, choices=f.metadata.get("choices"))
 
 
 def _read_config_file(path: str | Path) -> dict:
@@ -192,6 +193,7 @@ def _read_config_file(path: str | Path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParameterError(f"cannot read config {path}: {exc}") from None
+    types = _setting_types(ExperimentConfig)
     settings = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -200,9 +202,12 @@ def _read_config_file(path: str | Path) -> dict:
         if "=" not in line:
             raise ParameterError(f"{path}: line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in types:
             raise ParameterError(f"{path}: line {lineno}: unknown key {key!r}")
-        settings[key] = _parse_config_value(key, value)
+        try:
+            settings[key] = types[key](value)
+        except ValueError as exc:
+            raise ParameterError(f"bad value for {key}: {value!r} ({exc})") from None
     return settings
 
 
@@ -212,14 +217,8 @@ def _read_config_file(path: str | Path) -> dict:
 
 def _cmd_fit(args) -> int:
     dataset = ingest_csv(args.data)
-    config = SearchConfig(
-        max_parents=args.max_parents,
-        max_steps=args.max_steps,
-        penalty_weight=args.penalty_weight,
-    )
-    fitted, graph, _ = run_fit(
-        dataset, method=args.method, config=config, out_dir=args.out
-    )
+    config = SearchConfig(**{f.name: getattr(args, f.name) for f in fields(SearchConfig)})
+    fitted, graph, _ = run_fit(dataset, method=args.method, config=config, out_dir=args.out)
     print(f"n={dataset.n} p={dataset.p} method={args.method}")
     print(f"edges={fitted.dag.num_edges} bic={fitted.bic:.6f} loglik={fitted.log_likelihood:.6f}")
     sys.stdout.write(format_essential_graph(graph))
@@ -234,8 +233,7 @@ def _cmd_simulate(args) -> int:
         n_grid=(args.n,), mu_grid=(args.mu,),
     )
     config.validate()
-    dag = sample_random_dag(args.p, args.expected_degree, derive_seed(args.seed, 1))
-    model = sample_normalized_model(dag, derive_seed(args.seed, 2))
+    dag, model = _draw_model(config)
     singles, sequence = _draw_cell(config, args.n, derive_seed(args.seed, 3))
     spec = InterventionSpec.constant(singles, args.mu, args.tau**2)
     data = sample_dataset(model, sequence, spec, derive_seed(args.seed, 4))
@@ -243,8 +241,7 @@ def _cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     emit_csv(data, out / "dataset.csv")
     (out / "model.txt").write_text(format_model(model), encoding="utf-8")
-    family = TargetFamily(frozenset([InterventionTarget.empty(), *singles]))
-    graph = essential_graph(dag, family)
+    graph = essential_graph(dag, data.observed_targets())
     (out / "essential.txt").write_text(format_essential_graph(graph), encoding="utf-8")
     print(f"wrote {data.n} rows over {data.p} columns to {out / 'dataset.csv'}")
     return 0
@@ -252,18 +249,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     settings = _read_config_file(args.config) if args.config else {}
-    for key in sorted(_CONFIG_KEYS):
-        override = getattr(args, key, None)
-        if override is not None:
-            settings[key] = override
+    flags = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
+    settings.update({key: value for key, value in flags.items() if value is not None})
     if "seed" not in settings:
         raise ParameterError("--seed is mandatory for experiments")
     rows = run_consistency_experiment(ExperimentConfig(**settings), out_dir=args.out)
-    by_cell: dict[tuple[int, float], list[int]] = {}
-    for r in rows:
-        by_cell.setdefault((r.n, r.mu), []).append(r.shd)
-    for (n, mu), shds in sorted(by_cell.items()):
-        print(f"n={n} mu={mu:g} replicates={len(shds)} median_shd={statistics.median(shds):g}")
+    for n, mu, replicates, median_shd, _ in _cell_summaries(rows):
+        print(f"n={n} mu={mu:g} replicates={replicates} median_shd={median_shd:g}")
     if args.out:
         print(f"wrote rows.csv, medians.csv, timings.csv to {args.out}")
     return 0
@@ -280,9 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--data", required=True, help="dataset CSV path")
     fit.add_argument("--method", default="greedy", choices=METHODS)
     fit.add_argument("--out", default=None, help="directory for fit artifacts")
-    fit.add_argument("--max-parents", type=int, default=None)
-    fit.add_argument("--max-steps", type=int, default=100_000)
-    fit.add_argument("--penalty-weight", type=float, default=None)
+    _add_settings(fit, SearchConfig, defaults=True)
     fit.set_defaults(func=_cmd_fit)
 
     sim = sub.add_parser("simulate", help="draw a random model and dataset")
@@ -299,20 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="run a seeded replicate grid")
     exp.add_argument("--config", default=None, help="flat key = value settings file")
-    exp.add_argument("--p", type=int, default=None)
-    exp.add_argument("--expected-degree", dest="expected_degree", type=float, default=None)
-    exp.add_argument("--n-grid", dest="n_grid", type=_parse_int_list, default=None)
-    exp.add_argument("--k", type=int, default=None)
-    exp.add_argument(
-        "--replicates-per-target", dest="replicates_per_target", type=int, default=None
-    )
-    exp.add_argument("--mu-grid", dest="mu_grid", type=_parse_float_list, default=None)
-    exp.add_argument("--tau", type=float, default=None)
-    exp.add_argument("--replicates", type=int, default=None)
-    exp.add_argument("--method", default=None, choices=METHODS)
-    exp.add_argument("--seed", type=int, default=None)
-    exp.add_argument("--max-parents", dest="max_parents", type=int, default=None)
-    exp.add_argument("--workers", type=int, default=None)
+    # a flag given overrides the config file's value
+    _add_settings(exp, ExperimentConfig, defaults=False)
     exp.add_argument("--out", default=None, help="directory for result CSVs")
     exp.set_defaults(func=_cmd_experiment)
     return parser
@@ -331,15 +309,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParameterError as exc:
+    except (ParameterError, DataError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 2 if isinstance(exc, ParameterError) else 3 if isinstance(exc, DataError) else 4
 
 
 if __name__ == "__main__":

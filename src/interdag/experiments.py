@@ -11,7 +11,7 @@ their own output file.
 import json
 import statistics
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .equivalence import (
@@ -25,8 +25,10 @@ from .errors import DataError, ParameterError
 from .likelihood import FittedModel, LocalStats, local_stats, mle_given_dag, sufficient_stats
 from .metrics import directed_confusion, shd, skeleton_confusion
 from .model import (
+    _FLOAT_FMT,
     Dag,
     Dataset,
+    GaussianCausalModel,
     InterventionSpec,
     InterventionTarget,
     TargetFamily,
@@ -42,7 +44,7 @@ from .search import SearchConfig, SearchTrace, exhaustive_dp, format_trace, gree
 __all__ = ["METHODS", "ExperimentConfig", "ResultRow", "fit_structure", "estimate_essential_graph",
            "run_fit", "run_consistency_experiment"]
 
-_FMT = "{:.17g}".format
+_FMT = _FLOAT_FMT.format
 
 METHODS = ("greedy", "dp")  # greedy hill climbing or the exact DP
 
@@ -70,7 +72,7 @@ class ExperimentConfig:
     mu_grid: tuple[float, ...] = (10.0,)
     tau: float = 0.2
     replicates: int = 30
-    method: str = "greedy"
+    method: str = field(default="greedy", metadata={"choices": METHODS})
     max_parents: int | None = None
     workers: int = 1
 
@@ -230,13 +232,19 @@ def _draw_cell(
     return singles, sequence
 
 
+def _draw_model(config: ExperimentConfig, *rep: int) -> tuple[Dag, GaussianCausalModel]:
+    """A replicate's random DAG and normalized model, from ``derive_seed(config.seed,
+    1, *rep)`` and ``(config.seed, 2, *rep)``; ``interdag simulate`` passes no ``rep``."""
+    dag = sample_random_dag(config.p, config.expected_degree, derive_seed(config.seed, 1, *rep))
+    return dag, sample_normalized_model(dag, derive_seed(config.seed, 2, *rep))
+
+
 def _run_replicate(args: tuple) -> list[ResultRow]:
     """Every grid point of one replicate: its DAG and model are drawn once,
     its targets from one seed at every grid point, and the true essential
     graph is built once per observed family."""
     config, rep = args
-    dag = sample_random_dag(config.p, config.expected_degree, derive_seed(config.seed, 1, rep))
-    model = sample_normalized_model(dag, derive_seed(config.seed, 2, rep))
+    dag, model = _draw_model(config, rep)
     target_seed = derive_seed(config.seed, 3, rep)
     search_config = SearchConfig(max_parents=config.max_parents)
     truth_graphs: dict[TargetFamily, EssentialGraph] = {}
@@ -335,15 +343,19 @@ def _write_rows(rows: list[ResultRow], path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_medians(rows: list[ResultRow], path: Path) -> None:
-    lines = ["n,mu,replicates,median_shd,exact_fraction"]
+def _cell_summaries(rows: list[ResultRow]) -> list[tuple[int, float, int, float, float]]:
+    """Per (n, mu) cell, in sorted order: n, mu, replicates, median SHD, exact fraction."""
     cells: dict[tuple[int, float], list[ResultRow]] = {}
     for r in rows:
         cells.setdefault((r.n, r.mu), []).append(r)
-    for (n, mu), group in sorted(cells.items()):
-        med = statistics.median(r.shd for r in group)
-        frac = sum(1 for r in group if r.exact) / len(group)
-        lines.append(f"{n},{_FMT(mu)},{len(group)},{_FMT(float(med))},{_FMT(frac)}")
+    return [(n, mu, len(g), float(statistics.median(r.shd for r in g)), sum(r.exact for r in g) / len(g))
+            for (n, mu), g in sorted(cells.items())]
+
+
+def _write_medians(rows: list[ResultRow], path: Path) -> None:
+    lines = ["n,mu,replicates,median_shd,exact_fraction"]
+    for n, mu, replicates, median_shd, exact in _cell_summaries(rows):
+        lines.append(f"{n},{_FMT(mu)},{replicates},{_FMT(median_shd)},{_FMT(exact)}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

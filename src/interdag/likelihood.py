@@ -95,7 +95,6 @@ __all__ = [
     "decomposed_log_likelihood",
     "natural_params",
     "local_score",
-    "score_insertions",
     "bic_score",
     "LocalScoreCache",
 ]
@@ -120,10 +119,7 @@ class SufficientStats:
     first_moments: Mapping[InterventionTarget, np.ndarray]
 
     def targets(self) -> tuple[InterventionTarget, ...]:
-        return tuple(sorted(self.counts, key=lambda t: (len(t.members), t.members)))
-
-    def family(self) -> TargetFamily:
-        return TargetFamily(frozenset(self.counts))
+        return TargetFamily(frozenset(self.counts)).sorted_targets()
 
     def count(self, target: InterventionTarget) -> int:
         return self.counts.get(target, 0)
@@ -654,41 +650,6 @@ def local_score(
     pa = _checked_parents(k, parent_set, local.p)
     penalty = _checked_penalty(local.n if n is None else n, penalty)
     return _scores(k, [pa], local, penalty)[0]
-
-
-def score_insertions(
-    k: int,
-    parents: Iterable[int],
-    tails: Iterable[int],
-    local: LocalStats,
-    penalty: float | None = None,
-) -> list[float]:
-    """Local scores of ``parents`` plus one tail, for each of ``tails`` in order.
-
-    Greedy search scores a head's whole row of insertions with one call,
-    which is where nearly all of its fits happen.  The row is built as one
-    array of sorted labels and fitted in kernel calls of at most 1024 sets,
-    with no cache: each score has the bits of ``local_score`` on that set.
-    A tail out of range, equal to ``k`` or already in ``parents`` raises
-    ParameterError.
-    """
-    p = local.p
-    pa = _checked_parents(k, parents, p)
-    penalty = _checked_penalty(local.n, penalty)
-    tails = list(map(int, tails))
-    taken = {k, *pa}
-    bad = [t for t in tails if not 1 <= t <= p or t in taken]
-    if bad:
-        _checked_parents(k, (*pa, bad[0]), p)  # names a tail out of range or equal to k
-        raise ParameterError(f"vertex {bad[0]} is already a parent of vertex {k}")
-    if not tails:
-        return []
-    idx = np.empty((len(tails), len(pa) + 1), dtype=np.intp)
-    idx[:, :-1] = pa
-    idx[:, -1] = tails
-    # the labels are distinct; the stable sort is faster on rows this short
-    idx.sort(axis=1, kind="stable")
-    return _scores(k, idx, local, penalty)
 
 
 def bic_score(

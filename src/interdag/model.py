@@ -210,6 +210,7 @@ class TargetFamily:
         return cls(frozenset(InterventionTarget(tuple(m)) for m in member_tuples))
 
     def sorted_targets(self) -> tuple[InterventionTarget, ...]:
+        """By size, then members: the order of every fold over targets, whose bits depend on it."""
         return tuple(sorted(self.targets, key=lambda t: (len(t.members), t.members)))
 
     def __contains__(self, target: InterventionTarget) -> bool:

@@ -21,9 +21,8 @@ from .likelihood import (
     _scores,
     check_identified,
     check_marginal_variance,
-    score_insertions,
 )
-from .model import Dag
+from .model import _FLOAT_FMT, Dag
 
 __all__ = [
     "SearchConfig",
@@ -94,10 +93,10 @@ class SearchTrace:
 
 def format_trace(trace: SearchTrace) -> str:
     """Line-oriented log: step, move kind, edge, and score delta."""
-    lines = [f"start {trace.start_score:.17g}"]
+    lines = ["start " + _FLOAT_FMT.format(trace.start_score)]
     for s in trace.steps:
         delta = s.score_after - s.score_before
-        lines.append(f"{s.step} {s.kind} {s.edge[0]}->{s.edge[1]} {delta:.17g}")
+        lines.append(f"{s.step} {s.kind} {s.edge[0]}->{s.edge[1]} " + _FLOAT_FMT.format(delta))
     return "\n".join(lines) + "\n"
 
 
@@ -141,12 +140,12 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
     sorted order.  Two kernel calls fill every table before the first step:
     one scores every vertex's empty set, the other all p(p - 1)
     single-parent sets.  A table is refreshed the first time its vertex is
-    read after the vertex's parents change, by one ``score_insertions`` call
-    for the additions and one kernel call for the removals.  There is no score
-    cache.  A deletion of tail -> head reads head's entry for tail; a
-    reversal reads that and tail's entry for head.  Every finder returns
-    (gain, tail, head, new head score, new tail score or None), so applying
-    a move scores nothing.
+    read after the vertex's parents change, by one ``_scores`` call for the
+    additions, its parents plus each tail as one array of sorted labels, and
+    one for the removals.  There is no score cache.  A deletion of
+    tail -> head reads head's entry for tail; a reversal reads that and
+    tail's entry for head.  Every finder returns (gain, tail, head, new head
+    score, new tail score or None), so applying a move scores nothing.
 
     Acyclicity depends on the whole graph, so it is checked again on every
     step against every vertex's descendants, kept as an integer bitset.
@@ -199,7 +198,13 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
         if tables[v - 1] is None:
             pa = parents[v - 1]
             tails = [u for u in range(1, p + 1) if u != v and u not in pa] if len(pa) < max_parents else []
-            fill(v, tails, score_insertions(v, pa, tails, local, penalty))
+            # v's parents plus each tail, as rows of sorted labels; the labels
+            # are distinct, and the stable sort is faster on rows this short
+            rows = np.empty((len(tails), len(pa) + 1), dtype=np.intp)
+            rows[:, :-1] = sorted(pa)
+            rows[:, -1] = tails
+            rows.sort(axis=1, kind="stable")
+            fill(v, tails, _scores(v, rows, local, penalty) if tails else [])
         return tables[v - 1]
 
     # every vertex's first table: all p(p - 1) single-parent sets in one

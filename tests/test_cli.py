@@ -10,7 +10,13 @@ Core claims:
       rejects the rest with the same message; a clean file never reaches
       the row loop.
     - A seeded simulate writes the same dataset.csv bytes as recorded, and
-      one at p=100 whose class is too large to list exits 0.
+      one at p=100 whose class is too large to list exits 0.  One with no
+      observational rows writes the essential.txt bytes recorded when its
+      truth graph's family still held the empty target.
+    - The fit and experiment flags and the config-file keys come from the
+      fields of SearchConfig and ExperimentConfig, typed by their
+      annotations (string ones too); a config file and the equivalent
+      flags give the same rows.csv and medians.csv.
     - Exit codes: 0 success, 2 parameter/config error, 3 data error,
       4 capacity guard.
     - fit/simulate/experiment write the documented artifact files, and
@@ -20,6 +26,7 @@ Core claims:
 import hashlib
 import json
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +318,38 @@ def test_fit_dp_method(tmp_path, capsys):
     assert "method=dp" in capsys.readouterr().out
 
 
+@dataclass(frozen=True)
+class _QuotedSettings:
+    grid: "tuple[float, ...]" = (1.0,)
+    cap: "int | None" = None
+
+
+def test_settings_flags_come_from_the_config_fields(tmp_path, capsys):
+    # string annotations resolve as the evaluated ones do
+    assert interdag.cli._setting_types(_QuotedSettings) == {"grid": interdag.cli._parse_float_list, "cap": int}
+    parser = interdag.cli._build_parser()
+    args = parser.parse_args(["fit", "--data", "d.csv"])
+    assert (args.max_parents, args.max_steps, args.penalty_weight) == (None, 100_000, None)
+    args = parser.parse_args(["fit", "--data", "d.csv", "--max-parents", "2",
+                              "--max-steps", "3", "--penalty-weight", "1.5"])
+    assert (args.max_parents, args.max_steps, args.penalty_weight) == (2, 3, 1.5)
+    args = parser.parse_args(["experiment", "--n-grid", "50, 100", "--mu-grid", "5,2.5", "--max-parents", "1"])
+    assert (args.n_grid, args.mu_grid, args.max_parents, args.seed) == ((50, 100), (5.0, 2.5), 1, None)
+    for argv in (["fit", "--data", "d.csv", "--method", "dp2"], ["experiment", "--seed", "1", "--method", "dp2"]):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'dp2'" in capsys.readouterr().err
+    # the flags reach the search: it stops after three of its nine steps,
+    # so the trace has a start line and three steps
+    assert main(["simulate", "--p", "8", "--n", "500", "--k", "3", "--replicates-per-target", "2",
+                 "--seed", "1", "--out", str(tmp_path / "sim")]) == 0
+    for steps, lines in (("100", 10), ("3", 4)):
+        assert main(["fit", "--data", str(tmp_path / "sim" / "dataset.csv"), "--max-parents", "2",
+                     "--max-steps", steps, "--penalty-weight", "1.5", "--out", str(tmp_path / steps)]) == 0
+        assert len((tmp_path / steps / "trace.txt").read_text().splitlines()) == lines
+
+
 def test_fit_missing_file_is_a_data_error(tmp_path, capsys):
     code = main(["fit", "--data", str(tmp_path / "none.csv")])
     assert code == 3
@@ -377,6 +416,17 @@ def test_simulate_large_class_exits_zero(tmp_path, capsys):
     graph = parse_essential_graph((out / "essential.txt").read_text(), 100)
     assert graph.undirected
     assert "wrote 1000 rows over 100 columns" in capsys.readouterr().out
+
+
+def test_simulate_without_observational_rows_essential_bytes_pinned(tmp_path):
+    # every row targets one of five vertices: the true graph's family holds
+    # no empty target, which orients nothing
+    out = tmp_path / "sim"
+    assert main(["simulate", "--p", "10", "--n", "10", "--k", "5",
+                 "--replicates-per-target", "2", "--seed", "4", "--out", str(out)]) == 0
+    assert InterventionTarget.empty() not in ingest_csv(out / "dataset.csv").observed_targets()
+    digest = hashlib.sha256((out / "essential.txt").read_bytes()).hexdigest()
+    assert digest == "afdd2b0e592fe6c955cada071c1681fd5d0dac499235375479688ffafdd8de57"
 
 
 def test_simulate_deterministic(tmp_path):
@@ -451,21 +501,25 @@ def test_experiment_bit_identical_across_runs(tmp_path):
 
 
 def test_experiment_config_file_matches_flags(tmp_path):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(
-        "# tiny grid\n"
-        "p = 4\n"
-        "n_grid = 50\n"
-        "k = 1\n"
-        "replicates_per_target = 2\n"
-        "mu_grid = 5\n"
-        "replicates = 2\n"
-        "seed = 9\n"
-    )
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["experiment", "--config", str(cfg), "--out", str(a)]) == 0
-    assert main(["experiment", *_TINY, "--out", str(b)]) == 0
-    assert (a / "rows.csv").read_bytes() == (b / "rows.csv").read_bytes()
+    inputs = [
+        ("# tiny grid\np = 4\nn_grid = 50\nk = 1\nreplicates_per_target = 2\n"
+         "mu_grid = 5\nreplicates = 2\nseed = 9\n", _TINY),
+        # multi-valued grids, an optional integer and a string
+        ("p = 5\nn_grid = 40, 60\nmu_grid = 5,2.5\nk = 2\nreplicates = 2\n"
+         "max_parents = 1\nmethod = dp\nseed = 3\n",
+         ["--p", "5", "--n-grid", "40,60", "--mu-grid", "5, 2.5", "--k", "2", "--replicates", "2",
+          "--max-parents", "1", "--method", "dp", "--seed", "3"]),
+    ]
+    for i, (text, flags) in enumerate(inputs):
+        cfg = tmp_path / f"exp{i}.cfg"
+        cfg.write_text(text)
+        a, b = tmp_path / f"a{i}", tmp_path / f"b{i}"
+        assert main(["experiment", "--config", str(cfg), "--out", str(a)]) == 0
+        assert main(["experiment", *flags, "--out", str(b)]) == 0
+        for name in ("rows.csv", "medians.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+    rows = (tmp_path / "a1" / "rows.csv").read_text().splitlines()
+    assert len(rows) == 1 + 2 * 2 * 2 and {line.split(",")[5] for line in rows[1:]} == {"dp"}
 
 
 def test_experiment_cli_flag_overrides_config(tmp_path):

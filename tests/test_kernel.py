@@ -31,10 +31,10 @@ Core claims:
     - Scores of sets of many vertices in one call have the bits of
       local_score on each set, -inf for a vertex with no more excluding rows
       than parents included.
-    - Every score of a row from score_insertions has the bits of
-      local_score on that set, including the -inf of sets with no more
-      usable rows than parents, and a tail that is out of range, equal to
-      the vertex or already a parent is rejected.
+    - Every score of a row of insertions, built as greedy search builds
+      it (a vertex's parents plus each tail, as sorted labels) and fitted by
+      one _scores call, has the bits of local_score on that set, including
+      the -inf of sets with no more usable rows than parents.
 """
 
 import itertools
@@ -49,10 +49,8 @@ from hypothesis import strategies as st
 from interdag import (
     Dataset,
     InterventionTarget,
-    ParameterError,
     local_score,
     local_stats,
-    score_insertions,
     sufficient_stats,
 )
 from interdag import likelihood
@@ -75,6 +73,16 @@ def _same(fit, ref) -> bool:
 def _stack(S: np.ndarray) -> np.ndarray:
     """``S`` as the mixture of every vertex: the stack ``_fit_rows`` indexes."""
     return np.broadcast_to(S, (len(S), *S.shape))
+
+
+def _insertion_scores(k: int, parents, tails: list[int], loc: LocalStats, penalty=None) -> list[float]:
+    """Scores of ``parents`` plus each of ``tails``, from one ``_scores``
+    call on rows built as greedy search builds a vertex's insertions."""
+    rows = np.empty((len(tails), len(parents) + 1), dtype=np.intp)
+    rows[:, :-1] = sorted(parents)
+    rows[:, -1] = tails
+    rows.sort(axis=1, kind="stable")
+    return likelihood._scores(k, rows, loc, likelihood._checked_penalty(loc.n, penalty))
 
 
 def _fits(S: np.ndarray, k_idx: int, sets: list[list[int]]) -> list:
@@ -351,7 +359,7 @@ def test_sets_with_no_more_rows_than_parents_score_minus_inf():
     X = rng.standard_normal((3, 5))
     loc = local_stats(sufficient_stats(Dataset(5, (InterventionTarget.empty(),) * 3, X)))
     rows = [((2,), [3, 4]), ((2, 3), [4]), ((4, 3), [5]), ((2, 3, 4), [5])]
-    scores = [s for parents, tails in rows for s in score_insertions(1, parents, tails, loc)]
+    scores = [s for parents, tails in rows for s in _insertion_scores(1, parents, tails, loc)]
     sets = [(*parents, tail) for parents, tails in rows for tail in tails]
     assert scores == [local_score(1, pa, loc) for pa in sets]
     assert math.isfinite(scores[0]) and math.isfinite(scores[1])
@@ -468,44 +476,24 @@ def test_scores_of_many_vertices_match_local_scores():
     assert [_bits(s) for s in got] == [_bits(local_score(k, (), loc, penalty=0.7)) for k in range(1, 6)]
 
 
-def test_score_insertions_match_local_score():
+def test_insertion_rows_match_local_score():
     _, family, _, data = random_instance(72, p=6, n=300)
     loc = local_stats(sufficient_stats(data), family)
     rows = [((), [2, 3, 2]), ((3, 2), [5, 4, 6]), ({4, 5}, [6])]
     for parents, tails in rows:
-        got = score_insertions(1, parents, tails, loc)
+        got = _insertion_scores(1, parents, tails, loc)
         sets = [{*parents, tail} for tail in tails]
         assert [_bits(s) for s in got] == [_bits(local_score(1, pa, loc)) for pa in sets]
-    assert score_insertions(1, (3,), [2], loc, penalty=0.0) == [local_score(1, (2, 3), loc, penalty=0.0)]
+    assert _insertion_scores(1, (3,), [2], loc, penalty=0.0) == [local_score(1, (2, 3), loc, penalty=0.0)]
     # every row of every vertex, against one-at-a-time scores
     for k in range(1, 7):
         others = [j for j in range(1, 7) if j != k]
         for size in range(3):
             for parents in itertools.combinations(others, size):
                 tails = [j for j in others if j not in parents][::-1]
-                got = score_insertions(k, parents, tails, loc)
+                got = _insertion_scores(k, parents, tails, loc)
                 want = [local_score(k, (*parents, tail), loc) for tail in tails]
                 assert [_bits(s) for s in got] == [_bits(s) for s in want]
-
-
-def test_score_insertions_checks_its_arguments():
-    _, family, _, data = random_instance(73, p=4, n=100)
-    loc = local_stats(sufficient_stats(data), family)
-    with pytest.raises(ParameterError, match="vertex 1 cannot be its own parent"):
-        score_insertions(1, (2,), [3, 1], loc)
-    with pytest.raises(ParameterError, match="vertex 2 is already a parent of vertex 1"):
-        score_insertions(1, (2, 3), [4, 2], loc)
-    with pytest.raises(ParameterError, match="parent 5 is out of range"):
-        score_insertions(1, (), [2, 5], loc)
-    with pytest.raises(ParameterError, match="parent 0 is out of range"):
-        score_insertions(1, (2,), [0], loc)
-    with pytest.raises(ParameterError, match="vertex 5 is out of range"):
-        score_insertions(5, (), [1], loc)
-    with pytest.raises(ParameterError, match="vertex 1 cannot be its own parent"):
-        score_insertions(1, (1,), [2], loc)
-    with pytest.raises(ParameterError, match="penalty must be finite and non-negative"):
-        score_insertions(1, (), [2], loc, penalty=-1.0)
-    assert score_insertions(1, (2,), [], loc) == []
 
 
 def test_kernel_on_hand_built_mixtures():
@@ -516,7 +504,7 @@ def test_kernel_on_hand_built_mixtures():
     loc = LocalStats(4, 60, np.full(4, 60), mixtures)
     rows = [((2,), [3, 4]), ((4,), [3])]
     for parents, tails in rows:
-        for tail, score in zip(tails, score_insertions(1, parents, tails, loc)):
+        for tail, score in zip(tails, _insertion_scores(1, parents, tails, loc)):
             pa = sorted((*parents, tail))
             b, resid = reference_fit_row(S, 0, [j - 1 for j in pa])
             want = -0.5 * 60 * (1.0 + math.log(resid)) - 0.5 * math.log(60) * 2

@@ -14,7 +14,7 @@ Core claims:
       conditioned, and a whole fit proves each vertex's mixture once; with
       a duplicated column no mixture is proven, and greedy's DAG and trace
       and the DP's parent sets equal their oracles'.  A lone local score or
-      row of insertion scores proves only its own vertex's mixture.
+      kernel call on one vertex's row proves only that vertex's mixture.
     - Both searchers respect max_parents; the DP refuses p > 20.
     - Score equivalence: every member of the estimate's class gets the
       same BIC up to float noise.
@@ -67,7 +67,6 @@ from interdag import (
     mle_given_dag,
     run_fit,
     sample_dataset,
-    score_insertions,
     sufficient_stats,
 )
 
@@ -455,7 +454,7 @@ def test_a_lone_local_score_proves_only_its_own_vertex(monkeypatch):
     assert len(calls) == 1 and np.shares_memory(calls[0], local.mixture(7))
     # the flag is remembered: the vertex is not proven again, by any scorer
     local_score(7, (4,), local)
-    score_insertions(7, (), (1, 2, 3), local)
+    interdag.likelihood._scores(7, [(1,), (2,), (3,)], local, 1.0)
     assert len(calls) == 1
     LocalScoreCache(local).score(9, (1,))
     assert len(calls) == 2 and np.shares_memory(calls[1], local.mixture(9))
