@@ -7,148 +7,26 @@ The package covers the full pipeline: model representation and sampling
 graphs (:mod:`interdag.equivalence`), greedy and exact structure search
 (:mod:`interdag.search`), structural accuracy metrics (:mod:`interdag.metrics`),
 and seeded replicate experiments plus a command line (:mod:`interdag.cli`).
+
+The public names are those of each module's ``__all__``.
 """
 
-from .equivalence import (
-    EssentialGraph,
-    Skeleton,
-    VStructure,
-    conservative,
-    enumerate_class,
-    essential_graph,
-    format_essential_graph,
-    markov_equivalent_interventional,
-    parse_essential_graph,
-    same_essential_graph,
-    skeleton,
-    v_structures,
-)
-from .errors import (
-    CapacityError,
-    DataError,
-    DegenerateFitError,
-    InterdagError,
-    ParameterError,
-)
-from .experiments import (
-    ExperimentConfig,
-    ResultRow,
-    estimate_essential_graph,
-    fit_structure,
-    run_consistency_experiment,
-    run_fit,
-)
-from .likelihood import (
-    FittedModel,
-    LocalScoreCache,
-    LocalStats,
-    NaturalParams,
-    SufficientStats,
-    bic_score,
-    decomposed_log_likelihood,
-    local_score,
-    local_stats,
-    log_likelihood,
-    mle_given_dag,
-    natural_params,
-    sufficient_stats,
-)
-from .metrics import (
-    ConfusionCounts,
-    adjacency,
-    directed_confusion,
-    shd,
-    skeleton_confusion,
-)
-from .model import (
-    Dag,
-    Dataset,
-    GaussianCausalModel,
-    InterventionSpec,
-    InterventionTarget,
-    TargetFamily,
-    derive_seed,
-    format_model,
-    intervention_dag,
-    interventional_moments,
-    observational_covariance,
-    parse_model,
-    sample_dataset,
-    sample_normalized_model,
-    sample_random_dag,
-)
-from .search import (
-    SearchConfig,
-    SearchTrace,
-    TraceStep,
-    exhaustive_dp,
-    format_trace,
-    greedy_search,
-)
+from . import equivalence, errors, experiments, likelihood, metrics, model, search
+from .equivalence import *
+from .errors import *
+from .experiments import *
+from .likelihood import *
+from .metrics import *
+from .model import *
+from .search import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapacityError",
-    "ConfusionCounts",
-    "Dag",
-    "DataError",
-    "Dataset",
-    "DegenerateFitError",
-    "EssentialGraph",
-    "ExperimentConfig",
-    "FittedModel",
-    "GaussianCausalModel",
-    "InterdagError",
-    "InterventionSpec",
-    "InterventionTarget",
-    "LocalScoreCache",
-    "LocalStats",
-    "NaturalParams",
-    "ParameterError",
-    "ResultRow",
-    "SearchConfig",
-    "SearchTrace",
-    "Skeleton",
-    "SufficientStats",
-    "TargetFamily",
-    "TraceStep",
-    "VStructure",
-    "adjacency",
-    "bic_score",
-    "conservative",
-    "decomposed_log_likelihood",
-    "derive_seed",
-    "directed_confusion",
-    "enumerate_class",
-    "essential_graph",
-    "estimate_essential_graph",
-    "exhaustive_dp",
-    "fit_structure",
-    "format_essential_graph",
-    "format_model",
-    "format_trace",
-    "greedy_search",
-    "intervention_dag",
-    "interventional_moments",
-    "local_score",
-    "local_stats",
-    "log_likelihood",
-    "markov_equivalent_interventional",
-    "mle_given_dag",
-    "natural_params",
-    "observational_covariance",
-    "parse_essential_graph",
-    "parse_model",
-    "run_consistency_experiment",
-    "run_fit",
-    "same_essential_graph",
-    "sample_dataset",
-    "sample_normalized_model",
-    "sample_random_dag",
-    "shd",
-    "skeleton",
-    "skeleton_confusion",
-    "sufficient_stats",
-    "v_structures",
-]
+__all__: list[str] = []
+__all__ += errors.__all__
+__all__ += model.__all__
+__all__ += likelihood.__all__
+__all__ += equivalence.__all__
+__all__ += search.__all__
+__all__ += metrics.__all__
+__all__ += experiments.__all__

@@ -204,6 +204,8 @@ def _read_config_file(path: str | Path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in types:
             raise ParameterError(f"{path}: line {lineno}: unknown key {key!r}")
+        if key in settings:
+            raise ParameterError(f"{path}: line {lineno}: duplicate key {key!r}")
         try:
             settings[key] = types[key](value)
         except ValueError as exc:
@@ -216,8 +218,9 @@ def _read_config_file(path: str | Path) -> dict:
 
 
 def _cmd_fit(args) -> int:
-    dataset = ingest_csv(args.data)
+    # a bad search flag is rejected before the data is read
     config = SearchConfig(**{f.name: getattr(args, f.name) for f in fields(SearchConfig)})
+    dataset = ingest_csv(args.data)
     fitted, graph, _ = run_fit(dataset, method=args.method, config=config, out_dir=args.out)
     print(f"n={dataset.n} p={dataset.p} method={args.method}")
     print(f"edges={fitted.dag.num_edges} bic={fitted.bic:.6f} loglik={fitted.log_likelihood:.6f}")

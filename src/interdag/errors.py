@@ -4,6 +4,8 @@ The command-line tool maps these onto process exit codes: parameter and
 configuration problems exit 2, data problems exit 3, capacity guards exit 4.
 """
 
+__all__ = ["InterdagError", "ParameterError", "DataError", "DegenerateFitError", "CapacityError"]
+
 
 class InterdagError(Exception):
     """Base class for every error raised by this package."""

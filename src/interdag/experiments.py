@@ -23,7 +23,7 @@ from .equivalence import (
 )
 from .errors import DataError, ParameterError
 from .likelihood import FittedModel, LocalStats, local_stats, mle_given_dag, sufficient_stats
-from .metrics import directed_confusion, shd, skeleton_confusion
+from .metrics import ConfusionCounts, directed_confusion, shd, skeleton_confusion
 from .model import (
     _FLOAT_FMT,
     Dag,
@@ -41,8 +41,8 @@ from .model import (
 )
 from .search import SearchConfig, SearchTrace, exhaustive_dp, format_trace, greedy_search
 
-__all__ = ["METHODS", "ExperimentConfig", "ResultRow", "fit_structure", "estimate_essential_graph",
-           "run_fit", "run_consistency_experiment"]
+__all__ = ["ExperimentConfig", "ResultRow", "fit_structure", "estimate_essential_graph", "run_fit",
+           "run_consistency_experiment"]
 
 _FMT = _FLOAT_FMT.format
 
@@ -239,6 +239,16 @@ def _draw_model(config: ExperimentConfig, *rep: int) -> tuple[Dag, GaussianCausa
     return dag, sample_normalized_model(dag, derive_seed(config.seed, 2, *rep))
 
 
+# the ResultRow fields that copy an ExperimentConfig setting
+_CONFIG_COLUMNS = [f.name for f in fields(ResultRow) if f.name in ExperimentConfig.__dataclass_fields__]
+
+
+def _confusion_fields(prefix: str, counts: ConfusionCounts) -> dict[str, int]:
+    """The ResultRow fields ``<prefix>_tp``, ``_fp``, ``_fn`` and ``_tn`` of a confusion table."""
+    return {f"{prefix}_tp": counts.true_positives, f"{prefix}_fp": counts.false_positives,
+            f"{prefix}_fn": counts.false_negatives, f"{prefix}_tn": counts.true_negatives}
+
+
 def _run_replicate(args: tuple) -> list[ResultRow]:
     """Every grid point of one replicate: its DAG and model are drawn once,
     its targets from one seed at every grid point, and the true essential
@@ -247,6 +257,7 @@ def _run_replicate(args: tuple) -> list[ResultRow]:
     dag, model = _draw_model(config, rep)
     target_seed = derive_seed(config.seed, 3, rep)
     search_config = SearchConfig(max_parents=config.max_parents)
+    settings = {name: getattr(config, name) for name in _CONFIG_COLUMNS}
     truth_graphs: dict[TargetFamily, EssentialGraph] = {}
     rows = []
     for n_idx, n in enumerate(config.n_grid):
@@ -265,31 +276,12 @@ def _run_replicate(args: tuple) -> list[ResultRow]:
             truth_graph = truth_graphs[family]
             est_graph = essential_graph(fitted_dag, family)
             distance = shd(truth_graph, est_graph)
-            skel = skeleton_confusion(truth_graph, est_graph)
-            direct = directed_confusion(truth_graph, est_graph)
-            row = ResultRow(
-                p=config.p,
-                expected_degree=config.expected_degree,
-                k=config.k,
-                replicates_per_target=config.replicates_per_target,
-                tau=config.tau,
-                method=config.method,
-                n=n,
-                mu=mu,
-                replicate=rep,
-                shd=distance,
-                exact=distance == 0,
+            rows.append(ResultRow(
+                **settings, n=n, mu=mu, replicate=rep, shd=distance, exact=distance == 0,
                 runtime_seconds=runtime,
-                skeleton_tp=skel.true_positives,
-                skeleton_fp=skel.false_positives,
-                skeleton_fn=skel.false_negatives,
-                skeleton_tn=skel.true_negatives,
-                directed_tp=direct.true_positives,
-                directed_fp=direct.false_positives,
-                directed_fn=direct.false_negatives,
-                directed_tn=direct.true_negatives,
-            )
-            rows.append(row)
+                **_confusion_fields("skeleton", skeleton_confusion(truth_graph, est_graph)),
+                **_confusion_fields("directed", directed_confusion(truth_graph, est_graph)),
+            ))
     return rows
 
 
@@ -305,12 +297,15 @@ def run_consistency_experiment(
     """
     config.validate()
     jobs = [(config, rep) for rep in range(config.replicates)]
-    if config.workers > 1:
+    # a fork-started pool forks all its workers at the first submit, so
+    # workers beyond the replicate count would only sit idle
+    workers = min(config.workers, config.replicates)
+    if workers > 1:
         # imported here: it loads multiprocessing, socket and subprocess,
         # which a one-worker run never uses
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_replicate = list(pool.map(_run_replicate, jobs))
     else:
         per_replicate = [_run_replicate(job) for job in jobs]

@@ -121,15 +121,6 @@ class SufficientStats:
     def targets(self) -> tuple[InterventionTarget, ...]:
         return TargetFamily(frozenset(self.counts)).sorted_targets()
 
-    def count(self, target: InterventionTarget) -> int:
-        return self.counts.get(target, 0)
-
-    def second_moment(self, target: InterventionTarget) -> np.ndarray:
-        return self.second_moments[target]
-
-    def first_moment(self, target: InterventionTarget) -> np.ndarray:
-        return self.first_moments[target]
-
 
 def sufficient_stats(dataset: Dataset) -> SufficientStats:
     """Accumulate per-target counts and moments; rejects empty datasets.
@@ -235,7 +226,7 @@ def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> L
                 raise ParameterError(
                     f"observed target {t.members} is missing from the supplied family"
                 )
-    weighted = [(t, stats.count(t), stats.count(t) * stats.second_moment(t)) for t in targets]
+    weighted = [(t, stats.counts[t], stats.counts[t] * stats.second_moments[t]) for t in targets]
     # the vertices whose first containing target is targets[i], at starts[i];
     # vertices in no target at starts[-1]
     starts: list[list[int]] = [[] for _ in range(len(targets) + 1)]
@@ -515,9 +506,9 @@ def log_likelihood(
     total = 0.0
     for t in stats.targets():
         par = natural_params(model, t, spec)
-        n_t = stats.count(t)
-        S = stats.second_moment(t)
-        m = stats.first_moment(t)
+        n_t = stats.counts[t]
+        S = stats.second_moments[t]
+        m = stats.first_moments[t]
         total += n_t * (
             -0.5 * p * _LOG_2PI
             - 0.5 * float(np.sum(S * par.precision))
@@ -564,9 +555,9 @@ def decomposed_log_likelihood(
                 f"intervention parameters required for target {t.members}"
             )
         mu_u, tau2 = spec.for_target(t)
-        n_t = stats.count(t)
-        S = stats.second_moment(t)
-        m = stats.first_moment(t)
+        n_t = stats.counts[t]
+        S = stats.second_moments[t]
+        m = stats.first_moments[t]
         for i, v in enumerate(t.members):
             second = S[v - 1, v - 1]
             first = m[v - 1]

@@ -37,7 +37,6 @@ __all__ = [
     "intervention_dag",
     "interventional_moments",
     "sample_dataset",
-    "group_rows",
     "format_model",
     "parse_model",
     "derive_seed",

@@ -471,9 +471,9 @@ def reference_local_stats(stats):
         for t in stats.targets():
             if k in t:
                 continue
-            n_t = stats.count(t)
+            n_t = stats.counts[t]
             n_ex += n_t
-            acc += n_t * stats.second_moment(t)
+            acc += n_t * stats.second_moments[t]
         counts[k - 1] = n_ex
         if n_ex > 0:
             mixtures[k - 1] = acc / n_ex

@@ -17,6 +17,8 @@ Core claims:
       fields of SearchConfig and ExperimentConfig, typed by their
       annotations (string ones too); a config file and the equivalent
       flags give the same rows.csv and medians.csv.
+    - A config file that repeats a key is rejected, naming the line and
+      the key; fit rejects a bad search flag before it reads the data.
     - Exit codes: 0 success, 2 parameter/config error, 3 data error,
       4 capacity guard.
     - fit/simulate/experiment write the documented artifact files, and
@@ -350,6 +352,23 @@ def test_settings_flags_come_from_the_config_fields(tmp_path, capsys):
         assert len((tmp_path / steps / "trace.txt").read_text().splitlines()) == lines
 
 
+def test_fit_rejects_a_bad_search_flag_before_reading_the_data(tmp_path, capsys, monkeypatch):
+    reads = []
+
+    def recorded_ingest(path):
+        reads.append(path)
+        raise DataError("not read")
+
+    monkeypatch.setattr(interdag.cli, "ingest_csv", recorded_ingest)
+    csv = str(tmp_path / "d.csv")
+    assert main(["fit", "--data", csv, "--max-steps", "-1"]) == 2
+    assert "max_steps" in capsys.readouterr().err
+    assert reads == []
+    # with a valid flag the data is read
+    assert main(["fit", "--data", csv, "--max-steps", "1"]) == 3
+    assert reads == [csv]
+
+
 def test_fit_missing_file_is_a_data_error(tmp_path, capsys):
     code = main(["fit", "--data", str(tmp_path / "none.csv")])
     assert code == 3
@@ -539,6 +558,13 @@ def test_experiment_rejects_unknown_config_key(tmp_path, capsys):
     code = main(["experiment", "--config", str(cfg)])
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_experiment_rejects_duplicate_config_key(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("p = 4\nseed = 1\n# p = 6\np = 5\n")
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    assert f"{cfg}: line 4: duplicate key 'p'" in capsys.readouterr().err
 
 
 def test_experiment_requires_seed(capsys):

@@ -7,6 +7,8 @@ Core claims:
       for both methods, from run_fit and from estimate_essential_graph.
     - Seeded greedy and DP grids write rows.csv and medians.csv to the
       byte, pinned by sha256, and the same bytes with one worker or two.
+    - A grid never asks for more pool workers than it has replicates, and
+      runs in this process when that is one.
     - The kernel calls and fitted parent sets of a small greedy grid are
       pinned.
 """
@@ -130,3 +132,34 @@ def test_grid_outputs_do_not_depend_on_worker_count(tmp_path):
         run_consistency_experiment(config, out_dir=out)
         outputs.append([(out / name).read_bytes() for name in ("rows.csv", "medians.csv")])
     assert outputs[0] == outputs[1]
+
+
+def test_workers_are_capped_at_the_replicate_count(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    outputs = {}
+    for replicates, workers in ((3, 1), (3, 2), (3, 64), (1, 64)):
+        config = ExperimentConfig(seed=3, p=5, n_grid=(40,), k=2, replicates=replicates, workers=workers)
+        out = tmp_path / f"{replicates}-{workers}"
+        run_consistency_experiment(config, out_dir=out)
+        outputs[replicates, workers] = [(out / name).read_bytes() for name in ("rows.csv", "medians.csv")]
+    assert sizes == [2, 3]
+    assert outputs[3, 1] == outputs[3, 2] == outputs[3, 64]

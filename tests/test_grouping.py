@@ -143,9 +143,9 @@ def test_grouped_sampling_and_statistics_match_reference(case, seed):
     expected = reference_sufficient_stats(data)
     assert list(stats.counts) == list(expected)
     for t, (n_t, second, first) in expected.items():
-        assert stats.count(t) == n_t
-        assert _same_bits(stats.second_moment(t), second)
-        assert _same_bits(stats.first_moment(t), first)
+        assert stats.counts[t] == n_t
+        assert _same_bits(stats.second_moments[t], second)
+        assert _same_bits(stats.first_moments[t], first)
     local = local_stats(stats)
     counts, mixtures = reference_local_stats(stats)
     assert _same_bits(local.counts_excluding, counts)

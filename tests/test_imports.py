@@ -1,6 +1,10 @@
-"""What importing the package loads, and where the kernel's LAPACK comes from.
+"""What the package exports, what importing it loads, and where the kernel's
+LAPACK comes from.
 
 Core claims:
+    - ``interdag.__all__`` is the 62 pinned names, each declared in exactly
+      one module's ``__all__``, and every name of every module's ``__all__``
+      resolves.
     - ``import interdag.cli`` in a fresh interpreter loads neither
       ``scipy.linalg`` (nor the ``numpy.f2py`` it brings in) nor the
       process-pool machinery, which only ``--workers`` above 1 uses.
@@ -20,6 +24,8 @@ from pathlib import Path
 import pytest
 import scipy
 
+import interdag
+import interdag.cli
 import interdag.likelihood
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -34,6 +40,39 @@ def _run_fresh(code: str) -> str:
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+PUBLIC = [
+    "CapacityError", "ConfusionCounts", "Dag", "DataError", "Dataset", "DegenerateFitError",
+    "EssentialGraph", "ExperimentConfig", "FittedModel", "GaussianCausalModel", "InterdagError",
+    "InterventionSpec", "InterventionTarget", "LocalScoreCache", "LocalStats", "NaturalParams",
+    "ParameterError", "ResultRow", "SearchConfig", "SearchTrace", "Skeleton", "SufficientStats",
+    "TargetFamily", "TraceStep", "VStructure", "adjacency", "bic_score", "conservative",
+    "decomposed_log_likelihood", "derive_seed", "directed_confusion", "enumerate_class",
+    "essential_graph", "estimate_essential_graph", "exhaustive_dp", "fit_structure",
+    "format_essential_graph", "format_model", "format_trace", "greedy_search", "intervention_dag",
+    "interventional_moments", "local_score", "local_stats", "log_likelihood",
+    "markov_equivalent_interventional", "mle_given_dag", "natural_params",
+    "observational_covariance", "parse_essential_graph", "parse_model",
+    "run_consistency_experiment", "run_fit", "same_essential_graph", "sample_dataset",
+    "sample_normalized_model", "sample_random_dag", "shd", "skeleton", "skeleton_confusion",
+    "sufficient_stats", "v_structures",
+]
+MODULES = ["errors", "model", "likelihood", "equivalence", "search", "metrics", "experiments", "cli"]
+
+
+def test_package_exports_each_module_name_once():
+    assert sorted(interdag.__all__) == PUBLIC
+    declared = {}
+    for name in MODULES:
+        module = getattr(interdag, name)
+        for public in module.__all__:
+            assert public not in declared, f"{public} is in {declared[public]} and {name}"
+            declared[public] = name
+            assert hasattr(module, public), f"{name}.{public} does not resolve"
+            if name != "cli":
+                assert getattr(interdag, public) is getattr(module, public)
+    assert sorted(declared) == sorted(PUBLIC + interdag.cli.__all__)
 
 
 def test_cli_import_leaves_out_scipy_linalg_f2py_and_process_pools():

@@ -64,8 +64,8 @@ def test_stats_single_row():
     ds = Dataset(2, (InterventionTarget.empty(),), x.reshape(1, 2))
     st = sufficient_stats(ds)
     assert st.n == 1
-    assert st.count(InterventionTarget.empty()) == 1
-    assert np.array_equal(st.second_moment(InterventionTarget.empty()), np.outer(x, x))
+    assert st.counts[InterventionTarget.empty()] == 1
+    assert np.array_equal(st.second_moments[InterventionTarget.empty()], np.outer(x, x))
 
 
 def test_stats_duplication_invariance():
@@ -73,8 +73,8 @@ def test_stats_duplication_invariance():
     doubled = Dataset(3, data.targets * 2, np.vstack([data.values, data.values]))
     a, b = sufficient_stats(data), sufficient_stats(doubled)
     t = InterventionTarget.empty()
-    assert b.count(t) == 2 * a.count(t)
-    assert np.allclose(a.second_moment(t), b.second_moment(t), atol=1e-12)
+    assert b.counts[t] == 2 * a.counts[t]
+    assert np.allclose(a.second_moments[t], b.second_moments[t], atol=1e-12)
 
 
 def test_stats_mixed_targets_and_row_order():
@@ -82,12 +82,12 @@ def test_stats_mixed_targets_and_row_order():
     rows = np.arange(10.0).reshape(5, 2)
     ds = Dataset(2, (t0, t1, t0, t1, t1), rows)
     st = sufficient_stats(ds)
-    assert st.count(t0) == 2 and st.count(t1) == 3
+    assert st.counts[t0] == 2 and st.counts[t1] == 3
     hand = (np.outer(rows[0], rows[0]) + np.outer(rows[2], rows[2])) / 2
-    assert np.allclose(st.second_moment(t0), hand, atol=1e-12)
+    assert np.allclose(st.second_moments[t0], hand, atol=1e-12)
     perm = [4, 2, 0, 3, 1]
     st2 = sufficient_stats(Dataset(2, tuple(ds.targets[i] for i in perm), rows[perm]))
-    assert np.allclose(st.second_moment(t1), st2.second_moment(t1), atol=1e-12)
+    assert np.allclose(st.second_moments[t1], st2.second_moments[t1], atol=1e-12)
 
 
 def test_stats_rejects_empty_dataset():
@@ -103,7 +103,7 @@ def test_local_stats_observational_only():
     _, data = _obs(30, 4, seed=2)
     st = sufficient_stats(data)
     loc = local_stats(st)
-    S0 = st.second_moment(InterventionTarget.empty())
+    S0 = st.second_moments[InterventionTarget.empty()]
     for k in range(1, 5):
         assert loc.count_excluding(k) == 30
         assert np.array_equal(loc.mixture(k), S0)
@@ -119,8 +119,8 @@ def test_local_stats_mixture_arithmetic():
     loc = local_stats(st)
     assert loc.count_excluding(1) == 4
     assert loc.count_excluding(2) == 10
-    assert np.allclose(loc.mixture(1), st.second_moment(t0), atol=1e-15)
-    hand = 0.4 * st.second_moment(t0) + 0.6 * st.second_moment(t1)
+    assert np.allclose(loc.mixture(1), st.second_moments[t0], atol=1e-15)
+    hand = 0.4 * st.second_moments[t0] + 0.6 * st.second_moments[t1]
     assert np.allclose(loc.mixture(2), hand, atol=1e-14)
 
 
@@ -237,7 +237,7 @@ def test_log_likelihood_standard_normal_case():
     _, data = _obs(50, 3, seed=9)
     st = sufficient_stats(data)
     model = GaussianCausalModel(Dag.empty(3), np.zeros((3, 3)), np.ones(3))
-    S = st.second_moment(InterventionTarget.empty())
+    S = st.second_moments[InterventionTarget.empty()]
     expected = -0.5 * 50 * np.trace(S) - 0.5 * 50 * 3 * math.log(2 * math.pi)
     assert log_likelihood(model, st) == pytest.approx(expected, abs=1e-9)
 
@@ -272,9 +272,9 @@ def test_fitted_loglik_matches_full_likelihood_up_to_nuisance_terms():
         if target.is_empty:
             continue
         mu, tau2 = spec.for_target(target)
-        n_t = st.count(target)
-        S = st.second_moment(target)
-        m1 = st.first_moment(target)
+        n_t = st.counts[target]
+        S = st.second_moments[target]
+        m1 = st.first_moments[target]
         for i, v in enumerate(target.members):
             j = v - 1
             nuisance += n_t * (
