@@ -251,20 +251,25 @@ def _confusion_fields(prefix: str, counts: ConfusionCounts) -> dict[str, int]:
 
 def _run_replicate(args: tuple) -> list[ResultRow]:
     """Every grid point of one replicate: its DAG and model are drawn once,
-    its targets from one seed at every grid point, and the true essential
-    graph is built once per observed family."""
+    its targets from one seed at every grid point, each target's mean and
+    covariance root once per mu, and the true essential graph once per
+    observed family."""
     config, rep = args
     dag, model = _draw_model(config, rep)
     target_seed = derive_seed(config.seed, 3, rep)
     search_config = SearchConfig(max_parents=config.max_parents)
     settings = {name: getattr(config, name) for name in _CONFIG_COLUMNS}
     truth_graphs: dict[TargetFamily, EssentialGraph] = {}
+    # a target's mean and covariance root depend only on the model, the
+    # target and its (mu, tau), so each (mu, target) pair gets them once
+    roots: list[dict] = [{} for _ in config.mu_grid]
     rows = []
     for n_idx, n in enumerate(config.n_grid):
         singles, sequence = _draw_cell(config, n, target_seed)
         for mu_idx, mu in enumerate(config.mu_grid):
             spec = InterventionSpec.constant(singles, mu, config.tau**2)
-            data = sample_dataset(model, sequence, spec, derive_seed(config.seed, 4, rep, n_idx, mu_idx))
+            data = sample_dataset(model, sequence, spec, derive_seed(config.seed, 4, rep, n_idx, mu_idx),
+                                  _roots=roots[mu_idx])
             family = data.observed_targets()
 
             t0 = time.perf_counter()

@@ -10,7 +10,8 @@ rows whose target does NOT contain that vertex.  The per-vertex mixture
     S_minus_k = sum_{I: k not in I} (n_I / n_minus_k) S_I
 
 is all the data a vertex's parameters ever see, which is what makes greedy
-and exact search tractable.
+and exact search tractable.  Vertices in exactly the same observed targets
+share it, so ``LocalStats`` stores one mixture per exclusion pattern.
 
 Every regression of a vertex on a parent set goes through one kernel,
 ``_fit_rows``, which fits a stack of equal-size parent sets at once, of one
@@ -19,14 +20,15 @@ same bits whatever stack it comes in, a stack of one included: the scores
 feed comparisons against a 1e-9 threshold in greedy search, so a last-bit
 change would change which moves are taken.  So it batches only what rounds
 the same in a stack as alone: the gather of the blocks, the conditioning
-test and the residual quadratic forms.  It factors and solves each usable
-block on its own with one LAPACK ``dposv`` call, which is the ``dpotrf``
-and ``dpotrs`` pair that scipy's cho_factor/cho_solve call.  Every block it
-fits is a principal sub-block of its vertex's mixture, so the conditioning
-test is decided once per vertex, when the vertex is first scored:
-``LocalStats.proven`` proves its mixture well conditioned, and the kernel
-then skips the test for that vertex's sets; for any other it runs the SVD
-condition number on the parent block.
+test and the residual quadratic forms.  Adjacent sets of one pattern and
+one parent set share one block, one conditioning test and one LAPACK
+``dposv`` call (the ``dpotrf`` and ``dpotrs`` pair that scipy's
+cho_factor/cho_solve call), each column of whose solve has the bits of a
+one-column solve.  Every block is a principal sub-block of its pattern's
+mixture, so the conditioning test is decided once per pattern, when it is
+first scored: ``LocalStats.proven`` proves the mixture well conditioned,
+and the kernel then skips the test; otherwise it runs the SVD condition
+number on the parent block.
 
 ``dposv`` and ``dtrtri`` (the latter for the proof) are scipy's own
 wrappers, the very objects ``scipy.linalg.lapack`` exports, loaded straight
@@ -149,7 +151,12 @@ def sufficient_stats(dataset: Dataset) -> SufficientStats:
 
 @dataclass(frozen=True, eq=False)
 class LocalStats:
-    """Per-vertex mixture moments over the rows that exclude each vertex.
+    """Per-vertex exclusion statistics, stored once per exclusion pattern.
+
+    Vertices in exactly the same observed targets share a pattern, and so
+    their count and mixture: ``mixtures`` has shape (m, p, p), one matrix
+    per pattern, and ``pattern_of[k - 1]`` is vertex k's pattern (the
+    identity when omitted).  Observational data has one pattern.
 
     A vertex with ``counts_excluding[k-1] == 0`` appears in every observed
     target, so its parameters are unidentified; the zero count is the error
@@ -159,25 +166,40 @@ class LocalStats:
     p: int
     n: int
     counts_excluding: np.ndarray
-    mixtures: np.ndarray  # shape (p, p, p); mixtures[k-1] is the matrix for vertex k
+    mixtures: np.ndarray  # shape (m, p, p); mixtures[pattern_of[k-1]] is the matrix for vertex k
+    pattern_of: np.ndarray | None = None  # shape (p,); the identity when omitted
     _proofs: dict[int, bool] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.pattern_of is None:
+            identity = np.arange(self.p)
+            identity.setflags(write=False)
+            object.__setattr__(self, "pattern_of", identity)
 
     def count_excluding(self, k: int) -> int:
         return int(self.counts_excluding[k - 1])
 
+    def pattern(self, k: int) -> int:
+        return int(self.pattern_of[k - 1])
+
     def mixture(self, k: int) -> np.ndarray:
-        return self.mixtures[k - 1]
+        """Vertex k's mixture: a view of its pattern's matrix."""
+        return self.mixtures[self.pattern(k)]
 
     def identified(self, k: int) -> bool:
         return self.counts_excluding[k - 1] > 0
 
     def proven(self, k: int) -> bool:
-        """Whether ``_proven_well_conditioned`` holds for vertex k's mixture;
-        decided on the first call for k and remembered, so each vertex is
-        proven at most once and only when it is scored."""
-        flag = self._proofs.get(k)
+        """Whether ``_proven_well_conditioned`` holds for vertex k's mixture."""
+        return self.proven_pattern(self.pattern(k))
+
+    def proven_pattern(self, q: int) -> bool:
+        """Whether ``_proven_well_conditioned`` holds for pattern q's mixture;
+        decided on the first call for q and remembered, so each pattern is
+        proven at most once and only when one of its vertices is scored."""
+        flag = self._proofs.get(q)
         if flag is None:
-            flag = self._proofs[k] = _proven_well_conditioned(self.mixture(k))
+            flag = self._proofs[q] = _proven_well_conditioned(self.mixtures[q])
         return flag
 
     @property
@@ -197,25 +219,29 @@ def check_marginal_variance(local: LocalStats) -> None:
     """Raise DegenerateFitError when some vertex's own second moment under its
     exclusion mixture is not positive and finite, so that even its empty
     parent set scores -inf."""
-    diag = np.diagonal(local.mixtures, axis1=1, axis2=2).diagonal()
+    vertices = np.arange(local.p)
+    diag = local.mixtures[local.pattern_of, vertices, vertices]
     bad = np.flatnonzero(~((diag > 0) & (diag < math.inf))) + 1
     if len(bad):
         raise DegenerateFitError(f"vertices {bad.tolist()} have no usable marginal variance")
 
 
 def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> LocalStats:
-    """Mix the per-target moments into the per-vertex exclusion statistics.
+    """Mix the per-target moments into the exclusion statistics, once per
+    exclusion pattern.
 
     ``family``, when given, must cover every observed target; targets in the
-    family without data contribute nothing to the mixtures.  Each target's
-    weighted moment n_t * S_t is formed once.  Every vertex's sum is the
-    left fold, in target order and starting from zeros, of the weighted
-    moments of the targets that do not contain it.  The targets before the
-    first one that contains a vertex all exclude it, so that part of its
-    fold is a prefix of one running fold over all targets: the vertex's sum
-    starts as a copy of that prefix and then adds only the later targets
-    that exclude it, in order.  The bits are those of a fold per vertex,
-    and with single-vertex targets it does about half the additions.
+    family without data contribute nothing to the mixtures.  A vertex's
+    pattern is the set of observed targets that contain it, numbered by
+    first vertex.  Each target's weighted moment n_t * S_t is formed once.
+    Every pattern's sum is the left fold,
+    in target order and starting from zeros, of the weighted moments of the
+    targets that do not contain its vertices.  The targets before the first
+    one that contains them all exclude them, so that part of its fold is a
+    prefix of one running fold over all targets: the pattern's sum starts as
+    a copy of that prefix and then adds only the later targets that exclude
+    it, in order.  The bits are those of a fold per vertex, and with
+    single-vertex targets it does about half the additions.
     """
     p = stats.p
     targets = stats.targets()
@@ -226,39 +252,44 @@ def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> L
                 raise ParameterError(
                     f"observed target {t.members} is missing from the supplied family"
                 )
-    weighted = [(t, stats.counts[t], stats.counts[t] * stats.second_moments[t]) for t in targets]
-    # the vertices whose first containing target is targets[i], at starts[i];
-    # vertices in no target at starts[-1]
-    starts: list[list[int]] = [[] for _ in range(len(targets) + 1)]
-    first = [len(targets)] * p
-    for i in reversed(range(len(targets))):
-        for v in targets[i].members:
-            first[v - 1] = i
-    for k in range(1, p + 1):
-        starts[first[k - 1]].append(k)
-    counts = np.zeros(p, dtype=np.int64)
-    mixtures = np.zeros((p, p, p))
+    weighted = [(stats.counts[t], stats.counts[t] * stats.second_moments[t]) for t in targets]
+    # each vertex's pattern: the indices of the targets that contain it
+    containing: list[list[int]] = [[] for _ in range(p)]
+    for i, t in enumerate(targets):
+        for v in t.members:
+            containing[v - 1].append(i)
+    numbers: dict[tuple[int, ...], int] = {}
+    pattern_of = np.array([numbers.setdefault(tuple(c), len(numbers)) for c in containing], dtype=np.intp)
+    # the patterns whose first containing target is targets[i], at starts[i];
+    # the pattern of the vertices in no target at starts[-1]
+    starts: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(len(targets) + 1)]
+    for key, q in numbers.items():
+        starts[key[0] if key else len(targets)].append((q, key))
+    counts = np.zeros(len(numbers), dtype=np.int64)
+    mixtures = np.zeros((len(numbers), p, p))
     prefix = np.zeros((p, p))  # the fold of every target before targets[i]
     n_prefix = 0
-    for i, vertices in enumerate(starts):
-        for k in vertices:
-            acc = mixtures[k - 1]
+    for i, patterns in enumerate(starts):
+        for q, key in patterns:
+            acc = mixtures[q]
             acc[...] = prefix
             n_ex = n_prefix
-            for t, n_t, moment in weighted[i + 1:]:
-                if k in t:
+            for j in range(i + 1, len(weighted)):
+                if j in key:
                     continue
+                n_t, moment = weighted[j]
                 n_ex += n_t
                 acc += moment
-            counts[k - 1] = n_ex
+            counts[q] = n_ex
             if n_ex > 0:
                 acc /= n_ex
         if i < len(weighted):
-            n_prefix += weighted[i][1]
-            prefix += weighted[i][2]
-    mixtures.setflags(write=False)
-    counts.setflags(write=False)
-    return LocalStats(p, stats.n, counts, mixtures)
+            n_prefix += weighted[i][0]
+            prefix += weighted[i][1]
+    counts = counts[pattern_of]
+    for array in (mixtures, counts, pattern_of):
+        array.setflags(write=False)
+    return LocalStats(p, stats.n, counts, mixtures, pattern_of)
 
 
 def _cond_or_inf(block: np.ndarray) -> float:
@@ -300,38 +331,55 @@ def _proven_well_conditioned(S: np.ndarray) -> bool:
     return _cond_bound(S) <= _COND_BOUND
 
 
+def _group_heads(pattern: int | np.ndarray, parents: np.ndarray) -> np.ndarray | None:
+    """The first set of each group, a run of adjacent sets of one pattern and
+    one parent set, or None when every set is a group of its own.  Only a
+    stack with a pattern per set is searched: the callers that pass one
+    pattern fit one vertex on distinct sets."""
+    if not isinstance(pattern, np.ndarray):
+        return None
+    first = np.ones(len(parents), dtype=bool)
+    (parents[1:] != parents[:-1]).any(axis=1, out=first[1:])
+    first[1:] |= pattern[1:] != pattern[:-1]
+    return None if first.all() else np.flatnonzero(first)
+
+
 def _fit_rows(
     mixtures: np.ndarray,
     vertex: int | np.ndarray,
     parent_idx: np.ndarray | list[list[int]],
     proven: bool | np.ndarray = False,
+    pattern: int | np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares fits of vertices on each of a stack of parent sets.
 
     Set i regresses 0-based vertex ``vertex[i]`` on the 0-based parents
-    ``parent_idx[i]`` under ``mixtures[vertex[i]]``, where ``mixtures`` is
-    laid out as ``LocalStats.mixtures`` and ``vertex`` is one index for
-    every set or an array of one per set; the rows of ``parent_idx`` are of
-    one length.  Returns ``(usable, coefs, resid)``, one entry per set:
-    whether the fit is usable, its coefficients and its residual second
-    moment.  A set is unusable when its parent block is conditioned worse
-    than 1e12 or is not positive definite; its coefficients are then zero
-    and its residual NaN.  Every mixture must be exactly symmetric, as every
-    mixture ``local_stats`` builds is, since the factorization reads each
-    block's transpose.
+    ``parent_idx[i]`` under ``mixtures[pattern[i]]``, where ``mixtures`` is
+    laid out as ``LocalStats.mixtures``; ``vertex`` and ``pattern`` are each
+    one index for every set or an array of one per set, and ``pattern``
+    defaults to ``vertex``.  The rows of ``parent_idx`` are of one length.
+    Returns ``(usable, coefs, resid)``, one entry per set: whether the fit
+    is usable, its coefficients and its residual second moment.  A set is
+    unusable when its parent block is conditioned worse than 1e12 or is not
+    positive definite; its coefficients are then zero and its residual NaN.
+    Every mixture must be exactly symmetric, as every mixture
+    ``local_stats`` builds is, since the factorization reads each block's
+    transpose.
 
-    Batched over the whole stack: the gather of every ``[k, pa...]`` block;
-    the SVD condition number of every parent block that needs one (block by
-    block when the stacked SVD raises, and then a block whose SVD does not
-    converge is unusable, and only it); and the residuals, as quadratic
-    forms of (1, -b) with the gathered blocks, which keeps each a true
-    quadratic form of a positive semidefinite matrix.  The usable parent
-    blocks and their right-hand sides are copied into contiguous stacks
-    once; then each block is Cholesky-factored and solved in place by one
-    ``dposv`` call, which is ``dpotrf`` followed by ``dpotrs``.  A block that
-    call finds not positive definite is unusable.  A stacked product rounds
-    as the one-block product does: each set gets the bits it would get
-    alone, whichever vertices share its stack.
+    A group (``_group_heads``) shares one parent block: one gather of it,
+    besides each set's vertex row and column; one SVD condition number when
+    the test is needed, stacked over the stack (block by block when that
+    raises, and then a block whose SVD does not converge is unusable, and
+    only it); and one ``dposv`` call, ``dpotrf`` then ``dpotrs``, which
+    factors the block and solves in place for the group's right-hand sides
+    as the columns of one Fortran-ordered ``(d, g)`` array, a C-ordered
+    ``(g, d)`` slice of the solutions transposed.  A block that call finds
+    not positive definite is unusable for its whole group.  The residuals
+    are stacked quadratic forms of (1, -b) with each set's ``[k, pa...]``
+    block, so each is a true quadratic form of a positive semidefinite
+    matrix.  A stacked product rounds as the one-block product does, and
+    column j of a g-column solve as a one-column solve: each set gets the
+    bits it would get alone.
 
     ``proven``, one flag for every set or an array of one per set, says that
     ``_proven_well_conditioned`` holds for the set's mixture: then no SVD
@@ -339,19 +387,38 @@ def _fit_rows(
     """
     parents = np.asarray(parent_idx, dtype=np.intp)
     m, d = parents.shape
+    if pattern is None:
+        pattern = vertex
     coefs = np.zeros((m, d))
     if d == 0:
-        return np.ones(m, dtype=bool), coefs, np.full(m, mixtures[vertex, vertex, vertex])
+        return np.ones(m, dtype=bool), coefs, np.full(m, mixtures[pattern, vertex, vertex])
     full = np.empty((m, d + 1), dtype=np.intp)
     full[:, 0] = vertex
     full[:, 1:] = parents
-    # one vertex for the whole stack, or one per set broadcast over its block
-    at = vertex[:, None, None] if isinstance(vertex, np.ndarray) else vertex
-    blocks = mixtures[at, full[:, :, None], full[:, None, :]]
-    parent_blocks = blocks[:, 1:, 1:]
-    usable = np.ones(m, dtype=bool)
-    # the sets whose parent block needs the conditioning test
-    tested = np.flatnonzero(~proven) if isinstance(proven, np.ndarray) else slice(0 if proven else m)
+    # one parent block, proof flag and usable flag per group; unless every
+    # set is a group of its own, each group's sets are counted in sizes
+    heads = _group_heads(pattern, parents)
+    sizes = None
+    if heads is None:
+        # one mixture for the whole stack, or one per set broadcast over its block
+        at = pattern[:, None, None] if isinstance(pattern, np.ndarray) else pattern
+        blocks = mixtures[at, full[:, :, None], full[:, None, :]]
+        parent_blocks = blocks[:, 1:, 1:]
+    else:
+        # one gather of each group's parent block, and of each set's vertex
+        # row and column
+        sizes = np.diff(heads, append=m)
+        lead = parents[heads]
+        parent_blocks = mixtures[pattern[heads, None, None], lead[:, :, None], lead[:, None, :]]
+        blocks = np.empty((m, d + 1, d + 1))
+        blocks[:, 1:, 1:] = np.repeat(parent_blocks, sizes, axis=0)
+        blocks[:, 0] = mixtures[pattern[:, None], full[:, :1], full]
+        blocks[:, 1:, 0] = mixtures[pattern[:, None], parents, full[:, :1]]
+        if isinstance(proven, np.ndarray):
+            proven = proven[heads]
+    usable = np.ones(len(parent_blocks), dtype=bool)
+    # the groups whose parent block needs the conditioning test
+    tested = np.flatnonzero(~proven) if isinstance(proven, np.ndarray) else slice(0 if proven else None)
     candidates = parent_blocks[tested]
     if len(candidates):
         try:
@@ -359,20 +426,28 @@ def _fit_rows(
         except np.linalg.LinAlgError:
             conds = np.array([_cond_or_inf(block) for block in candidates])
         usable[tested] = ~(conds > _COND_LIMIT)
-    # contiguous copies of the usable parent blocks and right-hand sides; a
-    # C-ordered symmetric block's transpose is the same matrix in Fortran
-    # order, so dposv (lower, overwrite_a, overwrite_b all 1) factors it and
-    # solves into the right-hand side in place, with no copy by f2py
+    # contiguous copies of the usable groups' parent blocks and of their sets'
+    # right-hand sides; a C-ordered symmetric block's transpose is the same
+    # matrix in Fortran order, so dposv (lower, overwrite_a, overwrite_b all
+    # 1) factors it and solves into the right-hand sides in place, with no
+    # copy by f2py
     factors = parent_blocks[usable].transpose(0, 2, 1)
-    solutions = blocks[:, 1:, 0][usable]
-    infos = [dposv(a, b, 1, 1, 1)[2] for a, b in zip(factors, solutions)]
-    coefs[usable] = solutions
+    fitted = usable if sizes is None else np.repeat(usable, sizes)
+    rhs = solutions = blocks[:, 1:, 0][fitted]
+    if sizes is not None:
+        # each group's right-hand sides as the columns of one Fortran-ordered
+        # (d, g) view; a lone set's is a row
+        stops = np.cumsum(sizes[usable]).tolist()
+        rhs = [solutions[stop - g:stop].T for g, stop in zip(sizes[usable].tolist(), stops)]
+    infos = [dposv(a, b, 1, 1, 1)[2] for a, b in zip(factors, rhs)]
+    coefs[fitted] = solutions
     if any(infos):
         # blocks that passed the conditioning test but that dposv found not
         # positive definite
-        failed = np.flatnonzero(usable)[np.array(infos) != 0]
-        usable[failed] = False
-        coefs[failed] = 0.0
+        usable[np.flatnonzero(usable)[np.array(infos) != 0]] = False
+        coefs[~(usable if sizes is None else np.repeat(usable, sizes))] = 0.0
+    if sizes is not None:
+        usable = np.repeat(usable, sizes)
     v = np.empty((m, d + 1))
     v[:, 0] = 1.0
     v[:, 1:] = -coefs
@@ -424,7 +499,7 @@ def mle_given_dag(dag: Dag, local: LocalStats) -> FittedModel:
                 f"vertex {k}: {n_ex} usable rows cannot identify {len(pa)} parents"
             )
         usable, coefs, resids = _fit_rows(
-            local.mixtures, k - 1, [[j - 1 for j in pa]], local.proven(k)
+            local.mixtures, k - 1, [[j - 1 for j in pa]], local.proven(k), local.pattern(k)
         )
         if not usable[0]:
             raise DegenerateFitError(f"vertex {k}: singular parent moment block")
@@ -589,38 +664,83 @@ def _checked_penalty(n: int, penalty: float | None) -> float:
     return penalty
 
 
+def _stacks(pattern: int | np.ndarray, parents: np.ndarray) -> list[tuple[int, int]]:
+    """The (start, stop) bounds of kernel stacks of at most _CHUNK sets each,
+    cut only where a group starts (``_group_heads``), unless one group alone
+    is longer than _CHUNK."""
+    total = len(parents)
+    heads = _group_heads(pattern, parents) if total > _CHUNK else None
+    bounds = []
+    start = 0
+    while start < total:
+        stop = min(start + _CHUNK, total)
+        if heads is not None and stop < total:
+            # the last group that starts at or before stop
+            cut = int(heads[np.searchsorted(heads, stop, side="right") - 1])
+            stop = cut if cut > start else stop
+        bounds.append((start, stop))
+        start = stop
+    return bounds
+
+
+def _penalized(resid: list[float], n_ex: int | list[int], cost: float) -> list[float]:
+    """-n/2 * (1 + log r) - cost for each residual r, or -inf where r is not
+    positive and finite, the NaN of an unusable set included.  ``n_ex`` is
+    one count for every residual, which spares a pairing per set, or a list
+    of one per residual."""
+    if isinstance(n_ex, int):
+        return [-0.5 * n_ex * (1.0 + math.log(r)) - cost if 0 < r < math.inf else -math.inf for r in resid]
+    return [-0.5 * n * (1.0 + math.log(r)) - cost if 0 < r < math.inf else -math.inf for n, r in zip(n_ex, resid)]
+
+
 def _scores(k: int | np.ndarray, parent_sets, local: LocalStats, penalty: float) -> list[float]:
     """Penalized scores of checked parent sets, all of one size.
 
     ``k`` is the vertex label of every set, or a numpy array of one label
     per set.  ``parent_sets`` is a sequence of label tuples or a 2-D array
-    of labels, one set per row, fitted in kernel calls of at most 1024 sets.
-    A set whose vertex has no more excluding rows than parents scores -inf.
+    of labels, one set per row, fitted in kernel stacks of at most 1024
+    sets that split no group of adjacent sets of one pattern and one parent
+    set (``_stacks``), so each group's block is factored once.  A set whose
+    vertex has no more excluding rows than parents scores -inf and is not
+    fitted.
     """
-    size = len(parent_sets[0])
+    idx = np.asarray(parent_sets, dtype=np.intp) - 1
+    total, size = idx.shape
     cost = penalty * size
-    many = isinstance(k, np.ndarray)
-    if not many:
-        n_ex = local.count_excluding(k)
-        if n_ex <= size:
-            return [-math.inf] * len(parent_sets)
+    if isinstance(k, np.ndarray):
+        live = local.counts_excluding[k - 1] > size
+        every = bool(live.all())
+        if not every:
+            k, idx = k[live], idx[live]
+        vertex = k - 1
+        pattern = local.pattern_of[vertex]
+        # one proof per pattern in the call
+        proofs = np.zeros(len(local.mixtures), dtype=bool)
+        for q in np.flatnonzero(np.bincount(pattern, minlength=len(proofs))).tolist():
+            proofs[q] = local.proven_pattern(q)
+        proven = proofs[pattern]
+        counts = local.counts_excluding[vertex]
+        # one count when every set's vertex has it, as in a call of one pattern
+        one = int(counts[0]) if len(counts) and (counts == counts[0]).all() else None
+        fitted = []
+        for start, stop in _stacks(pattern, idx):
+            resid = _fit_rows(local.mixtures, vertex[start:stop], idx[start:stop],
+                              proven[start:stop], pattern[start:stop])[2].tolist()
+            fitted += _penalized(resid, counts[start:stop].tolist() if one is None else one, cost)
+        if every:
+            return fitted
+        scores = [-math.inf] * total
+        for i, score in zip(np.flatnonzero(live).tolist(), fitted):
+            scores[i] = score
+        return scores
+    n_ex = local.count_excluding(k)
+    if n_ex <= size:
+        return [-math.inf] * total
+    pattern, proven = local.pattern(k), local.proven(k)
     scores = []
-    for start in range(0, len(parent_sets), _CHUNK):
-        idx = np.array(parent_sets[start:start + _CHUNK], dtype=np.intp) - 1
-        # the NaN residual of an unusable set fails the test too
-        if many:
-            vertex = k[start:start + _CHUNK] - 1
-            proven = np.array([local.proven(v + 1) for v in vertex.tolist()], dtype=bool)
-            resid = _fit_rows(local.mixtures, vertex, idx, proven)[2].tolist()
-            scores += [
-                -0.5 * n * (1.0 + math.log(r)) - cost if n > size and 0 < r < math.inf else -math.inf
-                for n, r in zip(local.counts_excluding[vertex].tolist(), resid)
-            ]
-        else:
-            # the same expression with one count for the stack, which spares
-            # the exact search a pairing per set
-            resid = _fit_rows(local.mixtures, k - 1, idx, local.proven(k))[2].tolist()
-            scores += [-0.5 * n_ex * (1.0 + math.log(r)) - cost if 0 < r < math.inf else -math.inf for r in resid]
+    for start, stop in _stacks(pattern, idx):
+        resid = _fit_rows(local.mixtures, k - 1, idx[start:stop], proven, pattern)[2].tolist()
+        scores += _penalized(resid, n_ex, cost)
     return scores
 
 

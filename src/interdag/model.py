@@ -566,6 +566,8 @@ def sample_dataset(
     target_sequence: Sequence[InterventionTarget],
     spec: InterventionSpec | None = None,
     seed: int = 0,
+    *,
+    _roots: dict | None = None,
 ) -> Dataset:
     """Draw one independent row per entry of ``target_sequence``, in order.
 
@@ -575,19 +577,26 @@ def sample_dataset(
     once by the Dataset, gets its mean and covariance root once, and has
     its rows drawn with one matrix product, through a slice when they are
     one run (``_rows_index``).
+
+    ``_roots`` is private: a dict that keeps each target's mean and root
+    across calls, for a caller that samples several datasets from one model
+    and one ``spec``.
     """
     p = model.p
     targets = tuple(target_sequence)
     groups = group_rows(targets)
     for t in groups:
         t.validate_for(p)
+    roots = {} if _roots is None else _roots
     rng = _rng(seed)
     n = len(targets)
     X = np.empty((n, p))  # the groups cover every row
     if n:
         Z = rng.standard_normal((n, p))
         for t, rows in groups.items():
-            mu, A = _mean_and_root(model, t, spec)
+            if t not in roots:
+                roots[t] = _mean_and_root(model, t, spec)
+            mu, A = roots[t]
             index = _rows_index(rows)
             X[index] = Z[index] @ A.T + mu
     return Dataset._grouped(p, targets, X, groups)

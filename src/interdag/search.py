@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError
 from .likelihood import (
+    _CHUNK,
     LocalStats,
     _checked_penalty,
     _scores,
@@ -139,10 +140,11 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
     together with its improving insertions as (-gain, tail, score) in
     sorted order.  Two kernel calls fill every table before the first step:
     one scores every vertex's empty set, the other all p(p - 1)
-    single-parent sets.  A table is refreshed the first time its vertex is
-    read after the vertex's parents change, by one ``_scores`` call for the
-    additions, its parents plus each tail as one array of sorted labels, and
-    one for the removals.  There is no score cache.  A deletion of
+    single-parent sets, ordered by (pattern, tail) so that the heads of one
+    exclusion pattern share each tail's factorization.  A table is
+    refreshed the first time its vertex is read after the vertex's parents
+    change, by one ``_scores`` call for the additions, its parents plus each
+    tail as one array of sorted labels, and one for the removals.  There is no score cache.  A deletion of
     tail -> head reads head's entry for tail; a reversal reads that and
     tail's entry for head.  Every finder returns (gain, tail, head, new head
     score, new tail score or None), so applying a move scores nothing.
@@ -208,15 +210,22 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
         return tables[v - 1]
 
     # every vertex's first table: all p(p - 1) single-parent sets in one
-    # call, in (head, tail) order; with no room for a parent no table is read
+    # call, ordered by (pattern, tail, head) so that the heads of a pattern
+    # share one factorization per tail; each head's scores come out in tail
+    # order.  With no room for a parent no table is read
     if max_parents:
         heads, tails = np.nonzero(~np.eye(p, dtype=bool))
-        added = _scores(heads + 1, tails[:, None] + 1, local, penalty)
+        order = np.lexsort((heads, tails, local.pattern_of[heads]))
+        heads, tails = heads[order], tails[order]
+        added: list[list[float]] = [[] for _ in range(p)]
+        for head, score in zip(heads.tolist(), _scores(heads + 1, tails[:, None] + 1, local, penalty)):
+            added[head].append(score)
+        others = np.arange(1, p + 1)
         for v in range(1, p + 1):
-            row = slice((v - 1) * (p - 1), v * (p - 1))
-            fill(v, (tails[row] + 1).tolist(), added[row])
-        # only the tables keep those scores, so a refreshed table frees its old ones
-        del added, heads, tails
+            fill(v, np.delete(others, v - 1).tolist(), added[v - 1])
+            # only the tables keep those scores, so a refreshed table frees its old ones
+            added[v - 1] = None
+        del heads, tails, order
 
     def best_insert():
         best = None
@@ -330,27 +339,68 @@ def _best_subsets(scores: np.ndarray, set_masks: np.ndarray, n: int) -> tuple[np
     return scores[order][rank], set_masks[order]
 
 
+def _dp_scores(local: LocalStats, max_parents: int, penalty: float) -> np.ndarray:
+    """Every vertex's score of every parent set of at most max_parents of
+    the others, one row per vertex, by size and then lexicographically.
+
+    The vertices of one exclusion pattern are scored together, size by
+    size: set by set, each vertex of the pattern outside the set, so that
+    they form one group of the kernel and share the set's parent block.
+    Each call takes whole sets, at most _CHUNK sets and vertices, so one
+    call is one kernel stack.  Dropping a vertex's own sets keeps the
+    lexicographic order, so a set's place in a vertex's row is the count of
+    that vertex's sets before it.
+    """
+    p = local.p
+    scores = np.empty((p, sum(math.comb(p - 1, d) for d in range(max_parents + 1))))
+    patterns = [np.flatnonzero(local.pattern_of == q) for q in np.flatnonzero(np.bincount(local.pattern_of))]
+    offset = 0  # where the sets of size d start in every row
+    for d in range(max_parents + 1):
+        sets = _combinations(p, d)
+        inside = np.zeros((len(sets), p), dtype=bool)
+        inside[np.arange(len(sets))[:, None], sets] = True
+        for members in patterns:
+            outside = ~inside[:, members]
+            position = np.cumsum(outside, axis=0) + (offset - 1)
+            step = max(1, _CHUNK // len(members))
+            for start in range(0, len(sets), step):
+                at, which = np.nonzero(outside[start:start + step])
+                at += start
+                scores[members[which], position[at, which]] = _scores(members[which] + 1, sets[at] + 1, local, penalty)
+        offset += math.comb(p - 1, d)
+    return scores
+
+
 def exhaustive_dp(local: LocalStats, config: SearchConfig | None = None) -> Dag:
     """Globally maximize the penalized score by subset dynamic programming.
 
     Exact over all DAGs whose in-degrees respect max_parents (Silander &
     Myllymäki, UAI 2006).  Each vertex scores every parent set of at most
-    max_parents of the others, batched by size through the scoring kernel,
-    which skips its conditioning test when the vertex's mixture is proven
-    well conditioned (``LocalStats.proven``); ``_best_subsets``
-    then finds the best parent set within every subset of the others.  Ties
-    go to the smaller set, then the lexicographically smaller one.  The best-sink recursion runs one
-    popcount layer of vertex subsets at a time, vectorized over the layer;
-    ties go to the largest-labelled sink.  Only the p sinks on the final
-    path have their parent sets decoded.
+    max_parents of the others (``_dp_scores``): the vertices of one
+    exclusion pattern are scored together, size by size, with the sets
+    grouped by parent set, so that one factorization of a set's parent
+    block serves every vertex of the pattern outside it, and the kernel
+    skips its conditioning test when the pattern's mixture is proven well
+    conditioned (``LocalStats.proven``).  The scores come back in each
+    vertex's order, by size and then lexicographically, and
+    ``_best_subsets`` then finds the best parent set within every subset of
+    the others.  Ties go to the smaller set, then the lexicographically
+    smaller one.  The best-sink recursion runs one popcount layer of vertex
+    subsets at a time, vectorized over the layer; ties go to the
+    largest-labelled sink.  Only the p sinks on the final path have their
+    parent sets decoded.
 
     Memory and time grow as p * 2^p; vertices are hard-capped at
     DP_VERTEX_LIMIT.  With the default max_parents and n=2000, on one core
-    of a shared 2-core host (Python 3.11, numpy 2.4, scipy 1.17), it took
-    0.084 s at p=12, 0.33 s at p=14, 1.35 s at p=16, 3.7 s at p=18 and 13 s
-    at p=20, with a peak RSS of 100 MB at p=18 and 200 MB at p=20.  Most of
-    that is the scoring kernel, and most of the kernel is its per-set
-    ``dposv`` calls; the rest is the gather and the residual forms.
+    of a shared 2-core host (Python 3.11, numpy 2.4, scipy 1.17; median of
+    interleaved runs), it took on observational data 0.045 s at p=12,
+    0.21 s at p=14, 0.61 s at p=16, 2.3 s at p=18 and 6.0 s at p=20, and
+    with three single-vertex targets 0.067, 0.17, 0.81, 2.4 and 6.4 s; peak
+    RSS was 81 MB at p=18 and 170 MB at p=20.  Observational data has one
+    pattern, so a factorization serves up to p - d vertices.  Most of the
+    time is the kernel's Python work per set: the score expression, the
+    gathers and the residual forms; the ``dposv`` calls, one per pattern
+    and parent set, are about a tenth of it.
     """
     if config is None:
         config = SearchConfig()
@@ -363,17 +413,18 @@ def exhaustive_dp(local: LocalStats, config: SearchConfig | None = None) -> Dag:
     max_parents = config.resolved_max_parents(p)
 
     # local positions of every candidate parent set, by size and then
-    # lexicographically, shared by all vertices
-    positions = [_combinations(p - 1, d) for d in range(max_parents + 1)]
-    set_masks = np.concatenate([(1 << pos).sum(axis=1) for pos in positions]).astype(np.int32)
+    # lexicographically: the order of every vertex's scores
+    set_masks = np.concatenate(
+        [(1 << _combinations(p - 1, d)).sum(axis=1) for d in range(max_parents + 1)]
+    ).astype(np.int32)
+    scores = _dp_scores(local, max_parents, penalty)
     best_score: list[np.ndarray] = []
     ranked_masks: list[np.ndarray] = []
-    for k in range(1, p + 1):
-        others = np.delete(np.arange(1, p + 1), k - 1)
-        scores = np.concatenate([_scores(k, others[pos], local, penalty) for pos in positions])
-        best, ranked = _best_subsets(scores, set_masks, p - 1)
+    for k in range(p):
+        best, ranked = _best_subsets(scores[k], set_masks, p - 1)
         best_score.append(best)
         ranked_masks.append(ranked)
+    del scores
 
     full = (1 << p) - 1
     masks = np.arange(full + 1)

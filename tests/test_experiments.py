@@ -11,6 +11,8 @@ Core claims:
       runs in this process when that is one.
     - The kernel calls and fitted parent sets of a small greedy grid are
       pinned.
+    - A replicate computes each target's mean and covariance root once per
+      mu, for all its n, with the bytes of one computation per cell.
 """
 
 import hashlib
@@ -18,7 +20,9 @@ import hashlib
 import numpy as np
 import pytest
 
+import interdag.experiments
 import interdag.likelihood
+import interdag.model
 import interdag.search
 from interdag import (
     Dag,
@@ -120,6 +124,33 @@ def test_grid_work_counters_pinned(monkeypatch):
     monkeypatch.setattr(interdag.search, "_scores", counting_scores)
     run_consistency_experiment(ExperimentConfig(seed=1, p=6, replicates=2, n_grid=(50, 100)))
     assert (calls, fitted) == (56, 264)
+
+
+def test_grid_computes_each_mean_and_root_once_per_mu_and_target(tmp_path, monkeypatch):
+    """A target's mean and covariance root depend only on the model, the
+    target and its (mu, tau), and every n of a replicate draws the same
+    targets: a grid of two replicates, two n and two mu, with the empty
+    target and two single-vertex ones, computes each once per replicate,
+    mu and target (12 calls, against 24 with one per cell), and writes the
+    bytes it writes when every cell computes its own."""
+    calls = []
+    mean_and_root = interdag.model._mean_and_root
+
+    def counting(model, target, spec):
+        calls.append(target)
+        return mean_and_root(model, target, spec)
+
+    monkeypatch.setattr(interdag.model, "_mean_and_root", counting)
+    config = ExperimentConfig(seed=11, p=5, n_grid=(60, 300), k=2, mu_grid=(5.0, 10.0), replicates=2)
+    run_consistency_experiment(config, out_dir=tmp_path / "shared")
+    assert len(calls) == 12
+    calls.clear()
+    sample = interdag.experiments.sample_dataset
+    monkeypatch.setattr(interdag.experiments, "sample_dataset", lambda *args, _roots=None: sample(*args))
+    run_consistency_experiment(config, out_dir=tmp_path / "own")
+    assert len(calls) == 24
+    for name in ("rows.csv", "medians.csv"):
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "own" / name).read_bytes()
 
 
 def test_grid_outputs_do_not_depend_on_worker_count(tmp_path):

@@ -15,6 +15,10 @@ Core claims:
       n_t * S_t once per vertex, whichever target first contains a vertex,
       including a vertex in no target and one in every target, and for
       every vertex of a p=30 family of single-vertex targets.
+    - local_stats stores one mixture per exclusion pattern, one for
+      observational data: vertices share a pattern exactly when they lie in
+      the same observed targets, and each vertex's mixture is a view of its
+      pattern's with the bits of the fold per vertex.
     - Sampling groups the rows once, validates each distinct target once in
       sample_dataset and once in Dataset, and never compares targets row by
       row.
@@ -48,6 +52,19 @@ from helpers import (
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _check_local_stats(local, stats) -> None:
+    """``local`` has the counts and, for every vertex, the mixture bits of
+    the fold per vertex in helpers, and it stores one mixture per distinct
+    exclusion pattern: per set of observed targets that contain a vertex."""
+    counts, mixtures = reference_local_stats(stats)
+    assert _same_bits(local.counts_excluding, counts)
+    for k in range(1, local.p + 1):
+        assert _same_bits(local.mixture(k), mixtures[k - 1]), k
+    patterns = {tuple(t for t in stats.targets() if k in t) for k in range(1, local.p + 1)}
+    assert local.mixtures.shape == (len(patterns), local.p, local.p)
+    assert local.pattern_of.shape == (local.p,)
 
 
 def test_group_rows_order_and_arrays():
@@ -146,10 +163,44 @@ def test_grouped_sampling_and_statistics_match_reference(case, seed):
         assert stats.counts[t] == n_t
         assert _same_bits(stats.second_moments[t], second)
         assert _same_bits(stats.first_moments[t], first)
+    _check_local_stats(local_stats(stats), stats)
+
+
+@st.composite
+def _shared_patterns(draw):
+    """A vertex count, a seed and a row sequence whose targets are unions of
+    blocks of vertices: the vertices of one block lie in the same targets,
+    so they share an exclusion pattern.  Without targets, or with only the
+    empty one, the rows are observational: one pattern for every vertex."""
+    p = draw(st.integers(1, 9))
+    block_of = draw(st.lists(st.integers(0, 3), min_size=p, max_size=p))
+    unions = draw(st.lists(st.sets(st.integers(0, 3)), max_size=4))
+    pool = [InterventionTarget(tuple(v for v in range(1, p + 1) if block_of[v - 1] in u)) for u in unions]
+    if draw(st.booleans()) or not pool:
+        pool.append(InterventionTarget.empty())
+    sequence = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    return p, draw(st.integers(0, 2**32 - 1)), sequence
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_shared_patterns())
+@example(case=(6, 1, [InterventionTarget.empty()] * 20))
+def test_shared_patterns_store_one_mixture_with_every_vertex_s_bits(case):
+    p, seed, sequence = case
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((len(sequence), p)) * 10.0 ** rng.uniform(-3, 3, size=p)
+    stats = sufficient_stats(Dataset(p, tuple(sequence), values))
     local = local_stats(stats)
-    counts, mixtures = reference_local_stats(stats)
-    assert _same_bits(local.counts_excluding, counts)
-    assert _same_bits(local.mixtures, mixtures)
+    _check_local_stats(local, stats)
+    if all(t.is_empty for t in sequence):
+        assert len(local.mixtures) == 1 and not local.pattern_of.any()
+    # vertices share a pattern exactly when they lie in the same targets,
+    # and every vertex's mixture is a view of its pattern's
+    for j in range(1, p + 1):
+        assert local.mixture(j).base is local.mixtures
+        for k in range(1, p + 1):
+            same = all((j in t) == (k in t) for t in stats.targets())
+            assert (local.pattern(j) == local.pattern(k)) == same
 
 
 def test_vertex_in_every_target_matches_reference():
@@ -159,11 +210,12 @@ def test_vertex_in_every_target_matches_reference():
     spec = InterventionSpec.constant([t1, t12, t134], -2.0, 0.3)
     stats = sufficient_stats(sample_dataset(model, sequence, spec, 7))
     local = local_stats(stats)
-    counts, mixtures = reference_local_stats(stats)
+    _check_local_stats(local, stats)
     assert local.count_excluding(1) == 0
-    assert local.counts_excluding.tolist() == counts.tolist() == [0, 5, 6, 6]
-    assert _same_bits(local.mixtures, mixtures)
-    assert not local.mixtures[0].any()
+    assert local.counts_excluding.tolist() == [0, 5, 6, 6]
+    assert not local.mixture(1).any()
+    # vertices 3 and 4 lie in (1, 3, 4) alone, so they share a mixture
+    assert local.pattern_of.tolist() == [0, 1, 2, 2]
 
 
 def test_single_vertex_targets_at_p30_match_reference():
@@ -176,9 +228,10 @@ def test_single_vertex_targets_at_p30_match_reference():
     spec = InterventionSpec.constant(singles, 2.0, 0.5)
     stats = sufficient_stats(sample_dataset(model, sequence, spec, 13))
     local = local_stats(stats)
-    counts, mixtures = reference_local_stats(stats)
-    assert local.counts_excluding.tolist() == counts.tolist() == [445] * p
-    assert _same_bits(local.mixtures, mixtures)
+    _check_local_stats(local, stats)
+    assert local.counts_excluding.tolist() == [445] * p
+    # every vertex is its own pattern
+    assert local.pattern_of.tolist() == list(range(p))
 
 
 def test_sampling_validates_each_distinct_target_once(monkeypatch):

@@ -28,6 +28,12 @@ Core claims:
       for every parent set; a singular mixture, a duplicated column, an
       indefinite mixture of cond 3, a 1-ulp asymmetry and an inf entry are
       not accepted.
+    - Column j of a g-column dposv solve, laid out as the kernel lays it
+      out, has the bits and the info of a one-column solve, at scales from
+      1e-4 to 1e4, with near-duplicate columns and singular blocks.  So a
+      group, a run of adjacent sets of one pattern and one parent set,
+      takes one conditioning test and one dposv call for all of its sets,
+      each with the bits of its fit alone, whole groups unusable included.
     - Scores of sets of many vertices in one call have the bits of
       local_score on each set, -inf for a vertex with no more excluding rows
       than parents included.
@@ -112,7 +118,7 @@ def test_every_parent_set_of_a_random_instance():
     for k in range(7):
         others = [j for j in range(7) if j != k]
         for d in range(7):
-            _check_stack(loc.mixtures[k], k, [list(c) for c in itertools.combinations(others, d)])
+            _check_stack(loc.mixture(k + 1), k, [list(c) for c in itertools.combinations(others, d)])
 
 
 def test_ill_conditioned_blocks_are_unusable():
@@ -413,7 +419,7 @@ def test_stack_matches_single_fits_and_oracle(seed, p, n, size, collinear):
     size = min(size, p - 1)
     combos = [list(c) for c in itertools.combinations(others, size)]
     picked = rng.choice(len(combos), size=min(len(combos), 12), replace=True)
-    _check_stack(loc.mixtures[k], k, [combos[i] for i in picked])
+    _check_stack(loc.mixture(k + 1), k, [combos[i] for i in picked])
 
 
 @settings(max_examples=150, deadline=None)
@@ -439,9 +445,9 @@ def test_stack_of_many_vertices_matches_single_vertex_fits_and_oracle(seed, p, n
     spoiled[:, dst] = spoiled[:, src] * (1.0 + rng.choice([0.0, 1e-7]) * rng.standard_normal(n))
     choices = [InterventionTarget.empty(), InterventionTarget.of(1), InterventionTarget.of(p)]
     targets = tuple(choices[i] for i in rng.integers(len(choices), size=n))
-    stacks = [local_stats(sufficient_stats(Dataset(p, targets, X))).mixtures for X in (clean, spoiled)]
+    locs = [local_stats(sufficient_stats(Dataset(p, targets, X))) for X in (clean, spoiled)]
     pick = rng.integers(2, size=p)
-    mixtures = np.stack([stacks[pick[k]][k] for k in range(p)])
+    mixtures = np.stack([locs[pick[k]].mixture(k + 1) for k in range(p)])
     proofs = np.array([trust and _proven_well_conditioned(M) for M in mixtures])
     assert not proofs[pick == 1].any()
     size = min(size, p - 1)
@@ -455,6 +461,142 @@ def test_stack_of_many_vertices_matches_single_vertex_fits_and_oracle(seed, p, n
         assert [a[0].tobytes() for a in alone] == [a.tobytes() for a in stacked], (k, pa)
         fit = (coefs[i], float(resid[i])) if usable[i] else None
         assert _same(fit, reference_fit_row(mixtures[k], k, pa)), (k, pa)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 12),
+    g=st.integers(1, 15),
+    rows=st.integers(1, 40),
+    scale=st.floats(0.0, 4.0),
+    near=st.booleans(),
+)
+def test_each_column_of_a_dposv_solve_has_the_bits_of_a_one_column_solve(seed, d, g, rows, scale, near):
+    """The premise of the kernel's groups: with one factored block, column
+    j of a g-column dposv solve is bit-equal to the one-column call with the
+    same block, and both report the same info.  The columns have scales
+    from 10^-scale to 10^scale; ``near`` makes a column of the block and a
+    right-hand side near-duplicates of others, and rows fewer than d leave
+    the block singular.  The g columns are laid out as the kernel lays them
+    out: a C-ordered (g, d) array, transposed, solved in place."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((rows, d + g)) * 10.0 ** rng.uniform(-scale, scale, size=d + g)
+    if near and d > 1:
+        X[:, d - 1] = X[:, 0] * (1.0 + 1e-9 * rng.standard_normal(rows))
+    if near and g > 1:
+        X[:, d + 1] = X[:, d] * (1.0 + 1e-12 * rng.standard_normal(rows))
+    S = _moments(X)
+    block, rhs = S[:d, :d], np.array(S[d:, :d])
+    columns = rhs.copy()
+    c, x, info = likelihood.dposv(np.array(block).T, columns.T, 1, 1, 1)
+    assert np.shares_memory(x, columns)
+    for j in range(g):
+        c1, x1, info1 = likelihood.dposv(np.array(block).T, rhs[j].copy(), 1, 1, 1)
+        assert info1 == info
+        assert x1.tobytes() == columns[j].tobytes(), j
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(3, 8),
+    n=st.integers(2, 60),
+    size=st.integers(1, 4),
+    trust=st.booleans(),
+)
+def test_groups_share_one_dposv_call_with_the_bits_of_single_fits(seed, p, n, size, trust):
+    """A stack of groups, adjacent sets of one pattern and one parent set,
+    of several vertices each: one dposv call per group whose block passes
+    the conditioning test, with one column per set, yet every set has the
+    bits of its fit alone and of the oracle.  The patterns' mixtures come
+    from a clean draw or from one with a column duplicated exactly or to
+    about 1e-7, which no proof accepts and whose blocks the conditioning
+    test or dposv may reject, a whole group at a time; ``trust`` passes
+    the proofs on."""
+    columns = []
+    dposv = likelihood.dposv
+
+    def counting_dposv(a, b, *args):
+        columns.append(b.shape[1] if b.ndim == 2 else 1)
+        return dposv(a, b, *args)
+
+    rng = np.random.default_rng(seed)
+    clean = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-2, 2, size=p)
+    spoiled = clean.copy()
+    src, dst = rng.choice(p, size=2, replace=False)
+    spoiled[:, dst] = spoiled[:, src] * (1.0 + rng.choice([0.0, 1e-7]) * rng.standard_normal(n))
+    mixtures = np.stack([_moments(clean), _moments(spoiled)])
+    proofs = np.array([trust and _proven_well_conditioned(M) for M in mixtures])
+    size = min(size, p - 1)
+    vertex, pattern, sets = [], [], []
+    groups: list[list] = []  # [pattern, parents, sets] per run of equal draws
+    for _ in range(6):
+        q = int(rng.integers(2))
+        pa = sorted(rng.choice(p, size=size, replace=False).tolist())
+        outside = [k for k in range(p) if k not in pa]
+        members = rng.choice(outside, size=int(rng.integers(1, len(outside) + 1)), replace=False)
+        vertex += members.tolist()
+        pattern += [q] * len(members)
+        sets += [pa] * len(members)
+        if groups and groups[-1][:2] == [q, pa]:
+            groups[-1][2] += len(members)
+        else:
+            groups.append([q, pa, len(members)])
+    vertex, pattern = np.array(vertex), np.array(pattern)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(likelihood, "dposv", counting_dposv)
+        usable, coefs, resid = _fit_rows(mixtures, vertex, sets, proofs[pattern], pattern)
+    passed = [g for q, pa, g in groups if proofs[q] or np.linalg.cond(mixtures[q][np.ix_(pa, pa)]) <= 1e12]
+    assert columns == passed
+    for i, (k, q, pa) in enumerate(zip(vertex.tolist(), pattern.tolist(), sets)):
+        alone = _fit_rows(mixtures, k, [pa], bool(proofs[q]), q)
+        assert [a[0].tobytes() for a in alone] == [a[i].tobytes() for a in (usable, coefs, resid)], (k, pa)
+        fit = (coefs[i], float(resid[i])) if usable[i] else None
+        assert _same(fit, reference_fit_row(mixtures[q], k, pa)), (k, pa)
+
+
+def test_groups_of_the_exact_search_each_take_one_dposv_call(monkeypatch):
+    """Every vertex of one pattern outside each parent set of size 2, in one
+    stack: one dposv call per set, with every group's right-hand sides as
+    the columns of one in-place (2, g) solve."""
+    seen = []
+    dposv = likelihood.dposv
+
+    def counting_dposv(a, b, *args):
+        c, x, info = dposv(a, b, *args)
+        seen.append((b.shape, np.shares_memory(x, b)))
+        return c, x, info
+
+    monkeypatch.setattr(likelihood, "dposv", counting_dposv)
+    S = _moments(np.random.default_rng(23).standard_normal((100, 5)))
+    pairs = [(k, pa) for pa in itertools.combinations(range(5), 2) for k in range(5) if k not in pa]
+    vertex = np.array([k for k, _ in pairs])
+    sets = [list(pa) for _, pa in pairs]
+    usable, coefs, resid = _fit_rows(S[None], vertex, sets, True, np.zeros(len(pairs), dtype=np.intp))
+    assert usable.all() and len(seen) == 10
+    assert all(shape == (2, 3) and in_place for shape, in_place in seen)
+    for i, (k, pa) in enumerate(pairs):
+        assert _same((coefs[i], float(resid[i])), reference_fit_row(S, k, list(pa)))
+
+
+def test_stacks_hold_at_most_chunk_sets_and_split_no_group():
+    # groups of 7 sets, then one group longer than a stack, then groups of 7
+    parents = np.repeat(np.arange(400), 7)[:, None]
+    parents = np.concatenate([parents[:1400], np.full((2500, 1), 999), parents[1400:]])
+    pattern = np.zeros(len(parents), dtype=np.intp)
+    heads = set(np.flatnonzero(np.diff(parents[:, 0], prepend=-1)).tolist())
+    bounds = likelihood._stacks(pattern, parents)
+    assert bounds[0][0] == 0 and bounds[-1][1] == len(parents)
+    assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+    assert all(0 < stop - start <= likelihood._CHUNK for start, stop in bounds)
+    # every cut falls where a group starts, except inside the long group
+    cuts = [start for start, _ in bounds[1:]]
+    assert [c for c in cuts if c not in heads] == [1400 + likelihood._CHUNK, 1400 + 2 * likelihood._CHUNK]
+    # a stack of one vertex is cut every _CHUNK sets
+    assert likelihood._stacks(0, parents) == [
+        (start, min(start + likelihood._CHUNK, len(parents))) for start in range(0, len(parents), likelihood._CHUNK)
+    ]
 
 
 def test_scores_of_many_vertices_match_local_scores():

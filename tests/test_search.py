@@ -10,11 +10,16 @@ Core claims:
       and never scores below greedy.
     - The vectorized DP returns the parent sets of the mask-by-mask oracle
       in helpers, score ties and singular blocks included.
+    - The DP scores the vertices of one exclusion pattern together and
+      still returns the oracle's parent sets, on patterns that are not
+      proven and on patterns with no more excluding rows than parents; its
+      kernel calls, fitted sets, dposv calls and proofs on one seeded p=12
+      input are pinned.
     - Greedy, the DP and the refit run no SVD on mixtures proven well
-      conditioned, and a whole fit proves each vertex's mixture once; with
+      conditioned, and a whole fit proves each pattern's mixture once; with
       a duplicated column no mixture is proven, and greedy's DAG and trace
       and the DP's parent sets equal their oracles'.  A lone local score or
-      kernel call on one vertex's row proves only that vertex's mixture.
+      kernel call on one vertex's row proves only that vertex's pattern.
     - Both searchers respect max_parents; the DP refuses p > 20.
     - Score equivalence: every member of the estimate's class gets the
       same BIC up to float noise.
@@ -67,8 +72,11 @@ from interdag import (
     mle_given_dag,
     run_fit,
     sample_dataset,
+    sample_normalized_model,
+    sample_random_dag,
     sufficient_stats,
 )
+from interdag.cli import ingest_csv, main
 
 from helpers import all_dags, random_instance, reference_exhaustive_dp, reference_greedy_search
 
@@ -334,6 +342,36 @@ def test_greedy_work_counters_pinned(monkeypatch):
     assert (calls, fitted) == (107, 3667)
 
 
+@pytest.mark.parametrize("k", [0, 3])
+def test_greedy_opening_factors_each_tail_once_per_pattern(monkeypatch, k):
+    """Greedy's opening call orders its p(p - 1) single-parent sets by
+    (pattern, tail), so the heads of one pattern share each tail's 1x1
+    block: with no step taken, observational data at p=30 takes 30 dposv
+    calls instead of 870, and k single-vertex targets add p - 1 per target,
+    whose vertex is a pattern of its own.  The scores are those of the
+    sets fitted one head at a time."""
+    p = 30
+    model = sample_normalized_model(sample_random_dag(p, 1.5, 40 + k), 41 + k)
+    singles = [InterventionTarget.of(v) for v in (3, 17, 29)[:k]]
+    sequence = [InterventionTarget.empty()] * 400 + [t for t in singles for _ in range(20)]
+    local = _local(sample_dataset(model, sequence, InterventionSpec.constant(singles, 2.0, 0.5), 42 + k))
+    assert len(local.mixtures) == k + 1
+    calls = []
+    dposv = interdag.likelihood.dposv
+
+    def counting_dposv(a, b, *args):
+        calls.append(b.shape)
+        return dposv(a, b, *args)
+
+    monkeypatch.setattr(interdag.likelihood, "dposv", counting_dposv)
+    greedy_search(local, SearchConfig(max_steps=0))
+    assert len(calls) == p + k * (p - 1)
+    monkeypatch.undo()
+    dag, trace = greedy_search(local)
+    ref_dag, ref_trace = reference_greedy_search(local)
+    assert dag == ref_dag and format_trace(trace) == format_trace(ref_trace)
+
+
 def test_searchers_share_the_degeneracy_error():
     rng = np.random.default_rng(4)
     # every row targets vertex 1, which the family allows
@@ -397,6 +435,90 @@ def test_dp_matches_reference_oracle(seed, p, n, max_parents, penalty_weight, du
     assert exhaustive_dp(local, config).parent_sets == reference_exhaustive_dp(local, config).parent_sets
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(5, 8),
+    max_parents=st.sampled_from([None, 1, 2, 4]),
+    duplicate=st.booleans(),
+    few=st.integers(1, 4),
+)
+def test_dp_matches_reference_oracle_on_shared_patterns(seed, p, max_parents, duplicate, few):
+    """Vertices 1 and 2 lie in target (1, 2) alone and share a pattern, and
+    so do the vertices from 4 on, which lie in (4, ..., p) alone; vertex 3
+    lies in neither.  The exact search scores each pattern's vertices in one
+    stack per size, set by set, and must return the oracle's parent sets,
+    which scores every vertex on its own.
+
+    (4, ..., p) has ``few`` rows, at most p - 4, so vertices 1 and 2 have
+    ``few`` more excluding rows than the observational ones, 3 of them: no
+    more than their parents for the larger sets, and a mixture of rank
+    below p that no proof accepts.  ``duplicate`` copies column p - 1 onto
+    column p, so the pattern of vertices 4 to p is not proven either, and
+    every block that holds both columns is singular.
+    """
+    few = min(few, p - 4)
+    model = sample_normalized_model(sample_random_dag(p, 1.5, seed % 1000), seed % 997)
+    shared, rest = InterventionTarget.of(1, 2), InterventionTarget(tuple(range(4, p + 1)))
+    sequence = [InterventionTarget.empty()] * 3 + [shared] * 150 + [rest] * few
+    data = sample_dataset(model, sequence, InterventionSpec.constant([shared, rest], 1.0, 0.5), seed)
+    values = np.array(data.values)
+    if duplicate:
+        values[:, p - 1] = values[:, p - 2]
+    local = _local(Dataset(p, data.targets, values))
+    assert local.pattern_of.tolist() == [0, 0, 1] + [2] * (p - 3)
+    assert local.counts_excluding.tolist() == [3 + few] * 2 + [153 + few] + [153] * (p - 3)
+    assert not local.proven(1)
+    if duplicate:
+        assert not local.proven(4)
+    config = SearchConfig(max_parents=max_parents)
+    assert exhaustive_dp(local, config).parent_sets == reference_exhaustive_dp(local, config).parent_sets
+
+
+def test_dp_work_counters_pinned(monkeypatch, tmp_path):
+    """Kernel calls, parent sets fitted, dposv calls and proofs of one DP
+    fit on the input ``interdag simulate --p 12 --n 2000 --k 3
+    --replicates-per-target 5 --seed 7`` writes.
+
+    Three vertices are targeted alone and nine share the observational
+    pattern, so four mixtures are proven.  Every vertex still scores its
+    1,981 sets of at most 8 of the other 11 (23,772 sets), but one
+    factorization serves every vertex of a pattern outside a set: 3,796
+    nonempty sets of the 12 labels for the shared pattern and 3 * 1,980
+    for the others, 9,736 dposv calls against 23,760 with one per nonempty
+    set.  A kernel call takes whole sets, at most 1,024 // 9 = 113 of them
+    for the shared pattern and so 40 calls over sizes 0 to 8, and one call
+    per size for each of the others: 67 calls, against 12 * 9 = 108 with
+    one per vertex and size.
+    """
+    assert main(["simulate", "--p", "12", "--n", "2000", "--k", "3", "--replicates-per-target", "5",
+                 "--seed", "7", "--out", str(tmp_path)]) == 0
+    local = _local(ingest_csv(tmp_path / "dataset.csv"))
+    calls = {"scores": 0, "sets": 0, "dposv": 0, "proof": 0}
+    scores, dposv, proof = interdag.likelihood._scores, interdag.likelihood.dposv, interdag.likelihood._proven_well_conditioned
+
+    def counting_scores(k, parent_sets, *args):
+        calls["scores"] += 1
+        calls["sets"] += len(parent_sets)
+        return scores(k, parent_sets, *args)
+
+    def counting_dposv(*args):
+        calls["dposv"] += 1
+        return dposv(*args)
+
+    def counting_proof(*args):
+        calls["proof"] += 1
+        return proof(*args)
+
+    monkeypatch.setattr(interdag.likelihood, "_scores", counting_scores)
+    monkeypatch.setattr(interdag.search, "_scores", counting_scores)
+    monkeypatch.setattr(interdag.likelihood, "dposv", counting_dposv)
+    monkeypatch.setattr(interdag.likelihood, "_proven_well_conditioned", counting_proof)
+    assert len(local.mixtures) == 4
+    exhaustive_dp(local)
+    assert calls == {"scores": 67, "sets": 23_772, "dposv": 9_736, "proof": 4}
+
+
 def test_scorers_run_the_conditioning_test_only_on_unproven_mixtures(monkeypatch):
     calls = {"cond": 0, "proof": 0}
 
@@ -413,17 +535,20 @@ def test_scorers_run_the_conditioning_test_only_on_unproven_mixtures(monkeypatch
     )
     model, family, spec, data = random_instance(12, p=8, n=400)
     local = _local(data, family)
-    # every mixture is proven, once per vertex, so no scorer runs an SVD
+    # targets (), (3,) and (8,): vertices 3 and 8 each have a pattern of
+    # their own and the other six share one, so three mixtures
+    assert local.pattern_of.tolist() == [0, 0, 1, 0, 0, 0, 0, 2]
+    # every mixture is proven, once per pattern, so no scorer runs an SVD
     dag, _ = greedy_search(local)
     exhaustive_dp(local)
     mle_given_dag(dag, local)
     assert all(local.proven(k) for k in range(1, 9))
-    assert calls == {"cond": 0, "proof": 8}
-    # a whole fit, from the data on, proves each vertex exactly once
+    assert calls == {"cond": 0, "proof": 3}
+    # a whole fit, from the data on, proves each pattern exactly once
     for method in ("greedy", "dp"):
         calls.update(cond=0, proof=0)
         run_fit(data, family, method=method)
-        assert calls == {"cond": 0, "proof": 8}, method
+        assert calls == {"cond": 0, "proof": 3}, method
     # column 3 copied onto column 4: no mixture is proven, so every stack
     # with parents gets the SVD, and both searchers return their oracle's
     # result
@@ -450,14 +575,19 @@ def test_a_lone_local_score_proves_only_its_own_vertex(monkeypatch):
     monkeypatch.setattr(interdag.likelihood, "_proven_well_conditioned", counting)
     model, family, spec, data = random_instance(5, p=20, n=400)
     local = _local(data, family)
+    # targets () and (6,): vertex 6 has a pattern of its own, and the
+    # other 19 vertices share one
+    assert local.pattern(6) == 1 and {local.pattern(k) for k in range(1, 21) if k != 6} == {0}
     local_score(7, (2, 3), local)
     assert len(calls) == 1 and np.shares_memory(calls[0], local.mixture(7))
-    # the flag is remembered: the vertex is not proven again, by any scorer
+    # the flag is remembered per pattern: neither the vertex nor any other
+    # vertex of its pattern is proven again, by any scorer
     local_score(7, (4,), local)
     interdag.likelihood._scores(7, [(1,), (2,), (3,)], local, 1.0)
-    assert len(calls) == 1
     LocalScoreCache(local).score(9, (1,))
-    assert len(calls) == 2 and np.shares_memory(calls[1], local.mixture(9))
+    assert len(calls) == 1
+    LocalScoreCache(local).score(6, (1,))
+    assert len(calls) == 2 and np.shares_memory(calls[1], local.mixture(6))
 
 
 def test_dp_matches_brute_force_small():
