@@ -9,6 +9,7 @@ their own output file.
 """
 
 import json
+import math
 import statistics
 import time
 from dataclasses import dataclass, field, fields
@@ -91,6 +92,8 @@ class ExperimentConfig:
             raise ParameterError("replicates_per_target must be positive when k > 0")
         if self.tau <= 0:
             raise ParameterError("tau must be positive")
+        if not math.isfinite(self.tau * self.tau):
+            raise ParameterError(f"tau must have a finite square, got {self.tau!r}")
         if self.replicates < 1:
             raise ParameterError("replicates must be positive")
         _check_method(self.method)

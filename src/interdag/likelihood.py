@@ -15,20 +15,24 @@ share it, so ``LocalStats`` stores one mixture per exclusion pattern.
 
 Every regression of a vertex on a parent set goes through one kernel,
 ``_fit_rows``, which fits a stack of equal-size parent sets at once, of one
-vertex or of a vertex per set.  Its rule is that each set's numbers are the
-same bits whatever stack it comes in, a stack of one included: the scores
-feed comparisons against a 1e-9 threshold in greedy search, so a last-bit
-change would change which moves are taken.  So it batches only what rounds
-the same in a stack as alone: the gather of the blocks, the conditioning
-test and the residual quadratic forms.  Adjacent sets of one pattern and
-one parent set share one block, one conditioning test and one LAPACK
-``dposv`` call (the ``dpotrf`` and ``dpotrs`` pair that scipy's
-cho_factor/cho_solve call), each column of whose solve has the bits of a
-one-column solve.  Every block is a principal sub-block of its pattern's
-mixture, so the conditioning test is decided once per pattern, when it is
-first scored: ``LocalStats.proven`` proves the mixture well conditioned,
-and the kernel then skips the test; otherwise it runs the SVD condition
-number on the parent block.
+vertex or of a vertex per set, and ``_scores`` turns its residuals into
+penalized scores.  Its rule is that each set's numbers are the same bits
+whatever stack it comes in, a stack of one included: the scores feed
+comparisons against a 1e-9 threshold in greedy search, so a last-bit change
+would change which moves are taken.  Python runs once per group of adjacent
+sets of one pattern and one parent set, which share one block, one
+conditioning test and one LAPACK ``dposv`` call (the ``dpotrf`` and
+``dpotrs`` pair that scipy's cho_factor/cho_solve call), each column of
+whose solve has the bits of a one-column solve.  The rest is numpy over the
+whole stack, in operations that round each set as alone: one ``take`` of
+every set's block from the flattened mixtures, the stacked conditioning
+test and residual quadratic forms, and the score expression, whose
+logarithms are ``math.log``'s because ``np.log`` may differ in the last
+bit.  Every block is a principal sub-block of its pattern's mixture, so the
+conditioning test is decided once per pattern, when it is first scored:
+``LocalStats.proven`` proves the mixture well conditioned, and the kernel
+then skips the test; otherwise it runs the SVD condition number on the
+parent block.
 
 ``dposv`` and ``dtrtri`` (the latter for the proof) are scipy's own
 wrappers, the very objects ``scipy.linalg.lapack`` exports, loaded straight
@@ -38,6 +42,7 @@ from scipy's compiled ``_flapack`` module without importing the
 
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -362,24 +367,30 @@ def _fit_rows(
     is usable, its coefficients and its residual second moment.  A set is
     unusable when its parent block is conditioned worse than 1e12 or is not
     positive definite; its coefficients are then zero and its residual NaN.
-    Every mixture must be exactly symmetric, as every mixture
-    ``local_stats`` builds is, since the factorization reads each block's
-    transpose.
 
-    A group (``_group_heads``) shares one parent block: one gather of it,
-    besides each set's vertex row and column; one SVD condition number when
-    the test is needed, stacked over the stack (block by block when that
-    raises, and then a block whose SVD does not converge is unusable, and
-    only it); and one ``dposv`` call, ``dpotrf`` then ``dpotrs``, which
-    factors the block and solves in place for the group's right-hand sides
-    as the columns of one Fortran-ordered ``(d, g)`` array, a C-ordered
+    Precondition: every mixture is exactly symmetric, bit for bit, as every
+    mixture ``local_stats`` builds is (a property test pins it): the
+    factorization reads each parent block's transpose.
+
+    Python runs once per group (``_group_heads``), a run of sets that share
+    one parent block: one ``dposv`` call and the slice of its right-hand
+    sides.  Everything else is numpy over the whole stack.  Every set's
+    ``[k, pa...]`` block is one ``take`` from the flattened stack of
+    mixtures, and each group's parent block is copied out of its first
+    set's.  The conditioning test, when needed, is one SVD condition number
+    stacked over the groups (block by block when that raises, and then a
+    block whose SVD does not converge is unusable, and only it).  Each
+    usable group's ``dposv`` call, ``dpotrf`` then ``dpotrs``, factors its
+    block in place and solves in place for the group's right-hand sides as
+    the columns of one Fortran-ordered ``(d, g)`` array, a C-ordered
     ``(g, d)`` slice of the solutions transposed.  A block that call finds
     not positive definite is unusable for its whole group.  The residuals
-    are stacked quadratic forms of (1, -b) with each set's ``[k, pa...]``
-    block, so each is a true quadratic form of a positive semidefinite
-    matrix.  A stacked product rounds as the one-block product does, and
-    column j of a g-column solve as a one-column solve: each set gets the
-    bits it would get alone.
+    are stacked quadratic forms of (1, -b) with each set's block
+    (``_quadratic_forms``), so each is a true quadratic form of a positive
+    semidefinite matrix.  Column j of a g-column solve rounds as a
+    one-column solve, so each set gets the bits it would get alone.  When
+    every group is usable, the common case of a proven mixture, no stack is
+    copied to drop the unusable ones.
 
     ``proven``, one flag for every set or an array of one per set, says that
     ``_proven_well_conditioned`` holds for the set's mixture: then no SVD
@@ -389,34 +400,28 @@ def _fit_rows(
     m, d = parents.shape
     if pattern is None:
         pattern = vertex
-    coefs = np.zeros((m, d))
-    if d == 0:
-        return np.ones(m, dtype=bool), coefs, np.full(m, mixtures[pattern, vertex, vertex])
+    p = mixtures.shape[-1]
+    # every set's [k, pa...] block in one take: entry (q, i, j) of the stack
+    # is flat entry (q * p + i) * p + j
     full = np.empty((m, d + 1), dtype=np.intp)
     full[:, 0] = vertex
     full[:, 1:] = parents
-    # one parent block, proof flag and usable flag per group; unless every
-    # set is a group of its own, each group's sets are counted in sizes
+    at = pattern * p
+    full_at = full + (at[:, None] if isinstance(at, np.ndarray) else at)
+    full_at *= p
+    blocks = mixtures.reshape(-1).take(full_at[:, :, None] + full[:, None, :])
+    if d == 0:
+        return np.ones(m, dtype=bool), np.zeros((m, 0)), blocks[:, 0, 0]
+    # one parent block per group, a copy that dposv may overwrite
     heads = _group_heads(pattern, parents)
-    sizes = None
     if heads is None:
-        # one mixture for the whole stack, or one per set broadcast over its block
-        at = pattern[:, None, None] if isinstance(pattern, np.ndarray) else pattern
-        blocks = mixtures[at, full[:, :, None], full[:, None, :]]
-        parent_blocks = blocks[:, 1:, 1:]
+        parent_blocks = blocks[:, 1:, 1:].copy()
     else:
-        # one gather of each group's parent block, and of each set's vertex
-        # row and column
-        sizes = np.diff(heads, append=m)
-        lead = parents[heads]
-        parent_blocks = mixtures[pattern[heads, None, None], lead[:, :, None], lead[:, None, :]]
-        blocks = np.empty((m, d + 1, d + 1))
-        blocks[:, 1:, 1:] = np.repeat(parent_blocks, sizes, axis=0)
-        blocks[:, 0] = mixtures[pattern[:, None], full[:, :1], full]
-        blocks[:, 1:, 0] = mixtures[pattern[:, None], parents, full[:, :1]]
+        parent_blocks = blocks[heads, 1:, 1:]
         if isinstance(proven, np.ndarray):
             proven = proven[heads]
     usable = np.ones(len(parent_blocks), dtype=bool)
+    every = True
     # the groups whose parent block needs the conditioning test
     tested = np.flatnonzero(~proven) if isinstance(proven, np.ndarray) else slice(0 if proven else None)
     candidates = parent_blocks[tested]
@@ -426,35 +431,46 @@ def _fit_rows(
         except np.linalg.LinAlgError:
             conds = np.array([_cond_or_inf(block) for block in candidates])
         usable[tested] = ~(conds > _COND_LIMIT)
-    # contiguous copies of the usable groups' parent blocks and of their sets'
-    # right-hand sides; a C-ordered symmetric block's transpose is the same
-    # matrix in Fortran order, so dposv (lower, overwrite_a, overwrite_b all
-    # 1) factors it and solves into the right-hand sides in place, with no
-    # copy by f2py
-    factors = parent_blocks[usable].transpose(0, 2, 1)
-    fitted = usable if sizes is None else np.repeat(usable, sizes)
-    rhs = solutions = blocks[:, 1:, 0][fitted]
-    if sizes is not None:
+        every = bool(usable.all())
+    # a C-ordered symmetric block's transpose is the same matrix in Fortran
+    # order, so dposv (lower, overwrite_a, overwrite_b all 1) factors it and
+    # solves into the right-hand sides in place, with no copy by f2py
+    factors = parent_blocks.transpose(0, 2, 1)
+    solutions = blocks[:, 1:, 0].copy()
+    live = itertools.repeat(True) if every else usable.tolist()
+    if heads is None:
+        # a lone set's right-hand side is a row
+        infos = [dposv(a, b, 1, 1, 1)[2] for a, b, ok in zip(factors, solutions, live) if ok]
+    else:
         # each group's right-hand sides as the columns of one Fortran-ordered
-        # (d, g) view; a lone set's is a row
-        stops = np.cumsum(sizes[usable]).tolist()
-        rhs = [solutions[stop - g:stop].T for g, stop in zip(sizes[usable].tolist(), stops)]
-    infos = [dposv(a, b, 1, 1, 1)[2] for a, b in zip(factors, rhs)]
-    coefs[fitted] = solutions
+        # (d, g) view
+        bounds = heads.tolist() + [m]
+        infos = [dposv(a, solutions[start:stop].T, 1, 1, 1)[2]
+                 for a, start, stop, ok in zip(factors, bounds, bounds[1:], live) if ok]
     if any(infos):
         # blocks that passed the conditioning test but that dposv found not
         # positive definite
         usable[np.flatnonzero(usable)[np.array(infos) != 0]] = False
-        coefs[~(usable if sizes is None else np.repeat(usable, sizes))] = 0.0
-    if sizes is not None:
-        usable = np.repeat(usable, sizes)
+        every = False
+    if heads is not None:
+        usable = np.repeat(usable, np.diff(heads, append=m))
+    if not every:
+        solutions[~usable] = 0.0
     v = np.empty((m, d + 1))
     v[:, 0] = 1.0
-    v[:, 1:] = -coefs
-    v = v[usable]
+    np.negative(solutions, out=v[:, 1:])
+    if every:
+        return usable, solutions, _quadratic_forms(v, blocks)
     resid = np.full(m, math.nan)
-    resid[usable] = np.matmul(np.matmul(v[:, None, :], blocks[usable]), v[:, :, None])[:, 0, 0]
-    return usable, coefs, resid
+    resid[usable] = _quadratic_forms(v[usable], blocks[usable])
+    return usable, solutions, resid
+
+
+def _quadratic_forms(v: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """v[i] @ blocks[i] @ v[i] for each i, as two stacked matmuls: numpy
+    computes each of a stack's products alone, so each form has the bits of
+    its one-block product, whatever else is in the stack."""
+    return np.matmul(np.matmul(v[:, None, :], blocks), v[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -669,7 +685,9 @@ def _stacks(pattern: int | np.ndarray, parents: np.ndarray) -> list[tuple[int, i
     cut only where a group starts (``_group_heads``), unless one group alone
     is longer than _CHUNK."""
     total = len(parents)
-    heads = _group_heads(pattern, parents) if total > _CHUNK else None
+    if total <= _CHUNK:
+        return [(0, total)]
+    heads = _group_heads(pattern, parents)
     bounds = []
     start = 0
     while start < total:
@@ -683,17 +701,31 @@ def _stacks(pattern: int | np.ndarray, parents: np.ndarray) -> list[tuple[int, i
     return bounds
 
 
-def _penalized(resid: list[float], n_ex: int | list[int], cost: float) -> list[float]:
+def _penalized(resid: np.ndarray, n_ex: int | np.ndarray, cost: float) -> np.ndarray:
     """-n/2 * (1 + log r) - cost for each residual r, or -inf where r is not
     positive and finite, the NaN of an unusable set included.  ``n_ex`` is
-    one count for every residual, which spares a pairing per set, or a list
-    of one per residual."""
-    if isinstance(n_ex, int):
-        return [-0.5 * n_ex * (1.0 + math.log(r)) - cost if 0 < r < math.inf else -math.inf for r in resid]
-    return [-0.5 * n * (1.0 + math.log(r)) - cost if 0 < r < math.inf else -math.inf for n, r in zip(n_ex, resid)]
+    one positive count for every residual or an array of one per residual.
+
+    The bits are those of the scalar expression, one residual at a time:
+    the logarithms are ``math.log``'s, mapped over the residuals, since
+    ``np.log`` may differ from it in the last bit, and the numpy operations
+    after it keep the scalar expression's order.  A residual at or below
+    zero makes ``math.log`` raise, and then such residuals get a NaN
+    logarithm; NaN scores, and only they, become -inf in ``fmax``, while a
+    residual of +inf already scores -inf.
+    """
+    values = resid.tolist()
+    try:
+        logs = np.fromiter(map(math.log, values), float, len(values))
+    except ValueError:
+        logs = np.array([math.log(r) if r > 0 else math.nan for r in values])
+    logs += 1.0
+    logs *= -0.5 * n_ex
+    logs -= cost
+    return np.fmax(logs, -math.inf, out=logs)
 
 
-def _scores(k: int | np.ndarray, parent_sets, local: LocalStats, penalty: float) -> list[float]:
+def _scores(k: int | np.ndarray, parent_sets, local: LocalStats, penalty: float) -> np.ndarray:
     """Penalized scores of checked parent sets, all of one size.
 
     ``k`` is the vertex label of every set, or a numpy array of one label
@@ -702,45 +734,45 @@ def _scores(k: int | np.ndarray, parent_sets, local: LocalStats, penalty: float)
     sets that split no group of adjacent sets of one pattern and one parent
     set (``_stacks``), so each group's block is factored once.  A set whose
     vertex has no more excluding rows than parents scores -inf and is not
-    fitted.
+    fitted.  Returns one float64 score per set, in the order given.
     """
     idx = np.asarray(parent_sets, dtype=np.intp) - 1
     total, size = idx.shape
     cost = penalty * size
     if isinstance(k, np.ndarray):
-        live = local.counts_excluding[k - 1] > size
+        vertex = k - 1
+        n_ex = local.counts_excluding[vertex]
+        live = n_ex > size
         every = bool(live.all())
         if not every:
-            k, idx = k[live], idx[live]
-        vertex = k - 1
+            vertex, idx, n_ex = vertex[live], idx[live], n_ex[live]
         pattern = local.pattern_of[vertex]
         # one proof per pattern in the call
         proofs = np.zeros(len(local.mixtures), dtype=bool)
-        for q in np.flatnonzero(np.bincount(pattern, minlength=len(proofs))).tolist():
+        for q in np.bincount(pattern, minlength=len(proofs)).nonzero()[0].tolist():
             proofs[q] = local.proven_pattern(q)
         proven = proofs[pattern]
-        counts = local.counts_excluding[vertex]
         # one count when every set's vertex has it, as in a call of one pattern
-        one = int(counts[0]) if len(counts) and (counts == counts[0]).all() else None
-        fitted = []
-        for start, stop in _stacks(pattern, idx):
-            resid = _fit_rows(local.mixtures, vertex[start:stop], idx[start:stop],
-                              proven[start:stop], pattern[start:stop])[2].tolist()
-            fitted += _penalized(resid, counts[start:stop].tolist() if one is None else one, cost)
-        if every:
-            return fitted
-        scores = [-math.inf] * total
-        for i, score in zip(np.flatnonzero(live).tolist(), fitted):
-            scores[i] = score
-        return scores
-    n_ex = local.count_excluding(k)
-    if n_ex <= size:
-        return [-math.inf] * total
-    pattern, proven = local.pattern(k), local.proven(k)
-    scores = []
+        if len(n_ex) and (n_ex == n_ex[0]).all():
+            n_ex = int(n_ex[0])
+    else:
+        n_ex = local.count_excluding(k)
+        if n_ex <= size:
+            return np.full(total, -math.inf)
+        vertex, pattern, every = k - 1, local.pattern(k), True
+        proven = local.proven_pattern(pattern)
+    fitted = np.empty(len(idx))
     for start, stop in _stacks(pattern, idx):
-        resid = _fit_rows(local.mixtures, k - 1, idx[start:stop], proven, pattern)[2].tolist()
-        scores += _penalized(resid, n_ex, cost)
+        at = slice(start, stop)
+        if isinstance(vertex, np.ndarray):
+            resid = _fit_rows(local.mixtures, vertex[at], idx[at], proven[at], pattern[at])[2]
+        else:
+            resid = _fit_rows(local.mixtures, vertex, idx[at], proven, pattern)[2]
+        fitted[at] = _penalized(resid, n_ex[at] if isinstance(n_ex, np.ndarray) else n_ex, cost)
+    if every:
+        return fitted
+    scores = np.full(total, -math.inf)
+    scores[live] = fitted
     return scores
 
 
@@ -760,7 +792,7 @@ def local_score(
     """
     pa = _checked_parents(k, parent_set, local.p)
     penalty = _checked_penalty(local.n if n is None else n, penalty)
-    return _scores(k, [pa], local, penalty)[0]
+    return float(_scores(k, [pa], local, penalty)[0])
 
 
 def bic_score(

@@ -168,7 +168,7 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
 
     parents: list[set[int]] = [set() for _ in range(p)]
     children: list[set[int]] = [set() for _ in range(p)]
-    vertex_score = _scores(np.arange(1, p + 1), [()] * p, local, penalty)
+    vertex_score = _scores(np.arange(1, p + 1), [()] * p, local, penalty).tolist()
     total = start_score = sum(vertex_score)
 
     steps: list[TraceStep] = []
@@ -193,7 +193,7 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
         if pa:
             ordered = sorted(pa)
             removals = [tuple(u for u in ordered if u != drop) for drop in ordered]
-            toggled.update(zip(ordered, _scores(v, removals, local, penalty)))
+            toggled.update(zip(ordered, _scores(v, removals, local, penalty).tolist()))
         tables[v - 1] = (toggled, row)
 
     def table(v):
@@ -206,7 +206,7 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
             rows[:, :-1] = sorted(pa)
             rows[:, -1] = tails
             rows.sort(axis=1, kind="stable")
-            fill(v, tails, _scores(v, rows, local, penalty) if tails else [])
+            fill(v, tails, _scores(v, rows, local, penalty).tolist() if tails else [])
         return tables[v - 1]
 
     # every vertex's first table: all p(p - 1) single-parent sets in one
@@ -218,7 +218,7 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
         order = np.lexsort((heads, tails, local.pattern_of[heads]))
         heads, tails = heads[order], tails[order]
         added: list[list[float]] = [[] for _ in range(p)]
-        for head, score in zip(heads.tolist(), _scores(heads + 1, tails[:, None] + 1, local, penalty)):
+        for head, score in zip(heads.tolist(), _scores(heads + 1, tails[:, None] + 1, local, penalty).tolist()):
             added[head].append(score)
         others = np.arange(1, p + 1)
         for v in range(1, p + 1):
@@ -359,6 +359,7 @@ def _dp_scores(local: LocalStats, max_parents: int, penalty: float) -> np.ndarra
         sets = _combinations(p, d)
         inside = np.zeros((len(sets), p), dtype=bool)
         inside[np.arange(len(sets))[:, None], sets] = True
+        sets += 1  # the kernel takes labels
         for members in patterns:
             outside = ~inside[:, members]
             position = np.cumsum(outside, axis=0) + (offset - 1)
@@ -366,7 +367,8 @@ def _dp_scores(local: LocalStats, max_parents: int, penalty: float) -> np.ndarra
             for start in range(0, len(sets), step):
                 at, which = np.nonzero(outside[start:start + step])
                 at += start
-                scores[members[which], position[at, which]] = _scores(members[which] + 1, sets[at] + 1, local, penalty)
+                vertex = members[which]
+                scores[vertex, position[at, which]] = _scores(vertex + 1, sets[at], local, penalty)
         offset += math.comb(p - 1, d)
     return scores
 
@@ -392,15 +394,17 @@ def exhaustive_dp(local: LocalStats, config: SearchConfig | None = None) -> Dag:
 
     Memory and time grow as p * 2^p; vertices are hard-capped at
     DP_VERTEX_LIMIT.  With the default max_parents and n=2000, on one core
-    of a shared 2-core host (Python 3.11, numpy 2.4, scipy 1.17; median of
-    interleaved runs), it took on observational data 0.045 s at p=12,
-    0.21 s at p=14, 0.61 s at p=16, 2.3 s at p=18 and 6.0 s at p=20, and
-    with three single-vertex targets 0.067, 0.17, 0.81, 2.4 and 6.4 s; peak
-    RSS was 81 MB at p=18 and 170 MB at p=20.  Observational data has one
-    pattern, so a factorization serves up to p - d vertices.  Most of the
-    time is the kernel's Python work per set: the score expression, the
-    gathers and the residual forms; the ``dposv`` calls, one per pattern
-    and parent set, are about a tenth of it.
+    of a 2-core x86-64 host (Python 3.11, numpy 2.4, scipy 1.17; median of
+    three runs), it took on observational data 0.019 s at p=12,
+    0.069 s at p=14, 0.25 s at p=16, 0.83 s at p=18 and 2.5 s at p=20, and
+    with three single-vertex targets 0.023, 0.082, 0.29, 0.97 and 2.9 s;
+    peak RSS was 80 MB at p=18 and 169 MB at p=20.  Observational data has
+    one pattern, so a factorization serves up to p - d vertices.  The
+    kernel runs Python once per factorization, so its loop of ``dposv``
+    calls, one per pattern and parent set, is its largest part: about
+    two fifths of the kernel's time on the p=12 input with three targets,
+    ahead of the gather of the blocks, the score expression and the
+    residual forms.
     """
     if config is None:
         config = SearchConfig()

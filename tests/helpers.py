@@ -6,8 +6,9 @@ used to check: DAG enumeration walks all orientation patterns directly,
 the class enumeration oracle is the pruned backtracking search that listed
 classes before essential graphs were built directly, the likelihood oracle sums exact multivariate normal log-densities, the
 regression oracle fits one parent set at a time through scipy's wrappers,
-the greedy oracle rescans every candidate move on every step, reading
-one score at a time, the DP oracle loops over subset masks in Python, and
+the score-expression oracle scores one residual at a time, the greedy
+oracle rescans every candidate move on every step, reading one score at a
+time, the DP oracle loops over subset masks in Python, and
 the sampling, statistics and CSV-reading oracles are the per-row loops
 those functions were first written as.
 """
@@ -573,6 +574,15 @@ def reference_fit_row(S: np.ndarray, k_idx: int, pa_idx: list[int]):
     v[1:] = -b
     resid = float(v @ S[np.ix_(full, full)] @ v)
     return b, resid
+
+
+def reference_penalized(resid: list[float], n_ex: int | list[int], cost: float) -> list[float]:
+    """The penalized score of each residual, one at a time, as the score
+    expression was first written: -n/2 * (1 + log r) - cost, or -inf where
+    r is not positive and finite.  ``n_ex`` is one count for every residual
+    or a list of one per residual."""
+    counts = n_ex if isinstance(n_ex, list) else [n_ex] * len(resid)
+    return [-0.5 * n * (1.0 + math.log(r)) - cost if 0 < r < math.inf else -math.inf for n, r in zip(counts, resid)]
 
 
 def _reaches(children: list[set[int]], start: int, goal: int, skip_edge=None) -> bool:

@@ -485,6 +485,21 @@ def test_simulate_rejects_what_an_experiment_grid_rejects(tmp_path, capsys, flag
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--seed", "1", "--p", "4", "--k", "2", "--tau", "1e200"],
+        ["experiment", "--seed", "1", "--replicates", "1", "--p", "4", "--k", "2", "--n-grid", "50", "--tau", "1e160"],
+    ],
+)
+def test_tau_whose_square_overflows_is_a_parameter_error(tmp_path, capsys, argv):
+    # tau is finite, but the intervention variance tau**2 is not
+    code = main([*argv, "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "error: tau must have a finite square" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 # -- experiment command ----------------------------------------------------------------
 
 _TINY = [

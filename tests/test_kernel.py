@@ -41,6 +41,11 @@ Core claims:
       it (a vertex's parents plus each tail, as sorted labels) and fitted by
       one _scores call, has the bits of local_score on that set, including
       the -inf of sets with no more usable rows than parents.
+    - The score expression over a whole stack, numpy after math.log, has
+      the bits of the scalar expression in helpers for every residual: both
+      zeros, negatives, NaN, both infinities, subnormals, 1e±300 and values
+      where np.log would round differently, with one count for the stack or
+      one per set.
 """
 
 import itertools
@@ -62,7 +67,7 @@ from interdag import (
 from interdag import likelihood
 from interdag.likelihood import LocalStats, _cond_bound, _fit_rows, _proven_well_conditioned
 
-from helpers import random_instance, reference_fit_row
+from helpers import random_instance, reference_fit_row, reference_penalized
 
 
 def _bits(x: float) -> bytes:
@@ -597,6 +602,36 @@ def test_stacks_hold_at_most_chunk_sets_and_split_no_group():
     assert likelihood._stacks(0, parents) == [
         (start, min(start + likelihood._CHUNK, len(parents))) for start in range(0, len(parents), likelihood._CHUNK)
     ]
+
+
+# residuals at the edges of the score expression's domain: both zeros,
+# negatives, NaN, both infinities, subnormals and 1e±300; and three whose
+# np.log differs from math.log in the last bit with numpy 2.4's AVX-512 log
+_EDGE_RESIDUALS = [0.0, -0.0, -1.0, -1e300, math.nan, math.inf, -math.inf,
+                   5e-324, 2.2250738585072014e-308 / 3, 1e-300, 1e300, 1.7976931348623157e308,
+                   1.0062334388992138, 74.96999311528066, 47.59151152570911]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(_EDGE_RESIDUALS), st.floats(), st.floats(1e-300, 1e300)),
+            st.integers(1, 2**40),
+        ),
+        max_size=40,
+    ),
+    cost=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+    per_set=st.booleans(),
+)
+def test_score_expression_matches_the_scalar_oracle(pairs, cost, per_set):
+    """``_penalized`` over a whole stack against the scalar expression in
+    helpers, bit for bit, with one count for the whole stack or one per set."""
+    resid = [r for r, _ in pairs]
+    counts = [n for _, n in pairs] if per_set else (pairs[0][1] if pairs else 7)
+    got = likelihood._penalized(np.array(resid, dtype=float), np.array(counts) if per_set else counts, cost)
+    assert got.dtype == np.float64 and got.shape == (len(resid),)
+    assert [_bits(s) for s in got.tolist()] == [_bits(s) for s in reference_penalized(resid, counts, cost)]
 
 
 def test_scores_of_many_vertices_match_local_scores():

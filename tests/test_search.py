@@ -24,7 +24,9 @@ Core claims:
     - Score equivalence: every member of the estimate's class gets the
       same BIC up to float noise.
     - Greedy traces and DP results on fixed seeds are pinned to the bit, so
-      any drift in the scores' arithmetic fails here.
+      any drift in the scores' arithmetic fails here; so is every score of
+      the DP's table on a p=12 input with three targets and on a p=10
+      observational one.
     - Greedy's per-vertex score tables return the same DAG and trace as a
       full rescan of every move on every step, also on runs with deletions
       and reversals, each of which rebuilds its descendant bitsets, and on
@@ -475,6 +477,41 @@ def test_dp_matches_reference_oracle_on_shared_patterns(seed, p, max_parents, du
     assert exhaustive_dp(local, config).parent_sets == reference_exhaustive_dp(local, config).parent_sets
 
 
+def _fit_exact_local(tmp_path):
+    """The statistics of ``interdag simulate --p 12 --n 2000 --k 3
+    --replicates-per-target 5 --seed 7``: three vertices targeted alone,
+    nine sharing the observational pattern."""
+    assert main(["simulate", "--p", "12", "--n", "2000", "--k", "3", "--replicates-per-target", "5",
+                 "--seed", "7", "--out", str(tmp_path)]) == 0
+    return _local(ingest_csv(tmp_path / "dataset.csv"))
+
+
+def _observational_p10_local():
+    model = sample_normalized_model(sample_random_dag(10, 1.5, 3), 3)
+    return _local(sample_dataset(model, [InterventionTarget.empty()] * 500, seed=3))
+
+
+# Every score of the exact search's table, pinned to the bit: a DAG or an
+# essential graph can hide a last-bit change in one score that no argmax
+# reaches.  Recorded with the per-set arithmetic of the kernel as it was
+# before its numpy score expression, on numpy 2.4 and scipy 1.17 wheels
+# (x86-64 OpenBLAS); another build may round differently.
+@pytest.mark.parametrize(
+    "inputs, shape, digest",
+    [
+        ("fit_exact", (12, 1981), "6d8e1d1f49b63b337ce767b048353e65dfcc7dbb5ef7b471f8d791a1b1d4ce0d"),
+        ("observational", (10, 511), "1bf534c240cff8e16d60b2a223989a969f9d40dc918e4d7e28e755a236c50070"),
+    ],
+    ids=["fit_exact", "observational"],
+)
+def test_dp_score_table_pinned(tmp_path, inputs, shape, digest):
+    local = _fit_exact_local(tmp_path) if inputs == "fit_exact" else _observational_p10_local()
+    penalty = interdag.likelihood._checked_penalty(local.n, None)
+    table = interdag.search._dp_scores(local, SearchConfig().resolved_max_parents(local.p), penalty)
+    assert table.shape == shape
+    assert hashlib.sha256(table.tobytes()).hexdigest() == digest
+
+
 def test_dp_work_counters_pinned(monkeypatch, tmp_path):
     """Kernel calls, parent sets fitted, dposv calls and proofs of one DP
     fit on the input ``interdag simulate --p 12 --n 2000 --k 3
@@ -491,9 +528,7 @@ def test_dp_work_counters_pinned(monkeypatch, tmp_path):
     per size for each of the others: 67 calls, against 12 * 9 = 108 with
     one per vertex and size.
     """
-    assert main(["simulate", "--p", "12", "--n", "2000", "--k", "3", "--replicates-per-target", "5",
-                 "--seed", "7", "--out", str(tmp_path)]) == 0
-    local = _local(ingest_csv(tmp_path / "dataset.csv"))
+    local = _fit_exact_local(tmp_path)
     calls = {"scores": 0, "sets": 0, "dposv": 0, "proof": 0}
     scores, dposv, proof = interdag.likelihood._scores, interdag.likelihood.dposv, interdag.likelihood._proven_well_conditioned
 
