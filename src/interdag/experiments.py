@@ -94,6 +94,8 @@ class ExperimentConfig:
             raise ParameterError("tau must be positive")
         if not math.isfinite(self.tau * self.tau):
             raise ParameterError(f"tau must have a finite square, got {self.tau!r}")
+        if self.tau * self.tau == 0:
+            raise ParameterError(f"tau must have a positive square, got {self.tau!r}")
         if self.replicates < 1:
             raise ParameterError("replicates must be positive")
         _check_method(self.method)

@@ -45,13 +45,13 @@ import importlib.util
 import itertools
 import math
 import os
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
 
 import numpy as np
 import scipy
 
-from .errors import DataError, DegenerateFitError, ParameterError
+from .errors import CapacityError, DataError, DegenerateFitError, ParameterError
 from .model import (
     Dag,
     Dataset,
@@ -117,7 +117,12 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True, eq=False)
 class SufficientStats:
-    """Per-target row counts with first and second moments."""
+    """Per-target row counts with first and second moments.
+
+    From ``sufficient_stats``, the moments are read-only mappings that keep
+    nothing: a read computes the moment (``_Moments``), so a repeated read
+    recomputes it, with the same bits.
+    """
 
     p: int
     n: int
@@ -129,29 +134,36 @@ class SufficientStats:
         return TargetFamily(frozenset(self.counts)).sorted_targets()
 
 
-def sufficient_stats(dataset: Dataset) -> SufficientStats:
-    """Accumulate per-target counts and moments; rejects empty datasets.
+class _Moments(Mapping):
+    """Each target of a dataset mapped to (X.T @ X) / n_t, or to
+    X.sum(axis=0) / n_t, over its rows X (a view of the values when they
+    are one run), computed on each read."""
 
-    Reads the dataset's cached row grouping, so the rows are not hashed
-    again; each distinct target costs one matrix product over its rows, a
-    view of the values when they are one run (``_rows_index``).
-    """
+    def __init__(self, dataset: Dataset, second: bool):
+        self._dataset = dataset
+        self._second = second
+
+    def __getitem__(self, target: InterventionTarget) -> np.ndarray:
+        rows = self._dataset.row_groups[target]
+        X = self._dataset.values[_rows_index(rows)]
+        moment = (X.T @ X) / len(rows) if self._second else X.sum(axis=0) / len(rows)
+        moment.setflags(write=False)
+        return moment
+
+    def __iter__(self):
+        return iter(self._dataset.row_groups)
+
+    def __len__(self) -> int:
+        return len(self._dataset.row_groups)
+
+
+def sufficient_stats(dataset: Dataset) -> SufficientStats:
+    """Per-target counts, with moments computed when read (see
+    ``SufficientStats``); rejects empty datasets."""
     if dataset.n == 0:
         raise DataError("cannot compute statistics of an empty dataset")
-    counts: dict[InterventionTarget, int] = {}
-    seconds: dict[InterventionTarget, np.ndarray] = {}
-    firsts: dict[InterventionTarget, np.ndarray] = {}
-    for t, rows in dataset.row_groups.items():
-        X = dataset.values[_rows_index(rows)]
-        n_t = len(rows)
-        S = (X.T @ X) / n_t
-        m = X.sum(axis=0) / n_t
-        S.setflags(write=False)
-        m.setflags(write=False)
-        counts[t] = n_t
-        seconds[t] = S
-        firsts[t] = m
-    return SufficientStats(dataset.p, dataset.n, counts, seconds, firsts)
+    counts = {t: len(rows) for t, rows in dataset.row_groups.items()}
+    return SufficientStats(dataset.p, dataset.n, counts, _Moments(dataset, True), _Moments(dataset, False))
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,6 +243,15 @@ def check_marginal_variance(local: LocalStats) -> None:
         raise DegenerateFitError(f"vertices {bad.tolist()} have no usable marginal variance")
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        total = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return total if total > 0 else None
+
+
 def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> LocalStats:
     """Mix the per-target moments into the exclusion statistics, once per
     exclusion pattern.
@@ -238,15 +259,16 @@ def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> L
     ``family``, when given, must cover every observed target; targets in the
     family without data contribute nothing to the mixtures.  A vertex's
     pattern is the set of observed targets that contain it, numbered by
-    first vertex.  Each target's weighted moment n_t * S_t is formed once.
-    Every pattern's sum is the left fold,
-    in target order and starting from zeros, of the weighted moments of the
-    targets that do not contain its vertices.  The targets before the first
-    one that contains them all exclude them, so that part of its fold is a
-    prefix of one running fold over all targets: the pattern's sum starts as
-    a copy of that prefix and then adds only the later targets that exclude
-    it, in order.  The bits are those of a fold per vertex, and with
-    single-vertex targets it does about half the additions.
+    first vertex.  Every pattern's sum is the left fold, in target order and
+    starting from zeros, of the weighted moments n_t * S_t of the targets
+    that do not contain its vertices.  The fold is target-major: at each
+    target, the patterns it is the first to contain start as a copy of the
+    running prefix of all targets before it, then its n_t * S_t, formed
+    once into one scratch array, is added to every started pattern that
+    excludes it and to the prefix.  So each pattern gets the adds of a fold
+    per vertex in the same order, with the same bits, and one per-target
+    moment is in memory at a time.  Raises CapacityError before allocating
+    mixtures larger than physical memory.
     """
     p = stats.p
     targets = stats.targets()
@@ -257,7 +279,6 @@ def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> L
                 raise ParameterError(
                     f"observed target {t.members} is missing from the supplied family"
                 )
-    weighted = [(stats.counts[t], stats.counts[t] * stats.second_moments[t]) for t in targets]
     # each vertex's pattern: the indices of the targets that contain it
     containing: list[list[int]] = [[] for _ in range(p)]
     for i, t in enumerate(targets):
@@ -270,28 +291,39 @@ def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> L
     starts: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(len(targets) + 1)]
     for key, q in numbers.items():
         starts[key[0] if key else len(targets)].append((q, key))
-    counts = np.zeros(len(numbers), dtype=np.int64)
-    mixtures = np.zeros((len(numbers), p, p))
+    m = len(numbers)
+    needed = m * p * p * 8
+    memory = _physical_memory()
+    if memory is not None and needed > memory:
+        raise CapacityError(
+            f"the mixtures of {m} exclusion patterns over p={p} vertices need "
+            f"{needed} bytes, more than the {memory} bytes of physical memory"
+        )
+    counts = [0] * m
+    mixtures = np.zeros((m, p, p))
     prefix = np.zeros((p, p))  # the fold of every target before targets[i]
+    weighted = np.empty((p, p))  # n_t * S_t of targets[i]
     n_prefix = 0
+    started: list[tuple[int, tuple[int, ...]]] = []
     for i, patterns in enumerate(starts):
-        for q, key in patterns:
-            acc = mixtures[q]
-            acc[...] = prefix
-            n_ex = n_prefix
-            for j in range(i + 1, len(weighted)):
-                if j in key:
-                    continue
-                n_t, moment = weighted[j]
-                n_ex += n_t
-                acc += moment
-            counts[q] = n_ex
-            if n_ex > 0:
-                acc /= n_ex
-        if i < len(weighted):
-            n_prefix += weighted[i][0]
-            prefix += weighted[i][1]
-    counts = counts[pattern_of]
+        for q, _ in patterns:
+            mixtures[q] = prefix
+            counts[q] = n_prefix
+        if i == len(targets):
+            break
+        started += patterns
+        n_t = stats.counts[targets[i]]
+        np.multiply(n_t, stats.second_moments[targets[i]], out=weighted)
+        for q, key in started:
+            if i not in key:
+                mixtures[q] += weighted
+                counts[q] += n_t
+        n_prefix += n_t
+        prefix += weighted
+    for q, n_ex in enumerate(counts):
+        if n_ex > 0:
+            mixtures[q] /= n_ex
+    counts = np.array(counts, dtype=np.int64)[pattern_of]
     for array in (mixtures, counts, pattern_of):
         array.setflags(write=False)
     return LocalStats(p, stats.n, counts, mixtures, pattern_of)

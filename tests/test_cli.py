@@ -7,8 +7,11 @@ Core claims:
       first bad column, and a bad target before a bad cell on one row.
     - ingest_csv's bulk parse accepts exactly what the row loop it replaced
       (helpers.reference_ingest_csv) accepts, with the same bits, and
-      rejects the rest with the same message; a clean file never reaches
-      the row loop.
+      rejects the rest with the same message, whether the file is one
+      chunk or chunks of a few characters and whichever line separators
+      str.splitlines() honours end its lines; a clean file never reaches
+      the row loop.  A file of several chunks is read holding one chunk of
+      text at a time (tracemalloc).
     - A seeded simulate writes the same dataset.csv bytes as recorded, and
       one at p=100 whose class is too large to list exits 0.  One with no
       observational rows writes the essential.txt bytes recorded when its
@@ -19,8 +22,10 @@ Core claims:
       flags give the same rows.csv and medians.csv.
     - A config file that repeats a key is rejected, naming the line and
       the key; fit rejects a bad search flag before it reads the data.
-    - Exit codes: 0 success, 2 parameter/config error, 3 data error,
-      4 capacity guard.
+    - Exit codes: 0 success, 2 parameter/config error (a tau whose square
+      overflows or underflows included), 3 data error, 4 capacity guard
+      (the exact search beyond 20 vertices, or exclusion mixtures beyond
+      physical memory).
     - fit/simulate/experiment write the documented artifact files, and
       experiment output is bit-identical across runs with the same seed.
 """
@@ -28,6 +33,7 @@ Core claims:
 import hashlib
 import json
 import tempfile
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +43,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import interdag.cli
+import interdag.likelihood
 from interdag import (
     Dag,
     DataError,
@@ -219,6 +226,30 @@ def test_ingest_parses_a_clean_file_in_bulk(tmp_path, monkeypatch):
     assert ingest_csv(path).values[6, 2] == 15.0 and len(loops) == 1
 
 
+def test_ingest_holds_one_chunk_of_text_at_a_time(tmp_path):
+    """A CSV of more than 4 MiB is read in chunks of ``_CHUNK_CHARS``
+    characters: the peak traced allocation stays within twice the values
+    (the chunks' blocks and their concatenation, which the Dataset keeps)
+    plus one chunk's text and, while it is split, its lines:
+    2 * _CHUNK_CHARS bytes of ASCII.  A whole-file read holds the text and
+    its lines, twice the file."""
+    p, n = 50, 4400
+    rng = np.random.default_rng(3)
+    targets = [InterventionTarget.empty()] * (n - 200) + [InterventionTarget.of(v) for v in range(1, 41) for _ in range(5)]
+    data = Dataset(p, tuple(targets), rng.standard_normal((n, p)))
+    path = tmp_path / "big.csv"
+    emit_csv(data, path)
+    assert path.stat().st_size >= 4 * 2**20
+    tracemalloc.start()
+    try:
+        back = ingest_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.targets == data.targets and back.values.tobytes() == data.values.tobytes()
+    assert peak <= 2 * back.values.nbytes + 2 * interdag.cli._CHUNK_CHARS
+
+
 # cells float() reads, with finite values
 _GOOD_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map("{:.17g}".format),
@@ -237,12 +268,16 @@ _GOOD_TARGETS = st.sampled_from(["", "1", "2", "1;2", " 2 ", "2;1"])
 _BAD_TARGETS = st.sampled_from(["0", "3;3", "a", "9", "1;", "-1"])
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_ingest_matches_the_row_loop_oracle(data):
-    """On generated CSVs, clean or with up to three defects, the reader
-    accepts exactly what the row loop it replaced accepts, with the same
-    bits, and rejects the rest with the same message."""
+# line separators str.splitlines() honours besides "\n" and "\r\n": a lone
+# "\r" is a newline to the file reader too, the others only to splitlines
+_LONE_SEPARATORS = ["\r", "\x1c", "\x85", "\u2028"]
+
+
+def _check_ingest_against_the_row_loop_oracle(data) -> None:
+    """On a generated CSV, clean or with up to three defects, and with some
+    lines ended by lone separators, ``ingest_csv`` accepts exactly what the
+    row loop it replaced accepts, with the same bits, and rejects the rest
+    with the same message."""
     p = data.draw(st.integers(1, 3), label="p")
     rows = data.draw(
         st.lists(st.tuples(_GOOD_TARGETS, st.lists(_GOOD_CELLS, min_size=p, max_size=p)), max_size=8),
@@ -268,7 +303,11 @@ def test_ingest_matches_the_row_loop_oracle(data):
         else:
             lines[i] = lines[i].rsplit(",", 1)[0]
     newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
-    text = newline.join(lines) + data.draw(st.sampled_from(["", newline]), label="end")
+    separator = st.sampled_from([newline] * 4 + _LONE_SEPARATORS)
+    text = lines[0]
+    for line in lines[1:]:
+        text += data.draw(separator, label="separator") + line
+    text += data.draw(st.sampled_from(["", newline]), label="end")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -283,6 +322,24 @@ def test_ingest_matches_the_row_loop_oracle(data):
             assert got.p == want.p and got.targets == want.targets
             assert got.values.shape == want.values.shape
             assert got.values.view(np.uint64).tolist() == want.values.view(np.uint64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_ingest_matches_the_row_loop_oracle(data):
+    """Every generated file fits in one chunk."""
+    _check_ingest_against_the_row_loop_oracle(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_ingest_in_chunks_of_a_few_bytes_matches_the_row_loop_oracle(data):
+    """Chunks of a few characters end between lines, defects and targets,
+    so a file is parsed partly in bulk and partly by the row loop, with one
+    shared dict of parsed targets."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interdag.cli, "_CHUNK_CHARS", data.draw(st.integers(1, 40), label="chunk"))
+        _check_ingest_against_the_row_loop_oracle(data)
 
 
 def test_ingest_missing_file():
@@ -407,6 +464,17 @@ def test_fit_dp_capacity_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["greedy", "dp"])
+def test_fit_beyond_physical_memory_exit_code(tmp_path, capsys, monkeypatch, method):
+    # the mixtures are refused before they are allocated
+    csv = tmp_path / "d.csv"
+    _sample_csv(csv)
+    monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: 100)
+    code = main(["fit", "--data", str(csv), "--method", method])
+    assert code == 4
+    assert "error: the mixtures of 2 exclusion patterns over p=3 vertices need 144 bytes, more than the 100 bytes" in capsys.readouterr().err
+
+
 # -- simulate command ------------------------------------------------------------------
 
 
@@ -497,6 +565,21 @@ def test_tau_whose_square_overflows_is_a_parameter_error(tmp_path, capsys, argv)
     code = main([*argv, "--out", str(tmp_path / "x")])
     assert code == 2
     assert "error: tau must have a finite square" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--seed", "1", "--p", "4", "--k", "2", "--tau", "1e-200"],
+        ["experiment", "--seed", "1", "--replicates", "1", "--p", "4", "--k", "2", "--n-grid", "50", "--tau", "1e-170"],
+    ],
+)
+def test_tau_whose_square_underflows_is_a_parameter_error(tmp_path, capsys, argv):
+    # tau is positive, but the intervention variance tau**2 is 0.0
+    code = main([*argv, "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "error: tau must have a positive square, got 1e-" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

@@ -15,6 +15,10 @@ Core claims:
       n_t * S_t once per vertex, whichever target first contains a vertex,
       including a vertex in no target and one in every target, and for
       every vertex of a p=30 family of single-vertex targets.
+    - local_stats folds target by target with one per-target moment in
+      memory: on a fully targeted p=40 dataset it matches the fold per
+      vertex bit for bit and its traced peak is the mixtures plus a few
+      p x p arrays.
     - Every local_stats mixture equals its transpose bit for bit, on
       overlapping multi-vertex targets and columns of mixed scale: the
       scoring kernel factors each parent block through its transpose.
@@ -26,6 +30,8 @@ Core claims:
       sample_dataset and once in Dataset, and never compares targets row by
       row.
 """
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -251,6 +257,26 @@ def test_single_vertex_targets_at_p30_match_reference():
     assert local.counts_excluding.tolist() == [445] * p
     # every vertex is its own pattern
     assert local.pattern_of.tolist() == list(range(p))
+
+
+def test_local_stats_streams_one_moment_at_a_time():
+    """Fully targeted at p=40: 40 patterns of 40 x 40.  The fold holds the
+    mixtures, the running prefix, the n_t * S_t scratch and the moment being
+    read (with its product), not a weighted copy of every target's moment."""
+    p = 40
+    model = sample_normalized_model(sample_random_dag(p, 1.5, 21), 22)
+    singles = [InterventionTarget.of(v) for v in range(1, p + 1)]
+    sequence = [InterventionTarget.empty()] * 400 + [t for t in singles for _ in range(5)]
+    data = sample_dataset(model, sequence, InterventionSpec.constant(singles, 2.0, 0.5), 23)
+    tracemalloc.start()
+    try:
+        local = local_stats(sufficient_stats(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert local.mixtures.shape == (p, p, p)
+    assert peak <= local.mixtures.nbytes + 8 * p * p * 8
+    _check_local_stats(local, sufficient_stats(data))
 
 
 def test_sampling_validates_each_distinct_target_once(monkeypatch):

@@ -1,9 +1,12 @@
 """Sufficient statistics, exact likelihood, closed-form MLE, and BIC scoring.
 
 Core claims:
-    - sufficient_stats accumulates per-target counts and second moments exactly.
+    - sufficient_stats accumulates per-target counts and second moments
+      exactly; each read of a moment computes it again, with the same bits,
+      read-only.
     - local_stats mixes per-target moments with the right weights and flags
-      vertices that appear in every observed target.
+      vertices that appear in every observed target; it raises
+      CapacityError before allocating mixtures larger than physical memory.
     - mle_given_dag matches both Monte Carlo truth and a gradient-free
       numeric maximizer computed from raw rows.
     - log_likelihood equals a row-by-row multivariate normal density sum and
@@ -20,7 +23,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import interdag.likelihood
 from interdag import (
+    CapacityError,
     Dag,
     DataError,
     Dataset,
@@ -90,6 +95,19 @@ def test_stats_mixed_targets_and_row_order():
     assert np.allclose(st.second_moments[t1], st2.second_moments[t1], atol=1e-12)
 
 
+def test_stats_moments_are_computed_on_each_read():
+    model, data = _obs(20, 3, seed=3)
+    st = sufficient_stats(data)
+    t = InterventionTarget.empty()
+    assert list(st.second_moments) == list(st.first_moments) == [t] and len(st.second_moments) == 1
+    first, again = st.second_moments[t], st.second_moments[t]
+    assert first is not again and first.tobytes() == again.tobytes()
+    assert not first.flags.writeable and not st.first_moments[t].flags.writeable
+    assert np.array_equal(st.first_moments[t], data.values.mean(axis=0))
+    with pytest.raises(KeyError):
+        st.second_moments[InterventionTarget.of(1)]
+
+
 def test_stats_rejects_empty_dataset():
     ds = Dataset(2, (), np.zeros((0, 2)))
     with pytest.raises(DataError):
@@ -122,6 +140,24 @@ def test_local_stats_mixture_arithmetic():
     assert np.allclose(loc.mixture(1), st.second_moments[t0], atol=1e-15)
     hand = 0.4 * st.second_moments[t0] + 0.6 * st.second_moments[t1]
     assert np.allclose(loc.mixture(2), hand, atol=1e-14)
+
+
+def test_local_stats_refuses_mixtures_beyond_physical_memory(monkeypatch):
+    # three single-vertex targets and observational rows: three patterns of 3x3
+    t0 = InterventionTarget.empty()
+    targets = (t0,) * 4 + tuple(InterventionTarget.of(v) for v in (1, 2, 3))
+    stats = sufficient_stats(Dataset(3, targets, np.arange(21.0).reshape(7, 3)))
+    monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: 3 * 9 * 8 - 1)
+    with pytest.raises(CapacityError, match=r"3 exclusion patterns over p=3 vertices need 216 bytes"):
+        local_stats(stats)
+    for memory in (3 * 9 * 8, None):  # enough, or unknown: no check
+        monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: memory)
+        assert local_stats(stats).mixtures.nbytes == 216
+
+
+def test_physical_memory_probe():
+    memory = interdag.likelihood._physical_memory()
+    assert memory is None or memory > 0
 
 
 def test_local_stats_unidentified_vertex():
