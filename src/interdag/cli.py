@@ -21,7 +21,7 @@ import numpy as np
 from .equivalence import essential_graph, format_essential_graph
 from .errors import CapacityError, DataError, ParameterError
 from .experiments import METHODS, ExperimentConfig, _cell_summaries, _draw_cell, _draw_model
-from .experiments import run_consistency_experiment, run_fit
+from .experiments import _writing, run_consistency_experiment, run_fit
 from .model import (
     _FLOAT_FMT,
     Dataset,
@@ -100,11 +100,12 @@ def ingest_csv(path: str | Path) -> Dataset:
 def _text_chunks(path: str | Path):
     """The file's text in chunks of whole lines, about ``_CHUNK_CHARS``
     characters each.  Newlines are read as ``Path.read_text`` reads them,
-    so every chunk ends where ``str.splitlines`` ends a line."""
+    so every chunk ends where ``str.splitlines`` ends a line.  A file that
+    cannot be read, or is not UTF-8, raises DataError."""
     try:
         with open(path, encoding="utf-8") as handle:
             yield from iter(lambda: "".join(handle.readlines(_CHUNK_CHARS)), "")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
@@ -236,7 +237,7 @@ def _add_settings(parser: argparse.ArgumentParser, config_cls, defaults: bool) -
 def _read_config_file(path: str | Path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read config {path}: {exc}") from None
     types = _setting_types(ExperimentConfig)
     settings = {}
@@ -285,12 +286,13 @@ def _cmd_simulate(args) -> int:
     singles, sequence = _draw_cell(config, args.n, derive_seed(args.seed, 3))
     spec = InterventionSpec.constant(singles, args.mu, args.tau**2)
     data = sample_dataset(model, sequence, spec, derive_seed(args.seed, 4))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    emit_csv(data, out / "dataset.csv")
-    (out / "model.txt").write_text(format_model(model), encoding="utf-8")
     graph = essential_graph(dag, data.observed_targets())
-    (out / "essential.txt").write_text(format_essential_graph(graph), encoding="utf-8")
+    out = Path(args.out)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        emit_csv(data, out / "dataset.csv")
+        (out / "model.txt").write_text(format_model(model), encoding="utf-8")
+        (out / "essential.txt").write_text(format_essential_graph(graph), encoding="utf-8")
     print(f"wrote {data.n} rows over {data.p} columns to {out / 'dataset.csv'}")
     return 0
 

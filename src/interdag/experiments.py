@@ -12,6 +12,7 @@ import json
 import math
 import statistics
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -175,6 +176,16 @@ def estimate_essential_graph(
     return essential_graph(fit_structure(dataset, family, method, config)[1], family)
 
 
+@contextmanager
+def _writing(path: str | Path):
+    """Report an OSError raised in the block, which writes under ``path``,
+    as a ParameterError naming the file or directory that failed."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParameterError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from None
+
+
 def run_fit(
     dataset: Dataset,
     family: TargetFamily | None = None,
@@ -186,7 +197,8 @@ def run_fit(
 
     The family defaults to the targets observed in the data.  When
     ``out_dir`` is given, the fitted model, essential graph, search trace,
-    and a JSON summary are written there.
+    and a JSON summary are written there; a directory or file that cannot
+    be written raises ParameterError.
     """
     if family is None:
         if dataset.n == 0:
@@ -202,22 +214,23 @@ def run_fit(
     graph = essential_graph(dag, family)
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "model.txt").write_text(format_model(fitted.to_model()), encoding="utf-8")
-        (out / "essential.txt").write_text(format_essential_graph(graph), encoding="utf-8")
-        if trace is not None:
-            (out / "trace.txt").write_text(format_trace(trace), encoding="utf-8")
-        summary = {
-            "p": dataset.p,
-            "n": dataset.n,
-            "method": method,
-            "bic": fitted.bic,
-            "log_likelihood": fitted.log_likelihood,
-            "edges": fitted.dag.num_edges,
-            "directed_edges": len(graph.directed),
-            "undirected_edges": len(graph.undirected),
-        }
-        (out / "fit.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+        with _writing(out):
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "model.txt").write_text(format_model(fitted.to_model()), encoding="utf-8")
+            (out / "essential.txt").write_text(format_essential_graph(graph), encoding="utf-8")
+            if trace is not None:
+                (out / "trace.txt").write_text(format_trace(trace), encoding="utf-8")
+            summary = {
+                "p": dataset.p,
+                "n": dataset.n,
+                "method": method,
+                "bic": fitted.bic,
+                "log_likelihood": fitted.log_likelihood,
+                "edges": fitted.dag.num_edges,
+                "directed_edges": len(graph.directed),
+                "undirected_edges": len(graph.undirected),
+            }
+            (out / "fit.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     return fitted, graph, trace
 
 
@@ -303,9 +316,14 @@ def run_consistency_experiment(
 
     Returns rows sorted by (n, mu, replicate).  With a fixed seed the rows
     and both summary CSVs are bit-identical across runs; only the timing
-    file varies.
+    file varies.  ``out_dir`` is created before the grid runs, and a
+    directory or file that cannot be written raises ParameterError.
     """
     config.validate()
+    if out_dir is not None:
+        out = Path(out_dir)
+        with _writing(out):
+            out.mkdir(parents=True, exist_ok=True)
     jobs = [(config, rep) for rep in range(config.replicates)]
     # a fork-started pool forks all its workers at the first submit, so
     # workers beyond the replicate count would only sit idle
@@ -322,11 +340,10 @@ def run_consistency_experiment(
     rows = [row for replicate_rows in per_replicate for row in replicate_rows]
     rows.sort(key=lambda r: (r.n, r.mu, r.replicate))
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_rows(rows, out / "rows.csv")
-        _write_medians(rows, out / "medians.csv")
-        _write_timings(rows, out / "timings.csv")
+        with _writing(out):
+            _write_rows(rows, out / "rows.csv")
+            _write_medians(rows, out / "medians.csv")
+            _write_timings(rows, out / "timings.csv")
     return rows
 
 

@@ -29,9 +29,9 @@ every set's block from the flattened mixtures, the stacked conditioning
 test and residual quadratic forms, and the score expression, whose
 logarithms are ``math.log``'s because ``np.log`` may differ in the last
 bit.  Every block is a principal sub-block of its pattern's mixture, so the
-conditioning test is decided once per pattern, when it is first scored:
-``LocalStats.proven`` proves the mixture well conditioned, and the kernel
-then skips the test; otherwise it runs the SVD condition number on the
+conditioning test is decided once per pattern, by ``local_stats``: where
+``LocalStats.proven`` says the mixture is proven well conditioned, the
+kernel skips the test; otherwise it runs the SVD condition number on the
 parent block.
 
 ``dposv`` and ``dtrtri`` (the latter for the proof) are scipy's own
@@ -42,11 +42,10 @@ from scipy's compiled ``_flapack`` module without importing the
 
 import importlib.machinery
 import importlib.util
-import itertools
 import math
 import os
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -110,7 +109,7 @@ _COND_LIMIT = 1e12  # parent moment blocks worse-conditioned than this are unusa
 # a mixture proven conditioned no worse than this skips the SVD of its blocks;
 # the margin of ten dwarfs the SVD's relative error of about cond * 1e-16
 _COND_BOUND = 1e11
-# parent sets per kernel call: about 0.7 MB of gathered blocks at 8 parents
+# parent sets per kernel stack: about 0.7 MB of gathered blocks at 8 parents
 _CHUNK = 1024
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -172,8 +171,9 @@ class LocalStats:
 
     Vertices in exactly the same observed targets share a pattern, and so
     their count and mixture: ``mixtures`` has shape (m, p, p), one matrix
-    per pattern, and ``pattern_of[k - 1]`` is vertex k's pattern (the
-    identity when omitted).  Observational data has one pattern.
+    per pattern, ``pattern_of[k - 1]`` is vertex k's pattern, and
+    ``proven[q]`` says whether ``_proven_well_conditioned`` holds for
+    pattern q's mixture.  Observational data has one pattern.
 
     A vertex with ``counts_excluding[k-1] == 0`` appears in every observed
     target, so its parameters are unidentified; the zero count is the error
@@ -184,14 +184,8 @@ class LocalStats:
     n: int
     counts_excluding: np.ndarray
     mixtures: np.ndarray  # shape (m, p, p); mixtures[pattern_of[k-1]] is the matrix for vertex k
-    pattern_of: np.ndarray | None = None  # shape (p,); the identity when omitted
-    _proofs: dict[int, bool] = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        if self.pattern_of is None:
-            identity = np.arange(self.p)
-            identity.setflags(write=False)
-            object.__setattr__(self, "pattern_of", identity)
+    pattern_of: np.ndarray  # shape (p,)
+    proven: np.ndarray  # shape (m,), bool
 
     def count_excluding(self, k: int) -> int:
         return int(self.counts_excluding[k - 1])
@@ -205,19 +199,6 @@ class LocalStats:
 
     def identified(self, k: int) -> bool:
         return self.counts_excluding[k - 1] > 0
-
-    def proven(self, k: int) -> bool:
-        """Whether ``_proven_well_conditioned`` holds for vertex k's mixture."""
-        return self.proven_pattern(self.pattern(k))
-
-    def proven_pattern(self, q: int) -> bool:
-        """Whether ``_proven_well_conditioned`` holds for pattern q's mixture;
-        decided on the first call for q and remembered, so each pattern is
-        proven at most once and only when one of its vertices is scored."""
-        flag = self._proofs.get(q)
-        if flag is None:
-            flag = self._proofs[q] = _proven_well_conditioned(self.mixtures[q])
-        return flag
 
     @property
     def unidentified_vertices(self) -> tuple[int, ...]:
@@ -267,8 +248,9 @@ def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> L
     once into one scratch array, is added to every started pattern that
     excludes it and to the prefix.  So each pattern gets the adds of a fold
     per vertex in the same order, with the same bits, and one per-target
-    moment is in memory at a time.  Raises CapacityError before allocating
-    mixtures larger than physical memory.
+    moment is in memory at a time.  Then each pattern's mixture is proven
+    well conditioned or not (``_proven_well_conditioned``), once.  Raises
+    CapacityError before allocating mixtures larger than physical memory.
     """
     p = stats.p
     targets = stats.targets()
@@ -324,9 +306,10 @@ def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> L
         if n_ex > 0:
             mixtures[q] /= n_ex
     counts = np.array(counts, dtype=np.int64)[pattern_of]
-    for array in (mixtures, counts, pattern_of):
+    proven = np.array([_proven_well_conditioned(S) for S in mixtures], dtype=bool)
+    for array in (mixtures, counts, pattern_of, proven):
         array.setflags(write=False)
-    return LocalStats(p, stats.n, counts, mixtures, pattern_of)
+    return LocalStats(p, stats.n, counts, mixtures, pattern_of, proven)
 
 
 def _cond_or_inf(block: np.ndarray) -> float:
@@ -385,20 +368,20 @@ def _fit_rows(
     mixtures: np.ndarray,
     vertex: int | np.ndarray,
     parent_idx: np.ndarray | list[list[int]],
-    proven: bool | np.ndarray = False,
-    pattern: int | np.ndarray | None = None,
+    proven: bool | np.ndarray,
+    pattern: int | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares fits of vertices on each of a stack of parent sets.
 
     Set i regresses 0-based vertex ``vertex[i]`` on the 0-based parents
     ``parent_idx[i]`` under ``mixtures[pattern[i]]``, where ``mixtures`` is
     laid out as ``LocalStats.mixtures``; ``vertex`` and ``pattern`` are each
-    one index for every set or an array of one per set, and ``pattern``
-    defaults to ``vertex``.  The rows of ``parent_idx`` are of one length.
-    Returns ``(usable, coefs, resid)``, one entry per set: whether the fit
-    is usable, its coefficients and its residual second moment.  A set is
-    unusable when its parent block is conditioned worse than 1e12 or is not
-    positive definite; its coefficients are then zero and its residual NaN.
+    one index for every set or an array of one per set.  The rows of
+    ``parent_idx`` are of one length.  Returns ``(usable, coefs, resid)``,
+    one entry per set: whether the fit is usable, its coefficients and its
+    residual second moment.  A set is unusable when its parent block is
+    conditioned worse than 1e12 or is not positive definite; its
+    coefficients are then zero and its residual NaN.
 
     Precondition: every mixture is exactly symmetric, bit for bit, as every
     mixture ``local_stats`` builds is (a property test pins it): the
@@ -419,19 +402,17 @@ def _fit_rows(
     not positive definite is unusable for its whole group.  The residuals
     are stacked quadratic forms of (1, -b) with each set's block
     (``_quadratic_forms``), so each is a true quadratic form of a positive
-    semidefinite matrix.  Column j of a g-column solve rounds as a
-    one-column solve, so each set gets the bits it would get alone.  When
-    every group is usable, the common case of a proven mixture, no stack is
-    copied to drop the unusable ones.
+    semidefinite matrix, taken over the whole stack, with an unusable set's
+    block replaced by NaNs first.  Column j of a g-column solve rounds as a
+    one-column solve, so each set gets the bits it would get alone.
 
     ``proven``, one flag for every set or an array of one per set, says that
-    ``_proven_well_conditioned`` holds for the set's mixture: then no SVD
-    runs on its block, with the same usable flag and bits.
+    ``_proven_well_conditioned`` holds for the set's mixture
+    (``LocalStats.proven``): then no SVD runs on its block, with the same
+    usable flag and bits.
     """
     parents = np.asarray(parent_idx, dtype=np.intp)
     m, d = parents.shape
-    if pattern is None:
-        pattern = vertex
     p = mixtures.shape[-1]
     # every set's [k, pa...] block in one take: entry (q, i, j) of the stack
     # is flat entry (q * p + i) * p + j
@@ -453,7 +434,6 @@ def _fit_rows(
         if isinstance(proven, np.ndarray):
             proven = proven[heads]
     usable = np.ones(len(parent_blocks), dtype=bool)
-    every = True
     # the groups whose parent block needs the conditioning test
     tested = np.flatnonzero(~proven) if isinstance(proven, np.ndarray) else slice(0 if proven else None)
     candidates = parent_blocks[tested]
@@ -463,13 +443,12 @@ def _fit_rows(
         except np.linalg.LinAlgError:
             conds = np.array([_cond_or_inf(block) for block in candidates])
         usable[tested] = ~(conds > _COND_LIMIT)
-        every = bool(usable.all())
     # a C-ordered symmetric block's transpose is the same matrix in Fortran
     # order, so dposv (lower, overwrite_a, overwrite_b all 1) factors it and
     # solves into the right-hand sides in place, with no copy by f2py
     factors = parent_blocks.transpose(0, 2, 1)
     solutions = blocks[:, 1:, 0].copy()
-    live = itertools.repeat(True) if every else usable.tolist()
+    live = usable.tolist()
     if heads is None:
         # a lone set's right-hand side is a row
         infos = [dposv(a, b, 1, 1, 1)[2] for a, b, ok in zip(factors, solutions, live) if ok]
@@ -479,23 +458,23 @@ def _fit_rows(
         bounds = heads.tolist() + [m]
         infos = [dposv(a, solutions[start:stop].T, 1, 1, 1)[2]
                  for a, start, stop, ok in zip(factors, bounds, bounds[1:], live) if ok]
-    if any(infos):
+    failed = any(infos)
+    if failed:
         # blocks that passed the conditioning test but that dposv found not
         # positive definite
         usable[np.flatnonzero(usable)[np.array(infos) != 0]] = False
-        every = False
     if heads is not None:
         usable = np.repeat(usable, np.diff(heads, append=m))
-    if not every:
+    if failed or False in live:
+        # an unusable set's coefficients are zero, and its residual is the
+        # form of a NaN block, so NaN, quietly even where its block holds an
+        # infinity
         solutions[~usable] = 0.0
+        blocks[~usable] = math.nan
     v = np.empty((m, d + 1))
     v[:, 0] = 1.0
     np.negative(solutions, out=v[:, 1:])
-    if every:
-        return usable, solutions, _quadratic_forms(v, blocks)
-    resid = np.full(m, math.nan)
-    resid[usable] = _quadratic_forms(v[usable], blocks[usable])
-    return usable, solutions, resid
+    return usable, solutions, _quadratic_forms(v, blocks)
 
 
 def _quadratic_forms(v: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -546,9 +525,8 @@ def mle_given_dag(dag: Dag, local: LocalStats) -> FittedModel:
             raise DegenerateFitError(
                 f"vertex {k}: {n_ex} usable rows cannot identify {len(pa)} parents"
             )
-        usable, coefs, resids = _fit_rows(
-            local.mixtures, k - 1, [[j - 1 for j in pa]], local.proven(k), local.pattern(k)
-        )
+        q = local.pattern(k)
+        usable, coefs, resids = _fit_rows(local.mixtures, k - 1, [[j - 1 for j in pa]], local.proven[q], q)
         if not usable[0]:
             raise DegenerateFitError(f"vertex {k}: singular parent moment block")
         b, resid = coefs[0], float(resids[0])
@@ -712,27 +690,6 @@ def _checked_penalty(n: int, penalty: float | None) -> float:
     return penalty
 
 
-def _stacks(pattern: int | np.ndarray, parents: np.ndarray) -> list[tuple[int, int]]:
-    """The (start, stop) bounds of kernel stacks of at most _CHUNK sets each,
-    cut only where a group starts (``_group_heads``), unless one group alone
-    is longer than _CHUNK."""
-    total = len(parents)
-    if total <= _CHUNK:
-        return [(0, total)]
-    heads = _group_heads(pattern, parents)
-    bounds = []
-    start = 0
-    while start < total:
-        stop = min(start + _CHUNK, total)
-        if heads is not None and stop < total:
-            # the last group that starts at or before stop
-            cut = int(heads[np.searchsorted(heads, stop, side="right") - 1])
-            stop = cut if cut > start else stop
-        bounds.append((start, stop))
-        start = stop
-    return bounds
-
-
 def _penalized(resid: np.ndarray, n_ex: int | np.ndarray, cost: float) -> np.ndarray:
     """-n/2 * (1 + log r) - cost for each residual r, or -inf where r is not
     positive and finite, the NaN of an unusable set included.  ``n_ex`` is
@@ -762,11 +719,12 @@ def _scores(k: int | np.ndarray, parent_sets, local: LocalStats, penalty: float)
 
     ``k`` is the vertex label of every set, or a numpy array of one label
     per set.  ``parent_sets`` is a sequence of label tuples or a 2-D array
-    of labels, one set per row, fitted in kernel stacks of at most 1024
-    sets that split no group of adjacent sets of one pattern and one parent
-    set (``_stacks``), so each group's block is factored once.  A set whose
-    vertex has no more excluding rows than parents scores -inf and is not
-    fitted.  Returns one float64 score per set, in the order given.
+    of labels, one set per row, fitted in kernel stacks of _CHUNK sets; a
+    group of adjacent sets of one pattern and one parent set that a stack
+    boundary cuts is factored once in each stack, with the same bits.  A
+    set whose vertex has no more excluding rows than parents scores -inf
+    and is not fitted.  Returns one float64 score per set, in the order
+    given.
     """
     idx = np.asarray(parent_sets, dtype=np.intp) - 1
     total, size = idx.shape
@@ -779,11 +737,6 @@ def _scores(k: int | np.ndarray, parent_sets, local: LocalStats, penalty: float)
         if not every:
             vertex, idx, n_ex = vertex[live], idx[live], n_ex[live]
         pattern = local.pattern_of[vertex]
-        # one proof per pattern in the call
-        proofs = np.zeros(len(local.mixtures), dtype=bool)
-        for q in np.bincount(pattern, minlength=len(proofs)).nonzero()[0].tolist():
-            proofs[q] = local.proven_pattern(q)
-        proven = proofs[pattern]
         # one count when every set's vertex has it, as in a call of one pattern
         if len(n_ex) and (n_ex == n_ex[0]).all():
             n_ex = int(n_ex[0])
@@ -792,10 +745,10 @@ def _scores(k: int | np.ndarray, parent_sets, local: LocalStats, penalty: float)
         if n_ex <= size:
             return np.full(total, -math.inf)
         vertex, pattern, every = k - 1, local.pattern(k), True
-        proven = local.proven_pattern(pattern)
+    proven = local.proven[pattern]
     fitted = np.empty(len(idx))
-    for start, stop in _stacks(pattern, idx):
-        at = slice(start, stop)
+    for start in range(0, len(idx), _CHUNK):
+        at = slice(start, start + _CHUNK)
         if isinstance(vertex, np.ndarray):
             resid = _fit_rows(local.mixtures, vertex[at], idx[at], proven[at], pattern[at])[2]
         else:

@@ -23,9 +23,11 @@ Core claims:
     - A config file that repeats a key is rejected, naming the line and
       the key; fit rejects a bad search flag before it reads the data.
     - Exit codes: 0 success, 2 parameter/config error (a tau whose square
-      overflows or underflows included), 3 data error, 4 capacity guard
-      (the exact search beyond 20 vertices, or exclusion mixtures beyond
-      physical memory).
+      overflows or underflows, a config file that is not UTF-8 and an
+      --out that cannot be written included, the last found before an
+      experiment's grid runs), 3 data error (a CSV that is not UTF-8
+      included), 4 capacity guard (the exact search beyond 20 vertices, or
+      exclusion mixtures beyond physical memory).
     - fit/simulate/experiment write the documented artifact files, and
       experiment output is bit-identical across runs with the same seed.
 """
@@ -43,6 +45,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import interdag.cli
+import interdag.experiments
 import interdag.likelihood
 from interdag import (
     Dag,
@@ -432,6 +435,14 @@ def test_fit_missing_file_is_a_data_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_fit_on_a_non_utf8_csv_is_a_data_error(tmp_path, capsys):
+    csv = tmp_path / "d.csv"
+    csv.write_bytes(b"target,x1,x2\n,1,2\n,1\xff,2\n")
+    assert main(["fit", "--data", str(csv)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {csv}: ") and "0xff" in err
+
+
 def test_fit_on_rows_all_targeting_one_vertex_is_a_data_error(tmp_path, capsys):
     csv = tmp_path / "d.csv"
     csv.write_text("target,x1,x2\n" + "1,0.5,1.5\n1,-0.25,0.75\n1,2,-1\n")
@@ -663,6 +674,34 @@ def test_experiment_rejects_duplicate_config_key(tmp_path, capsys):
     cfg.write_text("p = 4\nseed = 1\n# p = 6\np = 5\n")
     assert main(["experiment", "--config", str(cfg)]) == 2
     assert f"{cfg}: line 4: duplicate key 'p'" in capsys.readouterr().err
+
+
+def test_experiment_rejects_a_non_utf8_config(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"p = 4\nseed = 1\xff\n")
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {cfg}: ") and "0xff" in err
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate", "experiment"])
+def test_unwritable_out_is_a_parameter_error(tmp_path, capsys, monkeypatch, command):
+    """An --out below a regular file exits 2, naming the path and the
+    reason; the experiment finds out before its grid runs."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    if command == "fit":
+        csv = tmp_path / "d.csv"
+        _sample_csv(csv, seed=6, n=100)
+        argv = ["fit", "--data", str(csv)]
+    elif command == "simulate":
+        argv = ["simulate", "--p", "4", "--n", "100", "--seed", "1"]
+    else:
+        monkeypatch.setattr(interdag.experiments, "_run_replicate", lambda job: pytest.fail("the grid ran"))
+        argv = ["experiment", *_TINY]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: Not a directory\n"
 
 
 def test_experiment_requires_seed(capsys):

@@ -36,7 +36,8 @@ Core claims:
       each with the bits of its fit alone, whole groups unusable included.
     - Scores of sets of many vertices in one call have the bits of
       local_score on each set, -inf for a vertex with no more excluding rows
-      than parents included.
+      than parents included.  A call is fitted in kernel stacks of at most
+      1,024 sets, and a group that a stack boundary cuts keeps those bits.
     - Every score of a row of insertions, built as greedy search builds
       it (a vertex's parents plus each tail, as sorted labels) and fitted by
       one _scores call, has the bits of local_score on that set, including
@@ -81,9 +82,10 @@ def _same(fit, ref) -> bool:
     return fit[0].shape == ref[0].shape and fit[0].tobytes() == ref[0].tobytes() and _bits(fit[1]) == _bits(ref[1])
 
 
-def _stack(S: np.ndarray) -> np.ndarray:
-    """``S`` as the mixture of every vertex: the stack ``_fit_rows`` indexes."""
-    return np.broadcast_to(S, (len(S), *S.shape))
+def _fit_under(S: np.ndarray, k_idx: int, sets, proven: bool = False):
+    """``_fit_rows`` on ``sets`` of vertex ``k_idx`` as one stack, under the
+    one mixture ``S``."""
+    return _fit_rows(S[None], k_idx, sets, proven, 0)
 
 
 def _insertion_scores(k: int, parents, tails: list[int], loc: LocalStats, penalty=None) -> list[float]:
@@ -97,9 +99,11 @@ def _insertion_scores(k: int, parents, tails: list[int], loc: LocalStats, penalt
 
 
 def _fits(S: np.ndarray, k_idx: int, sets: list[list[int]]) -> list:
-    """The kernel's results for ``sets`` as one stack: (b, resid) per usable set, else None."""
-    usable, coefs, resid = _fit_rows(_stack(S), k_idx, sets)
+    """The kernel's results for ``sets`` as one stack: (b, resid) per usable set, else None.
+    An unusable set must have zero coefficients and a NaN residual."""
+    usable, coefs, resid = _fit_under(S, k_idx, sets)
     assert len(usable) == len(coefs) == len(resid) == len(sets)
+    assert all(ok or (not b.any() and math.isnan(r)) for ok, b, r in zip(usable, coefs, resid))
     return [(b, float(r)) if ok else None for ok, b, r in zip(usable, coefs, resid)]
 
 
@@ -186,19 +190,19 @@ def test_svd_runs_on_every_block_unless_the_mixture_is_proven(monkeypatch):
     sets = [list(c) for c in itertools.combinations(range(1, 6), 3)]
     blocks = np.stack([S[np.ix_(pa, pa)] for pa in sets])
     # not proven: one stacked SVD of every parent block, well conditioned or not
-    slow = _fit_rows(_stack(S), 0, sets)
+    slow = _fit_under(S, 0, sets)
     assert slow[0].all()
     assert len(seen) == 1 and seen[0].tobytes() == blocks.tobytes()
     # proven: no SVD at all, and the same bits
     seen.clear()
-    fast = _fit_rows(_stack(S), 0, sets, proven=True)
+    fast = _fit_under(S, 0, sets, True)
     assert seen == []
     assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow]
     # a NaN in column 3 makes the stacked SVD raise: then every block gets
     # its own, and only the sets that hold column 3 are unusable
     S[3, :] = S[:, 3] = math.nan
     seen.clear()
-    usable, _, _ = _fit_rows(_stack(S), 0, sets)
+    usable, _, _ = _fit_under(S, 0, sets)
     assert list(usable) == [3 not in pa for pa in sets]
     assert len(seen) == 1 + len(sets) and seen[0].shape == blocks.shape
     assert all(b.shape == (3, 3) for b in seen[1:])
@@ -225,7 +229,7 @@ def test_indefinite_block_the_bound_clears_is_unusable():
     assert np.linalg.norm(blocks[3], 1) * np.linalg.norm(np.linalg.inv(blocks[3]), 1) == pytest.approx(3.0)
     fits = _check_stack(S, 0, sets)
     assert [f is None for f in fits] == [pa == [1, 2] for pa in sets]
-    usable, coefs, resid = _fit_rows(_stack(S), 0, sets)
+    usable, coefs, resid = _fit_under(S, 0, sets)
     assert not usable[3] and not coefs[3].any() and math.isnan(resid[3])
 
 
@@ -245,7 +249,7 @@ def test_dposv_runs_once_per_set_that_passes_the_conditioning_test(monkeypatch):
     # blocks with cond_2 from about 1e6 to 1e16, and one exactly singular
     S, near, singular = _spread_moments(41, 2)
     sets = near[:13] + [singular] + near[13:]
-    usable, _, _ = _fit_rows(_stack(S), 0, sets)
+    usable, _, _ = _fit_under(S, 0, sets)
     passed = [pa for pa in sets if np.linalg.cond(S[np.ix_(pa, pa)]) <= 1e12]
     assert 0 < len(passed) < len(sets) - 1
     assert [b.tobytes() for b in seen] == [S[np.ix_(pa, pa)].tobytes() for pa in passed]
@@ -255,11 +259,11 @@ def test_dposv_runs_once_per_set_that_passes_the_conditioning_test(monkeypatch):
     # rejects it
     seen.clear()
     S = _indefinite_moments()
-    usable, _, _ = _fit_rows(_stack(S), 0, [[1, 3], [1, 2], [3, 4]])
+    usable, _, _ = _fit_under(S, 0, [[1, 3], [1, 2], [3, 4]])
     assert list(usable) == [True, False, True] and len(seen) == 3
     # an empty parent set needs no factorization
     seen.clear()
-    _fit_rows(_stack(S), 0, [[]] * 4)
+    _fit_under(S, 0, [[]] * 4)
     assert seen == []
 
 
@@ -297,8 +301,8 @@ def test_proven_mixture_skips_the_conditioning_test_with_the_same_bits(seed, p, 
         others = [j for j in range(p) if j != k]
         for d in range(min(3, p - 1) + 1):
             sets = [list(c) for c in itertools.combinations(others, d)]
-            fast = _fit_rows(_stack(S), k, sets, proven=True)
-            slow = _fit_rows(_stack(S), k, sets)
+            fast = _fit_under(S, k, sets, True)
+            slow = _fit_under(S, k, sets)
             assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow], (k, d)
 
 
@@ -458,10 +462,10 @@ def test_stack_of_many_vertices_matches_single_vertex_fits_and_oracle(seed, p, n
     size = min(size, p - 1)
     vertex = rng.integers(p, size=12)
     sets = [sorted(rng.choice(np.delete(np.arange(p), k), size=size, replace=False)) for k in vertex]
-    usable, coefs, resid = _fit_rows(mixtures, vertex, sets, proofs[vertex])
+    usable, coefs, resid = _fit_rows(mixtures, vertex, sets, proofs[vertex], vertex)
     assert len(usable) == len(coefs) == len(resid) == len(sets)
     for i, (k, pa) in enumerate(zip(vertex.tolist(), sets)):
-        alone = _fit_rows(mixtures, k, [pa], bool(proofs[k]))
+        alone = _fit_rows(mixtures, k, [pa], bool(proofs[k]), k)
         stacked = (usable[i], coefs[i], resid[i])
         assert [a[0].tobytes() for a in alone] == [a.tobytes() for a in stacked], (k, pa)
         fit = (coefs[i], float(resid[i])) if usable[i] else None
@@ -585,23 +589,32 @@ def test_groups_of_the_exact_search_each_take_one_dposv_call(monkeypatch):
         assert _same((coefs[i], float(resid[i])), reference_fit_row(S, k, list(pa)))
 
 
-def test_stacks_hold_at_most_chunk_sets_and_split_no_group():
-    # groups of 7 sets, then one group longer than a stack, then groups of 7
-    parents = np.repeat(np.arange(400), 7)[:, None]
-    parents = np.concatenate([parents[:1400], np.full((2500, 1), 999), parents[1400:]])
-    pattern = np.zeros(len(parents), dtype=np.intp)
-    heads = set(np.flatnonzero(np.diff(parents[:, 0], prepend=-1)).tolist())
-    bounds = likelihood._stacks(pattern, parents)
-    assert bounds[0][0] == 0 and bounds[-1][1] == len(parents)
-    assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-    assert all(0 < stop - start <= likelihood._CHUNK for start, stop in bounds)
-    # every cut falls where a group starts, except inside the long group
-    cuts = [start for start, _ in bounds[1:]]
-    assert [c for c in cuts if c not in heads] == [1400 + likelihood._CHUNK, 1400 + 2 * likelihood._CHUNK]
-    # a stack of one vertex is cut every _CHUNK sets
-    assert likelihood._stacks(0, parents) == [
-        (start, min(start + likelihood._CHUNK, len(parents))) for start in range(0, len(parents), likelihood._CHUNK)
-    ]
+def test_stacks_cut_groups_at_chunk_boundaries_with_the_bits_of_local_score(monkeypatch):
+    """Greedy's opening call on observational data at p=40: all 1,560
+    single-parent sets in (pattern, tail, head) order, so each tail's 39
+    heads form one group, and a group straddles every _CHUNK boundary.
+    The kernel gets stacks of at most _CHUNK sets, and every score has the
+    bits of local_score on its set alone."""
+    sizes = []
+    fit_rows = likelihood._fit_rows
+
+    def counting_fit_rows(mixtures, vertex, parent_idx, *args):
+        sizes.append(len(parent_idx))
+        return fit_rows(mixtures, vertex, parent_idx, *args)
+
+    p = 40
+    X = np.random.default_rng(29).standard_normal((300, p))
+    loc = local_stats(sufficient_stats(Dataset(p, (InterventionTarget.empty(),) * 300, X)))
+    heads, tails = np.nonzero(~np.eye(p, dtype=bool))
+    order = np.lexsort((heads, tails, loc.pattern_of[heads]))
+    heads, tails = heads[order] + 1, tails[order] + 1
+    # the sets on either side of the first boundary share a tail
+    assert tails[likelihood._CHUNK - 1] == tails[likelihood._CHUNK]
+    monkeypatch.setattr(likelihood, "_fit_rows", counting_fit_rows)
+    got = likelihood._scores(heads, tails[:, None], loc, 0.7)
+    assert sizes == [likelihood._CHUNK, len(heads) - likelihood._CHUNK]
+    want = [local_score(k, (t,), loc, penalty=0.7) for k, t in zip(heads.tolist(), tails.tolist())]
+    assert [_bits(s) for s in got.tolist()] == [_bits(s) for s in want]
 
 
 # residuals at the edges of the score expression's domain: both zeros,
@@ -678,7 +691,7 @@ def test_kernel_on_hand_built_mixtures():
     rng = np.random.default_rng(21)
     S = _moments(rng.standard_normal((60, 4)))
     mixtures = np.stack([S] * 4)
-    loc = LocalStats(4, 60, np.full(4, 60), mixtures)
+    loc = LocalStats(4, 60, np.full(4, 60), mixtures, np.arange(4), np.array([_proven_well_conditioned(S)] * 4))
     rows = [((2,), [3, 4]), ((4,), [3])]
     for parents, tails in rows:
         for tail, score in zip(tails, _insertion_scores(1, parents, tails, loc)):

@@ -18,8 +18,9 @@ Core claims:
     - Greedy, the DP and the refit run no SVD on mixtures proven well
       conditioned, and a whole fit proves each pattern's mixture once; with
       a duplicated column no mixture is proven, and greedy's DAG and trace
-      and the DP's parent sets equal their oracles'.  A lone local score or
-      kernel call on one vertex's row proves only that vertex's pattern.
+      and the DP's parent sets equal their oracles'.  local_stats proves
+      each pattern's mixture once, into read-only flags, and no scorer
+      proves one again.
     - Both searchers respect max_parents; the DP refuses p > 20.
     - Score equivalence: every member of the estimate's class gets the
       same BIC up to float noise.
@@ -470,9 +471,9 @@ def test_dp_matches_reference_oracle_on_shared_patterns(seed, p, max_parents, du
     local = _local(Dataset(p, data.targets, values))
     assert local.pattern_of.tolist() == [0, 0, 1] + [2] * (p - 3)
     assert local.counts_excluding.tolist() == [3 + few] * 2 + [153 + few] + [153] * (p - 3)
-    assert not local.proven(1)
+    assert not local.proven[local.pattern(1)]
     if duplicate:
-        assert not local.proven(4)
+        assert not local.proven[local.pattern(4)]
     config = SearchConfig(max_parents=max_parents)
     assert exhaustive_dp(local, config).parent_sets == reference_exhaustive_dp(local, config).parent_sets
 
@@ -528,7 +529,6 @@ def test_dp_work_counters_pinned(monkeypatch, tmp_path):
     per size for each of the others: 67 calls, against 12 * 9 = 108 with
     one per vertex and size.
     """
-    local = _fit_exact_local(tmp_path)
     calls = {"scores": 0, "sets": 0, "dposv": 0, "proof": 0}
     scores, dposv, proof = interdag.likelihood._scores, interdag.likelihood.dposv, interdag.likelihood._proven_well_conditioned
 
@@ -549,6 +549,7 @@ def test_dp_work_counters_pinned(monkeypatch, tmp_path):
     monkeypatch.setattr(interdag.search, "_scores", counting_scores)
     monkeypatch.setattr(interdag.likelihood, "dposv", counting_dposv)
     monkeypatch.setattr(interdag.likelihood, "_proven_well_conditioned", counting_proof)
+    local = _fit_exact_local(tmp_path)
     assert len(local.mixtures) == 4
     exhaustive_dp(local)
     assert calls == {"scores": 67, "sets": 23_772, "dposv": 9_736, "proof": 4}
@@ -577,7 +578,7 @@ def test_scorers_run_the_conditioning_test_only_on_unproven_mixtures(monkeypatch
     dag, _ = greedy_search(local)
     exhaustive_dp(local)
     mle_given_dag(dag, local)
-    assert all(local.proven(k) for k in range(1, 9))
+    assert all(local.proven[local.pattern(k)] for k in range(1, 9))
     assert calls == {"cond": 0, "proof": 3}
     # a whole fit, from the data on, proves each pattern exactly once
     for method in ("greedy", "dp"):
@@ -592,14 +593,14 @@ def test_scorers_run_the_conditioning_test_only_on_unproven_mixtures(monkeypatch
     local = _local(Dataset(8, data.targets, values), family)
     calls["cond"] = 0
     dag, trace = greedy_search(local)
-    assert not any(local.proven(k) for k in range(1, 9)) and calls["cond"] > 0
+    assert not any(local.proven[local.pattern(k)] for k in range(1, 9)) and calls["cond"] > 0
     ref_dag, ref_trace = reference_greedy_search(local)
     assert dag == ref_dag
     assert format_trace(trace) == format_trace(ref_trace)
     assert exhaustive_dp(local).parent_sets == reference_exhaustive_dp(local).parent_sets
 
 
-def test_a_lone_local_score_proves_only_its_own_vertex(monkeypatch):
+def test_local_stats_proves_each_pattern_once_and_no_scorer_proves_again(monkeypatch):
     calls = []
     proof = interdag.likelihood._proven_well_conditioned
 
@@ -608,21 +609,24 @@ def test_a_lone_local_score_proves_only_its_own_vertex(monkeypatch):
         return proof(S)
 
     monkeypatch.setattr(interdag.likelihood, "_proven_well_conditioned", counting)
-    model, family, spec, data = random_instance(5, p=20, n=400)
+    model, family, spec, data = random_instance(12, p=8, n=400)
     local = _local(data, family)
-    # targets () and (6,): vertex 6 has a pattern of its own, and the
-    # other 19 vertices share one
-    assert local.pattern(6) == 1 and {local.pattern(k) for k in range(1, 21) if k != 6} == {0}
-    local_score(7, (2, 3), local)
-    assert len(calls) == 1 and np.shares_memory(calls[0], local.mixture(7))
-    # the flag is remembered per pattern: neither the vertex nor any other
-    # vertex of its pattern is proven again, by any scorer
-    local_score(7, (4,), local)
-    interdag.likelihood._scores(7, [(1,), (2,), (3,)], local, 1.0)
-    LocalScoreCache(local).score(9, (1,))
-    assert len(calls) == 1
-    LocalScoreCache(local).score(6, (1,))
-    assert len(calls) == 2 and np.shares_memory(calls[1], local.mixture(6))
+    # three patterns, as in the test above: local_stats proves each mixture
+    # once, in pattern order
+    assert len(local.mixtures) == 3 and len(calls) == 3
+    assert all(np.shares_memory(S, M) for S, M in zip(calls, local.mixtures))
+    assert local.proven.dtype == bool and local.proven.tolist() == [proof(M) for M in local.mixtures]
+    with pytest.raises(ValueError):
+        local.proven[0] = not local.proven[0]
+    # no scorer proves a mixture again
+    dag, _ = greedy_search(local)
+    exhaustive_dp(local)
+    mle_given_dag(dag, local)
+    local_score(3, (1, 2), local)
+    cache = LocalScoreCache(local)
+    cache.score(8, (1,))
+    cache.dag_score(dag)
+    assert len(calls) == 3
 
 
 def test_dp_matches_brute_force_small():
