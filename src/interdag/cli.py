@@ -21,7 +21,7 @@ import numpy as np
 from .equivalence import essential_graph, format_essential_graph
 from .errors import CapacityError, DataError, ParameterError
 from .experiments import METHODS, ExperimentConfig, _cell_summaries, _draw_cell, _draw_model
-from .experiments import _writing, run_consistency_experiment, run_fit
+from .experiments import _created, _writing, run_consistency_experiment, run_fit
 from .model import (
     _FLOAT_FMT,
     Dataset,
@@ -287,9 +287,8 @@ def _cmd_simulate(args) -> int:
     spec = InterventionSpec.constant(singles, args.mu, args.tau**2)
     data = sample_dataset(model, sequence, spec, derive_seed(args.seed, 4))
     graph = essential_graph(dag, data.observed_targets())
-    out = Path(args.out)
+    out = _created(args.out)
     with _writing(out):
-        out.mkdir(parents=True, exist_ok=True)
         emit_csv(data, out / "dataset.csv")
         (out / "model.txt").write_text(format_model(model), encoding="utf-8")
         (out / "essential.txt").write_text(format_essential_graph(graph), encoding="utf-8")

@@ -186,6 +186,15 @@ def _writing(path: str | Path):
         raise ParameterError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from None
 
 
+def _created(out_dir: str | Path) -> Path:
+    """``out_dir`` as a Path, created with its parents where missing; one
+    that cannot be created raises ParameterError."""
+    out = Path(out_dir)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def run_fit(
     dataset: Dataset,
     family: TargetFamily | None = None,
@@ -197,8 +206,9 @@ def run_fit(
 
     The family defaults to the targets observed in the data.  When
     ``out_dir`` is given, the fitted model, essential graph, search trace,
-    and a JSON summary are written there; a directory or file that cannot
-    be written raises ParameterError.
+    and a JSON summary are written there.  ``out_dir`` is created before
+    the search runs, so a fit that then fails leaves it behind, empty; a
+    directory or file that cannot be written raises ParameterError.
     """
     if family is None:
         if dataset.n == 0:
@@ -209,13 +219,12 @@ def run_fit(
                 "the family of observed targets is not conservative: some "
                 "vertex is intervened in every row"
             )
+    out = None if out_dir is None else _created(out_dir)
     local, dag, trace = fit_structure(dataset, family, method, config)
     fitted = mle_given_dag(dag, local)
     graph = essential_graph(dag, family)
-    if out_dir is not None:
-        out = Path(out_dir)
+    if out is not None:
         with _writing(out):
-            out.mkdir(parents=True, exist_ok=True)
             (out / "model.txt").write_text(format_model(fitted.to_model()), encoding="utf-8")
             (out / "essential.txt").write_text(format_essential_graph(graph), encoding="utf-8")
             if trace is not None:
@@ -320,10 +329,7 @@ def run_consistency_experiment(
     directory or file that cannot be written raises ParameterError.
     """
     config.validate()
-    if out_dir is not None:
-        out = Path(out_dir)
-        with _writing(out):
-            out.mkdir(parents=True, exist_ok=True)
+    out = None if out_dir is None else _created(out_dir)
     jobs = [(config, rep) for rep in range(config.replicates)]
     # a fork-started pool forks all its workers at the first submit, so
     # workers beyond the replicate count would only sit idle
@@ -339,7 +345,7 @@ def run_consistency_experiment(
         per_replicate = [_run_replicate(job) for job in jobs]
     rows = [row for replicate_rows in per_replicate for row in replicate_rows]
     rows.sort(key=lambda r: (r.n, r.mu, r.replicate))
-    if out_dir is not None:
+    if out is not None:
         with _writing(out):
             _write_rows(rows, out / "rows.csv")
             _write_medians(rows, out / "medians.csv")

@@ -14,25 +14,27 @@ and exact search tractable.  Vertices in exactly the same observed targets
 share it, so ``LocalStats`` stores one mixture per exclusion pattern.
 
 Every regression of a vertex on a parent set goes through one kernel,
-``_fit_rows``, which fits a stack of equal-size parent sets at once, of one
-vertex or of a vertex per set, and ``_scores`` turns its residuals into
-penalized scores.  Its rule is that each set's numbers are the same bits
-whatever stack it comes in, a stack of one included: the scores feed
-comparisons against a 1e-9 threshold in greedy search, so a last-bit change
-would change which moves are taken.  Python runs once per group of adjacent
-sets of one pattern and one parent set, which share one block, one
-conditioning test and one LAPACK ``dposv`` call (the ``dpotrf`` and
-``dpotrs`` pair that scipy's cho_factor/cho_solve call), each column of
+``_fit_rows(local, vertex, parent_idx)``, which fits a stack of equal-size
+parent sets at once, of one vertex or of a vertex per set, and ``_scores``
+turns its residuals into penalized scores.  Callers pass vertices and parent
+sets only: the kernel reads each vertex's pattern, its pattern's mixture and
+proof flag from ``LocalStats`` itself, so the mixtures' layout is known to
+``local_stats`` and the kernel alone.  Its rule is that each set's numbers
+are the same bits whatever stack it comes in, a stack of one included: the
+scores feed comparisons against a 1e-9 threshold in greedy search, so a
+last-bit change would change which moves are taken.  Python runs once per
+group of adjacent sets of one pattern and one parent set, which share one
+block, one conditioning test and one LAPACK ``dposv`` call (the ``dpotrf``
+and ``dpotrs`` pair that scipy's cho_factor/cho_solve call), each column of
 whose solve has the bits of a one-column solve.  The rest is numpy over the
 whole stack, in operations that round each set as alone: one ``take`` of
-every set's block from the flattened mixtures, the stacked conditioning
-test and residual quadratic forms, and the score expression, whose
-logarithms are ``math.log``'s because ``np.log`` may differ in the last
-bit.  Every block is a principal sub-block of its pattern's mixture, so the
-conditioning test is decided once per pattern, by ``local_stats``: where
-``LocalStats.proven`` says the mixture is proven well conditioned, the
-kernel skips the test; otherwise it runs the SVD condition number on the
-parent block.
+every set's block from the flattened mixtures, the stacked conditioning test
+and residual quadratic forms, and the score expression, whose logarithms are
+``math.log``'s because ``np.log`` may differ in the last bit.  Every block
+is a principal sub-block of its pattern's mixture, so the conditioning test
+is decided once per pattern, by ``local_stats``: where ``LocalStats.proven``
+says the mixture is proven well conditioned, the kernel skips the test;
+otherwise it runs the SVD condition number on the parent block.
 
 ``dposv`` and ``dtrtri`` (the latter for the proof) are scipy's own
 wrappers, the very objects ``scipy.linalg.lapack`` exports, loaded straight
@@ -205,18 +207,15 @@ class LocalStats:
         return tuple(k for k in range(1, self.p + 1) if not self.identified(k))
 
 
-def check_identified(local: LocalStats) -> None:
-    """Raise DegenerateFitError when some vertex has no rows to fit it on."""
+def check_scorable(local: LocalStats) -> None:
+    """Raise DegenerateFitError when some vertex has no rows to fit it on,
+    or else when some vertex's own second moment under its exclusion
+    mixture is not positive and finite, so that even its empty parent set
+    scores -inf."""
     if local.unidentified_vertices:
         raise DegenerateFitError(
             f"vertices {local.unidentified_vertices} appear in every observed target"
         )
-
-
-def check_marginal_variance(local: LocalStats) -> None:
-    """Raise DegenerateFitError when some vertex's own second moment under its
-    exclusion mixture is not positive and finite, so that even its empty
-    parent set scores -inf."""
     vertices = np.arange(local.p)
     diag = local.mixtures[local.pattern_of, vertices, vertices]
     bad = np.flatnonzero(~((diag > 0) & (diag < math.inf))) + 1
@@ -351,88 +350,77 @@ def _proven_well_conditioned(S: np.ndarray) -> bool:
     return _cond_bound(S) <= _COND_BOUND
 
 
-def _group_heads(pattern: int | np.ndarray, parents: np.ndarray) -> np.ndarray | None:
-    """The first set of each group, a run of adjacent sets of one pattern and
-    one parent set, or None when every set is a group of its own.  Only a
-    stack with a pattern per set is searched: the callers that pass one
-    pattern fit one vertex on distinct sets."""
-    if not isinstance(pattern, np.ndarray):
-        return None
-    first = np.ones(len(parents), dtype=bool)
-    (parents[1:] != parents[:-1]).any(axis=1, out=first[1:])
-    first[1:] |= pattern[1:] != pattern[:-1]
-    return None if first.all() else np.flatnonzero(first)
-
-
 def _fit_rows(
-    mixtures: np.ndarray,
-    vertex: int | np.ndarray,
-    parent_idx: np.ndarray | list[list[int]],
-    proven: bool | np.ndarray,
-    pattern: int | np.ndarray,
+    local: LocalStats, vertex: int | np.ndarray, parent_idx: np.ndarray | list[list[int]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares fits of vertices on each of a stack of parent sets.
 
     Set i regresses 0-based vertex ``vertex[i]`` on the 0-based parents
-    ``parent_idx[i]`` under ``mixtures[pattern[i]]``, where ``mixtures`` is
-    laid out as ``LocalStats.mixtures``; ``vertex`` and ``pattern`` are each
-    one index for every set or an array of one per set.  The rows of
-    ``parent_idx`` are of one length.  Returns ``(usable, coefs, resid)``,
-    one entry per set: whether the fit is usable, its coefficients and its
-    residual second moment.  A set is unusable when its parent block is
-    conditioned worse than 1e12 or is not positive definite; its
-    coefficients are then zero and its residual NaN.
+    ``parent_idx[i]`` under that vertex's exclusion mixture in ``local``;
+    ``vertex`` is one index for every set or an array of one per set.  The
+    rows of ``parent_idx`` are of one length.  Returns ``(usable, coefs,
+    resid)``, one entry per set: whether the fit is usable, its
+    coefficients and its residual second moment.  A set is unusable when
+    its parent block is conditioned worse than 1e12 or is not positive
+    definite; its coefficients are then zero and its residual NaN.
 
     Precondition: every mixture is exactly symmetric, bit for bit, as every
     mixture ``local_stats`` builds is (a property test pins it): the
     factorization reads each parent block's transpose.
 
-    Python runs once per group (``_group_heads``), a run of sets that share
-    one parent block: one ``dposv`` call and the slice of its right-hand
-    sides.  Everything else is numpy over the whole stack.  Every set's
-    ``[k, pa...]`` block is one ``take`` from the flattened stack of
-    mixtures, and each group's parent block is copied out of its first
-    set's.  The conditioning test, when needed, is one SVD condition number
-    stacked over the groups (block by block when that raises, and then a
-    block whose SVD does not converge is unusable, and only it).  Each
-    usable group's ``dposv`` call, ``dpotrf`` then ``dpotrs``, factors its
-    block in place and solves in place for the group's right-hand sides as
-    the columns of one Fortran-ordered ``(d, g)`` array, a C-ordered
-    ``(g, d)`` slice of the solutions transposed.  A block that call finds
-    not positive definite is unusable for its whole group.  The residuals
-    are stacked quadratic forms of (1, -b) with each set's block
-    (``_quadratic_forms``), so each is a true quadratic form of a positive
-    semidefinite matrix, taken over the whole stack, with an unusable set's
-    block replaced by NaNs first.  Column j of a g-column solve rounds as a
-    one-column solve, so each set gets the bits it would get alone.
-
-    ``proven``, one flag for every set or an array of one per set, says that
-    ``_proven_well_conditioned`` holds for the set's mixture
-    (``LocalStats.proven``): then no SVD runs on its block, with the same
-    usable flag and bits.
+    Python runs once per group, a run of adjacent sets of one pattern and
+    one parent set, which share one parent block: one ``dposv`` call and the
+    slice of its right-hand sides.  Only a stack with a vertex per set is
+    searched for groups, by one comparison of adjacent rows of the parents'
+    flat offsets, which encode pattern and parent set together: a stack of
+    one vertex holds distinct sets.  Everything else is numpy over the
+    whole stack.  Every set's ``[k, pa...]`` block is one ``take`` from the
+    flattened stack of mixtures, and each group's parent block is copied
+    out of its first set's.  The conditioning test, when needed, is one SVD
+    condition number stacked over the groups (block by block when that
+    raises, and then a block whose SVD does not converge is unusable, and
+    only it); it is skipped for the groups whose pattern's mixture
+    ``local.proven`` says is proven well conditioned, with the same usable
+    flags and bits.  Each usable group's ``dposv`` call, ``dpotrf`` then
+    ``dpotrs``, factors its block in place and solves in place for the
+    group's right-hand sides as the columns of one Fortran-ordered ``(d,
+    g)`` array, a C-ordered ``(g, d)`` slice of the solutions transposed.  A
+    block that call finds not positive definite is unusable for its whole
+    group.  The residuals are stacked quadratic forms of (1, -b) with each
+    set's block (``_quadratic_forms``), so each is a true quadratic form of
+    a positive semidefinite matrix, taken over the whole stack, with an
+    unusable set's block replaced by NaNs first.  Column j of a g-column
+    solve rounds as a one-column solve, so each set gets the bits it would
+    get alone.
     """
     parents = np.asarray(parent_idx, dtype=np.intp)
     m, d = parents.shape
-    p = mixtures.shape[-1]
+    p = local.p
+    pattern = local.pattern_of[vertex]
     # every set's [k, pa...] block in one take: entry (q, i, j) of the stack
     # is flat entry (q * p + i) * p + j
     full = np.empty((m, d + 1), dtype=np.intp)
     full[:, 0] = vertex
     full[:, 1:] = parents
-    at = pattern * p
-    full_at = full + (at[:, None] if isinstance(at, np.ndarray) else at)
+    full_at = full + (pattern[:, None] if isinstance(vertex, np.ndarray) else pattern) * p
     full_at *= p
-    blocks = mixtures.reshape(-1).take(full_at[:, :, None] + full[:, None, :])
+    blocks = local.mixtures.reshape(-1).take(full_at[:, :, None] + full[:, None, :])
     if d == 0:
         return np.ones(m, dtype=bool), np.zeros((m, 0)), blocks[:, 0, 0]
+    # the first set of each group, or None when every set is a group of its own
+    heads = None
+    if isinstance(vertex, np.ndarray):
+        first = np.ones(m, dtype=bool)
+        (full_at[1:, 1:] != full_at[:-1, 1:]).any(axis=1, out=first[1:])
+        if not first.all():
+            heads = np.flatnonzero(first)
     # one parent block per group, a copy that dposv may overwrite
-    heads = _group_heads(pattern, parents)
     if heads is None:
         parent_blocks = blocks[:, 1:, 1:].copy()
+        proven = local.proven[pattern]
     else:
         parent_blocks = blocks[heads, 1:, 1:]
-        if isinstance(proven, np.ndarray):
-            proven = proven[heads]
+        proven = local.proven[pattern[heads]]
     usable = np.ones(len(parent_blocks), dtype=bool)
     # the groups whose parent block needs the conditioning test
     tested = np.flatnonzero(~proven) if isinstance(proven, np.ndarray) else slice(0 if proven else None)
@@ -525,8 +513,7 @@ def mle_given_dag(dag: Dag, local: LocalStats) -> FittedModel:
             raise DegenerateFitError(
                 f"vertex {k}: {n_ex} usable rows cannot identify {len(pa)} parents"
             )
-        q = local.pattern(k)
-        usable, coefs, resids = _fit_rows(local.mixtures, k - 1, [[j - 1 for j in pa]], local.proven[q], q)
+        usable, coefs, resids = _fit_rows(local, k - 1, [[j - 1 for j in pa]])
         if not usable[0]:
             raise DegenerateFitError(f"vertex {k}: singular parent moment block")
         b, resid = coefs[0], float(resids[0])
@@ -719,41 +706,35 @@ def _scores(k: int | np.ndarray, parent_sets, local: LocalStats, penalty: float)
 
     ``k`` is the vertex label of every set, or a numpy array of one label
     per set.  ``parent_sets`` is a sequence of label tuples or a 2-D array
-    of labels, one set per row, fitted in kernel stacks of _CHUNK sets; a
-    group of adjacent sets of one pattern and one parent set that a stack
-    boundary cuts is factored once in each stack, with the same bits.  A
-    set whose vertex has no more excluding rows than parents scores -inf
-    and is not fitted.  Returns one float64 score per set, in the order
-    given.
+    of labels, one set per row, fitted in kernel stacks of _CHUNK sets by
+    ``_fit_rows``, which finds each set's mixture and groups; a group of
+    adjacent sets of one pattern and one parent set that a stack boundary
+    cuts is factored once in each stack, with the same bits.  A set whose
+    vertex has no more excluding rows than parents scores -inf and is not
+    fitted; the others score with their vertex's count of excluding rows,
+    one count for a label ``k`` or one per set.  Returns one float64 score
+    per set, in the order given.
     """
     idx = np.asarray(parent_sets, dtype=np.intp) - 1
     total, size = idx.shape
     cost = penalty * size
-    if isinstance(k, np.ndarray):
+    per_set = isinstance(k, np.ndarray)
+    if per_set:
         vertex = k - 1
         n_ex = local.counts_excluding[vertex]
         live = n_ex > size
         every = bool(live.all())
         if not every:
             vertex, idx, n_ex = vertex[live], idx[live], n_ex[live]
-        pattern = local.pattern_of[vertex]
-        # one count when every set's vertex has it, as in a call of one pattern
-        if len(n_ex) and (n_ex == n_ex[0]).all():
-            n_ex = int(n_ex[0])
     else:
-        n_ex = local.count_excluding(k)
+        vertex, n_ex, every = k - 1, local.count_excluding(k), True
         if n_ex <= size:
             return np.full(total, -math.inf)
-        vertex, pattern, every = k - 1, local.pattern(k), True
-    proven = local.proven[pattern]
     fitted = np.empty(len(idx))
     for start in range(0, len(idx), _CHUNK):
         at = slice(start, start + _CHUNK)
-        if isinstance(vertex, np.ndarray):
-            resid = _fit_rows(local.mixtures, vertex[at], idx[at], proven[at], pattern[at])[2]
-        else:
-            resid = _fit_rows(local.mixtures, vertex, idx[at], proven, pattern)[2]
-        fitted[at] = _penalized(resid, n_ex[at] if isinstance(n_ex, np.ndarray) else n_ex, cost)
+        v, n = (vertex[at], n_ex[at]) if per_set else (vertex, n_ex)
+        fitted[at] = _penalized(_fit_rows(local, v, idx[at])[2], n, cost)
     if every:
         return fitted
     scores = np.full(total, -math.inf)

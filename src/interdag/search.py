@@ -20,8 +20,7 @@ from .likelihood import (
     LocalStats,
     _checked_penalty,
     _scores,
-    check_identified,
-    check_marginal_variance,
+    check_scorable,
 )
 from .model import _FLOAT_FMT, Dag
 
@@ -144,10 +143,11 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
     exclusion pattern share each tail's factorization.  A table is
     refreshed the first time its vertex is read after the vertex's parents
     change, by one ``_scores`` call for the additions, its parents plus each
-    tail as one array of sorted labels, and one for the removals.  There is no score cache.  A deletion of
-    tail -> head reads head's entry for tail; a reversal reads that and
-    tail's entry for head.  Every finder returns (gain, tail, head, new head
-    score, new tail score or None), so applying a move scores nothing.
+    tail as one array of sorted labels, and one for the removals.  There is
+    no score cache.  A deletion of tail -> head reads head's entry for tail;
+    a reversal reads that and tail's entry for head.  Every finder returns
+    (gain, tail, head, new head score, new tail score or None), so applying
+    a move scores nothing.
 
     Acyclicity depends on the whole graph, so it is checked again on every
     step against every vertex's descendants, kept as an integer bitset.
@@ -161,8 +161,7 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
     if config is None:
         config = SearchConfig()
     p = local.p
-    check_identified(local)
-    check_marginal_variance(local)
+    check_scorable(local)
     penalty = _checked_penalty(local.n, config.penalty_weight)
     max_parents = config.resolved_max_parents(p)
 
@@ -412,8 +411,7 @@ def exhaustive_dp(local: LocalStats, config: SearchConfig | None = None) -> Dag:
     p = local.p
     if p > DP_VERTEX_LIMIT:
         raise CapacityError(f"exact search supports at most {DP_VERTEX_LIMIT} vertices, got {p}")
-    check_identified(local)
-    check_marginal_variance(local)
+    check_scorable(local)
     penalty = _checked_penalty(local.n, config.penalty_weight)
     max_parents = config.resolved_max_parents(p)
 

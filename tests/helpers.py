@@ -47,7 +47,7 @@ from interdag import (
     v_structures,
 )
 from interdag.equivalence import MAX_CLASS_MEMBERS, MAX_UNDECIDED_EDGES, _pair, check_conservative
-from interdag.likelihood import _checked_penalty, _scores, check_identified
+from interdag.likelihood import _checked_penalty, _scores, check_scorable
 from interdag.model import _mean_and_root, _rng
 from interdag.search import IMPROVEMENT_EPS
 
@@ -702,7 +702,7 @@ def reference_exhaustive_dp(local, config: SearchConfig | None = None) -> Dag:
     if config is None:
         config = SearchConfig()
     p = local.p
-    check_identified(local)
+    check_scorable(local)
     penalty = _checked_penalty(local.n, config.penalty_weight)
     max_parents = config.resolved_max_parents(p)
 

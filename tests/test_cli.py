@@ -24,10 +24,11 @@ Core claims:
       the key; fit rejects a bad search flag before it reads the data.
     - Exit codes: 0 success, 2 parameter/config error (a tau whose square
       overflows or underflows, a config file that is not UTF-8 and an
-      --out that cannot be written included, the last found before an
-      experiment's grid runs), 3 data error (a CSV that is not UTF-8
+      --out that cannot be written included, the last found before a
+      fit's search or an experiment's grid runs), 3 data error (a CSV that is not UTF-8
       included), 4 capacity guard (the exact search beyond 20 vertices, or
-      exclusion mixtures beyond physical memory).
+      exclusion mixtures beyond physical memory).  A fit that fails after
+      its --out is created leaves that directory empty.
     - fit/simulate/experiment write the documented artifact files, and
       experiment output is bit-identical across runs with the same seed.
 """
@@ -470,9 +471,12 @@ def test_fit_dp_capacity_exit_code(tmp_path, capsys):
         lines.append("," + ",".join(f"{v:.6f}" for v in row))
     csv = tmp_path / "wide.csv"
     csv.write_text("\n".join(lines) + "\n")
-    code = main(["fit", "--data", str(csv), "--method", "dp"])
+    out = tmp_path / "out"
+    code = main(["fit", "--data", str(csv), "--method", "dp", "--out", str(out)])
     assert code == 4
     assert "error:" in capsys.readouterr().err
+    # --out is created before the search, so the failed fit leaves it empty
+    assert out.is_dir() and not any(out.iterdir())
 
 
 @pytest.mark.parametrize("method", ["greedy", "dp"])
@@ -701,6 +705,19 @@ def test_unwritable_out_is_a_parameter_error(tmp_path, capsys, monkeypatch, comm
         monkeypatch.setattr(interdag.experiments, "_run_replicate", lambda job: pytest.fail("the grid ran"))
         argv = ["experiment", *_TINY]
     assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: Not a directory\n"
+
+
+@pytest.mark.parametrize("method", ["greedy", "dp"])
+def test_fit_finds_an_unwritable_out_before_the_search(tmp_path, capsys, monkeypatch, method):
+    csv = tmp_path / "d.csv"
+    _sample_csv(csv, seed=6, n=100)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    for search in ("greedy_search", "exhaustive_dp"):
+        monkeypatch.setattr(interdag.experiments, search, lambda *args: pytest.fail("the search ran"))
+    assert main(["fit", "--data", str(csv), "--method", method, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: cannot write {out}: Not a directory\n"
 
 

@@ -82,10 +82,19 @@ def _same(fit, ref) -> bool:
     return fit[0].shape == ref[0].shape and fit[0].tobytes() == ref[0].tobytes() and _bits(fit[1]) == _bits(ref[1])
 
 
+def _hand_made(mixtures: np.ndarray, pattern_of, proven) -> LocalStats:
+    """A ``LocalStats`` over the stack of pattern ``mixtures``, vertex k's
+    pattern at ``pattern_of[k - 1]``, with the proof flags ``proven``; its
+    counts are placeholders, which the kernel does not read."""
+    p = mixtures.shape[-1]
+    return LocalStats(p, 1, np.ones(p, dtype=np.int64), mixtures, np.asarray(pattern_of, dtype=np.intp),
+                      np.asarray(proven, dtype=bool))
+
+
 def _fit_under(S: np.ndarray, k_idx: int, sets, proven: bool = False):
-    """``_fit_rows`` on ``sets`` of vertex ``k_idx`` as one stack, under the
-    one mixture ``S``."""
-    return _fit_rows(S[None], k_idx, sets, proven, 0)
+    """``_fit_rows`` on ``sets`` of vertex ``k_idx`` as one stack, every
+    vertex under the one mixture ``S``."""
+    return _fit_rows(_hand_made(S[None], np.zeros(len(S)), [proven]), k_idx, sets)
 
 
 def _insertion_scores(k: int, parents, tails: list[int], loc: LocalStats, penalty=None) -> list[float]:
@@ -462,10 +471,11 @@ def test_stack_of_many_vertices_matches_single_vertex_fits_and_oracle(seed, p, n
     size = min(size, p - 1)
     vertex = rng.integers(p, size=12)
     sets = [sorted(rng.choice(np.delete(np.arange(p), k), size=size, replace=False)) for k in vertex]
-    usable, coefs, resid = _fit_rows(mixtures, vertex, sets, proofs[vertex], vertex)
+    loc = _hand_made(mixtures, np.arange(p), proofs)
+    usable, coefs, resid = _fit_rows(loc, vertex, sets)
     assert len(usable) == len(coefs) == len(resid) == len(sets)
     for i, (k, pa) in enumerate(zip(vertex.tolist(), sets)):
-        alone = _fit_rows(mixtures, k, [pa], bool(proofs[k]), k)
+        alone = _fit_rows(loc, k, [pa])
         stacked = (usable[i], coefs[i], resid[i])
         assert [a[0].tobytes() for a in alone] == [a.tobytes() for a in stacked], (k, pa)
         fit = (coefs[i], float(resid[i])) if usable[i] else None
@@ -518,11 +528,12 @@ def test_groups_share_one_dposv_call_with_the_bits_of_single_fits(seed, p, n, si
     """A stack of groups, adjacent sets of one pattern and one parent set,
     of several vertices each: one dposv call per group whose block passes
     the conditioning test, with one column per set, yet every set has the
-    bits of its fit alone and of the oracle.  The patterns' mixtures come
-    from a clean draw or from one with a column duplicated exactly or to
-    about 1e-7, which no proof accepts and whose blocks the conditioning
-    test or dposv may reject, a whole group at a time; ``trust`` passes
-    the proofs on."""
+    bits of its fit alone and of the oracle.  Each vertex is given one of
+    two patterns, both in use, whose mixtures come from a clean draw or
+    from one with a column duplicated exactly or to about 1e-7, which no
+    proof accepts and whose blocks the conditioning test or dposv may
+    reject, a whole group at a time; ``trust`` passes the proofs on.  A
+    group is a parent set and some vertices of one pattern outside it."""
     columns = []
     dposv = likelihood.dposv
 
@@ -537,32 +548,35 @@ def test_groups_share_one_dposv_call_with_the_bits_of_single_fits(seed, p, n, si
     spoiled[:, dst] = spoiled[:, src] * (1.0 + rng.choice([0.0, 1e-7]) * rng.standard_normal(n))
     mixtures = np.stack([_moments(clean), _moments(spoiled)])
     proofs = np.array([trust and _proven_well_conditioned(M) for M in mixtures])
+    pattern_of = rng.integers(2, size=p)
+    pattern_of[rng.choice(p, size=2, replace=False)] = [0, 1]
+    loc = _hand_made(mixtures, pattern_of, proofs)
     size = min(size, p - 1)
-    vertex, pattern, sets = [], [], []
+    vertex, sets = [], []
     groups: list[list] = []  # [pattern, parents, sets] per run of equal draws
     for _ in range(6):
-        q = int(rng.integers(2))
         pa = sorted(rng.choice(p, size=size, replace=False).tolist())
         outside = [k for k in range(p) if k not in pa]
+        q = int(rng.choice(pattern_of[outside]))
+        outside = [k for k in outside if pattern_of[k] == q]
         members = rng.choice(outside, size=int(rng.integers(1, len(outside) + 1)), replace=False)
         vertex += members.tolist()
-        pattern += [q] * len(members)
         sets += [pa] * len(members)
         if groups and groups[-1][:2] == [q, pa]:
             groups[-1][2] += len(members)
         else:
             groups.append([q, pa, len(members)])
-    vertex, pattern = np.array(vertex), np.array(pattern)
+    vertex = np.array(vertex)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(likelihood, "dposv", counting_dposv)
-        usable, coefs, resid = _fit_rows(mixtures, vertex, sets, proofs[pattern], pattern)
+        usable, coefs, resid = _fit_rows(loc, vertex, sets)
     passed = [g for q, pa, g in groups if proofs[q] or np.linalg.cond(mixtures[q][np.ix_(pa, pa)]) <= 1e12]
     assert columns == passed
-    for i, (k, q, pa) in enumerate(zip(vertex.tolist(), pattern.tolist(), sets)):
-        alone = _fit_rows(mixtures, k, [pa], bool(proofs[q]), q)
+    for i, (k, pa) in enumerate(zip(vertex.tolist(), sets)):
+        alone = _fit_rows(loc, k, [pa])
         assert [a[0].tobytes() for a in alone] == [a[i].tobytes() for a in (usable, coefs, resid)], (k, pa)
         fit = (coefs[i], float(resid[i])) if usable[i] else None
-        assert _same(fit, reference_fit_row(mixtures[q], k, pa)), (k, pa)
+        assert _same(fit, reference_fit_row(mixtures[pattern_of[k]], k, pa)), (k, pa)
 
 
 def test_groups_of_the_exact_search_each_take_one_dposv_call(monkeypatch):
@@ -582,7 +596,7 @@ def test_groups_of_the_exact_search_each_take_one_dposv_call(monkeypatch):
     pairs = [(k, pa) for pa in itertools.combinations(range(5), 2) for k in range(5) if k not in pa]
     vertex = np.array([k for k, _ in pairs])
     sets = [list(pa) for _, pa in pairs]
-    usable, coefs, resid = _fit_rows(S[None], vertex, sets, True, np.zeros(len(pairs), dtype=np.intp))
+    usable, coefs, resid = _fit_rows(_hand_made(S[None], np.zeros(5), [True]), vertex, sets)
     assert usable.all() and len(seen) == 10
     assert all(shape == (2, 3) and in_place for shape, in_place in seen)
     for i, (k, pa) in enumerate(pairs):
@@ -598,9 +612,9 @@ def test_stacks_cut_groups_at_chunk_boundaries_with_the_bits_of_local_score(monk
     sizes = []
     fit_rows = likelihood._fit_rows
 
-    def counting_fit_rows(mixtures, vertex, parent_idx, *args):
+    def counting_fit_rows(local, vertex, parent_idx):
         sizes.append(len(parent_idx))
-        return fit_rows(mixtures, vertex, parent_idx, *args)
+        return fit_rows(local, vertex, parent_idx)
 
     p = 40
     X = np.random.default_rng(29).standard_normal((300, p))
