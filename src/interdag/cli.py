@@ -133,7 +133,8 @@ def _parse_targets(path, lines: list[str], lineno: int, p: int,
             try:
                 parsed[field] = _parse_target(field, p)
             except (ValueError, ParameterError) as exc:
-                raise _bad_target(path, lineno + fields.index(field), field, exc) from None
+                raise DataError(f"{path}: line {lineno + fields.index(field)}: "
+                                f"bad target {field.strip()!r} ({exc})") from None
     targets.extend(map(parsed.__getitem__, fields))
 
 
@@ -145,10 +146,6 @@ def _parse_target(cell: str, p: int) -> InterventionTarget:
     target = InterventionTarget(tuple([int(part) for part in field.split(";")]))
     target.validate_for(p)
     return target
-
-
-def _bad_target(path, lineno: int, cell: str, exc: Exception) -> DataError:
-    return DataError(f"{path}: line {lineno}: bad target {cell.strip()!r} ({exc})")
 
 
 def _ingest_rows(path, lines: list[str], first: int, p: int,
@@ -165,13 +162,7 @@ def _ingest_rows(path, lines: list[str], first: int, p: int,
         cells = raw.split(",")
         if len(cells) != p + 1:
             raise DataError(f"{path}: line {lineno}: expected {p + 1} fields, got {len(cells)}")
-        target = parsed.get(cells[0])
-        if target is None:
-            try:
-                target = _parse_target(cells[0], p)
-            except (ValueError, ParameterError) as exc:
-                raise _bad_target(path, lineno, cells[0], exc) from None
-            parsed[cells[0]] = target
+        _parse_targets(path, [raw], lineno, p, parsed, targets)
         try:
             row = list(map(float, cells[1:]))
         except ValueError:
@@ -189,7 +180,6 @@ def _ingest_rows(path, lines: list[str], first: int, p: int,
                 if not math.isfinite(x):
                     raise DataError(f"{path}: line {lineno}: column x{col}: non-finite value")
                 row.append(x)
-        targets.append(target)
         values[i] = row
     return values
 
@@ -281,7 +271,6 @@ def _cmd_simulate(args) -> int:
         replicates_per_target=args.replicates_per_target, tau=args.tau,
         n_grid=(args.n,), mu_grid=(args.mu,),
     )
-    config.validate()
     dag, model = _draw_model(config)
     singles, sequence = _draw_cell(config, args.n, derive_seed(args.seed, 3))
     spec = InterventionSpec.constant(singles, args.mu, args.tau**2)

@@ -27,7 +27,6 @@ __all__ = [
     "EssentialGraph",
     "skeleton",
     "v_structures",
-    "conservative",
     "markov_equivalent_interventional",
     "enumerate_class",
     "essential_graph",
@@ -97,35 +96,11 @@ def v_structures(dag: Dag) -> frozenset[VStructure]:
     return frozenset(found)
 
 
-def conservative(family: TargetFamily, p: int) -> bool:
-    """True when every vertex lies outside at least one target.
-
-    That is, when no vertex lies in all of them: the targets' member sets
-    intersect in nothing.  One pass over the targets, stopping at the first
-    empty intersection.
-    """
-    family.validate_for(p)
-    common = set(range(1, p + 1))
-    for t in family.targets:
-        common.intersection_update(t.members)
-        if not common:
-            return True
-    return False
-
-
-def check_conservative(family: TargetFamily, p: int) -> None:
-    """Raise ParameterError unless every vertex lies outside some target."""
-    if not conservative(family, p):
-        raise ParameterError(
-            "target family must be conservative: every vertex must lie outside some target"
-        )
-
-
 def markov_equivalent_interventional(d1: Dag, d2: Dag, family: TargetFamily) -> bool:
-    """Decide equivalence with respect to a conservative target family."""
+    """Decide equivalence with respect to a target family, conservative by construction."""
     if d1.p != d2.p:
         raise ParameterError("cannot compare DAGs with different vertex counts")
-    check_conservative(family, d1.p)
+    family.validate_for(d1.p)
     if skeleton(d1) != skeleton(d2):
         return False
     for target in family:
@@ -313,7 +288,7 @@ def essential_graph(dag: Dag, family: TargetFamily) -> EssentialGraph:
     under Meek's rules R1-R4 directs the rest of the class-invariant edges
     (Hauser and Buhlmann 2012), and every other edge stays undirected.
     """
-    check_conservative(family, dag.p)
+    family.validate_for(dag.p)
     directed = set()
     for vs in v_structures(dag):
         directed.update(((vs.a, vs.b), (vs.c, vs.b)))

@@ -16,14 +16,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .equivalence import (
-    EssentialGraph,
-    check_conservative,
-    conservative,
-    essential_graph,
-    format_essential_graph,
-)
-from .errors import DataError, ParameterError
+from .equivalence import EssentialGraph, essential_graph, format_essential_graph
+from .errors import ParameterError
 from .likelihood import FittedModel, LocalStats, local_stats, mle_given_dag, sufficient_stats
 from .metrics import ConfusionCounts, directed_confusion, shd, skeleton_confusion
 from .model import (
@@ -62,7 +56,9 @@ class ExperimentConfig:
 
     Every replicate uses ``k`` distinct single-vertex targets drawn uniformly
     without replacement, ``replicates_per_target`` rows per target, and the
-    remaining rows observational.  ``seed`` is mandatory.
+    remaining rows observational.  ``seed`` is mandatory.  Construction
+    checks every setting, those of the search included, and raises
+    ParameterError on the first bad one.
     """
 
     seed: int
@@ -78,7 +74,7 @@ class ExperimentConfig:
     max_parents: int | None = None
     workers: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ParameterError("seed is mandatory and must fit in 64 bits")
         if self.p < 1:
@@ -87,6 +83,9 @@ class ExperimentConfig:
             raise ParameterError("expected_degree must satisfy 0 <= d < p")
         if not self.n_grid or not self.mu_grid:
             raise ParameterError("n_grid and mu_grid must be non-empty")
+        for mu in self.mu_grid:
+            if not math.isfinite(mu):
+                raise ParameterError(f"mu must be finite, got {mu!r}")
         if not 0 <= self.k <= self.p:
             raise ParameterError("k must lie between 0 and p")
         if self.k and self.replicates_per_target < 1:
@@ -100,6 +99,7 @@ class ExperimentConfig:
         if self.replicates < 1:
             raise ParameterError("replicates must be positive")
         _check_method(self.method)
+        self.search_config  # checks max_parents
         if self.workers < 1:
             raise ParameterError("workers must be positive")
         n_int = self.n_interventional
@@ -114,6 +114,11 @@ class ExperimentConfig:
                 raise ParameterError(
                     "a grid point without observational rows needs at least two targets"
                 )
+
+    @property
+    def search_config(self) -> SearchConfig:
+        """The search settings of every fit in the grid."""
+        return SearchConfig(max_parents=self.max_parents)
 
     @property
     def n_interventional(self) -> int:
@@ -152,13 +157,12 @@ def fit_structure(
     method: str = "greedy",
     config: SearchConfig | None = None,
 ) -> tuple[LocalStats, Dag, SearchTrace | None]:
-    """Search a DAG for the data under a conservative target family.
+    """Search a DAG for the data under a target family.
 
     Returns the per-vertex statistics the search scored, the DAG it found,
     and the greedy search's trace (None for the exact search).
     """
     _check_method(method)
-    check_conservative(family, dataset.p)
     local = local_stats(sufficient_stats(dataset), family)
     if method == "greedy":
         dag, trace = greedy_search(local, config)
@@ -204,21 +208,15 @@ def run_fit(
 ) -> tuple[FittedModel, EssentialGraph, SearchTrace | None]:
     """Fit a structure, refit its parameters, and report its class.
 
-    The family defaults to the targets observed in the data.  When
-    ``out_dir`` is given, the fitted model, essential graph, search trace,
-    and a JSON summary are written there.  ``out_dir`` is created before
+    The family defaults to the targets observed in the data, and then data
+    without rows, or with a vertex intervened in every row, raises
+    DataError.  When ``out_dir`` is given, the fitted model, essential
+    graph, search trace, and a JSON summary are written there.  ``out_dir`` is created before
     the search runs, so a fit that then fails leaves it behind, empty; a
     directory or file that cannot be written raises ParameterError.
     """
     if family is None:
-        if dataset.n == 0:
-            raise DataError("the dataset has no rows to fit")
         family = dataset.observed_targets()
-        if not conservative(family, dataset.p):
-            raise DataError(
-                "the family of observed targets is not conservative: some "
-                "vertex is intervened in every row"
-            )
     out = None if out_dir is None else _created(out_dir)
     local, dag, trace = fit_structure(dataset, family, method, config)
     fitted = mle_given_dag(dag, local)
@@ -284,7 +282,7 @@ def _run_replicate(args: tuple) -> list[ResultRow]:
     config, rep = args
     dag, model = _draw_model(config, rep)
     target_seed = derive_seed(config.seed, 3, rep)
-    search_config = SearchConfig(max_parents=config.max_parents)
+    search_config = config.search_config
     settings = {name: getattr(config, name) for name in _CONFIG_COLUMNS}
     truth_graphs: dict[TargetFamily, EssentialGraph] = {}
     # a target's mean and covariance root depend only on the model, the
@@ -328,7 +326,6 @@ def run_consistency_experiment(
     file varies.  ``out_dir`` is created before the grid runs, and a
     directory or file that cannot be written raises ParameterError.
     """
-    config.validate()
     out = None if out_dir is None else _created(out_dir)
     jobs = [(config, rep) for rep in range(config.replicates)]
     # a fork-started pool forks all its workers at the first submit, so

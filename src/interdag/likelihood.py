@@ -60,6 +60,7 @@ from .model import (
     InterventionSpec,
     InterventionTarget,
     TargetFamily,
+    _fold_order,
     _rows_index,
 )
 
@@ -132,7 +133,9 @@ class SufficientStats:
     first_moments: Mapping[InterventionTarget, np.ndarray]
 
     def targets(self) -> tuple[InterventionTarget, ...]:
-        return TargetFamily(frozenset(self.counts)).sorted_targets()
+        """The observed targets in fold order, whether or not they form a
+        conservative family."""
+        return tuple(sorted(self.counts, key=_fold_order))
 
 
 class _Moments(Mapping):
@@ -210,15 +213,15 @@ class LocalStats:
 def check_scorable(local: LocalStats) -> None:
     """Raise DegenerateFitError when some vertex has no rows to fit it on,
     or else when some vertex's own second moment under its exclusion
-    mixture is not positive and finite, so that even its empty parent set
-    scores -inf."""
+    mixture, which ``local_stats`` makes finite, is not positive, so that
+    even its empty parent set scores -inf."""
     if local.unidentified_vertices:
         raise DegenerateFitError(
             f"vertices {local.unidentified_vertices} appear in every observed target"
         )
     vertices = np.arange(local.p)
     diag = local.mixtures[local.pattern_of, vertices, vertices]
-    bad = np.flatnonzero(~((diag > 0) & (diag < math.inf))) + 1
+    bad = np.flatnonzero(diag <= 0) + 1
     if len(bad):
         raise DegenerateFitError(f"vertices {bad.tolist()} have no usable marginal variance")
 
@@ -249,7 +252,8 @@ def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> L
     per vertex in the same order, with the same bits, and one per-target
     moment is in memory at a time.  Then each pattern's mixture is proven
     well conditioned or not (``_proven_well_conditioned``), once.  Raises
-    CapacityError before allocating mixtures larger than physical memory.
+    CapacityError before allocating mixtures larger than physical memory,
+    and DataError, naming the vertices, when a mixture is not finite.
     """
     p = stats.p
     targets = stats.targets()
@@ -286,26 +290,35 @@ def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> L
     weighted = np.empty((p, p))  # n_t * S_t of targets[i]
     n_prefix = 0
     started: list[tuple[int, tuple[int, ...]]] = []
-    for i, patterns in enumerate(starts):
-        for q, _ in patterns:
-            mixtures[q] = prefix
-            counts[q] = n_prefix
-        if i == len(targets):
-            break
-        started += patterns
-        n_t = stats.counts[targets[i]]
-        np.multiply(n_t, stats.second_moments[targets[i]], out=weighted)
-        for q, key in started:
-            if i not in key:
-                mixtures[q] += weighted
-                counts[q] += n_t
-        n_prefix += n_t
-        prefix += weighted
-    for q, n_ex in enumerate(counts):
-        if n_ex > 0:
-            mixtures[q] /= n_ex
+    # values near 1e154 or beyond overflow their squares: such mixtures are
+    # rejected below, without a floating-point warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, patterns in enumerate(starts):
+            for q, _ in patterns:
+                mixtures[q] = prefix
+                counts[q] = n_prefix
+            if i == len(targets):
+                break
+            started += patterns
+            n_t = stats.counts[targets[i]]
+            np.multiply(n_t, stats.second_moments[targets[i]], out=weighted)
+            for q, key in started:
+                if i not in key:
+                    mixtures[q] += weighted
+                    counts[q] += n_t
+            n_prefix += n_t
+            prefix += weighted
+        for q, n_ex in enumerate(counts):
+            if n_ex > 0:
+                mixtures[q] /= n_ex
     counts = np.array(counts, dtype=np.int64)[pattern_of]
     proven = np.array([_proven_well_conditioned(S) for S in mixtures], dtype=bool)
+    # a proven mixture is finite, so only the others are tested
+    overflowed = [q for q in np.flatnonzero(~proven) if not np.isfinite(mixtures[q]).all()]
+    if overflowed:
+        bad = np.flatnonzero(np.isin(pattern_of, overflowed)) + 1
+        raise DataError(f"vertices {bad.tolist()} have exclusion mixtures that are not finite: "
+                        "the data's second moments overflow")
     for array in (mixtures, counts, pattern_of, proven):
         array.setflags(write=False)
     return LocalStats(p, stats.n, counts, mixtures, pattern_of, proven)

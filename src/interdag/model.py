@@ -192,9 +192,22 @@ class InterventionTarget:
         return ";".join(str(v) for v in self.members)
 
 
+def _fold_order(target: InterventionTarget) -> tuple[int, tuple[int, ...]]:
+    """By size, then members: the order of every fold over targets, whose bits depend on it."""
+    return len(target.members), target.members
+
+
 @dataclass(frozen=True)
 class TargetFamily:
-    """A non-empty collection of distinct intervention targets."""
+    """A non-empty, conservative collection of distinct intervention targets.
+
+    Conservative means that every vertex lies outside some target, which
+    interventional Markov equivalence and the score's consistency assume
+    (Hauser and Buhlmann, JMLR 13, 2012): the targets' member sets share no
+    vertex.  Construction rejects any other family, naming the shared
+    vertices, so no consumer of a family checks this again; consumers check
+    only that its vertices are in range (``validate_for``).
+    """
 
     targets: frozenset[InterventionTarget]
 
@@ -202,6 +215,11 @@ class TargetFamily:
         targets = frozenset(self.targets)
         if not targets:
             raise ParameterError("target family must be non-empty")
+        shared = set.intersection(*(set(t.members) for t in targets))
+        if shared:
+            raise ParameterError(
+                f"target family is not conservative: vertices {sorted(shared)} lie in every target"
+            )
         object.__setattr__(self, "targets", targets)
 
     @classmethod
@@ -209,8 +227,8 @@ class TargetFamily:
         return cls(frozenset(InterventionTarget(tuple(m)) for m in member_tuples))
 
     def sorted_targets(self) -> tuple[InterventionTarget, ...]:
-        """By size, then members: the order of every fold over targets, whose bits depend on it."""
-        return tuple(sorted(self.targets, key=lambda t: (len(t.members), t.members)))
+        """The targets in fold order (``_fold_order``)."""
+        return tuple(sorted(self.targets, key=_fold_order))
 
     def __contains__(self, target: InterventionTarget) -> bool:
         return target in self.targets
@@ -412,7 +430,14 @@ class Dataset:
         return group_rows(self.targets)
 
     def observed_targets(self) -> TargetFamily:
-        return TargetFamily(frozenset(self.row_groups))
+        """The family of the rows' targets; raises DataError when there are no
+        rows, or when some vertex is intervened in every row."""
+        if not self.n:
+            raise DataError("the dataset has no rows")
+        try:
+            return TargetFamily(frozenset(self.row_groups))
+        except ParameterError as exc:
+            raise DataError(f"observed {exc}, so they are intervened in every row") from None
 
 
 # ---------------------------------------------------------------------------

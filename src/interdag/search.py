@@ -129,7 +129,7 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
     three move kinds.  Ties take the lexicographically smallest
     (kind, tail, head); only gains above IMPROVEMENT_EPS are accepted.  The
     target family is not an argument: the score needs only ``local``, and
-    ``experiments.fit_structure`` checks that the family is conservative.
+    every ``TargetFamily`` is conservative by construction.
 
     Every score comes from one table per vertex.  A vertex's score depends
     only on its own parent set, so a move changes the scores of the

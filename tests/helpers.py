@@ -46,7 +46,7 @@ from interdag import (
     skeleton,
     v_structures,
 )
-from interdag.equivalence import MAX_CLASS_MEMBERS, MAX_UNDECIDED_EDGES, _pair, check_conservative
+from interdag.equivalence import MAX_CLASS_MEMBERS, MAX_UNDECIDED_EDGES, _pair
 from interdag.likelihood import _checked_penalty, _scores, check_scorable
 from interdag.model import _mean_and_root, _rng
 from interdag.search import IMPROVEMENT_EPS
@@ -226,7 +226,7 @@ def reference_enumerate_class(dag: Dag, family: TargetFamily) -> list[Dag]:
     MAX_UNDECIDED_EDGES or the class would exceed MAX_CLASS_MEMBERS.
     """
     p = dag.p
-    check_conservative(family, p)
+    family.validate_for(p)
     pairs = sorted(skeleton(dag).edges)
     ref_skel = {}
     ref_vs = {}

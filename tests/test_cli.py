@@ -23,11 +23,14 @@ Core claims:
     - A config file that repeats a key is rejected, naming the line and
       the key; fit rejects a bad search flag before it reads the data.
     - Exit codes: 0 success, 2 parameter/config error (a tau whose square
-      overflows or underflows, a config file that is not UTF-8 and an
-      --out that cannot be written included, the last found before a
-      fit's search or an experiment's grid runs), 3 data error (a CSV that is not UTF-8
-      included), 4 capacity guard (the exact search beyond 20 vertices, or
-      exclusion mixtures beyond physical memory).  A fit that fails after
+      overflows or underflows, a non-finite mu, a config file that is not
+      UTF-8 and an --out that cannot be written included, the last found
+      before a fit's search or an experiment's grid runs, and a bad search
+      flag of experiment before its --out is made), 3 data error (a CSV
+      that is not UTF-8, rows that all target one vertex, which is named,
+      and values whose second moments overflow, with no floating-point
+      warning, included), 4 capacity guard (the exact search beyond 20
+      vertices, or exclusion mixtures beyond physical memory).  A fit that fails after
       its --out is created leaves that directory empty.
     - fit/simulate/experiment write the documented artifact files, and
       experiment output is bit-identical across runs with the same seed.
@@ -449,7 +452,21 @@ def test_fit_on_rows_all_targeting_one_vertex_is_a_data_error(tmp_path, capsys):
     csv.write_text("target,x1,x2\n" + "1,0.5,1.5\n1,-0.25,0.75\n1,2,-1\n")
     code = main(["fit", "--data", str(csv)])
     assert code == 3
-    assert "error:" in capsys.readouterr().err
+    assert "not conservative: vertices [1] lie in every target" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["greedy", "dp"])
+def test_fit_on_moments_that_overflow_is_a_data_error(tmp_path, capsys, method):
+    # x1 is 1e200 in the rows that target it: its square overflows in the
+    # moment of target 1, which every other vertex's mixture includes
+    rng = np.random.default_rng(5)
+    lines = ["target,x1,x2,x3"]
+    lines += [",".join(["", *map(repr, rng.normal(size=3).tolist())]) for _ in range(40)]
+    lines += [",".join(["1", "1e200", *map(repr, rng.normal(size=2).tolist())]) for _ in range(10)]
+    csv = tmp_path / "d.csv"
+    csv.write_text("\n".join(lines) + "\n")
+    assert main(["fit", "--data", str(csv), "--method", method]) == 3
+    assert "error: vertices [2, 3] have exclusion mixtures that are not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["greedy", "dp"])
@@ -595,6 +612,33 @@ def test_tau_whose_square_underflows_is_a_parameter_error(tmp_path, capsys, argv
     code = main([*argv, "--out", str(tmp_path / "x")])
     assert code == 2
     assert "error: tau must have a positive square, got 1e-" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--seed", "1", "--p", "4", "--k", "2", "--mu"],
+        ["simulate", "--seed", "1", "--p", "4", "--k", "0", "--mu"],
+        ["experiment", "--seed", "1", "--replicates", "1", "--p", "4", "--k", "2", "--n-grid", "50", "--mu-grid"],
+        ["experiment", "--seed", "1", "--replicates", "1", "--p", "4", "--k", "0", "--n-grid", "50", "--mu-grid"],
+    ],
+)
+def test_non_finite_mu_is_a_parameter_error(tmp_path, capsys, argv, value):
+    # with no targets as well, where no row would use mu
+    code = main([*argv, value, "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert f"error: mu must be finite, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_experiment_search_flag_is_checked_before_the_grid_runs(tmp_path, capsys):
+    # no output directory and no worker pool: the config fails when built
+    code = main(["experiment", "--seed", "1", "--max-parents", "-1", "--workers", "2",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "error: max_parents must be non-negative" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

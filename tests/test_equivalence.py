@@ -2,8 +2,9 @@
 
 Core claims:
     - skeleton/v_structures implement their definitions on hand graphs.
-    - conservative detects families leaving every vertex uncovered somewhere,
-      and agrees with that vertex-by-vertex definition on random families.
+    - TargetFamily builds exactly the families that leave every vertex
+      uncovered somewhere, agreeing with that vertex-by-vertex definition
+      on random families, and rejects the rest with a ParameterError.
     - The three demo DAGs behave exactly as documented: all equivalent
       observationally, the third distinguishable once vertex 4 is a target.
     - enumerate_class agrees with a brute-force filter over all acyclic
@@ -34,7 +35,6 @@ from interdag import (
     InterventionTarget,
     ParameterError,
     TargetFamily,
-    conservative,
     enumerate_class,
     essential_graph,
     format_essential_graph,
@@ -99,30 +99,44 @@ def test_v_structure_canonical_order():
 
 
 def test_conservative_cases():
-    assert conservative(TargetFamily.of(()), 3)
-    assert not conservative(TargetFamily.of((1, 2, 3)), 3)
-    assert conservative(TargetFamily.of((1,), (2,)), 2)
-    assert not conservative(TargetFamily.of((1,), (1, 2)), 2)
+    TargetFamily.of(())
+    TargetFamily.of((1,), (2,))
+    with pytest.raises(ParameterError, match=r"vertices \[1, 2, 3\] lie in every target"):
+        TargetFamily.of((1, 2, 3))
+    with pytest.raises(ParameterError, match=r"vertices \[1\] lie in every target"):
+        TargetFamily.of((1,), (1, 2))
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), p=st.integers(1, 6), with_empty=st.booleans())
 def test_conservative_matches_the_vertexwise_definition(data, p, with_empty):
+    # a family builds exactly when every vertex lies outside some target
     targets = data.draw(
         st.lists(st.lists(st.integers(1, p), max_size=p, unique=True), min_size=1, max_size=6)
     )
-    family = TargetFamily.of(*targets, *([()] if with_empty else []))
-    assert conservative(family, p) == all(any(j not in t for t in family) for j in range(1, p + 1))
-    with pytest.raises(ParameterError):
-        conservative(TargetFamily.of(*targets, (p + 1,)), p)
+    targets += [[]] if with_empty else []
+    if all(any(j not in t for t in targets) for j in range(1, p + 1)):
+        family = TargetFamily.of(*targets)
+        assert sorted(t.members for t in family) == sorted({tuple(sorted(t)) for t in targets})
+    else:
+        with pytest.raises(ParameterError, match="not conservative"):
+            TargetFamily.of(*targets)
+    # (p + 1,) shares no vertex with the other targets, so the family
+    # builds, but its consumers find it out of range for p vertices
+    with pytest.raises(ParameterError, match="out of range"):
+        TargetFamily.of(*targets, (p + 1,)).validate_for(p)
 
 
 def test_non_conservative_family_rejected():
+    # no family that a consumer could be given is non-conservative; the
+    # consumers check only the range
+    with pytest.raises(ParameterError, match="not conservative"):
+        TargetFamily.of((1, 2))
     d = Dag.from_edges(2, [(1, 2)])
-    with pytest.raises(ParameterError):
-        markov_equivalent_interventional(d, d, TargetFamily.of((1, 2)))
-    with pytest.raises(ParameterError):
-        enumerate_class(d, TargetFamily.of((1, 2)))
+    with pytest.raises(ParameterError, match="out of range"):
+        markov_equivalent_interventional(d, d, TargetFamily.of((), (3,)))
+    with pytest.raises(ParameterError, match="out of range"):
+        enumerate_class(d, TargetFamily.of((), (3,)))
 
 
 # -- pairwise equivalence -----------------------------------------------------------
@@ -299,7 +313,6 @@ def test_essential_graph_matches_reference_on_every_small_dag(p):
         for f in SMALL_FAMILIES
         if all(v <= p for t in f for v in t)
     ]
-    assert all(conservative(f, p) for f in families)
     for dag in all_dags(p):
         for family in families:
             members = reference_enumerate_class(dag, family)

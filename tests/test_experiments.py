@@ -3,8 +3,12 @@
 Core claims:
     - fit_structure returns what the searcher it dispatches to returns on
       the same per-vertex statistics, with the greedy trace or None.
-    - A supplied target family that is not conservative is a ParameterError
-      for both methods, from run_fit and from estimate_essential_graph.
+    - A target family that is not conservative is a ParameterError when
+      built, so run_fit and estimate_essential_graph never get one; the
+      family run_fit observes in data with a vertex intervened in every row
+      is a DataError naming that vertex, for both methods.
+    - ExperimentConfig checks itself when built, its search settings
+      included.
     - Seeded greedy and DP grids write rows.csv and medians.csv to the
       byte, pinned by sha256, and the same bytes with one worker or two.
     - A grid never asks for more pool workers than it has replicates, and
@@ -26,6 +30,7 @@ import interdag.model
 import interdag.search
 from interdag import (
     Dag,
+    DataError,
     ExperimentConfig,
     GaussianCausalModel,
     InterventionSpec,
@@ -57,7 +62,7 @@ def test_fit_structure_dispatches_to_the_searchers():
 
 
 def _targeted_at_vertex_one():
-    """Rows that all target vertex 1, with the one family they observe."""
+    """Rows that all target vertex 1."""
     dag = Dag.from_edges(2, [(1, 2)])
     w = np.zeros((2, 2))
     w[1, 0] = 1.0
@@ -68,16 +73,35 @@ def _targeted_at_vertex_one():
         InterventionSpec.constant([t1], 3.0, 0.04),
         seed=8,
     )
-    return data, TargetFamily.of((1,))
+    return data
 
 
 @pytest.mark.parametrize("method", ["greedy", "dp"])
 def test_non_conservative_family_is_a_parameter_error(method):
-    data, family = _targeted_at_vertex_one()
-    with pytest.raises(ParameterError, match="conservative"):
-        run_fit(data, family, method=method)
-    with pytest.raises(ParameterError, match="conservative"):
-        estimate_essential_graph(data, family, method=method)
+    data = _targeted_at_vertex_one()
+    # the family the rows observe cannot be built, so it fails before the fit
+    with pytest.raises(ParameterError, match=r"not conservative: vertices \[1\]"):
+        run_fit(data, TargetFamily.of((1,)), method=method)
+    with pytest.raises(ParameterError, match=r"not conservative: vertices \[1\]"):
+        estimate_essential_graph(data, TargetFamily.of((1,)), method=method)
+    # the default family, observed in the data, is a data error
+    with pytest.raises(DataError, match=r"vertices \[1\] lie in every target, so they are intervened"):
+        run_fit(data, method=method)
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"max_parents": -1}, "max_parents must be non-negative"),
+        ({"mu_grid": (5.0, float("nan"))}, "mu must be finite, got nan"),
+        ({"k": 0, "mu_grid": (float("inf"),)}, "mu must be finite, got inf"),
+        ({"tau": 1e160}, "tau must have a finite square"),
+        ({"workers": 0}, "workers must be positive"),
+    ],
+)
+def test_experiment_config_checks_itself_when_built(settings, message):
+    with pytest.raises(ParameterError, match=message):
+        ExperimentConfig(seed=1, p=6, **settings)
 
 
 # sha256 of the output files, recorded before the fit pipeline was shared

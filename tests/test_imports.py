@@ -47,7 +47,7 @@ PUBLIC = [
     "EssentialGraph", "ExperimentConfig", "FittedModel", "GaussianCausalModel", "InterdagError",
     "InterventionSpec", "InterventionTarget", "LocalScoreCache", "LocalStats", "NaturalParams",
     "ParameterError", "ResultRow", "SearchConfig", "SearchTrace", "Skeleton", "SufficientStats",
-    "TargetFamily", "TraceStep", "VStructure", "adjacency", "bic_score", "conservative",
+    "TargetFamily", "TraceStep", "VStructure", "adjacency", "bic_score",
     "decomposed_log_likelihood", "derive_seed", "directed_confusion", "enumerate_class",
     "essential_graph", "estimate_essential_graph", "exhaustive_dp", "fit_structure",
     "format_essential_graph", "format_model", "format_trace", "greedy_search", "intervention_dag",

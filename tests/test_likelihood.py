@@ -8,7 +8,9 @@ Core claims:
       vertices that appear in every observed target; it raises
       CapacityError before allocating mixtures larger than physical memory.
     - mle_given_dag matches both Monte Carlo truth and a gradient-free
-      numeric maximizer computed from raw rows.
+      numeric maximizer computed from raw rows.  It rejects a vertex count
+      other than the statistics', and, naming the vertex, too few rows, a
+      singular parent block and a residual variance of zero.
     - log_likelihood equals a row-by-row multivariate normal density sum and
       equals the per-vertex decomposition path.
     - natural-parameter identities (precision inverse, transformed mean,
@@ -174,8 +176,8 @@ def test_local_stats_unidentified_vertex():
 def test_local_stats_family_must_cover_observed():
     _, data = _obs(10, 2, seed=3)
     st = sufficient_stats(data)
-    with pytest.raises(ParameterError):
-        local_stats(st, TargetFamily.of((1,)))  # observed empty target missing
+    with pytest.raises(ParameterError, match=r"observed target \(\) is missing"):
+        local_stats(st, TargetFamily.of((1,), (2,)))
     loc = local_stats(st, TargetFamily.of((), (1,)))
     assert loc.count_excluding(2) == 10
 
@@ -217,6 +219,34 @@ def test_mle_degenerate_count_error():
     ds = Dataset(2, (InterventionTarget.empty(),), [[0.3, 0.7]])
     loc = local_stats(sufficient_stats(ds))
     with pytest.raises(DegenerateFitError, match="vertex 2"):
+        mle_given_dag(Dag.from_edges(2, [(1, 2)]), loc)
+
+
+def test_mle_vertex_count_must_match_the_statistics():
+    _, data = _obs(25, 3, seed=4)
+    loc = local_stats(sufficient_stats(data))
+    with pytest.raises(ParameterError, match="disagree on the vertex count"):
+        mle_given_dag(Dag.empty(4), loc)
+
+
+def test_mle_singular_parent_block_error():
+    # vertex 3's two parents have identical columns
+    _, data = _obs(50, 3, seed=4)
+    values = np.array(data.values)
+    values[:, 1] = values[:, 0]
+    loc = local_stats(sufficient_stats(Dataset(3, data.targets, values)))
+    with pytest.raises(DegenerateFitError, match="vertex 3: singular parent moment block"):
+        mle_given_dag(Dag.from_edges(3, [(1, 3), (2, 3)]), loc)
+
+
+def test_mle_degenerate_residual_variance_error():
+    # vertex 2's column equals its parent's: every moment is exactly 1, so
+    # the coefficient is 1 and the residual variance exactly 0
+    column = np.where(np.random.default_rng(3).random(40) < 0.5, -1.0, 1.0)
+    data = Dataset(2, (InterventionTarget.empty(),) * 40, np.column_stack([column, column]))
+    loc = local_stats(sufficient_stats(data))
+    assert loc.mixture(2).tolist() == [[1.0, 1.0], [1.0, 1.0]]
+    with pytest.raises(DegenerateFitError, match="vertex 2: degenerate residual variance 0.0"):
         mle_given_dag(Dag.from_edges(2, [(1, 2)]), loc)
 
 

@@ -116,6 +116,9 @@ def test_family_sorted_and_nonempty():
     assert InterventionTarget.empty() in fam
     with pytest.raises(ParameterError):
         TargetFamily(frozenset())
+    # vertex 3 lies in every target: not conservative
+    with pytest.raises(ParameterError, match=r"not conservative: vertices \[3\] lie in every target"):
+        TargetFamily.of((3,), (1, 3))
 
 
 def test_spec_validation():
@@ -158,6 +161,14 @@ def test_dataset_validation():
     assert ds.n == 2
     fam = ds.observed_targets()
     assert InterventionTarget.of(1) in fam and t in fam
+
+
+def test_observed_targets_need_rows_and_a_conservative_family():
+    with pytest.raises(DataError, match="has no rows"):
+        Dataset(2, (), np.empty((0, 2))).observed_targets()
+    both = Dataset(2, (InterventionTarget.of(1), InterventionTarget.of(1, 2)), [[0.0, 1.0], [2.0, 3.0]])
+    with pytest.raises(DataError, match=r"vertices \[1\] lie in every target, so they are intervened"):
+        both.observed_targets()
 
 
 # -- random graph and model sampling -------------------------------------------

@@ -182,10 +182,10 @@ def test_greedy_deterministic():
 
 
 def test_greedy_rejects_non_conservative_family():
-    # the fit pipeline holds the one conservative check: greedy_search takes
-    # no family
+    # TargetFamily holds the one conservative check, so a non-conservative
+    # family never reaches the fit pipeline: greedy_search takes no family
     data = _noise_dataset(2, 50, 5)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"not conservative: vertices \[1, 2\]"):
         fit_structure(data, TargetFamily.of((1, 2)), "greedy")
 
 
