@@ -86,6 +86,8 @@ class ExperimentConfig:
         for mu in self.mu_grid:
             if not math.isfinite(mu):
                 raise ParameterError(f"mu must be finite, got {mu!r}")
+            if not math.isfinite(mu * mu):
+                raise ParameterError(f"mu must have a finite square, got {mu!r}")
         if not 0 <= self.k <= self.p:
             raise ParameterError("k must lie between 0 and p")
         if self.k and self.replicates_per_target < 1:

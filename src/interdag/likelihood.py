@@ -141,7 +141,9 @@ class SufficientStats:
 class _Moments(Mapping):
     """Each target of a dataset mapped to (X.T @ X) / n_t, or to
     X.sum(axis=0) / n_t, over its rows X (a view of the values when they
-    are one run), computed on each read."""
+    are one run), computed on each read.  Values near 1e154 or beyond
+    overflow their squares: such a moment is not finite, and it is read
+    without a floating-point warning, for its reader to reject."""
 
     def __init__(self, dataset: Dataset, second: bool):
         self._dataset = dataset
@@ -150,7 +152,8 @@ class _Moments(Mapping):
     def __getitem__(self, target: InterventionTarget) -> np.ndarray:
         rows = self._dataset.row_groups[target]
         X = self._dataset.values[_rows_index(rows)]
-        moment = (X.T @ X) / len(rows) if self._second else X.sum(axis=0) / len(rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            moment = (X.T @ X) / len(rows) if self._second else X.sum(axis=0) / len(rows)
         moment.setflags(write=False)
         return moment
 
@@ -159,6 +162,16 @@ class _Moments(Mapping):
 
     def __len__(self) -> int:
         return len(self._dataset.row_groups)
+
+
+def _finite_moments(stats: SufficientStats, target: InterventionTarget) -> tuple[np.ndarray, np.ndarray]:
+    """A target's second and first moments; DataError, naming the target,
+    when they are not finite."""
+    S, m = stats.second_moments[target], stats.first_moments[target]
+    if not (np.isfinite(S).all() and np.isfinite(m).all()):
+        raise DataError(f"target {list(target.members)} has moments that are not finite: "
+                        "the data's second moments overflow")
+    return S, m
 
 
 def sufficient_stats(dataset: Dataset) -> SufficientStats:
@@ -599,7 +612,8 @@ def log_likelihood(
     """Exact joint log-density of all rows under the model, via precision form.
 
     Equals the sum over rows of the multivariate normal log-density of the
-    row's interventional distribution.
+    row's interventional distribution.  Raises DataError, naming the target,
+    when a target's moments are not finite.
     """
     if stats.p != model.p:
         raise ParameterError("model and statistics disagree on the vertex count")
@@ -608,8 +622,7 @@ def log_likelihood(
     for t in stats.targets():
         par = natural_params(model, t, spec)
         n_t = stats.counts[t]
-        S = stats.second_moments[t]
-        m = stats.first_moments[t]
+        S, m = _finite_moments(stats, t)
         total += n_t * (
             -0.5 * p * _LOG_2PI
             - 0.5 * float(np.sum(S * par.precision))
@@ -631,7 +644,8 @@ def decomposed_log_likelihood(
     The model-dependent part is a sum over vertices of
     -n_minus_k/2 * (gamma_k * q_k - log gamma_k) with q_k the quadratic form
     of the vertex's structural row under its exclusion mixture; the rest is
-    an additive constant in the weights and error variances.
+    an additive constant in the weights and error variances.  Raises
+    DataError as log_likelihood does.
     """
     if local.p != model.p or stats.p != model.p:
         raise ParameterError("model and statistics disagree on the vertex count")
@@ -657,8 +671,7 @@ def decomposed_log_likelihood(
             )
         mu_u, tau2 = spec.for_target(t)
         n_t = stats.counts[t]
-        S = stats.second_moments[t]
-        m = stats.first_moments[t]
+        S, m = _finite_moments(stats, t)
         for i, v in enumerate(t.members):
             second = S[v - 1, v - 1]
             first = m[v - 1]

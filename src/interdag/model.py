@@ -600,8 +600,10 @@ def sample_dataset(
     returned Dataset keeps that grouping as its ``row_groups`` and the
     drawn values uncopied; each distinct target is validated once here and
     once by the Dataset, gets its mean and covariance root once, and has
-    its rows drawn with one matrix product, through a slice when they are
-    one run (``_rows_index``).
+    its rows drawn with one matrix product.  A group whose rows are one run
+    (``_rows_index``) is written in place: the product goes straight into
+    its slice of the values and the mean is added there, so no temporary of
+    its rows is made.  Other groups are gathered, drawn and scattered.
 
     ``_roots`` is private: a dict that keeps each target's mean and root
     across calls, for a caller that samples several datasets from one model
@@ -623,7 +625,11 @@ def sample_dataset(
                 roots[t] = _mean_and_root(model, t, spec)
             mu, A = roots[t]
             index = _rows_index(rows)
-            X[index] = Z[index] @ A.T + mu
+            if isinstance(index, slice):
+                np.matmul(Z[index], A.T, out=X[index])
+                X[index] += mu
+            else:
+                X[index] = Z[index] @ A.T + mu
     return Dataset._grouped(p, targets, X, groups)
 
 

@@ -140,12 +140,18 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
     sorted order.  Two kernel calls fill every table before the first step:
     one scores every vertex's empty set, the other all p(p - 1)
     single-parent sets, ordered by (pattern, tail) so that the heads of one
-    exclusion pattern share each tail's factorization.  A table is
-    refreshed the first time its vertex is read after the vertex's parents
-    change, by one ``_scores`` call for the additions, its parents plus each
-    tail as one array of sorted labels, and one for the removals.  There is
-    no score cache.  A deletion of tail -> head reads head's entry for tail;
-    a reversal reads that and tail's entry for head.  Every finder returns
+    exclusion pattern share each tail's factorization; those are kept in
+    one (p, p) array.  A table is refreshed the first time its vertex is
+    read after the vertex's parents change, by one ``_scores`` call for the
+    additions, its parents plus each tail as one array of sorted labels,
+    and one for the removals whose scores greedy does not hold.  After
+    inserting tail -> head it holds two: removing tail gives head's score
+    before the insert, and when head had one parent a, removing a leaves
+    {tail}, which the opening scored.  So a refresh whose removals are all
+    known makes one call.  Reusing a score relies on the kernel giving a
+    set the same bits whatever else is in its stack.  There is no score
+    cache.  A deletion of tail -> head reads head's entry for tail; a
+    reversal reads that and tail's entry for head.  Every finder returns
     (gain, tail, head, new head score, new tail score or None), so applying
     a move scores nothing.
 
@@ -175,12 +181,18 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
     # and its improving insertions as sorted (-gain, tail, score); None
     # whenever its parents have changed since it was last read
     tables: list[tuple[dict[int, float], list[tuple[float, int, float]]] | None] = [None] * p
+    # per vertex whose table is stale: the removal scores it will not fit,
+    # set by the insert that made it stale
+    known: list[dict[int, float]] = [{} for _ in range(p)]
+    # single[head - 1, tail - 1]: head's score with the one parent tail
+    single = np.empty((p, p))
     # the descendant bitsets of the current graph
     desc = [0] * p
 
     def fill(v, tails, added):
         """Set vertex v's table from the scores ``added`` of its parents plus
-        each of ``tails``, scoring the removal of each of its parents."""
+        each of ``tails``, scoring the removal of each of its parents whose
+        score is not known."""
         toggled = dict(zip(tails, added))
         row = []
         for tail, score in toggled.items():
@@ -188,11 +200,13 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
             if gain > IMPROVEMENT_EPS:
                 row.append((-gain, tail, score))
         row.sort()
-        pa = parents[v - 1]
-        if pa:
-            ordered = sorted(pa)
-            removals = [tuple(u for u in ordered if u != drop) for drop in ordered]
-            toggled.update(zip(ordered, _scores(v, removals, local, penalty).tolist()))
+        toggled.update(known[v - 1])
+        known[v - 1] = {}
+        drops = sorted(parents[v - 1].difference(toggled))
+        if drops:
+            ordered = sorted(parents[v - 1])
+            removals = [tuple(u for u in ordered if u != drop) for drop in drops]
+            toggled.update(zip(drops, _scores(v, removals, local, penalty).tolist()))
         tables[v - 1] = (toggled, row)
 
     def table(v):
@@ -210,21 +224,18 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
 
     # every vertex's first table: all p(p - 1) single-parent sets in one
     # call, ordered by (pattern, tail, head) so that the heads of a pattern
-    # share one factorization per tail; each head's scores come out in tail
-    # order.  With no room for a parent no table is read
+    # share one factorization per tail.  With no room for a parent no table
+    # is read
     if max_parents:
         heads, tails = np.nonzero(~np.eye(p, dtype=bool))
         order = np.lexsort((heads, tails, local.pattern_of[heads]))
         heads, tails = heads[order], tails[order]
-        added: list[list[float]] = [[] for _ in range(p)]
-        for head, score in zip(heads.tolist(), _scores(heads + 1, tails[:, None] + 1, local, penalty).tolist()):
-            added[head].append(score)
-        others = np.arange(1, p + 1)
-        for v in range(1, p + 1):
-            fill(v, np.delete(others, v - 1).tolist(), added[v - 1])
-            # only the tables keep those scores, so a refreshed table frees its old ones
-            added[v - 1] = None
+        single[heads, tails] = _scores(heads + 1, tails[:, None] + 1, local, penalty)
         del heads, tails, order
+        for v in range(1, p + 1):
+            added = single[v - 1].tolist()
+            del added[v - 1]
+            fill(v, [*range(1, v), *range(v + 1, p + 1)], added)
 
     def best_insert():
         best = None
@@ -274,6 +285,12 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
                 before = total
                 tables[head - 1] = None
                 if kind == "insert":
+                    # removing tail gives head's score before the insert; when
+                    # head had one parent, removing it leaves {tail}
+                    known[head - 1] = {tail: vertex_score[head - 1]}
+                    if len(parents[head - 1]) == 1:
+                        (only,) = parents[head - 1]
+                        known[head - 1][only] = float(single[head - 1, tail - 1])
                     parents[head - 1].add(tail)
                     children[tail - 1].add(head)
                     # tail and every vertex that reaches it now reach head and

@@ -23,8 +23,9 @@ Core claims:
     - A config file that repeats a key is rejected, naming the line and
       the key; fit rejects a bad search flag before it reads the data.
     - Exit codes: 0 success, 2 parameter/config error (a tau whose square
-      overflows or underflows, a non-finite mu, a config file that is not
-      UTF-8 and an --out that cannot be written included, the last found
+      overflows or underflows, a mu that is not finite or whose square
+      overflows, a config file that is not UTF-8 and an --out that cannot
+      be written included, the last found
       before a fit's search or an experiment's grid runs, and a bad search
       flag of experiment before its --out is made), 3 data error (a CSV
       that is not UTF-8, rows that all target one vertex, which is named,
@@ -630,6 +631,23 @@ def test_non_finite_mu_is_a_parameter_error(tmp_path, capsys, argv, value):
     code = main([*argv, value, "--out", str(tmp_path / "x")])
     assert code == 2
     assert f"error: mu must be finite, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("value", ["1e300", "1e160"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--seed", "1", "--p", "4", "--k", "2", "--n", "50", "--mu"],
+        ["experiment", "--seed", "1", "--replicates", "1", "--p", "4", "--k", "2", "--n-grid", "50", "--mu-grid"],
+    ],
+)
+def test_mu_whose_square_overflows_is_a_parameter_error(tmp_path, capsys, argv, value):
+    # mu is finite, but the squares of the rows drawn around it are not, so
+    # the data would be rejected only when fitted
+    code = main([*argv, value, "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert f"error: mu must have a finite square, got {float(value)!r}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

@@ -12,7 +12,8 @@ Core claims:
       other than the statistics', and, naming the vertex, too few rows, a
       singular parent block and a residual variance of zero.
     - log_likelihood equals a row-by-row multivariate normal density sum and
-      equals the per-vertex decomposition path.
+      equals the per-vertex decomposition path; both raise DataError,
+      with no floating-point warning, on moments that overflow.
     - natural-parameter identities (precision inverse, transformed mean,
       quadratic form, log-determinant) hold to 1e-9.
     - local_score/bic_score expose the penalized per-vertex closed form with
@@ -20,6 +21,7 @@ Core claims:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -325,6 +327,27 @@ def test_log_likelihood_decomposition_paths_agree():
         full = log_likelihood(model, st, spec)
         split = decomposed_log_likelihood(model, loc, st, spec)
         assert abs(full - split) < 1e-8
+
+
+def test_log_likelihoods_on_moments_that_overflow_are_a_data_error():
+    """Five rows target every vertex and hold 1e200: their second moments
+    overflow, yet no exclusion mixture includes them, so local_stats
+    accepts the data.  Both likelihoods raise DataError naming that target,
+    with no floating-point warning: any warning is an error here."""
+    p = 3
+    everything = InterventionTarget.of(1, 2, 3)
+    values = np.vstack([np.random.default_rng(4).normal(size=(40, p)), np.full((5, p), 1e200)])
+    st = sufficient_stats(Dataset(p, (InterventionTarget.empty(),) * 40 + (everything,) * 5, values))
+    loc = local_stats(st)
+    model = GaussianCausalModel(Dag.empty(p), np.zeros((p, p)), np.ones(p))
+    spec = InterventionSpec.constant([everything], 0.0, 1.0)
+    message = r"target \[1, 2, 3\] has moments that are not finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=message):
+            log_likelihood(model, st, spec)
+        with pytest.raises(DataError, match=message):
+            decomposed_log_likelihood(model, loc, st, spec)
 
 
 def test_fitted_loglik_matches_full_likelihood_up_to_nuisance_terms():

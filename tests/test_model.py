@@ -8,10 +8,13 @@ Core claims:
     - intervention_dag deletes exactly the edges into the target.
     - interventional_moments agree with Monte Carlo samples and with the
       full-replacement and small-variance limits.
+    - sample_dataset draws a group whose rows are one run in place, with
+      no temporary of its rows (tracemalloc).
     - Text serialization round-trips bit-exactly.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,6 +343,25 @@ def test_sample_dataset_mixed_rows_keep_order_and_seed():
     assert not np.array_equal(a.values, c.values)
     # intervened column concentrates near its mean in the intervened rows only
     assert np.all(np.abs(a.values[[1, 3], 1] - 5.0) < 2.0)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_sample_dataset_writes_single_run_groups_in_place(k):
+    """n=10000 rows at p=10, in one run per target: the peak holds the
+    standard normal draws Z and the values X, and a slack far below one
+    (rows, p) temporary, so no group's rows are drawn into a temporary."""
+    p, n = 10, 10_000
+    model = sample_normalized_model(sample_random_dag(p, 1.8, 1), 2)
+    singles = [InterventionTarget.of(v) for v in (3, 5)[:k]]
+    sequence = [InterventionTarget.empty()] * (n - 100 * k) + [t for t in singles for _ in range(100)]
+    spec = InterventionSpec.constant(singles, 10.0, 0.04)
+    tracemalloc.start()
+    try:
+        data = sample_dataset(model, sequence, spec, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * data.values.nbytes + data.values.nbytes // 2
 
 
 def test_sample_dataset_requires_spec_for_interventions():

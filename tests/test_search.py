@@ -35,13 +35,16 @@ Core claims:
       parents; two kernel calls open every vertex's table, a table is
       rescored only when its vertex's parents changed, and greedy makes no
       score-cache lookup and no ``local_score`` call: the kernel calls and
-      fits of one seeded run are pinned.
+      fits of one seeded run are pinned.  Every score of a table, the
+      removals a refresh reuses instead of fitting included, has the bits
+      of its set fitted alone.
     - Both searchers reject vertices that every observed target contains,
       and vertices with no positive finite second moment, with one message
       each.
 """
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -80,6 +83,7 @@ from interdag import (
     sufficient_stats,
 )
 from interdag.cli import ingest_csv, main
+from interdag.likelihood import _checked_penalty, _scores
 
 from helpers import all_dags, random_instance, reference_exhaustive_dp, reference_greedy_search
 
@@ -260,6 +264,76 @@ def test_greedy_after_deletes_and_reversals_matches_full_rescan_oracle():
     assert format_trace(trace) == format_trace(ref_trace)
 
 
+def _refreshed_tables(local, config):
+    """Run greedy, returning each table it filled, the opening's included,
+    as (vertex, its parent set, the removals it already knew, its scores by
+    toggled vertex).  The tables live inside ``greedy_search``, so a
+    profile hook reads them as its nested ``fill`` is called and returns."""
+    fill_code = next(c for c in greedy_search.__code__.co_consts if getattr(c, "co_name", None) == "fill")
+    refreshed, reused = [], {}
+
+    def hook(frame, event, arg):
+        if frame.f_code is not fill_code:
+            return
+        names = frame.f_locals
+        v = names["v"]
+        if event == "call":
+            reused[v] = dict(names["known"][v - 1])
+        elif event == "return":
+            toggled = names["tables"][v - 1][0]
+            refreshed.append((v, frozenset(names["parents"][v - 1]), reused.pop(v), dict(toggled)))
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        greedy_search(local, config)
+    finally:
+        sys.setprofile(previous)
+    return refreshed
+
+
+def _assert_fitted_alone(local, config, refreshed):
+    """Every score of every refreshed table has the bits of its set fitted
+    alone, in a kernel call of that one set."""
+    penalty = _checked_penalty(local.n, config.penalty_weight)
+    for v, parents, _, toggled in refreshed:
+        for u, score in toggled.items():
+            alone = _scores(v, [tuple(sorted(parents ^ {u}))], local, penalty)
+            assert np.float64(score).tobytes() == alone.tobytes(), (v, sorted(parents), u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 10),
+    n=st.integers(40, 3000),
+    max_parents=st.sampled_from([None, 1, 2, 3]),
+)
+def test_greedy_table_scores_match_sets_fitted_alone(seed, p, n, max_parents):
+    """The scores greedy fits in stacks, and the removals it reuses instead
+    of fitting, are those of each set fitted alone, bit for bit."""
+    model, family, spec, data = random_instance(seed, p=p, n=n)
+    local = _local(data, family)
+    config = SearchConfig(max_parents=max_parents)
+    _assert_fitted_alone(local, config, _refreshed_tables(local, config))
+
+
+def test_greedy_table_scores_match_sets_fitted_alone_on_known_removals():
+    """Denser runs, whose refreshes after an insert reuse the removal of
+    the tail just inserted, alone and together with the removal of head's
+    one earlier parent, whose set {tail} the opening scored; with those,
+    every score of every refreshed table is that of its set fitted alone."""
+    config = SearchConfig()
+    known = set()
+    for seed in (7, 12):
+        model, family, spec, data = random_instance(seed, p=30, n=300, expected_degree=2.5)
+        local = _local(data, family)
+        refreshed = _refreshed_tables(local, config)
+        _assert_fitted_alone(local, config, refreshed)
+        known |= {(len(parents), len(reused)) for _, parents, reused, _ in refreshed if reused}
+    assert {(1, 1), (2, 2)} <= known
+
+
 def _edge_moves_by_head_degree(trace, p, cap):
     """The kinds of the deletions and reversals in ``trace``, each paired
     with whether its head had ``cap`` parents just before the move."""
@@ -310,10 +384,15 @@ def test_greedy_work_counters_pinned(monkeypatch):
     reversal then applies.  The search opens with two calls, one for every
     vertex's empty set and one for all p(p - 1) single-parent sets; each
     later refresh is at most two, one for the additions and one for the
-    removals.  Every score greedy reads comes from those calls: it makes
-    no score-cache lookup and no ``local_score`` call.  The counts wrap
-    ``_scores`` both where ``likelihood`` calls it and where ``search``
-    does.
+    removals it does not know.  After an insert of tail -> head, removing
+    tail gives head's score before the insert, and when head had one
+    parent, removing that parent leaves {tail}, which the opening scored.
+    Those known removals take away 38 calls, each a refresh's removal call,
+    and 62 fitted sets, against 107 calls and 3,667 sets when every
+    removal was fitted.  Every score greedy reads comes from those calls
+    and the scores it holds: it makes no score-cache lookup and no
+    ``local_score`` call.  The counts wrap ``_scores`` both where
+    ``likelihood`` calls it and where ``search`` does.
     """
     calls = fitted = lookups = lone = 0
     scores, lookup, score = interdag.likelihood._scores, LocalScoreCache.score, interdag.likelihood.local_score
@@ -342,7 +421,7 @@ def test_greedy_work_counters_pinned(monkeypatch):
     monkeypatch.setattr(interdag.likelihood, "local_score", counting_local_score)
     greedy_search(local)
     assert (lookups, lone) == (0, 0)
-    assert (calls, fitted) == (107, 3667)
+    assert (calls, fitted) == (69, 3605)
 
 
 @pytest.mark.parametrize("k", [0, 3])
