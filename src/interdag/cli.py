@@ -20,7 +20,7 @@ import numpy as np
 
 from .equivalence import essential_graph, format_essential_graph
 from .errors import CapacityError, DataError, ParameterError
-from .experiments import METHODS, ExperimentConfig, _cell_summaries, _draw_cell, _draw_model
+from .experiments import ExperimentConfig, _cell_summaries, _draw_cell, _draw_model
 from .experiments import _created, _writing, run_consistency_experiment, run_fit
 from .model import (
     _FLOAT_FMT,
@@ -257,8 +257,8 @@ def _cmd_fit(args) -> int:
     # a bad search flag is rejected before the data is read
     config = SearchConfig(**{f.name: getattr(args, f.name) for f in fields(SearchConfig)})
     dataset = ingest_csv(args.data)
-    fitted, graph, _ = run_fit(dataset, method=args.method, config=config, out_dir=args.out)
-    print(f"n={dataset.n} p={dataset.p} method={args.method}")
+    fitted, graph, _ = run_fit(dataset, config=config, out_dir=args.out)
+    print(f"n={dataset.n} p={dataset.p} method={config.method}")
     print(f"edges={fitted.dag.num_edges} bic={fitted.bic:.6f} loglik={fitted.log_likelihood:.6f}")
     sys.stdout.write(format_essential_graph(graph))
     return 0
@@ -308,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="fit a structure to a dataset CSV")
     fit.add_argument("--data", required=True, help="dataset CSV path")
-    fit.add_argument("--method", default="greedy", choices=METHODS)
     fit.add_argument("--out", default=None, help="directory for fit artifacts")
     _add_settings(fit, SearchConfig, defaults=True)
     fit.set_defaults(func=_cmd_fit)

@@ -57,9 +57,6 @@ class Skeleton:
             if not (1 <= a < b <= self.p):
                 raise ParameterError(f"skeleton pair ({a}, {b}) is not canonical for p={self.p}")
 
-    def degree(self, v: int) -> int:
-        return sum(1 for a, b in self.edges if v in (a, b))
-
 
 @dataclass(frozen=True, order=True)
 class VStructure:
@@ -270,10 +267,6 @@ class EssentialGraph:
             dir_pairs.add(_pair(t, h))
         if dir_pairs & und_pairs:
             raise ParameterError("an edge cannot be both directed and undirected")
-
-    @property
-    def skeleton_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(_pair(t, h) for t, h in self.directed) | self.undirected
 
     @property
     def num_edges(self) -> int:

@@ -35,19 +35,13 @@ from .model import (
     sample_normalized_model,
     sample_random_dag,
 )
-from .search import SearchConfig, SearchTrace, exhaustive_dp, format_trace, greedy_search
+from .search import METHODS, SearchConfig, SearchTrace, _check_dp_vertices, exhaustive_dp
+from .search import format_trace, greedy_search
 
 __all__ = ["ExperimentConfig", "ResultRow", "fit_structure", "estimate_essential_graph", "run_fit",
            "run_consistency_experiment"]
 
 _FMT = _FLOAT_FMT.format
-
-METHODS = ("greedy", "dp")  # greedy hill climbing or the exact DP
-
-
-def _check_method(method: str) -> None:
-    if method not in METHODS:
-        raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
 
 
 @dataclass(frozen=True)
@@ -58,7 +52,8 @@ class ExperimentConfig:
     without replacement, ``replicates_per_target`` rows per target, and the
     remaining rows observational.  ``seed`` is mandatory.  Construction
     checks every setting, those of the search included, and raises
-    ParameterError on the first bad one.
+    ParameterError on the first bad one; then CapacityError when the exact
+    search is asked for more vertices than it supports.
     """
 
     seed: int
@@ -86,22 +81,17 @@ class ExperimentConfig:
         for mu in self.mu_grid:
             if not math.isfinite(mu):
                 raise ParameterError(f"mu must be finite, got {mu!r}")
-            if not math.isfinite(mu * mu):
-                raise ParameterError(f"mu must have a finite square, got {mu!r}")
         if not 0 <= self.k <= self.p:
             raise ParameterError("k must lie between 0 and p")
         if self.k and self.replicates_per_target < 1:
             raise ParameterError("replicates_per_target must be positive when k > 0")
         if self.tau <= 0:
             raise ParameterError("tau must be positive")
-        if not math.isfinite(self.tau * self.tau):
-            raise ParameterError(f"tau must have a finite square, got {self.tau!r}")
         if self.tau * self.tau == 0:
             raise ParameterError(f"tau must have a positive square, got {self.tau!r}")
         if self.replicates < 1:
             raise ParameterError("replicates must be positive")
-        _check_method(self.method)
-        self.search_config  # checks max_parents
+        self.search_config  # checks method and max_parents
         if self.workers < 1:
             raise ParameterError("workers must be positive")
         n_int = self.n_interventional
@@ -116,11 +106,24 @@ class ExperimentConfig:
                 raise ParameterError(
                     "a grid point without observational rows needs at least two targets"
                 )
+        # every error variance of sample_normalized_model is at least 0.01, so
+        # every total effect is at most 10 in magnitude, and a cell's values lie
+        # within 10 * (|mu| + 10 * tau) of zero at up to ten standard deviations
+        # of tau (the unit-variance noise is negligible at scales that could
+        # overflow): the second moments of max(n_grid) such rows must be finite
+        top = max(self.n_grid)
+        for name, value, mu in [("tau", self.tau, 0.0), *(("mu", mu, mu) for mu in self.mu_grid)]:
+            scale = 10 * (abs(mu) + 10 * self.tau)
+            if not math.isfinite(top * scale * scale):
+                raise ParameterError(f"{name} must have a finite square, got {value!r}: the second moments "
+                                     f"of {top} rows of values up to 10 * (|mu| + 10 * tau) overflow")
+        if self.method == "dp":
+            _check_dp_vertices(self.p)
 
     @property
     def search_config(self) -> SearchConfig:
         """The search settings of every fit in the grid."""
-        return SearchConfig(max_parents=self.max_parents)
+        return SearchConfig(max_parents=self.max_parents, method=self.method)
 
     @property
     def n_interventional(self) -> int:
@@ -156,17 +159,15 @@ class ResultRow:
 def fit_structure(
     dataset: Dataset,
     family: TargetFamily,
-    method: str = "greedy",
-    config: SearchConfig | None = None,
+    config: SearchConfig = SearchConfig(),
 ) -> tuple[LocalStats, Dag, SearchTrace | None]:
-    """Search a DAG for the data under a target family.
+    """Search a DAG for the data under a target family, by ``config.method``.
 
     Returns the per-vertex statistics the search scored, the DAG it found,
     and the greedy search's trace (None for the exact search).
     """
-    _check_method(method)
     local = local_stats(sufficient_stats(dataset), family)
-    if method == "greedy":
+    if config.method == "greedy":
         dag, trace = greedy_search(local, config)
         return local, dag, trace
     return local, exhaustive_dp(local, config), None
@@ -175,11 +176,10 @@ def fit_structure(
 def estimate_essential_graph(
     dataset: Dataset,
     family: TargetFamily,
-    config: SearchConfig | None = None,
-    method: str = "greedy",
+    config: SearchConfig = SearchConfig(),
 ) -> EssentialGraph:
     """Fit a structure to the data and report its equivalence class."""
-    return essential_graph(fit_structure(dataset, family, method, config)[1], family)
+    return essential_graph(fit_structure(dataset, family, config)[1], family)
 
 
 @contextmanager
@@ -204,8 +204,7 @@ def _created(out_dir: str | Path) -> Path:
 def run_fit(
     dataset: Dataset,
     family: TargetFamily | None = None,
-    method: str = "greedy",
-    config: SearchConfig | None = None,
+    config: SearchConfig = SearchConfig(),
     out_dir: str | Path | None = None,
 ) -> tuple[FittedModel, EssentialGraph, SearchTrace | None]:
     """Fit a structure, refit its parameters, and report its class.
@@ -220,7 +219,7 @@ def run_fit(
     if family is None:
         family = dataset.observed_targets()
     out = None if out_dir is None else _created(out_dir)
-    local, dag, trace = fit_structure(dataset, family, method, config)
+    local, dag, trace = fit_structure(dataset, family, config)
     fitted = mle_given_dag(dag, local)
     graph = essential_graph(dag, family)
     if out is not None:
@@ -232,7 +231,7 @@ def run_fit(
             summary = {
                 "p": dataset.p,
                 "n": dataset.n,
-                "method": method,
+                "method": config.method,
                 "bic": fitted.bic,
                 "log_likelihood": fitted.log_likelihood,
                 "edges": fitted.dag.num_edges,
@@ -300,7 +299,7 @@ def _run_replicate(args: tuple) -> list[ResultRow]:
             family = data.observed_targets()
 
             t0 = time.perf_counter()
-            _, fitted_dag, _ = fit_structure(data, family, config.method, search_config)
+            _, fitted_dag, _ = fit_structure(data, family, search_config)
             runtime = time.perf_counter() - t0
 
             if family not in truth_graphs:

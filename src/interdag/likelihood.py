@@ -696,8 +696,10 @@ def _checked_parents(k: int, parent_set: Iterable[int], p: int) -> tuple[int, ..
 
 
 def _checked_penalty(n: int, penalty: float | None) -> float:
+    """The penalty per parent: ``penalty``, which must be finite and
+    non-negative, or by default half log n, the BIC's."""
     if penalty is None:
-        penalty = 0.5 * math.log(n)
+        return 0.5 * math.log(n)
     if penalty < 0 or not math.isfinite(penalty):
         raise ParameterError(f"penalty must be finite and non-negative, got {penalty!r}")
     return penalty
@@ -772,7 +774,6 @@ def local_score(
     k: int,
     parent_set: Iterable[int],
     local: LocalStats,
-    n: int | None = None,
     penalty: float | None = None,
 ) -> float:
     """Penalized maximized per-vertex term; -inf when the fit is infeasible.
@@ -783,20 +784,19 @@ def local_score(
     or conditioned worse than 1e12.
     """
     pa = _checked_parents(k, parent_set, local.p)
-    penalty = _checked_penalty(local.n if n is None else n, penalty)
+    penalty = _checked_penalty(local.n, penalty)
     return float(_scores(k, [pa], local, penalty)[0])
 
 
 def bic_score(
     dag: Dag,
     local: LocalStats,
-    n: int | None = None,
     penalty: float | None = None,
 ) -> float:
     """Sum of per-vertex penalized scores; larger is better."""
     if dag.p != local.p:
         raise ParameterError("DAG and statistics disagree on the vertex count")
-    return sum(local_score(k, dag.parents(k), local, n, penalty) for k in range(1, dag.p + 1))
+    return sum(local_score(k, dag.parents(k), local, penalty) for k in range(1, dag.p + 1))
 
 
 class LocalScoreCache:
@@ -808,7 +808,7 @@ class LocalScoreCache:
 
     def __init__(self, local: LocalStats, penalty: float | None = None):
         self._local = local
-        self._penalty = 0.5 * math.log(local.n) if penalty is None else penalty
+        self._penalty = _checked_penalty(local.n, penalty)
         self._table: dict[tuple[int, tuple[int, ...]], float] = {}
 
     def score(self, k: int, parent_set: Iterable[int]) -> float:

@@ -9,7 +9,7 @@ best-parent-set / best-sink recursion over vertex subsets.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -38,34 +38,45 @@ IMPROVEMENT_EPS = 1e-9
 
 DP_VERTEX_LIMIT = 20
 
+METHODS = ("greedy", "dp")  # greedy hill climbing or the exact DP
+
+
+def _check_dp_vertices(p: int) -> None:
+    if p > DP_VERTEX_LIMIT:
+        raise CapacityError(f"exact search supports at most {DP_VERTEX_LIMIT} vertices, got {p}")
+
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs shared by both searchers.
+    """One search: the penalized score it maximizes and the searcher.
 
     ``max_parents`` defaults to min(p - 1, 8) at run time; ``penalty_weight``
-    defaults to half log n.  Every tie is broken lexicographically, so
-    searches are deterministic.
+    defaults to half log n, the BIC's.  ``max_steps`` bounds greedy search
+    only.  Every tie is broken lexicographically, so searches are
+    deterministic.
     """
 
     max_parents: int | None = None
     max_steps: int = 100_000
     penalty_weight: float | None = None
+    method: str = field(default="greedy", metadata={"choices": METHODS})
 
     def __post_init__(self):
         if self.max_parents is not None and self.max_parents < 0:
             raise ParameterError("max_parents must be non-negative")
         if self.max_steps < 0:
             raise ParameterError("max_steps must be non-negative")
-        if self.penalty_weight is not None and (
-            self.penalty_weight < 0 or not math.isfinite(self.penalty_weight)
-        ):
-            raise ParameterError("penalty_weight must be finite and non-negative")
+        self.resolved_penalty(1)  # checks penalty_weight; n sets only the default
+        if self.method not in METHODS:
+            raise ParameterError(f"method must be one of {METHODS}, got {self.method!r}")
 
     def resolved_max_parents(self, p: int) -> int:
         if self.max_parents is None:
             return min(p - 1, 8)
         return min(self.max_parents, p - 1)
+
+    def resolved_penalty(self, n: int) -> float:
+        return _checked_penalty(n, self.penalty_weight)
 
 
 class TraceStep(NamedTuple):
@@ -120,7 +131,7 @@ def _descendant_bits(parents: list[set[int]], children: list[set[int]]) -> list[
     return desc
 
 
-def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tuple[Dag, SearchTrace]:
+def greedy_search(local: LocalStats, config: SearchConfig = SearchConfig()) -> tuple[Dag, SearchTrace]:
     """Hill-climb from the empty DAG with phase-restricted moves.
 
     Within each phase the single best improving move of that kind is applied
@@ -164,11 +175,9 @@ def greedy_search(local: LocalStats, config: SearchConfig | None = None) -> tupl
     whose tail head does not reach, and tail -> head may be reversed only
     when no other child of tail reaches head.
     """
-    if config is None:
-        config = SearchConfig()
     p = local.p
     check_scorable(local)
-    penalty = _checked_penalty(local.n, config.penalty_weight)
+    penalty = config.resolved_penalty(local.n)
     max_parents = config.resolved_max_parents(p)
 
     parents: list[set[int]] = [set() for _ in range(p)]
@@ -389,7 +398,7 @@ def _dp_scores(local: LocalStats, max_parents: int, penalty: float) -> np.ndarra
     return scores
 
 
-def exhaustive_dp(local: LocalStats, config: SearchConfig | None = None) -> Dag:
+def exhaustive_dp(local: LocalStats, config: SearchConfig = SearchConfig()) -> Dag:
     """Globally maximize the penalized score by subset dynamic programming.
 
     Exact over all DAGs whose in-degrees respect max_parents (Silander &
@@ -423,13 +432,10 @@ def exhaustive_dp(local: LocalStats, config: SearchConfig | None = None) -> Dag:
     ahead of the gather of the blocks, the score expression and the
     residual forms.
     """
-    if config is None:
-        config = SearchConfig()
     p = local.p
-    if p > DP_VERTEX_LIMIT:
-        raise CapacityError(f"exact search supports at most {DP_VERTEX_LIMIT} vertices, got {p}")
+    _check_dp_vertices(p)
     check_scorable(local)
-    penalty = _checked_penalty(local.n, config.penalty_weight)
+    penalty = config.resolved_penalty(local.n)
     max_parents = config.resolved_max_parents(p)
 
     # local positions of every candidate parent set, by size and then

@@ -23,15 +23,17 @@ Core claims:
     - A config file that repeats a key is rejected, naming the line and
       the key; fit rejects a bad search flag before it reads the data.
     - Exit codes: 0 success, 2 parameter/config error (a tau whose square
-      overflows or underflows, a mu that is not finite or whose square
-      overflows, a config file that is not UTF-8 and an --out that cannot
-      be written included, the last found
+      underflows, a mu that is not finite, a mu or tau whose rows would
+      have second moments that overflow, found before simulate or
+      experiment makes its --out, a config file that is not UTF-8 and an
+      --out that cannot be written included, the last found
       before a fit's search or an experiment's grid runs, and a bad search
       flag of experiment before its --out is made), 3 data error (a CSV
       that is not UTF-8, rows that all target one vertex, which is named,
       and values whose second moments overflow, with no floating-point
       warning, included), 4 capacity guard (the exact search beyond 20
-      vertices, or exclusion mixtures beyond physical memory).  A fit that fails after
+      vertices, which experiment refuses before its --out is made, or
+      exclusion mixtures beyond physical memory).  A fit that fails after
       its --out is created leaves that directory empty.
     - fit/simulate/experiment write the documented artifact files, and
       experiment output is bit-identical across runs with the same seed.
@@ -56,9 +58,11 @@ from interdag import (
     Dag,
     DataError,
     Dataset,
+    ExperimentConfig,
     GaussianCausalModel,
     InterventionSpec,
     InterventionTarget,
+    SearchConfig,
     parse_essential_graph,
     parse_model,
     run_fit,
@@ -396,17 +400,18 @@ def test_settings_flags_come_from_the_config_fields(tmp_path, capsys):
     assert interdag.cli._setting_types(_QuotedSettings) == {"grid": interdag.cli._parse_float_list, "cap": int}
     parser = interdag.cli._build_parser()
     args = parser.parse_args(["fit", "--data", "d.csv"])
-    assert (args.max_parents, args.max_steps, args.penalty_weight) == (None, 100_000, None)
+    assert (args.max_parents, args.max_steps, args.penalty_weight, args.method) == (None, 100_000, None, "greedy")
     args = parser.parse_args(["fit", "--data", "d.csv", "--max-parents", "2",
-                              "--max-steps", "3", "--penalty-weight", "1.5"])
-    assert (args.max_parents, args.max_steps, args.penalty_weight) == (2, 3, 1.5)
+                              "--max-steps", "3", "--penalty-weight", "1.5", "--method", "dp"])
+    assert (args.max_parents, args.max_steps, args.penalty_weight, args.method) == (2, 3, 1.5, "dp")
     args = parser.parse_args(["experiment", "--n-grid", "50, 100", "--mu-grid", "5,2.5", "--max-parents", "1"])
     assert (args.n_grid, args.mu_grid, args.max_parents, args.seed) == ((50, 100), (5.0, 2.5), 1, None)
-    for argv in (["fit", "--data", "d.csv", "--method", "dp2"], ["experiment", "--seed", "1", "--method", "dp2"]):
+    for argv in (["fit", "--data", "d.csv", "--method", "dp2"], ["experiment", "--seed", "1", "--method", "dp2"],
+                 ["fit", "--data", "d.csv", "--method", "anneal"]):
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(argv)
         assert exc.value.code == 2
-        assert "invalid choice: 'dp2'" in capsys.readouterr().err
+        assert f"invalid choice: '{argv[-1]}'" in capsys.readouterr().err
     # the flags reach the search: it stops after three of its nine steps,
     # so the trace has a start line and three steps
     assert main(["simulate", "--p", "8", "--n", "500", "--k", "3", "--replicates-per-target", "2",
@@ -478,7 +483,7 @@ def test_fit_on_header_only_csv_is_a_data_error(tmp_path, capsys, method):
     assert code == 3
     assert "has no rows" in capsys.readouterr().err
     with pytest.raises(DataError, match="has no rows"):
-        run_fit(ingest_csv(csv), method=method)
+        run_fit(ingest_csv(csv), config=SearchConfig(method=method))
 
 
 def test_fit_dp_capacity_exit_code(tmp_path, capsys):
@@ -648,6 +653,45 @@ def test_mu_whose_square_overflows_is_a_parameter_error(tmp_path, capsys, argv, 
     code = main([*argv, value, "--out", str(tmp_path / "x")])
     assert code == 2
     assert f"error: mu must have a finite square, got {float(value)!r}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+_WIDE = ["--p", "4", "--k", "2", "--replicates-per-target", "200", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", *_WIDE, "--n", "1000", "--mu", "1e153"], "mu must have a finite square, got 1e+153"),
+        (["simulate", *_WIDE, "--n", "1000", "--mu", "0", "--tau", "1e153"],
+         "tau must have a finite square, got 1e+153"),
+        (["experiment", *_WIDE, "--n-grid", "1000", "--replicates", "1", "--mu-grid", "1e153"],
+         "mu must have a finite square, got 1e+153"),
+    ],
+    ids=["simulate-mu", "simulate-tau", "experiment-mu"],
+)
+def test_values_whose_moments_would_overflow_are_a_parameter_error(tmp_path, capsys, argv, message):
+    # mu and tau have finite squares, but 200 targeted rows of values around
+    # them do not have finite second moments: refused before --out is made
+    code = main([*argv, "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_values_whose_moments_stay_finite_simulate_and_fit(tmp_path, capsys):
+    assert main(["simulate", *_WIDE, "--n", "1000", "--mu", "1e150", "--out", str(tmp_path / "sim")]) == 0
+    assert main(["fit", "--data", str(tmp_path / "sim" / "dataset.csv")]) == 0
+    # the default grid is within the bound
+    config = ExperimentConfig(seed=1)
+    assert (config.n_grid, config.mu_grid, config.tau) == ((100, 1000, 10000), (10.0,), 0.2)
+
+
+def test_experiment_dp_beyond_the_vertex_limit_is_refused_before_the_grid_runs(tmp_path, capsys):
+    code = main(["experiment", "--method", "dp", "--p", "21", "--seed", "1", "--replicates", "1",
+                 "--n-grid", "100", "--out", str(tmp_path / "x")])
+    assert code == 4
+    assert "error: exact search supports at most 20 vertices, got 21" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

@@ -75,8 +75,6 @@ def test_skeleton_basics():
     d, d1, d2 = demo_trio()
     assert skeleton(d) == skeleton(d1) == skeleton(d2)
     assert len(skeleton(d).edges) == 10
-    assert skeleton(d).degree(6) == 3
-    assert skeleton(d).degree(3) == 4
 
 
 def test_v_structures_definition():
@@ -252,7 +250,7 @@ def test_essential_graph_demo_trio():
     # edges touching the intervened vertex are identified, as are the
     # collider's edges
     assert {(3, 4), (4, 7), (3, 6), (5, 6)} <= set(g.directed)
-    assert g.skeleton_pairs == skeleton(d).edges
+    assert {tuple(sorted(e)) for e in g.directed} | g.undirected == skeleton(d).edges
     assert same_essential_graph(d, d1, OBS_AND_4)
     assert not same_essential_graph(d, d2, OBS_AND_4)
     assert same_essential_graph(d2, d2, OBS_AND_4)

@@ -1,14 +1,16 @@
 """The fit pipeline and seeded replicate grids.
 
 Core claims:
-    - fit_structure returns what the searcher it dispatches to returns on
-      the same per-vertex statistics, with the greedy trace or None.
+    - fit_structure returns what the searcher its config's method names
+      returns on the same per-vertex statistics, with the greedy trace or
+      None; run_fit writes that method to fit.json, and no trace.txt for
+      the exact search.
     - A target family that is not conservative is a ParameterError when
       built, so run_fit and estimate_essential_graph never get one; the
       family run_fit observes in data with a vertex intervened in every row
       is a DataError naming that vertex, for both methods.
     - ExperimentConfig checks itself when built, its search settings
-      included.
+      included, and refuses the exact search beyond its vertex limit.
     - Seeded greedy and DP grids write rows.csv and medians.csv to the
       byte, pinned by sha256, and the same bytes with one worker or two.
     - A grid never asks for more pool workers than it has replicates, and
@@ -20,6 +22,7 @@ Core claims:
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ import interdag.likelihood
 import interdag.model
 import interdag.search
 from interdag import (
+    CapacityError,
     Dag,
     DataError,
     ExperimentConfig,
@@ -36,6 +40,7 @@ from interdag import (
     InterventionSpec,
     InterventionTarget,
     ParameterError,
+    SearchConfig,
     TargetFamily,
     estimate_essential_graph,
     exhaustive_dp,
@@ -55,8 +60,8 @@ def test_fit_structure_dispatches_to_the_searchers():
     model, family, spec, data = random_instance(21, p=5, n=400)
     local = local_stats(sufficient_stats(data), family)
     dag, trace = greedy_search(local)
-    assert fit_structure(data, family, "greedy")[1:] == (dag, trace)
-    _, dp_dag, dp_trace = fit_structure(data, family, "dp")
+    assert fit_structure(data, family)[1:] == (dag, trace)
+    _, dp_dag, dp_trace = fit_structure(data, family, SearchConfig(method="dp"))
     assert dp_dag == exhaustive_dp(local)
     assert dp_trace is None
 
@@ -80,13 +85,14 @@ def _targeted_at_vertex_one():
 def test_non_conservative_family_is_a_parameter_error(method):
     data = _targeted_at_vertex_one()
     # the family the rows observe cannot be built, so it fails before the fit
+    config = SearchConfig(method=method)
     with pytest.raises(ParameterError, match=r"not conservative: vertices \[1\]"):
-        run_fit(data, TargetFamily.of((1,)), method=method)
+        run_fit(data, TargetFamily.of((1,)), config)
     with pytest.raises(ParameterError, match=r"not conservative: vertices \[1\]"):
-        estimate_essential_graph(data, TargetFamily.of((1,)), method=method)
+        estimate_essential_graph(data, TargetFamily.of((1,)), config)
     # the default family, observed in the data, is a data error
     with pytest.raises(DataError, match=r"vertices \[1\] lie in every target, so they are intervened"):
-        run_fit(data, method=method)
+        run_fit(data, config=config)
 
 
 @pytest.mark.parametrize(
@@ -102,6 +108,20 @@ def test_non_conservative_family_is_a_parameter_error(method):
 def test_experiment_config_checks_itself_when_built(settings, message):
     with pytest.raises(ParameterError, match=message):
         ExperimentConfig(seed=1, p=6, **settings)
+
+
+def test_experiment_config_refuses_the_exact_search_beyond_its_vertex_limit():
+    ExperimentConfig(seed=1, p=interdag.search.DP_VERTEX_LIMIT, method="dp")
+    ExperimentConfig(seed=1, p=interdag.search.DP_VERTEX_LIMIT + 1)
+    with pytest.raises(CapacityError, match="at most 20 vertices, got 21"):
+        ExperimentConfig(seed=1, p=interdag.search.DP_VERTEX_LIMIT + 1, method="dp")
+
+
+def test_run_fit_writes_the_method_of_its_config(tmp_path):
+    model, family, spec, data = random_instance(21, p=5, n=400)
+    run_fit(data, family, SearchConfig(method="dp"), out_dir=tmp_path)
+    assert not (tmp_path / "trace.txt").exists()
+    assert json.loads((tmp_path / "fit.json").read_text())["method"] == "dp"
 
 
 # sha256 of the output files, recorded before the fit pipeline was shared

@@ -425,7 +425,7 @@ def test_local_score_penalty_default_and_override():
     base = local_score(1, (2,), loc, penalty=0.0)
     assert local_score(1, (2,), loc) == pytest.approx(base - 0.5 * math.log(40), abs=1e-12)
     assert local_score(1, (2,), loc, penalty=2.0) == pytest.approx(base - 2.0, abs=1e-12)
-    assert local_score(1, (2,), loc, n=100) == pytest.approx(
+    assert local_score(1, (2,), loc, penalty=0.5 * math.log(100)) == pytest.approx(
         base - 0.5 * math.log(100), abs=1e-12
     )
 

@@ -190,7 +190,7 @@ def test_greedy_rejects_non_conservative_family():
     # family never reaches the fit pipeline: greedy_search takes no family
     data = _noise_dataset(2, 50, 5)
     with pytest.raises(ParameterError, match=r"not conservative: vertices \[1, 2\]"):
-        fit_structure(data, TargetFamily.of((1, 2)), "greedy")
+        fit_structure(data, TargetFamily.of((1, 2)))
 
 
 def test_greedy_degenerate_without_identifying_rows():
@@ -662,7 +662,7 @@ def test_scorers_run_the_conditioning_test_only_on_unproven_mixtures(monkeypatch
     # a whole fit, from the data on, proves each pattern exactly once
     for method in ("greedy", "dp"):
         calls.update(cond=0, proof=0)
-        run_fit(data, family, method=method)
+        run_fit(data, family, SearchConfig(method=method))
         assert calls == {"cond": 0, "proof": 3}, method
     # column 3 copied onto column 4: no mixture is proven, so every stack
     # with parents gets the SVD, and both searchers return their oracle's
@@ -763,14 +763,13 @@ def test_estimate_essential_graph_on_noise_is_empty():
 
 def test_estimate_dp_branch():
     data, family = _edge_signal_dataset(321)
-    graph = estimate_essential_graph(data, family, method="dp")
+    graph = estimate_essential_graph(data, family, SearchConfig(method="dp"))
     assert graph.directed == frozenset({(1, 2)})
 
 
 def test_estimate_rejects_unknown_method():
-    data = _noise_dataset(3, 50, 3)
-    with pytest.raises(ParameterError):
-        estimate_essential_graph(data, TargetFamily.of(()), method="anneal")
+    with pytest.raises(ParameterError, match="method must be one of"):
+        SearchConfig(method="anneal")
 
 
 def test_score_equivalence_across_estimated_class():
