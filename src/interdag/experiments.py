@@ -11,6 +11,7 @@ their own output file.
 import json
 import math
 import statistics
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from .equivalence import EssentialGraph, essential_graph, format_essential_graph
 from .errors import ParameterError
-from .likelihood import FittedModel, LocalStats, local_stats, mle_given_dag, sufficient_stats
+from .likelihood import FittedModel, LocalStats, _check_memory, local_stats, mle_given_dag, sufficient_stats
 from .metrics import ConfusionCounts, directed_confusion, shd, skeleton_confusion
 from .model import (
     _FLOAT_FMT,
@@ -52,8 +53,9 @@ class ExperimentConfig:
     without replacement, ``replicates_per_target`` rows per target, and the
     remaining rows observational.  ``seed`` is mandatory.  Construction
     checks every setting, those of the search included, and raises
-    ParameterError on the first bad one; then CapacityError when the exact
-    search is asked for more vertices than it supports.
+    ParameterError on the first bad one, or CapacityError when the largest
+    dataset's values would exceed physical memory; then CapacityError when
+    the exact search is asked for more vertices than it supports.
     """
 
     seed: int
@@ -106,15 +108,17 @@ class ExperimentConfig:
                 raise ParameterError(
                     "a grid point without observational rows needs at least two targets"
                 )
+        top = max(self.n_grid)
+        _check_memory(top * self.p * 8, f"the values of n={top} rows over p={self.p} vertices")
         # every error variance of sample_normalized_model is at least 0.01, so
         # every total effect is at most 10 in magnitude, and a cell's values lie
         # within 10 * (|mu| + 10 * tau) of zero at up to ten standard deviations
         # of tau (the unit-variance noise is negligible at scales that could
-        # overflow): the second moments of max(n_grid) such rows must be finite
-        top = max(self.n_grid)
+        # overflow): the second moments of max(n_grid) such rows must be finite,
+        # and so must max(n_grid), which the product converts to a float
         for name, value, mu in [("tau", self.tau, 0.0), *(("mu", mu, mu) for mu in self.mu_grid)]:
             scale = 10 * (abs(mu) + 10 * self.tau)
-            if not math.isfinite(top * scale * scale):
+            if top > sys.float_info.max or not math.isfinite(top * scale * scale):
                 raise ParameterError(f"{name} must have a finite square, got {value!r}: the second moments "
                                      f"of {top} rows of values up to 10 * (|mu| + 10 * tau) overflow")
         if self.method == "dp":
@@ -345,9 +349,12 @@ def run_consistency_experiment(
     rows.sort(key=lambda r: (r.n, r.mu, r.replicate))
     if out is not None:
         with _writing(out):
-            _write_rows(rows, out / "rows.csv")
-            _write_medians(rows, out / "medians.csv")
-            _write_timings(rows, out / "timings.csv")
+            _write_table(out / "rows.csv", _ROW_COLUMNS,
+                         ([getattr(r, c) for c in _ROW_COLUMNS] for r in rows))
+            _write_table(out / "medians.csv", ["n", "mu", "replicates", "median_shd", "exact_fraction"],
+                         _cell_summaries(rows))
+            _write_table(out / "timings.csv", ["n", "mu", "replicate", "runtime_seconds"],
+                         ((r.n, float(r.mu), r.replicate, r.runtime_seconds) for r in rows))
     return rows
 
 
@@ -362,31 +369,18 @@ def _cell_text(value) -> str:
     return str(value)
 
 
-def _write_rows(rows: list[ResultRow], path: Path) -> None:
-    lines = [",".join(_ROW_COLUMNS)]
-    for r in rows:
-        lines.append(",".join(_cell_text(getattr(r, c)) for c in _ROW_COLUMNS))
+def _write_table(path: Path, header: list[str], records) -> None:
+    """Write a CSV of the header and one line per record, every cell in ``_cell_text``."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_cell_text, record)) for record in records)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _cell_summaries(rows: list[ResultRow]) -> list[tuple[int, float, int, float, float]]:
-    """Per (n, mu) cell, in sorted order: n, mu, replicates, median SHD, exact fraction."""
+    """Per (n, mu) cell, in sorted order: n, mu, replicates, median SHD, exact
+    fraction; mu as a float, which ``_cell_text`` writes in ``_FMT``."""
     cells: dict[tuple[int, float], list[ResultRow]] = {}
     for r in rows:
         cells.setdefault((r.n, r.mu), []).append(r)
-    return [(n, mu, len(g), float(statistics.median(r.shd for r in g)), sum(r.exact for r in g) / len(g))
-            for (n, mu), g in sorted(cells.items())]
-
-
-def _write_medians(rows: list[ResultRow], path: Path) -> None:
-    lines = ["n,mu,replicates,median_shd,exact_fraction"]
-    for n, mu, replicates, median_shd, exact in _cell_summaries(rows):
-        lines.append(f"{n},{_FMT(mu)},{replicates},{_FMT(median_shd)},{_FMT(exact)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_timings(rows: list[ResultRow], path: Path) -> None:
-    lines = ["n,mu,replicate,runtime_seconds"]
-    for r in rows:
-        lines.append(f"{r.n},{_FMT(r.mu)},{r.replicate},{_FMT(r.runtime_seconds)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return [(n, float(mu), len(g), float(statistics.median(r.shd for r in g)),
+             sum(r.exact for r in g) / len(g)) for (n, mu), g in sorted(cells.items())]

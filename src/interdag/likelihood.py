@@ -62,6 +62,7 @@ from .model import (
     TargetFamily,
     _fold_order,
     _rows_index,
+    _target_params,
 )
 
 
@@ -248,6 +249,14 @@ def _physical_memory() -> int | None:
     return total if total > 0 else None
 
 
+def _check_memory(needed: int, what: str) -> None:
+    """Raise CapacityError, naming ``what``, when it needs more bytes than
+    physical memory holds; where the system does not say, check nothing."""
+    memory = _physical_memory()
+    if memory is not None and needed > memory:
+        raise CapacityError(f"{what} need {needed} bytes, more than the {memory} bytes of physical memory")
+
+
 def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> LocalStats:
     """Mix the per-target moments into the exclusion statistics, once per
     exclusion pattern.
@@ -290,13 +299,7 @@ def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> L
     for key, q in numbers.items():
         starts[key[0] if key else len(targets)].append((q, key))
     m = len(numbers)
-    needed = m * p * p * 8
-    memory = _physical_memory()
-    if memory is not None and needed > memory:
-        raise CapacityError(
-            f"the mixtures of {m} exclusion patterns over p={p} vertices need "
-            f"{needed} bytes, more than the {memory} bytes of physical memory"
-        )
+    _check_memory(m * p * p * 8, f"the mixtures of {m} exclusion patterns over p={p} vertices")
     counts = [0] * m
     mixtures = np.zeros((m, p, p))
     prefix = np.zeros((p, p))  # the fold of every target before targets[i]
@@ -549,7 +552,7 @@ def mle_given_dag(dag: Dag, local: LocalStats) -> FittedModel:
         s2[k - 1] = resid
         core += -0.5 * n_ex * (1.0 + math.log(resid))
     loglik = core - 0.5 * _LOG_2PI * float(local.counts_excluding.sum())
-    bic = core - 0.5 * math.log(local.n) * dag.num_edges
+    bic = core - _checked_penalty(local.n, None) * dag.num_edges
     return FittedModel(dag, W, s2, loglik, bic)
 
 
@@ -579,28 +582,19 @@ def natural_params(
     target.validate_for(model.p)
     p = model.p
     gamma = 1.0 / model.error_vars
+    mu_u, tau2 = _target_params(spec, target)
+    idx = [v - 1 for v in target.members]  # empty for the observational target
     keep = np.ones(p, dtype=bool)
-    mu_u = tau2 = None
-    if target.members:
-        if spec is None:
-            raise ParameterError(
-                f"intervention parameters required for target {target.members}"
-            )
-        mu_u, tau2 = spec.for_target(target)
-        keep[[v - 1 for v in target.members]] = False
+    keep[idx] = False
     imb = np.eye(p) - model.weights
     scale = np.where(keep, np.sqrt(gamma), 0.0)
     C = imb * scale[:, None]  # rows of intervened vertices drop out entirely
     K = C.T @ C
+    K[idx, idx] += 1.0 / tau2
     nu = np.zeros(p)
-    quad = 0.0
-    log_det = float(np.log(gamma[keep]).sum())
-    if target.members:
-        idx = [v - 1 for v in target.members]
-        K[idx, idx] += 1.0 / tau2
-        nu[idx] = mu_u / tau2
-        quad = float((mu_u * mu_u / tau2).sum())
-        log_det -= float(np.log(tau2).sum())
+    nu[idx] = mu_u / tau2
+    quad = float((mu_u * mu_u / tau2).sum())
+    log_det = float(np.log(gamma[keep]).sum()) - float(np.log(tau2).sum())
     return NaturalParams(target, K, nu, quad, log_det)
 
 
@@ -665,11 +659,7 @@ def decomposed_log_likelihood(
     for t in stats.targets():
         if t.is_empty:
             continue
-        if spec is None:
-            raise ParameterError(
-                f"intervention parameters required for target {t.members}"
-            )
-        mu_u, tau2 = spec.for_target(t)
+        mu_u, tau2 = _target_params(spec, t)
         n_t = stats.counts[t]
         S, m = _finite_moments(stats, t)
         for i, v in enumerate(t.members):

@@ -61,6 +61,17 @@ def _matched_adjacency(g1, g2) -> tuple[np.ndarray, np.ndarray]:
     return A1, A2
 
 
+def _confusion(t: np.ndarray, e: np.ndarray) -> ConfusionCounts:
+    """Confusion counts of the estimate's flags ``e`` against the truth's ``t``,
+    one flag per pair, true where the pair holds an edge."""
+    return ConfusionCounts(
+        true_positives=int(np.count_nonzero(t & e)),
+        false_positives=int(np.count_nonzero(~t & e)),
+        false_negatives=int(np.count_nonzero(t & ~e)),
+        true_negatives=int(np.count_nonzero(~t & ~e)),
+    )
+
+
 def shd(g1: Dag | EssentialGraph, g2: Dag | EssentialGraph) -> int:
     """Structural Hamming distance: vertex pairs whose edge status differs.
 
@@ -77,25 +88,11 @@ def skeleton_confusion(truth: Dag | EssentialGraph, estimate: Dag | EssentialGra
     """Confusion counts over unordered vertex pairs; positive means adjacent."""
     A_t, A_e = _matched_adjacency(truth, estimate)
     upper = np.triu_indices(A_t.shape[0], k=1)
-    t = (A_t | A_t.T)[upper]
-    e = (A_e | A_e.T)[upper]
-    return ConfusionCounts(
-        true_positives=int(np.count_nonzero(t & e)),
-        false_positives=int(np.count_nonzero(~t & e)),
-        false_negatives=int(np.count_nonzero(t & ~e)),
-        true_negatives=int(np.count_nonzero(~t & ~e)),
-    )
+    return _confusion((A_t | A_t.T)[upper], (A_e | A_e.T)[upper])
 
 
 def directed_confusion(truth: Dag | EssentialGraph, estimate: Dag | EssentialGraph) -> ConfusionCounts:
     """Confusion counts over ordered vertex pairs of the adjacency matrices."""
     A_t, A_e = _matched_adjacency(truth, estimate)
     off = ~np.eye(A_t.shape[0], dtype=bool)
-    t = A_t[off]
-    e = A_e[off]
-    return ConfusionCounts(
-        true_positives=int(np.count_nonzero(t & e)),
-        false_positives=int(np.count_nonzero(~t & e)),
-        false_negatives=int(np.count_nonzero(t & ~e)),
-        true_negatives=int(np.count_nonzero(~t & ~e)),
-    )
+    return _confusion(A_t[off], A_e[off])

@@ -522,6 +522,19 @@ def sample_normalized_model(dag: Dag, seed: int) -> GaussianCausalModel:
     return GaussianCausalModel(dag, B, sigma2)
 
 
+def _target_params(
+    spec: InterventionSpec | None, target: InterventionTarget
+) -> tuple[np.ndarray, np.ndarray]:
+    """The means and variances of the target's replacement draws, aligned with
+    its members: empty for the observational target, else
+    ``spec.for_target(target)``, which needs a ``spec``."""
+    if target.is_empty:
+        return np.zeros(0), np.zeros(0)
+    if spec is None:
+        raise ParameterError(f"intervention parameters required for target {target.members}")
+    return spec.for_target(target)
+
+
 def _mean_and_root(
     model: GaussianCausalModel,
     target: InterventionTarget,
@@ -535,13 +548,7 @@ def _mean_and_root(
     p = model.p
     mu = np.zeros(p)
     A = np.zeros((p, p))
-    mu_u = tau2 = None
-    if target.members:
-        if spec is None:
-            raise ParameterError(
-                f"intervention parameters required for target {target.members}"
-            )
-        mu_u, tau2 = spec.for_target(target)
+    mu_u, tau2 = _target_params(spec, target)
     pos = {v: i for i, v in enumerate(target.members)}
     for k in model.dag.topological_order:
         ki = k - 1
@@ -598,9 +605,9 @@ def sample_dataset(
 
     The rows are grouped by target in one pass over their runs, and the
     returned Dataset keeps that grouping as its ``row_groups`` and the
-    drawn values uncopied; each distinct target is validated once here and
-    once by the Dataset, gets its mean and covariance root once, and has
-    its rows drawn with one matrix product.  A group whose rows are one run
+    drawn values uncopied; each distinct target is validated once, by the
+    Dataset, gets its mean and covariance root once, and has its rows drawn
+    with one matrix product.  A group whose rows are one run
     (``_rows_index``) is written in place: the product goes straight into
     its slice of the values and the mean is added there, so no temporary of
     its rows is made.  Other groups are gathered, drawn and scattered.
@@ -612,8 +619,6 @@ def sample_dataset(
     p = model.p
     targets = tuple(target_sequence)
     groups = group_rows(targets)
-    for t in groups:
-        t.validate_for(p)
     roots = {} if _roots is None else _roots
     rng = _rng(seed)
     n = len(targets)

@@ -21,7 +21,8 @@ Core claims:
       annotations (string ones too); a config file and the equivalent
       flags give the same rows.csv and medians.csv.
     - A config file that repeats a key is rejected, naming the line and
-      the key; fit rejects a bad search flag before it reads the data.
+      the key, and so are a line without '=' and a value of the wrong
+      type; fit rejects a bad search flag before it reads the data.
     - Exit codes: 0 success, 2 parameter/config error (a tau whose square
       underflows, a mu that is not finite, a mu or tau whose rows would
       have second moments that overflow, found before simulate or
@@ -32,8 +33,11 @@ Core claims:
       that is not UTF-8, rows that all target one vertex, which is named,
       and values whose second moments overflow, with no floating-point
       warning, included), 4 capacity guard (the exact search beyond 20
-      vertices, which experiment refuses before its --out is made, or
-      exclusion mixtures beyond physical memory).  A fit that fails after
+      vertices, which experiment refuses before its --out is made,
+      exclusion mixtures beyond physical memory, or a grid or simulate
+      whose largest dataset exceeds physical memory, refused before its
+      --out is made; where memory is unknown, an n too large for a float
+      exits 2).  A fit that fails after
       its --out is created leaves that directory empty.
     - fit/simulate/experiment write the documented artifact files, and
       experiment output is bit-identical across runs with the same seed.
@@ -62,6 +66,7 @@ from interdag import (
     GaussianCausalModel,
     InterventionSpec,
     InterventionTarget,
+    ParameterError,
     SearchConfig,
     parse_essential_graph,
     parse_model,
@@ -837,3 +842,53 @@ def test_experiment_rejects_n_below_interventional_rows(capsys):
     code = main(["experiment", "--p", "4", "--n-grid", "4", "--k", "3",
                  "--replicates-per-target", "2", "--replicates", "1", "--seed", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("seed = 1\np 4\n", "{cfg}: line 2: expected 'key = value', got 'p 4'"),
+        ("p = x\n", "bad value for p: 'x' (invalid literal for int() with base 10: 'x')"),
+    ],
+    ids=["no-equals", "bad-value"],
+)
+def test_config_file_errors_name_their_cause(tmp_path, text, message):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    with pytest.raises(ParameterError) as info:
+        interdag.cli._read_config_file(cfg)
+    assert str(info.value) == message.format(cfg=cfg)
+
+
+_HUGE_N = "1" + "0" * 400
+_GRID4 = ["experiment", "--seed", "1", "--p", "4", "--k", "1", "--replicates", "1", "--n-grid"]
+
+
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        ([*_GRID4, str(10**15)], str(10**15)),
+        ([*_GRID4, _HUGE_N], _HUGE_N),
+        (["simulate", "--p", "4", "--n", _HUGE_N, "--seed", "1"], _HUGE_N),
+    ],
+    ids=["experiment-1e15", "experiment-401-digits", "simulate-401-digits"],
+)
+def test_dataset_beyond_physical_memory_exits_4_before_out(tmp_path, capsys, monkeypatch, argv, n):
+    # 2**40 bytes: less than 10**15 rows of 4 values need, whatever this machine holds
+    monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: 2**40)
+    code = main([*argv, "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == (f"error: the values of n={n} rows over p=4 vertices need {int(n) * 32} bytes, "
+                   f"more than the {2**40} bytes of physical memory\n")
+    assert not (tmp_path / "x").exists()
+
+
+def test_simulate_n_beyond_a_float_exits_2_where_memory_is_unknown(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: None)
+    code = main(["simulate", "--p", "4", "--n", _HUGE_N, "--seed", "1", "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: tau must have a finite square, got 0.2: the second moments of 1000")
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()

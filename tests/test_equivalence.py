@@ -18,7 +18,10 @@ Core claims:
       complete DAG on 7 vertices get 21 undirected edges each, and a
       one-member class with a long chain is listed as itself.
     - enumerate_class's capacity guard trips on a chain component with
-      more than 20 undirected edges.
+      more than 20 undirected edges, and its member guard on 18 one-edge
+      components (2**18 members).
+    - A non-canonical skeleton pair and DAGs of different vertex counts
+      raise ParameterError with their messages.
 """
 
 import itertools
@@ -46,7 +49,7 @@ from interdag import (
     skeleton,
     v_structures,
 )
-from interdag.equivalence import VStructure, _pair
+from interdag.equivalence import Skeleton, VStructure, _pair
 
 from helpers import all_dags, demo_trio, random_conservative_family, reference_enumerate_class
 
@@ -367,3 +370,30 @@ def test_essential_graph_serialization_round_trip():
 def test_pair_helper():
     assert _pair(3, 1) == (1, 3)
     assert _pair(1, 3) == (1, 3)
+
+
+# -- errors -----------------------------------------------------------------------------
+
+_OBSERVATIONAL = TargetFamily.of(())
+# 18 disjoint edges, each its own one-edge chain component with two
+# orientations: 2**18 = 262,144 members, above the guard of 200,000
+_MATCHING = Dag.from_edges(36, [(2 * i + 1, 2 * i + 2) for i in range(18)])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Skeleton(3, frozenset({(2, 1)})), ParameterError, "skeleton pair (2, 1) is not canonical for p=3"),
+        (lambda: markov_equivalent_interventional(Dag.empty(2), Dag.empty(3), _OBSERVATIONAL), ParameterError,
+         "cannot compare DAGs with different vertex counts"),
+        (lambda: same_essential_graph(Dag.empty(2), Dag.empty(3), _OBSERVATIONAL), ParameterError,
+         "cannot compare DAGs with different vertex counts"),
+        (lambda: enumerate_class(_MATCHING, _OBSERVATIONAL), CapacityError,
+         "equivalence class exceeds the member guard"),
+    ],
+    ids=["skeleton-pair", "markov-p", "same-essential-p", "member-guard"],
+)
+def test_equivalence_errors_name_their_cause(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

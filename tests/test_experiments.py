@@ -10,7 +10,10 @@ Core claims:
       family run_fit observes in data with a vertex intervened in every row
       is a DataError naming that vertex, for both methods.
     - ExperimentConfig checks itself when built, its search settings
-      included, and refuses the exact search beyond its vertex limit.
+      included, and refuses the exact search beyond its vertex limit and a
+      largest dataset beyond physical memory, the default grid's when memory
+      is one byte short; where memory is unknown, an n too large for a
+      float is still a ParameterError.
     - Seeded greedy and DP grids write rows.csv and medians.csv to the
       byte, pinned by sha256, and the same bytes with one worker or two.
     - A grid never asks for more pool workers than it has replicates, and
@@ -242,3 +245,36 @@ def test_workers_are_capped_at_the_replicate_count(tmp_path, monkeypatch):
         outputs[replicates, workers] = [(out / name).read_bytes() for name in ("rows.csv", "medians.csv")]
     assert sizes == [2, 3]
     assert outputs[3, 1] == outputs[3, 2] == outputs[3, 64]
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"p": 0}, "p must be at least 1"),
+        ({"p": 4, "expected_degree": 4.0}, "expected_degree must satisfy 0 <= d < p"),
+        ({"n_grid": ()}, "n_grid and mu_grid must be non-empty"),
+        ({"replicates": 0}, "replicates must be positive"),
+    ],
+    ids=["p0", "degree-p", "no-n", "no-replicates"],
+)
+def test_experiment_config_errors_name_their_cause(settings, message):
+    with pytest.raises(ParameterError) as info:
+        ExperimentConfig(seed=1, **settings)
+    assert str(info.value) == message
+
+
+def test_experiment_config_refuses_a_dataset_beyond_physical_memory(monkeypatch):
+    # the default grid's largest dataset, n=10000 rows over p=10 vertices,
+    # holds 800,000 bytes of values
+    monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: 10000 * 10 * 8)
+    assert ExperimentConfig(seed=1).n_grid == (100, 1000, 10000)
+    monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: 10000 * 10 * 8 - 1)
+    with pytest.raises(CapacityError) as info:
+        ExperimentConfig(seed=1)
+    assert str(info.value) == ("the values of n=10000 rows over p=10 vertices need 800000 bytes, "
+                               "more than the 799999 bytes of physical memory")
+    # where memory is unknown, an n too large for a float still fails the
+    # check on the second moments, with a ParameterError
+    monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: None)
+    with pytest.raises(ParameterError, match="tau must have a finite square"):
+        ExperimentConfig(seed=1, p=4, k=1, replicates=1, n_grid=(10**400,))

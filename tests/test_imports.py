@@ -2,7 +2,7 @@
 LAPACK comes from.
 
 Core claims:
-    - ``interdag.__all__`` is the 62 pinned names, each declared in exactly
+    - ``interdag.__all__`` is the 61 pinned names, each declared in exactly
       one module's ``__all__``, and every name of every module's ``__all__``
       resolves.
     - ``import interdag.cli`` in a fresh interpreter loads neither

@@ -18,6 +18,9 @@ Core claims:
       quadratic form, log-determinant) hold to 1e-9.
     - local_score/bic_score expose the penalized per-vertex closed form with
       -inf sentinels for infeasible parent sets.
+    - A vertex count other than the statistics', a target without
+      intervention parameters and a parent out of range raise ParameterError
+      with their messages.
 """
 
 import math
@@ -525,3 +528,40 @@ def test_finite_difference_gradient_vanishes_at_mle():
                 (objective(fit.weights, up_v) - objective(fit.weights, dn_v)) / (2 * step_v)
             )
         assert np.max(np.abs(grads)) < 1e-4
+
+
+# -- errors ----------------------------------------------------------------------
+
+
+def _errors_instance():
+    """A two-vertex chain, statistics of three columns, and statistics of
+    two columns whose rows target vertex 1."""
+    model = GaussianCausalModel(Dag.from_edges(2, [(1, 2)]), [[0.0, 0.0], [0.5, 0.0]], [1.0, 1.0])
+    obs = InterventionTarget.empty()
+    wide = sufficient_stats(Dataset(3, (obs, obs), [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]]))
+    t1 = InterventionTarget.of(1)
+    targeted = sufficient_stats(Dataset(2, (obs, obs, t1), [[0.0, 1.0], [1.0, 0.0], [2.0, 1.0]]))
+    return model, wide, targeted
+
+
+_DISAGREE = "model and statistics disagree on the vertex count"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m, w, t: log_likelihood(m, w), _DISAGREE),
+        (lambda m, w, t: decomposed_log_likelihood(m, local_stats(w), w), _DISAGREE),
+        (lambda m, w, t: bic_score(m.dag, local_stats(w)), "DAG and statistics disagree on the vertex count"),
+        (lambda m, w, t: natural_params(m, InterventionTarget.of(2)),
+         "intervention parameters required for target (2,)"),
+        (lambda m, w, t: decomposed_log_likelihood(m, local_stats(t), t),
+         "intervention parameters required for target (1,)"),
+        (lambda m, w, t: local_score(1, [5], local_stats(w)), "parent 5 is out of range 1..3"),
+    ],
+    ids=["log-likelihood-p", "decomposed-p", "bic-p", "natural-params-spec", "decomposed-spec", "parent-range"],
+)
+def test_likelihood_errors_name_their_cause(call, message):
+    with pytest.raises(ParameterError) as info:
+        call(*_errors_instance())
+    assert str(info.value) == message

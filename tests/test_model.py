@@ -3,7 +3,8 @@
 Core claims:
     - Dag constructors validate labels, self-loops, and acyclicity.
     - sample_random_dag hits the requested expected skeleton degree.
-    - sample_normalized_model yields unit marginal variances.
+    - sample_normalized_model yields unit marginal variances, through its
+      half-variance fallback too, which a star of 100 roots always takes.
     - observational_covariance matches the hand-expanded 2x2 formula.
     - intervention_dag deletes exactly the edges into the target.
     - interventional_moments agree with Monte Carlo samples and with the
@@ -11,6 +12,8 @@ Core claims:
     - sample_dataset draws a group whose rows are one run in place, with
       no temporary of its rows (tracemalloc).
     - Text serialization round-trips bit-exactly.
+    - Each construction and sampling error that no other test reaches
+      raises its type with its message.
 """
 
 import math
@@ -404,3 +407,38 @@ def test_parse_model_rejects_duplicated_lines():
         parse_model(text + "var 2 : 3.0\n")
     with pytest.raises(DataError, match=r"line 3: .*duplicate edge line for 1 -> 2"):
         parse_model("p 2\n1 -> 2 : 0.5\n1 -> 2 : 0.7\nvar 1 : 1.0\nvar 2 : 2.0\n")
+
+
+def test_normalized_model_falls_back_to_half_variance():
+    # 100 roots into vertex 101: each weight has magnitude at least 0.1 on a
+    # unit-variance root, so every draw explains at least 1.0 > 0.99, and
+    # the last draw is shrunk to explain exactly half
+    dag = Dag.from_edges(101, [(j, 101) for j in range(1, 101)])
+    model = sample_normalized_model(dag, seed=0)
+    assert abs(model.error_vars[100] - 0.5) <= 1e-12
+    assert abs(observational_covariance(model)[100, 100] - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Dag(2, ((),)), ParameterError, "expected 2 parent sets, got 1"),
+        (lambda: GaussianCausalModel(Dag.empty(2), np.zeros((3, 3)), [1.0, 1.0]), ParameterError,
+         "weight matrix must be 2x2, got (3, 3)"),
+        (lambda: GaussianCausalModel(Dag.empty(2), np.zeros((2, 2)), [1.0, 1.0, 1.0]), ParameterError,
+         "error variance vector must have length 2"),
+        (lambda: InterventionSpec({InterventionTarget.of(1): ([math.nan], [1.0])}), ParameterError,
+         "non-finite parameters for target (1,)"),
+        (lambda: Dataset(0, (), np.empty((0, 0))), ParameterError, "dataset must have at least one column"),
+        (lambda: sample_random_dag(0, 0.0, 1), ParameterError, "vertex count must be a positive integer, got 0"),
+        (lambda: sample_random_dag(3, 1.0, 1.5), ParameterError, "seed must be an integer, got 1.5"),
+        (lambda: sample_random_dag(3, 1.0, 2**64), ParameterError, "seed must fit in 64 bits"),
+        (lambda: parse_model("p 0\n"), DataError, "line 1: cannot parse 'p 0' (vertex count must be positive)"),
+    ],
+    ids=["parent-sets", "weight-shape", "variance-length", "spec-non-finite", "dataset-p0", "random-dag-p0",
+         "float-seed", "seed-2**64", "parse-p0"],
+)
+def test_model_errors_name_their_cause(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
