@@ -41,48 +41,54 @@ __all__ = ["ingest_csv", "emit_csv", "main"]
 # peak RSS is about 3 MB lower, as less freed chunk memory stays on the heap
 _CHUNK_CHARS = 1 << 18
 
+# "\x1f", which loadtxt strips from a cell as whitespace where float() rejects
+# it, and the line ends that str.splitlines honours and the file reader does not
+_ROW_LOOP_ONLY = "\x1f\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
 
 def ingest_csv(path: str | Path) -> Dataset:
     """Read a dataset CSV; malformed rows are rejected with their line number.
 
     The file is read in chunks of whole lines of about ``_CHUNK_CHARS``
     characters, split as ``str.splitlines`` splits the whole text.  A
-    chunk's numeric block is parsed by one ``np.loadtxt`` call, kept only
-    when the chunk holds exactly p commas per line and every line gave p
-    finite values; each distinct target field is then parsed once per file,
-    and a bad one is reported at its first line.  Any other chunk goes
-    through the row loop, which names the first bad line and cell and
-    accepts every cell ``float`` accepts, ``1_0`` included, which loadtxt
-    rejects.  Both paths give the same values and errors, so neither
-    depends on where chunks end.  The blocks are concatenated into the
-    array the Dataset keeps.
+    chunk's lines, as the file reader returns them, are parsed by one
+    ``np.loadtxt`` call, whose result is kept only when every line gave
+    p + 1 fields and its p values are finite; each distinct target field
+    is then parsed once per file, and a bad one is reported at its first
+    line.  A chunk holding a character in ``_ROW_LOOP_ONLY`` or a blank
+    line, and any chunk whose parse is not kept, goes through the row loop
+    on its ``str.splitlines`` lines.  The row loop names the first bad line
+    and cell and accepts every cell ``float`` accepts, ``1_0`` included,
+    which loadtxt rejects.  Both paths give the same values and errors, so
+    neither depends on where chunks end.  The blocks are concatenated into
+    the array the Dataset keeps.
     """
     p = 0
     parsed: dict[str, InterventionTarget] = {}
     targets: list[InterventionTarget] = []
     blocks: list[np.ndarray] = []
     lineno = 1  # the line number of lines[0]
-    for text in _text_chunks(path):
-        # loadtxt reads no field past column p (so each line must hold
-        # exactly p commas), and strips "\x1f" from a cell as whitespace
-        # where float() rejects it
-        commas, bulk = text.count(","), "\x1f" not in text
-        lines = text.splitlines()
-        del text  # the lines hold the same characters
+    for lines in _line_chunks(path):
+        text = "".join(lines)
+        bulk = not any(c in text for c in _ROW_LOOP_ONLY)
+        if not bulk:
+            lines = text.splitlines()
+        del text
         if lineno == 1:
-            header = [c.strip() for c in lines[0].split(",")]
+            first = lines[0].removesuffix("\n")
+            header = [c.strip() for c in first.split(",")]
             p = len(header) - 1
             if p < 1 or header[0] != "target" or header[1:] != [f"x{i}" for i in range(1, p + 1)]:
-                raise DataError(
-                    f"{path}: line 1: header must be 'target,x1,...,xp', got {lines[0]!r}"
-                )
+                raise DataError(f"{path}: line 1: header must be 'target,x1,...,xp', got {first!r}")
             del lines[0]
-            commas -= p
             lineno = 2
         if not lines:
             continue
-        values = _numeric_block(lines, p) if bulk and commas == p * len(lines) else None
+        # loadtxt skips blank lines, and warns when it finds no other
+        values = _numeric_block(lines, p) if bulk and "\n" not in lines else None
         if values is None:
+            if bulk:
+                lines = "".join(lines).splitlines()
             values = _ingest_rows(path, lines, lineno, p, parsed, targets)
         else:
             _parse_targets(path, lines, lineno, p, parsed, targets)
@@ -97,26 +103,27 @@ def ingest_csv(path: str | Path) -> Dataset:
     return Dataset._grouped(p, targets, values, group_rows(targets))
 
 
-def _text_chunks(path: str | Path):
-    """The file's text in chunks of whole lines, about ``_CHUNK_CHARS``
-    characters each.  Newlines are read as ``Path.read_text`` reads them,
-    so every chunk ends where ``str.splitlines`` ends a line.  A file that
-    cannot be read, or is not UTF-8, raises DataError."""
+def _line_chunks(path: str | Path):
+    """The file's lines in chunks of about ``_CHUNK_CHARS`` characters, each
+    line with its newline.  Newlines are read as ``Path.read_text`` reads
+    them, so every chunk ends where ``str.splitlines`` ends a line.  A file
+    that cannot be read, or is not UTF-8, raises DataError."""
     try:
         with open(path, encoding="utf-8") as handle:
-            yield from iter(lambda: "".join(handle.readlines(_CHUNK_CHARS)), "")
+            yield from iter(lambda: handle.readlines(_CHUNK_CHARS), [])
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
 def _numeric_block(lines: list[str], p: int) -> np.ndarray | None:
     """Columns 1..p of every line as floats, or None unless each line gave
-    p finite values."""
+    p + 1 fields and p finite values.  The target field is read as zero,
+    so only a wrong field count can fail in it."""
     try:
-        values = np.loadtxt(lines, delimiter=",", usecols=range(1, p + 1), comments=None, ndmin=2)
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, converters={0: lambda _: 0.0})
     except ValueError:
         return None
-    # loadtxt skips empty lines
+    values = values[:, 1:]
     if values.shape != (len(lines), p) or not np.isfinite(values).all():
         return None
     return values

@@ -53,9 +53,10 @@ class ExperimentConfig:
     without replacement, ``replicates_per_target`` rows per target, and the
     remaining rows observational.  ``seed`` is mandatory.  Construction
     checks every setting, those of the search included, and raises
-    ParameterError on the first bad one, or CapacityError when the largest
-    dataset's values would exceed physical memory; then CapacityError when
-    the exact search is asked for more vertices than it supports.
+    ParameterError on the first bad one, or CapacityError when drawing the
+    largest dataset would hold more than physical memory
+    (``_sampling_bytes``); then CapacityError when the exact search is
+    asked for more vertices than it supports.
     """
 
     seed: int
@@ -109,20 +110,34 @@ class ExperimentConfig:
                     "a grid point without observational rows needs at least two targets"
                 )
         top = max(self.n_grid)
-        _check_memory(top * self.p * 8, f"the values of n={top} rows over p={self.p} vertices")
+        _check_memory(self._sampling_bytes(top),
+                      f"the arrays that sampling n={top} rows over p={self.p} vertices holds")
         # every error variance of sample_normalized_model is at least 0.01, so
         # every total effect is at most 10 in magnitude, and a cell's values lie
         # within 10 * (|mu| + 10 * tau) of zero at up to ten standard deviations
         # of tau (the unit-variance noise is negligible at scales that could
         # overflow): the second moments of max(n_grid) such rows must be finite,
         # and so must max(n_grid), which the product converts to a float
+        if top > sys.float_info.max:
+            raise ParameterError(f"n must not exceed the largest float, got {top}")
         for name, value, mu in [("tau", self.tau, 0.0), *(("mu", mu, mu) for mu in self.mu_grid)]:
             scale = 10 * (abs(mu) + 10 * self.tau)
-            if top > sys.float_info.max or not math.isfinite(top * scale * scale):
+            if not math.isfinite(top * scale * scale):
                 raise ParameterError(f"{name} must have a finite square, got {value!r}: the second moments "
                                      f"of {top} rows of values up to 10 * (|mu| + 10 * tau) overflow")
         if self.method == "dp":
             _check_dp_vertices(self.p)
+
+    def _sampling_bytes(self, n: int) -> int:
+        """Bytes that drawing a dataset of n rows in this grid holds at its
+        peak: per value, 8 for the standard normals, 8 for the values and 1
+        for the Dataset's finiteness mask, all alive at once; per row, 32 for
+        four pointer-sized entries, its target in the cell's row sequence
+        and in the Dataset's tuple, its index in its target's group, and one
+        for the sequence's spare capacity; and per mu and target, the mean
+        and covariance root, p + p * p floats, which a replicate keeps."""
+        p = self.p
+        return n * (17 * p + 32) + len(self.mu_grid) * (self.k + 1) * (p + 1) * p * 8
 
     @property
     def search_config(self) -> SearchConfig:
@@ -305,6 +320,8 @@ def _run_replicate(args: tuple) -> list[ResultRow]:
             t0 = time.perf_counter()
             _, fitted_dag, _ = fit_structure(data, family, search_config)
             runtime = time.perf_counter() - t0
+            # the next cell's draw holds no dataset but its own
+            del data
 
             if family not in truth_graphs:
                 truth_graphs[family] = essential_graph(dag, family)

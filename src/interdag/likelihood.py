@@ -51,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy
+from numpy.linalg import _umath_linalg
 
 from .errors import CapacityError, DataError, DegenerateFitError, ParameterError
 from .model import (
@@ -92,6 +93,8 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 dposv, dtrtri = _flapack.dposv, _flapack.dtrtri
+# the gufunc that np.linalg.cholesky wraps, which every numpy since 1.24 has
+_cholesky_lo = _umath_linalg.cholesky_lo
 
 __all__ = [
     "SufficientStats",
@@ -192,7 +195,9 @@ class LocalStats:
     their count and mixture: ``mixtures`` has shape (m, p, p), one matrix
     per pattern, ``pattern_of[k - 1]`` is vertex k's pattern, and
     ``proven[q]`` says whether ``_proven_well_conditioned`` holds for
-    pattern q's mixture.  Observational data has one pattern.
+    pattern q's mixture.  Observational data has one pattern.  Every
+    mixture from ``local_stats`` equals its transpose bit for bit by
+    construction: it folds only the upper triangle and mirrors it.
 
     A vertex with ``counts_excluding[k-1] == 0`` appears in every observed
     target, so its parameters are unidentified; the zero count is the error
@@ -257,6 +262,32 @@ def _check_memory(needed: int, what: str) -> None:
         raise CapacityError(f"{what} need {needed} bytes, more than the {memory} bytes of physical memory")
 
 
+# the triangle tables of each p up to this are kept, 48 KB at most: at p=10,
+# building them would add a tenth to every local_stats call, while at larger
+# p they cost a small share of the fold, and kept they would add to the
+# process's peak memory
+_KEPT_TABLES_P = 64
+_triangle_tables_kept: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _triangle_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat positions of a p x p matrix's upper triangle, row by row,
+    and for each flat position of the matrix the index of its entry, or of
+    its transpose's, in that packed triangle; built once for each p up to
+    ``_KEPT_TABLES_P``."""
+    tables = _triangle_tables_kept.get(p)
+    if tables is None:
+        rows, cols = np.triu_indices(p)
+        mirror = np.empty((p, p), dtype=np.intp)
+        mirror[rows, cols] = mirror[cols, rows] = np.arange(len(rows))
+        tables = rows * p + cols, mirror.reshape(-1)
+        for table in tables:
+            table.setflags(write=False)
+        if p <= _KEPT_TABLES_P:
+            _triangle_tables_kept[p] = tables
+    return tables
+
+
 def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> LocalStats:
     """Mix the per-target moments into the exclusion statistics, once per
     exclusion pattern.
@@ -272,8 +303,13 @@ def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> L
     once into one scratch array, is added to every started pattern that
     excludes it and to the prefix.  So each pattern gets the adds of a fold
     per vertex in the same order, with the same bits, and one per-target
-    moment is in memory at a time.  Then each pattern's mixture is proven
-    well conditioned or not (``_proven_well_conditioned``), once.  Raises
+    moment is in memory at a time.  Only the upper triangles are folded,
+    each packed into the first half of its pattern's own slot of the
+    mixtures; each is divided by its count and mirrored into the full
+    matrix.  Every n_t * S_t is exactly symmetric, so the lower triangle
+    gets the bits a full fold would give it, and every mixture is exactly
+    symmetric by construction.  Then each pattern's mixture is proven well
+    conditioned or not (``_proven_well_conditioned``), once.  Raises
     CapacityError before allocating mixtures larger than physical memory,
     and DataError, naming the vertices, when a mixture is not finite.
     """
@@ -300,10 +336,15 @@ def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> L
         starts[key[0] if key else len(targets)].append((q, key))
     m = len(numbers)
     _check_memory(m * p * p * 8, f"the mixtures of {m} exclusion patterns over p={p} vertices")
+    upper, mirror = _triangle_tables(p)
     counts = [0] * m
     mixtures = np.zeros((m, p, p))
-    prefix = np.zeros((p, p))  # the fold of every target before targets[i]
-    weighted = np.empty((p, p))  # n_t * S_t of targets[i]
+    slots = mixtures.reshape(m, p * p)
+    # each pattern's upper triangle, packed row by row into the first
+    # len(upper) entries of its own slot
+    packed = slots[:, :len(upper)]
+    prefix = np.zeros(len(upper))  # the fold of every target before targets[i]
+    weighted = np.empty(len(upper))  # n_t * S_t of targets[i]
     n_prefix = 0
     started: list[tuple[int, tuple[int, ...]]] = []
     # values near 1e154 or beyond overflow their squares: such mixtures are
@@ -311,22 +352,24 @@ def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> L
     with np.errstate(over="ignore", invalid="ignore"):
         for i, patterns in enumerate(starts):
             for q, _ in patterns:
-                mixtures[q] = prefix
+                packed[q] = prefix
                 counts[q] = n_prefix
             if i == len(targets):
                 break
             started += patterns
             n_t = stats.counts[targets[i]]
-            np.multiply(n_t, stats.second_moments[targets[i]], out=weighted)
+            np.multiply(n_t, stats.second_moments[targets[i]].reshape(-1)[upper], out=weighted)
             for q, key in started:
                 if i not in key:
-                    mixtures[q] += weighted
+                    packed[q] += weighted
                     counts[q] += n_t
             n_prefix += n_t
             prefix += weighted
         for q, n_ex in enumerate(counts):
             if n_ex > 0:
-                mixtures[q] /= n_ex
+                packed[q] /= n_ex
+            # the gather is a new array, so the slot may be overwritten
+            slots[q] = packed[q][mirror]
     counts = np.array(counts, dtype=np.int64)[pattern_of]
     proven = np.array([_proven_well_conditioned(S) for S in mixtures], dtype=bool)
     # a proven mixture is finite, so only the others are tested
@@ -352,14 +395,18 @@ def _cond_bound(S: np.ndarray) -> float:
     Cholesky factorization S = L L^T fails.
 
     S^-1 = L^-T L^-1, so cond_2(S) = ||S||_2 ||L^-1||_2^2, which is at most
-    ||S||_1 ||L^-1||_1 ||L^-1||_inf.  LAPACK's ``dtrtri`` inverts L^T, which
-    is the factor's memory in Fortran order, so f2py copies nothing.
+    ||S||_1 ||L^-1||_1 ||L^-1||_inf.  L is ``np.linalg.cholesky``'s factor,
+    from the gufunc that function wraps, called directly (``_cholesky_lo``)
+    without the wrapper's checks and error state: where the factorization
+    fails it fills the factor with NaNs, and otherwise the factor's first
+    entry, the square root of the positive S[0, 0], is not NaN.
+    LAPACK's ``dtrtri`` inverts L^T, which is the factor's memory in
+    Fortran order, so f2py copies nothing.
     """
-    try:
-        factor = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        return math.inf
     with np.errstate(over="ignore", invalid="ignore"):
+        factor = _cholesky_lo(S)
+        if math.isnan(factor[0, 0]):
+            return math.inf
         inverse = np.abs(dtrtri(factor.T, lower=0, overwrite_c=1)[0])
         return float(np.abs(S).sum(axis=0).max() * inverse.sum(axis=0).max() * inverse.sum(axis=1).max())
 
@@ -374,7 +421,7 @@ def _proven_well_conditioned(S: np.ndarray) -> bool:
     Definiteness matters: [[0, 1], [1, 0]] has cond 1 but singular 1x1
     blocks.
     """
-    if not (np.isfinite(S).all() and np.array_equal(S, S.T)):
+    if not (np.isfinite(S).all() and (S == S.T).all()):
         return False
     return _cond_bound(S) <= _COND_BOUND
 
@@ -394,8 +441,9 @@ def _fit_rows(
     definite; its coefficients are then zero and its residual NaN.
 
     Precondition: every mixture is exactly symmetric, bit for bit, as every
-    mixture ``local_stats`` builds is (a property test pins it): the
-    factorization reads each parent block's transpose.
+    mixture ``local_stats`` builds is by construction, being a mirrored
+    upper triangle (a property test pins it): the factorization reads each
+    parent block's transpose.
 
     Python runs once per group, a run of adjacent sets of one pattern and
     one parent set, which share one parent block: one ``dposv`` call and the

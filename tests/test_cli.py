@@ -7,11 +7,11 @@ Core claims:
       first bad column, and a bad target before a bad cell on one row.
     - ingest_csv's bulk parse accepts exactly what the row loop it replaced
       (helpers.reference_ingest_csv) accepts, with the same bits, and
-      rejects the rest with the same message, whether the file is one
-      chunk or chunks of a few characters and whichever line separators
-      str.splitlines() honours end its lines; a clean file never reaches
-      the row loop.  A file of several chunks is read holding one chunk of
-      text at a time (tracemalloc).
+      rejects the rest with the same message, with no warning at all,
+      whether the file is one chunk or chunks of a few characters and
+      whichever line separators str.splitlines() honours end its lines;
+      a clean file never reaches the row loop.  A file of several chunks
+      is read holding one chunk of text at a time (tracemalloc).
     - A seeded simulate writes the same dataset.csv bytes as recorded, and
       one at p=100 whose class is too large to list exits 0.  One with no
       observational rows writes the essential.txt bytes recorded when its
@@ -37,7 +37,7 @@ Core claims:
       exclusion mixtures beyond physical memory, or a grid or simulate
       whose largest dataset exceeds physical memory, refused before its
       --out is made; where memory is unknown, an n too large for a float
-      exits 2).  A fit that fails after
+      exits 2, naming n).  A fit that fails after
       its --out is created leaves that directory empty.
     - fit/simulate/experiment write the documented artifact files, and
       experiment output is bit-identical across runs with the same seed.
@@ -47,6 +47,7 @@ import hashlib
 import json
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -294,7 +295,7 @@ def _check_ingest_against_the_row_loop_oracle(data) -> None:
     """On a generated CSV, clean or with up to three defects, and with some
     lines ended by lone separators, ``ingest_csv`` accepts exactly what the
     row loop it replaced accepts, with the same bits, and rejects the rest
-    with the same message."""
+    with the same message, and warns of nothing."""
     p = data.draw(st.integers(1, 3), label="p")
     rows = data.draw(
         st.lists(st.tuples(_GOOD_TARGETS, st.lists(_GOOD_CELLS, min_size=p, max_size=p)), max_size=8),
@@ -325,7 +326,10 @@ def _check_ingest_against_the_row_loop_oracle(data) -> None:
     for line in lines[1:]:
         text += data.draw(separator, label="separator") + line
     text += data.draw(st.sampled_from(["", newline]), label="end")
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        # any warning at all is an error: under PYTHONWARNINGS=error one
+        # would be a traceback instead of a data error
+        warnings.simplefilter("error")
         path = Path(tmp) / "d.csv"
         path.write_bytes(text.encode("utf-8"))
         try:
@@ -865,22 +869,24 @@ _GRID4 = ["experiment", "--seed", "1", "--p", "4", "--k", "1", "--replicates", "
 
 
 @pytest.mark.parametrize(
-    "argv, n",
+    "argv, n, roots",
     [
-        ([*_GRID4, str(10**15)], str(10**15)),
-        ([*_GRID4, _HUGE_N], _HUGE_N),
-        (["simulate", "--p", "4", "--n", _HUGE_N, "--seed", "1"], _HUGE_N),
+        ([*_GRID4, str(10**15)], str(10**15), 2),
+        ([*_GRID4, _HUGE_N], _HUGE_N, 2),
+        (["simulate", "--p", "4", "--n", _HUGE_N, "--seed", "1"], _HUGE_N, 1),
     ],
     ids=["experiment-1e15", "experiment-401-digits", "simulate-401-digits"],
 )
-def test_dataset_beyond_physical_memory_exits_4_before_out(tmp_path, capsys, monkeypatch, argv, n):
-    # 2**40 bytes: less than 10**15 rows of 4 values need, whatever this machine holds
+def test_dataset_beyond_physical_memory_exits_4_before_out(tmp_path, capsys, monkeypatch, argv, n, roots):
+    # 2**40 bytes: less than sampling 10**15 rows of 4 values holds, whatever
+    # this machine holds: 17 bytes per value and 32 per row, and a mean and
+    # root of 4 + 16 floats for each of the observational and k targets
     monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: 2**40)
     code = main([*argv, "--out", str(tmp_path / "x")])
     err = capsys.readouterr().err
     assert code == 4
-    assert err == (f"error: the values of n={n} rows over p=4 vertices need {int(n) * 32} bytes, "
-                   f"more than the {2**40} bytes of physical memory\n")
+    assert err == (f"error: the arrays that sampling n={n} rows over p=4 vertices holds need "
+                   f"{int(n) * 100 + roots * 160} bytes, more than the {2**40} bytes of physical memory\n")
     assert not (tmp_path / "x").exists()
 
 
@@ -889,6 +895,6 @@ def test_simulate_n_beyond_a_float_exits_2_where_memory_is_unknown(tmp_path, cap
     code = main(["simulate", "--p", "4", "--n", _HUGE_N, "--seed", "1", "--out", str(tmp_path / "x")])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: tau must have a finite square, got 0.2: the second moments of 1000")
+    assert err == f"error: n must not exceed the largest float, got {_HUGE_N}\n"
     assert "Traceback" not in err
     assert not (tmp_path / "x").exists()

@@ -12,8 +12,9 @@ Core claims:
     - ExperimentConfig checks itself when built, its search settings
       included, and refuses the exact search beyond its vertex limit and a
       largest dataset beyond physical memory, the default grid's when memory
-      is one byte short; where memory is unknown, an n too large for a
-      float is still a ParameterError.
+      is one byte short of what sampling it holds, a count at least the
+      peak tracemalloc sees while a replicate draws it; where memory is
+      unknown, an n too large for a float is a ParameterError naming n.
     - Seeded greedy and DP grids write rows.csv and medians.csv to the
       byte, pinned by sha256, and the same bytes with one worker or two.
     - A grid never asks for more pool workers than it has replicates, and
@@ -26,6 +27,7 @@ Core claims:
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +57,8 @@ from interdag import (
     sample_dataset,
     sufficient_stats,
 )
+
+from interdag.experiments import _draw_cell, _draw_model
 
 from helpers import random_instance
 
@@ -264,17 +268,42 @@ def test_experiment_config_errors_name_their_cause(settings, message):
 
 
 def test_experiment_config_refuses_a_dataset_beyond_physical_memory(monkeypatch):
-    # the default grid's largest dataset, n=10000 rows over p=10 vertices,
-    # holds 800,000 bytes of values
-    monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: 10000 * 10 * 8)
+    # sampling the default grid's largest dataset, n=10000 rows over p=10
+    # vertices, holds 2,020,000 bytes of normals, values, finiteness mask and
+    # row bookkeeping, and 6 means and roots of 10 + 100 floats
+    needed = 10000 * (17 * 10 + 32) + 6 * 110 * 8
+    monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: needed)
     assert ExperimentConfig(seed=1).n_grid == (100, 1000, 10000)
-    monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: 10000 * 10 * 8 - 1)
+    monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: needed - 1)
     with pytest.raises(CapacityError) as info:
         ExperimentConfig(seed=1)
-    assert str(info.value) == ("the values of n=10000 rows over p=10 vertices need 800000 bytes, "
-                               "more than the 799999 bytes of physical memory")
-    # where memory is unknown, an n too large for a float still fails the
-    # check on the second moments, with a ParameterError
+    assert str(info.value) == ("the arrays that sampling n=10000 rows over p=10 vertices holds need "
+                               "2025280 bytes, more than the 2025279 bytes of physical memory")
+    # where memory is unknown, an n too large for a float is named
     monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: None)
-    with pytest.raises(ParameterError, match="tau must have a finite square"):
+    with pytest.raises(ParameterError) as info:
         ExperimentConfig(seed=1, p=4, k=1, replicates=1, n_grid=(10**400,))
+    assert str(info.value) == f"n must not exceed the largest float, got {10**400}"
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{}, {"p": 2, "k": 0, "expected_degree": 1.0}, {"p": 40, "k": 40, "replicates_per_target": 25}],
+    ids=["default", "observational-p2", "every-vertex-targeted-p40"],
+)
+def test_memory_guard_counts_at_least_what_sampling_holds(settings):
+    """The guard's count for the largest dataset is at least the peak that
+    tracemalloc sees while a replicate draws that cell: its row sequence,
+    its targets' means and roots, and the dataset."""
+    config = ExperimentConfig(seed=1, n_grid=(10000,), replicates=1, **settings)
+    _, model = _draw_model(config, 0)
+    tracemalloc.start()
+    try:
+        singles, sequence = _draw_cell(config, 10000, 5)
+        spec = InterventionSpec.constant(singles, config.mu_grid[0], config.tau**2)
+        data = sample_dataset(model, sequence, spec, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.n == 10000
+    assert config._sampling_bytes(10000) >= peak
