@@ -10,9 +10,16 @@ are the fields of ``SearchConfig`` and ``ExperimentConfig``, read by type.
 """
 
 import argparse
+import contextlib
+import functools
+import itertools
 import math
+import os
+import signal
 import sys
+import threading
 import typing
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -37,9 +44,13 @@ from .search import SearchConfig
 __all__ = ["ingest_csv", "emit_csv", "main"]
 
 
-# characters of CSV text parsed at a time: as fast as 1 MiB, and a fit's
-# peak RSS is about 3 MB lower, as less freed chunk memory stays on the heap
+# characters of CSV text parsed or formatted at a time: as fast as 1 MiB, and
+# a fit's peak RSS is about 3 MB lower, as less freed chunk memory stays on the heap
 _CHUNK_CHARS = 1 << 18
+
+# the characters of a formatted value and its comma, about, which sizes the
+# row chunks emit_csv formats and the text it would write
+_VALUE_CHARS = 20
 
 # "\x1f", which loadtxt strips from a cell as whitespace where float() rejects
 # it, and the line ends that str.splitlines honours and the file reader does not
@@ -62,38 +73,54 @@ def ingest_csv(path: str | Path) -> Dataset:
     which loadtxt rejects.  Both paths give the same values and errors, so
     neither depends on where chunks end.  The blocks are concatenated into
     the array the Dataset keeps.
+
+    A file of at least 8 chunks is split with a forked child (see
+    ``_forked``): the child parses the tail half's chunks by ``np.loadtxt``
+    while this process parses the head half, then reads the child's blocks
+    in place of its own ``np.loadtxt`` calls, still reading every line for
+    targets and line numbers.  From the first chunk the child did not parse
+    in bulk or did not send, this process parses every chunk itself, so the
+    values and errors are the same.
     """
     p = 0
     parsed: dict[str, InterventionTarget] = {}
     targets: list[InterventionTarget] = []
     blocks: list[np.ndarray] = []
     lineno = 1  # the line number of lines[0]
-    for lines in _line_chunks(path):
-        text = "".join(lines)
-        bulk = not any(c in text for c in _ROW_LOOP_ONLY)
-        if not bulk:
-            lines = text.splitlines()
-        del text
-        if lineno == 1:
-            first = lines[0].removesuffix("\n")
-            header = [c.strip() for c in first.split(",")]
-            p = len(header) - 1
-            if p < 1 or header[0] != "target" or header[1:] != [f"x{i}" for i in range(1, p + 1)]:
-                raise DataError(f"{path}: line 1: header must be 'target,x1,...,xp', got {first!r}")
-            del lines[0]
-            lineno = 2
-        if not lines:
-            continue
-        # loadtxt skips blank lines, and warns when it finds no other
-        values = _numeric_block(lines, p) if bulk and "\n" not in lines else None
-        if values is None:
-            if bulk:
-                lines = "".join(lines).splitlines()
-            values = _ingest_rows(path, lines, lineno, p, parsed, targets)
-        else:
-            _parse_targets(path, lines, lineno, p, parsed, targets)
-        blocks.append(values)
-        lineno += len(lines)
+    with contextlib.ExitStack() as stack:
+        child, start = None, 0  # the child's blocks, from chunk `start` on
+        for index, lines in enumerate(_line_chunks(path)):
+            values = None
+            if child is not None and index >= start:
+                values = _received_block(child, len(lines), p)
+                if values is None:
+                    child = None
+            if values is None:
+                lines, bulk = _split(lines)
+                if lineno == 1:
+                    first = lines[0].removesuffix("\n")
+                    header = [c.strip() for c in first.split(",")]
+                    p = len(header) - 1
+                    if p < 1 or header[0] != "target" or header[1:] != [f"x{i}" for i in range(1, p + 1)]:
+                        raise DataError(f"{path}: line 1: header must be 'target,x1,...,xp', got {first!r}")
+                    del lines[0]
+                    lineno = 2
+                    identity = _file_identity(path)
+                    size = identity[0] if identity else 0
+                    start = size // _CHUNK_CHARS // 2
+                    send = functools.partial(_send_blocks, path, identity, p, start)
+                    child = stack.enter_context(_forked(size, send))
+                if not lines:
+                    continue
+                values = _numeric_block(lines, p) if bulk else None
+            if values is None:
+                if bulk:
+                    lines = "".join(lines).splitlines()
+                values = _ingest_rows(path, lines, lineno, p, parsed, targets)
+            else:
+                _parse_targets(path, lines, lineno, p, parsed, targets)
+            blocks.append(values)
+            lineno += len(lines)
     if lineno == 1:
         raise DataError(f"{path}: empty file")
     values = np.concatenate(blocks) if blocks else np.empty((0, p))
@@ -115,10 +142,33 @@ def _line_chunks(path: str | Path):
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
+def _file_identity(path: str | Path) -> tuple | None:
+    """The file's size in bytes, modification time, device and inode, or
+    None if it cannot be read any more."""
+    try:
+        status = os.stat(path)
+    except OSError:
+        return None
+    return status.st_size, status.st_mtime_ns, status.st_dev, status.st_ino
+
+
+def _split(lines: list[str]) -> tuple[list[str], bool]:
+    """A chunk's lines and whether they may be parsed in bulk: the file
+    reader's lines when the chunk holds no character in ``_ROW_LOOP_ONLY``,
+    else its ``str.splitlines`` lines, for the row loop."""
+    text = "".join(lines)
+    if any(c in text for c in _ROW_LOOP_ONLY):
+        return text.splitlines(), False
+    return lines, True
+
+
 def _numeric_block(lines: list[str], p: int) -> np.ndarray | None:
     """Columns 1..p of every line as floats, or None unless each line gave
     p + 1 fields and p finite values.  The target field is read as zero,
-    so only a wrong field count can fail in it."""
+    so only a wrong field count can fail in it.  A blank line gives None:
+    loadtxt skips it, and warns when it finds no other."""
+    if "\n" in lines:
+        return None
     try:
         values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, converters={0: lambda _: 0.0})
     except ValueError:
@@ -127,6 +177,39 @@ def _numeric_block(lines: list[str], p: int) -> np.ndarray | None:
     if values.shape != (len(lines), p) or not np.isfinite(values).all():
         return None
     return values
+
+
+def _send_blocks(path: str | Path, identity: tuple | None, p: int, start: int, out) -> None:
+    """The child's half of ingest_csv: from chunk ``start`` on, the values
+    of each chunk up to the first that is not parsed in bulk, each sent as
+    its row count and its raw float64 bytes, then -1.  Every block is
+    parsed before any is sent, as the parent reads none before it reaches
+    chunk ``start``, and a full pipe would stall the child until then.
+    Nothing is sent if the path no longer has the ``identity`` the parent
+    saw, as when the file was replaced or rewritten since."""
+    if _file_identity(path) != identity:
+        return
+    blocks = []
+    for lines in itertools.islice(_line_chunks(path), start, None):
+        lines, bulk = _split(lines)
+        values = _numeric_block(lines, p) if bulk else None
+        if values is None:
+            break
+        blocks.append(np.ascontiguousarray(values))
+    for values in blocks:
+        out.write(len(values).to_bytes(8, "little", signed=True))
+        out.write(values)
+    out.write((-1).to_bytes(8, "little", signed=True))
+
+
+def _received_block(child, rows: int, p: int) -> np.ndarray | None:
+    """The child's next block, read without a copy, when it holds ``rows``
+    rows of ``p`` values; None when the child sent -1, less, or nothing."""
+    head = child.read(8)
+    if len(head) < 8 or int.from_bytes(head, "little", signed=True) != rows:
+        return None
+    values = np.empty((rows, p))
+    return values if child.readinto(values) == values.nbytes else None
 
 
 def _parse_targets(path, lines: list[str], lineno: int, p: int,
@@ -194,15 +277,111 @@ def _ingest_rows(path, lines: list[str], first: int, p: int,
 def emit_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset CSV that ingest_csv reads back bit-exactly.
 
-    Each distinct target's label is computed once; each row is formatted
-    from one ``tolist`` of its values by one call of a row-wide template.
+    Each distinct target's label is computed once; the rows are formatted
+    and written in chunks of about ``_CHUNK_CHARS`` characters, each row by
+    one call of a row-wide template.  A text of at least 8 chunks, by its
+    n·p values, is split with a forked child (see ``_forked``): the child
+    formats the tail half of the rows while this process writes the head
+    half, then copies the child's text after it.  If the child sends less
+    than it announced, this process formats the tail itself, so the bytes
+    are the same either way.
     """
     labels = {t: t.label() for t in dataset.row_groups}
+    middle = dataset.n // 2
+    with open(path, "wb") as out:
+        out.write(("target," + ",".join(f"x{i}" for i in range(1, dataset.p + 1)) + "\n").encode())
+        send = functools.partial(_send_text, dataset, labels, middle)
+        with _forked(dataset.n * dataset.p * _VALUE_CHARS, send) as child:
+            out.writelines(_csv_rows(dataset, labels, 0, dataset.n if child is None else middle))
+            if child is not None:
+                mark = out.tell()
+                if not _copied_text(child, out):
+                    out.seek(mark)
+                    out.truncate()
+                    out.writelines(_csv_rows(dataset, labels, middle, dataset.n))
+
+
+def _csv_rows(dataset: Dataset, labels: dict, start: int, stop: int):
+    """The CSV lines of rows start..stop - 1, encoded, in chunks of about
+    ``_CHUNK_CHARS`` characters."""
     row_text = ",".join([_FLOAT_FMT] * dataset.p).format
-    lines = ["target," + ",".join(f"x{i}" for i in range(1, dataset.p + 1))]
-    for target, row in dataset.rows():
-        lines.append(labels[target] + "," + row_text(*row.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    step = max(1, _CHUNK_CHARS // (_VALUE_CHARS * dataset.p))
+    for i in range(start, stop, step):
+        j = min(i + step, stop)
+        rows = zip(dataset.targets[i:j], dataset.values[i:j].tolist())
+        yield "".join([labels[t] + "," + row_text(*row) + "\n" for t, row in rows]).encode()
+
+
+def _send_text(dataset: Dataset, labels: dict, start: int, out) -> None:
+    """The child's half of emit_csv: the CSV lines of rows ``start`` on,
+    sent as their length in bytes and then the text.  The whole text is
+    formatted before any is sent, as the parent reads none before it has
+    written the head rows, and a full pipe would stall the child until then."""
+    chunks = list(_csv_rows(dataset, labels, start, dataset.n))
+    out.write(sum(map(len, chunks)).to_bytes(8, "little"))
+    out.writelines(chunks)
+
+
+def _copied_text(child, out) -> bool:
+    """Copy the child's text to ``out`` a chunk at a time; False when the
+    child sent less than its announced length."""
+    head = child.read(8)
+    if len(head) < 8:
+        return False
+    left = int.from_bytes(head, "little")
+    while left:
+        text = child.read(min(left, _CHUNK_CHARS))
+        if not text:
+            return False
+        out.write(text)
+        left -= len(text)
+    return True
+
+
+@contextlib.contextmanager
+def _forked(chars: int, work):
+    """Run ``work(out)`` in a child started with ``os.fork`` and yield the
+    read end of the pipe ``out`` writes to, as a binary file; yield None,
+    and start nothing, unless CSV text of about ``chars`` characters is
+    worth a second process: at least 8 chunks, a platform that forks, two
+    usable cores, and no other thread, as a fork copies only the calling
+    thread.  The child always leaves through ``os._exit``, so it neither
+    flushes inherited buffers nor returns into the caller; on every exit,
+    an exception or an interrupt included, the parent kills the child and
+    reaps it."""
+    if not (chars >= 8 * _CHUNK_CHARS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1 and len(os.sched_getaffinity(0)) >= 2):
+        yield None
+        return
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 warns of native threads too, such as a BLAS pool,
+            # which hold no lock the child takes
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        pid = None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as out:
+                work(out)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    if pid is None:
+        os.close(read_fd)
+        yield None
+        return
+    try:
+        with open(read_fd, "rb") as child:
+            yield child
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,12 @@ Core claims:
       whichever line separators str.splitlines() honours end its lines;
       a clean file never reaches the row loop.  A file of several chunks
       is read holding one chunk of text at a time (tracemalloc).
+    - A CSV of 8 chunks or more is read and written by two forked
+      processes, with the values, errors and bytes of one process, also
+      when the child dies or sends less, and no child is left after any
+      call; emit_csv holds a few chunks of text at a time (tracemalloc).
+      Inputs the size of the exact-search benchmark's, and experiment
+      grids, never fork.
     - A seeded simulate writes the same dataset.csv bytes as recorded, and
       one at p=100 whose class is too large to list exits 0.  One with no
       observational rows writes the essential.txt bytes recorded when its
@@ -43,8 +49,10 @@ Core claims:
       experiment output is bit-identical across runs with the same seed.
 """
 
+import contextlib
 import hashlib
 import json
+import os
 import tempfile
 import tracemalloc
 import warnings
@@ -352,20 +360,236 @@ def test_ingest_matches_the_row_loop_oracle(data):
     _check_ingest_against_the_row_loop_oracle(data)
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_ingest_in_chunks_of_a_few_bytes_matches_the_row_loop_oracle(data):
+def test_ingest_in_chunks_of_a_few_bytes_matches_the_row_loop_oracle(forks):
     """Chunks of a few characters end between lines, defects and targets,
     so a file is parsed partly in bulk and partly by the row loop, with one
-    shared dict of parsed targets."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(interdag.cli, "_CHUNK_CHARS", data.draw(st.integers(1, 40), label="chunk"))
-        _check_ingest_against_the_row_loop_oracle(data)
+    shared dict of parsed targets.  A file of 8 chunks or more is split
+    with a forked child, which parses the tail half's chunks in bulk; some
+    examples are."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(interdag.cli, "_CHUNK_CHARS", data.draw(st.integers(1, 40), label="chunk"))
+            _check_ingest_against_the_row_loop_oracle(data)
+        _assert_no_child_left()
+
+    check()
+    assert len(forks) >= 10
 
 
 def test_ingest_missing_file():
     with pytest.raises(DataError):
         ingest_csv("/nonexistent/never.csv")
+
+
+# -- CSV I/O split with a forked child ----------------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks made, with two usable cores whatever the machine has."""
+    made = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: made.append(os.getpid()) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return made
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _one_core():
+    """A context in which no CSV I/O forks."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        yield
+
+
+def _ingest_outcome(path):
+    """What ingest_csv makes of the file: its error text, or its dataset's
+    columns, targets and value bits."""
+    try:
+        data = ingest_csv(path)
+    except DataError as exc:
+        outcome = str(exc)
+    else:
+        outcome = (data.p, data.targets, data.values.tobytes())
+    _assert_no_child_left()
+    return outcome
+
+
+def _tail_csv(path, defect: str, newline: str = "\n", rows: int = 400) -> None:
+    """A CSV of ``rows`` rows at p=3, some targeted, with one defect at
+    about four fifths of the rows, in the tail half a child parses, and
+    beyond the first 8 KiB block the file reader decodes."""
+    rng = np.random.default_rng(11)
+    lines = ["target,x1,x2,x3"]
+    for i in range(rows):
+        target = ["", "1", "2;3"][i % 3]
+        lines.append(target + "," + ",".join(map(repr, rng.standard_normal(3).tolist())))
+    i = rows * 4 // 5
+    if defect == "cell":
+        lines[i] = lines[i].rsplit(",", 1)[0] + ",oops"
+    elif defect == "target":
+        lines[i] = "7" + lines[i][lines[i].find(","):]
+    elif defect == "blank":
+        lines.insert(i, "")
+    text = (newline.join(lines) + newline).encode()
+    if defect == "utf8":
+        at = text.index(lines[i].encode())
+        text = text[:at] + b"\xff" + text[at:]
+    path.write_bytes(text)
+
+
+@pytest.mark.parametrize("defect, newline, message", [
+    ("cell", "\n", "line 321: column x3: not a number: 'oops'"),
+    ("target", "\n", "line 321: bad target '7'"),
+    ("blank", "\n", "line 321: expected 4 fields, got 1"),
+    ("utf8", "\n", "codec can't decode byte 0xff"),
+    ("none", "\r\n", None),
+    ("cell", "\r\n", "line 321: column x3: not a number: 'oops'"),
+])
+def test_ingest_defect_in_the_tail_half_gives_what_one_process_gives(tmp_path, monkeypatch, forks,
+                                                                     defect, newline, message):
+    """A defect in the chunks the child parses gives the same error text as
+    a parse in one process, and a clean CRLF file the same bits; after
+    either, no child is left."""
+    monkeypatch.setattr(interdag.cli, "_CHUNK_CHARS", 256)
+    path = tmp_path / "d.csv"
+    _tail_csv(path, defect, newline)
+    got = _ingest_outcome(path)
+    assert len(forks) == 1
+    with _one_core():
+        assert _ingest_outcome(path) == got
+    assert len(forks) == 1
+    if message is None:
+        assert got[0] == 3 and len(got[1]) == 400
+    else:
+        assert message in got
+
+
+def test_ingest_whose_child_exits_early_gives_the_same_dataset(tmp_path, monkeypatch, forks):
+    """A child that dies before it sends a block leaves this process to
+    parse every chunk itself, with the same bits."""
+    monkeypatch.setattr(interdag.cli, "_CHUNK_CHARS", 256)
+    path = tmp_path / "d.csv"
+    _tail_csv(path, "none")
+    with _one_core():
+        want = _ingest_outcome(path)
+    parent, block = os.getpid(), interdag.cli._numeric_block
+    monkeypatch.setattr(interdag.cli, "_numeric_block",
+                        lambda lines, p: block(lines, p) if os.getpid() == parent else os._exit(1))
+    assert _ingest_outcome(path) == want
+    assert len(forks) == 1
+
+
+def test_ingest_of_a_file_replaced_after_its_header_reads_the_file_opened(tmp_path, monkeypatch, forks):
+    """A file replaced by another of as many rows once this process has
+    opened it is read whole from the file opened: the child, which opens
+    the path anew, sends nothing."""
+    monkeypatch.setattr(interdag.cli, "_CHUNK_CHARS", 256)
+    path, other = tmp_path / "d.csv", tmp_path / "other.csv"
+    _tail_csv(path, "none")
+    _tail_csv(other, "none")
+    other.write_text(other.read_text().replace(",-", ",+"))
+    with _one_core():
+        want = _ingest_outcome(path)
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: os.replace(other, path) or fork())
+    assert _ingest_outcome(path) == want
+
+
+def _short_text(dataset, labels, start, out):
+    """A child's half of emit_csv that announces more text than it sends."""
+    out.write((1 << 20).to_bytes(8, "little"))
+    out.write(next(interdag.cli._csv_rows(dataset, labels, start, dataset.n)))
+
+
+@pytest.mark.parametrize("child", ["whole", "exits", "short"])
+def test_emit_writes_the_same_bytes_forked_and_in_one_process(tmp_path, monkeypatch, forks, child):
+    """The head rows written here and the tail rows copied from a child
+    make the bytes one process writes, and so do the tail rows formatted
+    here when the child dies or sends less than it announced."""
+    monkeypatch.setattr(interdag.cli, "_CHUNK_CHARS", 256)
+    rng = np.random.default_rng(5)
+    targets = [InterventionTarget.empty(), InterventionTarget.of(2), InterventionTarget.of(1, 3)] * 70
+    data = Dataset(3, tuple(targets), rng.standard_normal((210, 3)) * 10.0 ** rng.integers(-300, 300, (210, 3)))
+    with _one_core():
+        emit_csv(data, tmp_path / "one.csv")
+    if child == "exits":
+        monkeypatch.setattr(interdag.cli, "_send_text", lambda *args: os._exit(1))
+    elif child == "short":
+        monkeypatch.setattr(interdag.cli, "_send_text", _short_text)
+    emit_csv(data, tmp_path / "two.csv")
+    _assert_no_child_left()
+    assert len(forks) == 1
+    assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert ingest_csv(tmp_path / "two.csv").values.tobytes() == data.values.tobytes()
+
+
+def test_ingest_and_emit_run_in_one_process_when_fork_fails(tmp_path, monkeypatch, forks):
+    """A fork refused by the system, for want of processes or memory,
+    leaves the whole file to this process, with the same bytes and bits."""
+    monkeypatch.setattr(interdag.cli, "_CHUNK_CHARS", 256)
+    path = tmp_path / "d.csv"
+    _tail_csv(path, "none")
+    with _one_core():
+        want = _ingest_outcome(path)
+        data = ingest_csv(path)
+        emit_csv(data, tmp_path / "one.csv")
+
+    def refused_fork():
+        forks.append(os.getpid())
+        raise BlockingIOError(11, "no fork")
+
+    monkeypatch.setattr(os, "fork", refused_fork)
+    assert _ingest_outcome(path) == want
+    emit_csv(data, tmp_path / "two.csv")
+    assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("forked", [False, True])
+def test_emit_holds_a_few_chunks_of_text_at_a_time(tmp_path, forks, forked):
+    """The rows are formatted and written in chunks of about
+    ``_CHUNK_CHARS`` characters, in one process and, forked, in this
+    one: the peak traced allocation stays within a few chunks' text, with
+    the lines and floats it is made from.  Joining every line held the
+    lines and the text, 8.3 times the values at 100,000 rows of 10."""
+    p, n = 10, 40_000
+    rng = np.random.default_rng(3)
+    data = Dataset(p, (InterventionTarget.empty(),) * n, rng.standard_normal((n, p)))
+    path = tmp_path / "big.csv"
+    with contextlib.nullcontext() if forked else _one_core():
+        tracemalloc.start()
+        try:
+            emit_csv(data, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(forks) == forked
+    assert path.stat().st_size >= 8 * interdag.cli._CHUNK_CHARS
+    assert ingest_csv(path).values.tobytes() == data.values.tobytes()
+    assert peak <= 8 * interdag.cli._CHUNK_CHARS < data.values.nbytes
+
+
+def test_fit_exact_sized_inputs_and_the_grid_never_fork(tmp_path, capsys, monkeypatch):
+    """A simulate and a fit at the size of the exact-search benchmark input
+    (p=12, n=2000, 486 KB of CSV) and an experiment grid, which writes no
+    CSV, run in one process."""
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--p", "12", "--n", "2000", "--k", "3", "--replicates-per-target", "5",
+                 "--seed", "7", "--out", str(sim)]) == 0
+    assert main(["fit", "--data", str(sim / "dataset.csv"), "--method", "dp", "--out", str(tmp_path / "fit")]) == 0
+    assert main(["experiment", "--seed", "1", "--p", "6", "--replicates", "2", "--n-grid", "50,100",
+                 "--workers", "1", "--out", str(tmp_path / "exp")]) == 0
 
 
 # -- fit command ---------------------------------------------------------------------
