@@ -74,55 +74,53 @@ def ingest_csv(path: str | Path) -> Dataset:
     neither depends on where chunks end.  The blocks are concatenated into
     the array the Dataset keeps.
 
-    A file of at least 8 chunks is split with a forked child (see
-    ``_forked``): the child parses the tail half's chunks by ``np.loadtxt``
-    while this process parses the head half, then reads the child's blocks
-    in place of its own ``np.loadtxt`` calls, still reading every line for
-    targets and line numbers.  From the first chunk the child did not parse
-    in bulk or did not send, this process parses every chunk itself, so the
-    values and errors are the same.
+    Once the header is read, a file of at least 8 chunks is split with a
+    forked child (see ``_forked``): the child parses the tail half's chunks
+    by ``np.loadtxt`` and sends each as one frame of raw float64 values
+    (``_bulk_blocks``), while this process parses the head half.  Both
+    chunk the same file the same way.  For each tail chunk this process
+    reads the child's next frame in place of its own ``np.loadtxt`` call,
+    still reading every line for targets and line numbers.  From the first
+    chunk whose frame is missing or not of the chunk's size, this process
+    parses every chunk itself, so the values and errors are the same.
     """
-    p = 0
     parsed: dict[str, InterventionTarget] = {}
     targets: list[InterventionTarget] = []
     blocks: list[np.ndarray] = []
-    lineno = 1  # the line number of lines[0]
-    with contextlib.ExitStack() as stack:
-        child, start = None, 0  # the child's blocks, from chunk `start` on
-        for index, lines in enumerate(_line_chunks(path)):
-            values = None
-            if child is not None and index >= start:
-                values = _received_block(child, len(lines), p)
-                if values is None:
-                    child = None
-            if values is None:
-                lines, bulk = _split(lines)
-                if lineno == 1:
-                    first = lines[0].removesuffix("\n")
-                    header = [c.strip() for c in first.split(",")]
-                    p = len(header) - 1
-                    if p < 1 or header[0] != "target" or header[1:] != [f"x{i}" for i in range(1, p + 1)]:
-                        raise DataError(f"{path}: line 1: header must be 'target,x1,...,xp', got {first!r}")
-                    del lines[0]
-                    lineno = 2
-                    identity = _file_identity(path)
-                    size = identity[0] if identity else 0
-                    start = size // _CHUNK_CHARS // 2
-                    send = functools.partial(_send_blocks, path, identity, p, start)
-                    child = stack.enter_context(_forked(size, send))
+    with contextlib.closing(_line_chunks(path)) as reader:
+        lines, bulk = _split(next(reader, []))
+        if not lines:
+            raise DataError(f"{path}: empty file")
+        first = lines[0].removesuffix("\n")
+        header = [c.strip() for c in first.split(",")]
+        p = len(header) - 1
+        if p < 1 or header[0] != "target" or header[1:] != [f"x{i}" for i in range(1, p + 1)]:
+            raise DataError(f"{path}: line 1: header must be 'target,x1,...,xp', got {first!r}")
+        identity = _file_identity(path)
+        size = identity[0] if identity else 0
+        start = size // _CHUNK_CHARS // 2  # the child's frames are of chunks start on
+        lineno = 2  # the line number of lines[0]
+        with _forked(size, functools.partial(_bulk_blocks, path, identity, p, start)) as frames:
+            for index, (lines, bulk) in enumerate(itertools.chain([(lines[1:], bulk)], map(_split, reader))):
                 if not lines:
                     continue
-                values = _numeric_block(lines, p) if bulk else None
-            if values is None:
-                if bulk:
-                    lines = "".join(lines).splitlines()
-                values = _ingest_rows(path, lines, lineno, p, parsed, targets)
-            else:
-                _parse_targets(path, lines, lineno, p, parsed, targets)
-            blocks.append(values)
-            lineno += len(lines)
-    if lineno == 1:
-        raise DataError(f"{path}: empty file")
+                values = None
+                if frames is not None and index >= start:
+                    frame = next(frames, None)
+                    if frame is not None and len(frame) == len(lines) * p * 8:
+                        values = np.frombuffer(frame).reshape(-1, p)
+                    else:
+                        frames = None
+                if values is None and bulk:
+                    values = _numeric_block(lines, p)
+                if values is None:
+                    if bulk:
+                        lines = "".join(lines).splitlines()
+                    values = _ingest_rows(path, lines, lineno, p, parsed, targets)
+                else:
+                    _parse_targets(path, lines, lineno, p, parsed, targets)
+                blocks.append(values)
+                lineno += len(lines)
     values = np.concatenate(blocks) if blocks else np.empty((0, p))
     del blocks
     # the Dataset keeps the concatenated values, which no one else holds, uncopied
@@ -179,37 +177,18 @@ def _numeric_block(lines: list[str], p: int) -> np.ndarray | None:
     return values
 
 
-def _send_blocks(path: str | Path, identity: tuple | None, p: int, start: int, out) -> None:
+def _bulk_blocks(path: str | Path, identity: tuple | None, p: int, start: int):
     """The child's half of ingest_csv: from chunk ``start`` on, the values
-    of each chunk up to the first that is not parsed in bulk, each sent as
-    its row count and its raw float64 bytes, then -1.  Every block is
-    parsed before any is sent, as the parent reads none before it reaches
-    chunk ``start``, and a full pipe would stall the child until then.
-    Nothing is sent if the path no longer has the ``identity`` the parent
+    of each chunk, as a C-ordered array, up to the first that is not parsed
+    in bulk; nothing if the path no longer has the ``identity`` the parent
     saw, as when the file was replaced or rewritten since."""
     if _file_identity(path) != identity:
         return
-    blocks = []
-    for lines in itertools.islice(_line_chunks(path), start, None):
-        lines, bulk = _split(lines)
+    for lines, bulk in itertools.islice(map(_split, _line_chunks(path)), start, None):
         values = _numeric_block(lines, p) if bulk else None
         if values is None:
-            break
-        blocks.append(np.ascontiguousarray(values))
-    for values in blocks:
-        out.write(len(values).to_bytes(8, "little", signed=True))
-        out.write(values)
-    out.write((-1).to_bytes(8, "little", signed=True))
-
-
-def _received_block(child, rows: int, p: int) -> np.ndarray | None:
-    """The child's next block, read without a copy, when it holds ``rows``
-    rows of ``p`` values; None when the child sent -1, less, or nothing."""
-    head = child.read(8)
-    if len(head) < 8 or int.from_bytes(head, "little", signed=True) != rows:
-        return None
-    values = np.empty((rows, p))
-    return values if child.readinto(values) == values.nbytes else None
+            return
+        yield np.ascontiguousarray(values)
 
 
 def _parse_targets(path, lines: list[str], lineno: int, p: int,
@@ -281,24 +260,27 @@ def emit_csv(dataset: Dataset, path: str | Path) -> None:
     and written in chunks of about ``_CHUNK_CHARS`` characters, each row by
     one call of a row-wide template.  A text of at least 8 chunks, by its
     n·p values, is split with a forked child (see ``_forked``): the child
-    formats the tail half of the rows while this process writes the head
-    half, then copies the child's text after it.  If the child sends less
-    than it announced, this process formats the tail itself, so the bytes
-    are the same either way.
+    formats the tail half of the rows, one frame per chunk, while this
+    process writes the head half, then writes the child's frames after it
+    as they arrive.  If the child's frames end before its end frame, this
+    process truncates the file back to the head and formats the tail
+    itself, so the bytes are the same either way.
     """
     labels = {t: t.label() for t in dataset.row_groups}
     middle = dataset.n // 2
+    tail = functools.partial(_csv_rows, dataset, labels, middle, dataset.n)
     with open(path, "wb") as out:
         out.write(("target," + ",".join(f"x{i}" for i in range(1, dataset.p + 1)) + "\n").encode())
-        send = functools.partial(_send_text, dataset, labels, middle)
-        with _forked(dataset.n * dataset.p * _VALUE_CHARS, send) as child:
-            out.writelines(_csv_rows(dataset, labels, 0, dataset.n if child is None else middle))
-            if child is not None:
-                mark = out.tell()
-                if not _copied_text(child, out):
+        with _forked(dataset.n * dataset.p * _VALUE_CHARS, tail) as frames:
+            out.writelines(_csv_rows(dataset, labels, 0, dataset.n if frames is None else middle))
+            mark = out.tell()
+            for frame in frames or ():
+                if frame is None:
                     out.seek(mark)
                     out.truncate()
-                    out.writelines(_csv_rows(dataset, labels, middle, dataset.n))
+                    out.writelines(tail())
+                else:
+                    out.write(frame)
 
 
 def _csv_rows(dataset: Dataset, labels: dict, start: int, stop: int):
@@ -312,43 +294,23 @@ def _csv_rows(dataset: Dataset, labels: dict, start: int, stop: int):
         yield "".join([labels[t] + "," + row_text(*row) + "\n" for t, row in rows]).encode()
 
 
-def _send_text(dataset: Dataset, labels: dict, start: int, out) -> None:
-    """The child's half of emit_csv: the CSV lines of rows ``start`` on,
-    sent as their length in bytes and then the text.  The whole text is
-    formatted before any is sent, as the parent reads none before it has
-    written the head rows, and a full pipe would stall the child until then."""
-    chunks = list(_csv_rows(dataset, labels, start, dataset.n))
-    out.write(sum(map(len, chunks)).to_bytes(8, "little"))
-    out.writelines(chunks)
-
-
-def _copied_text(child, out) -> bool:
-    """Copy the child's text to ``out`` a chunk at a time; False when the
-    child sent less than its announced length."""
-    head = child.read(8)
-    if len(head) < 8:
-        return False
-    left = int.from_bytes(head, "little")
-    while left:
-        text = child.read(min(left, _CHUNK_CHARS))
-        if not text:
-            return False
-        out.write(text)
-        left -= len(text)
-    return True
-
-
 @contextlib.contextmanager
 def _forked(chars: int, work):
-    """Run ``work(out)`` in a child started with ``os.fork`` and yield the
-    read end of the pipe ``out`` writes to, as a binary file; yield None,
-    and start nothing, unless CSV text of about ``chars`` characters is
-    worth a second process: at least 8 chunks, a platform that forks, two
-    usable cores, and no other thread, as a fork copies only the calling
-    thread.  The child always leaves through ``os._exit``, so it neither
-    flushes inherited buffers nor returns into the caller; on every exit,
-    an exception or an interrupt included, the parent kills the child and
-    reaps it."""
+    """Run ``work()`` in a child started with ``os.fork`` and yield the
+    frames it sends, read by ``_frames``; yield None, and start nothing,
+    unless CSV text of about ``chars`` characters is worth a second
+    process: at least 8 chunks, a platform that forks, two usable cores,
+    and no other thread, as a fork copies only the calling thread.
+
+    The child collects every buffer ``work()`` yields before it writes
+    any, as the parent reads none before it has done its own half, and a
+    full pipe would stall the child until then.  It then writes each as a
+    frame, its length in 8 little-endian bytes and then its bytes, and ends
+    with an empty frame; ``work()`` yields no empty buffer, so an empty
+    frame can only be the end.  The child always leaves through
+    ``os._exit``, so it neither flushes inherited buffers nor returns into
+    the caller; on every exit, an exception or an interrupt included, the
+    parent kills the child and reaps it."""
     if not (chars >= 8 * _CHUNK_CHARS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and threading.active_count() == 1 and len(os.sched_getaffinity(0)) >= 2):
         yield None
@@ -366,8 +328,12 @@ def _forked(chars: int, work):
         status = 1
         try:
             os.close(read_fd)
+            buffers = list(work())
             with open(write_fd, "wb") as out:
-                work(out)
+                for buffer in buffers:
+                    out.write(memoryview(buffer).nbytes.to_bytes(8, "little"))
+                    out.write(buffer)
+                out.write(bytes(8))
             status = 0
         finally:
             os._exit(status)
@@ -378,10 +344,24 @@ def _forked(chars: int, work):
         return
     try:
         with open(read_fd, "rb") as child:
-            yield child
+            yield _frames(child)
     finally:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
+
+
+def _frames(child):
+    """Each frame read from the binary file ``child``, as bytes, up to the
+    empty frame that ends them; then None, once, if the stream ends first."""
+    while len(head := child.read(8)) == 8:
+        size = int.from_bytes(head, "little")
+        if not size:
+            return
+        frame = child.read(size)
+        if len(frame) < size:
+            break
+        yield frame
+    yield None
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +411,7 @@ def _read_config_file(path: str | Path) -> dict:
         try:
             settings[key] = types[key](value)
         except ValueError as exc:
-            raise ParameterError(f"bad value for {key}: {value!r} ({exc})") from None
+            raise ParameterError(f"{path}: line {lineno}: bad value for {key}: {value!r} ({exc})") from None
     return settings
 
 

@@ -36,7 +36,7 @@ from .model import (
     sample_normalized_model,
     sample_random_dag,
 )
-from .search import METHODS, SearchConfig, SearchTrace, _check_dp_vertices, exhaustive_dp
+from .search import METHODS, SearchConfig, SearchTrace, _check_dp_vertices, _check_integers, exhaustive_dp
 from .search import format_trace, greedy_search
 
 __all__ = ["ExperimentConfig", "ResultRow", "fit_structure", "estimate_essential_graph", "run_fit",
@@ -73,7 +73,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        _check_integers(self)
+        if not 0 <= self.seed < 2**64:
             raise ParameterError("seed is mandatory and must fit in 64 bits")
         if self.p < 1:
             raise ParameterError("p must be at least 1")

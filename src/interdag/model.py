@@ -43,9 +43,14 @@ __all__ = [
 ]
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer: an int or a numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _rng(seed) -> np.random.Generator:
     """Counter-based generator from a 64-bit seed; the only RNG in the package."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+    if not _is_integer(seed):
         raise ParameterError(f"seed must be an integer, got {seed!r}")
     if not 0 <= int(seed) < 2**64:
         raise ParameterError("seed must fit in 64 bits")

@@ -10,7 +10,7 @@ best-parent-set / best-sink recursion over vertex subsets.
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .likelihood import (
     _scores,
     check_scorable,
 )
-from .model import _FLOAT_FMT, Dag
+from .model import _FLOAT_FMT, Dag, _is_integer
 
 __all__ = [
     "SearchConfig",
@@ -46,6 +46,23 @@ def _check_dp_vertices(p: int) -> None:
         raise CapacityError(f"exact search supports at most {DP_VERTEX_LIMIT} vertices, got {p}")
 
 
+def _check_integers(config) -> None:
+    """Raise ParameterError unless every ``int``, ``int | None`` and
+    ``tuple[int, ...]`` field of the frozen dataclass ``config`` holds
+    integers as ``_rng`` takes a seed: a bool is refused, and a numpy
+    integer is stored as an int."""
+    for name, hint in get_type_hints(type(config)).items():
+        value = getattr(config, name)
+        if hint == tuple[int, ...]:
+            if not isinstance(value, (tuple, list)) or not all(map(_is_integer, value)):
+                raise ParameterError(f"{name} must be a tuple of integers, got {value!r}")
+            object.__setattr__(config, name, tuple(map(int, value)))
+        elif hint is int or (hint == int | None and value is not None):
+            if not _is_integer(value):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(config, name, int(value))
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """One search: the penalized score it maximizes and the searcher.
@@ -62,6 +79,7 @@ class SearchConfig:
     method: str = field(default="greedy", metadata={"choices": METHODS})
 
     def __post_init__(self):
+        _check_integers(self)
         if self.max_parents is not None and self.max_parents < 0:
             raise ParameterError("max_parents must be non-negative")
         if self.max_steps < 0:

@@ -14,8 +14,10 @@ Core claims:
       is read holding one chunk of text at a time (tracemalloc).
     - A CSV of 8 chunks or more is read and written by two forked
       processes, with the values, errors and bytes of one process, also
-      when the child dies or sends less, and no child is left after any
-      call; emit_csv holds a few chunks of text at a time (tracemalloc).
+      when the child dies or its stream of frames ends early, and no child
+      is left after any call; a stream ends at its empty end frame, or
+      else with None wherever it is cut.  emit_csv holds a few chunks of
+      text at a time (tracemalloc).
       Inputs the size of the exact-search benchmark's, and experiment
       grids, never fork.
     - A seeded simulate writes the same dataset.csv bytes as recorded, and
@@ -28,7 +30,8 @@ Core claims:
       flags give the same rows.csv and medians.csv.
     - A config file that repeats a key is rejected, naming the line and
       the key, and so are a line without '=' and a value of the wrong
-      type; fit rejects a bad search flag before it reads the data.
+      type, each after the file's path and line; fit rejects a bad search
+      flag before it reads the data.
     - Exit codes: 0 success, 2 parameter/config error (a tau whose square
       underflows, a mu that is not finite, a mu or tau whose rows would
       have second moments that overflow, found before simulate or
@@ -51,6 +54,7 @@ Core claims:
 
 import contextlib
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -488,6 +492,22 @@ def test_ingest_whose_child_exits_early_gives_the_same_dataset(tmp_path, monkeyp
     assert len(forks) == 1
 
 
+def test_ingest_whose_child_sends_a_wrong_sized_block_gives_the_same_dataset(tmp_path, monkeypatch, forks):
+    """A frame that does not hold a value for every field of its chunk, here
+    one row short, is not used: this process parses that chunk and every
+    later one itself, with the same bits."""
+    monkeypatch.setattr(interdag.cli, "_CHUNK_CHARS", 256)
+    path = tmp_path / "d.csv"
+    _tail_csv(path, "none")
+    with _one_core():
+        want = _ingest_outcome(path)
+    parent, block = os.getpid(), interdag.cli._numeric_block
+    monkeypatch.setattr(interdag.cli, "_numeric_block",
+                        lambda lines, p: block(lines, p)[:None if os.getpid() == parent else -1])
+    assert _ingest_outcome(path) == want
+    assert len(forks) == 1
+
+
 def test_ingest_of_a_file_replaced_after_its_header_reads_the_file_opened(tmp_path, monkeypatch, forks):
     """A file replaced by another of as many rows once this process has
     opened it is read whole from the file opened: the child, which opens
@@ -504,30 +524,55 @@ def test_ingest_of_a_file_replaced_after_its_header_reads_the_file_opened(tmp_pa
     assert _ingest_outcome(path) == want
 
 
-def _short_text(dataset, labels, start, out):
-    """A child's half of emit_csv that announces more text than it sends."""
-    out.write((1 << 20).to_bytes(8, "little"))
-    out.write(next(interdag.cli._csv_rows(dataset, labels, start, dataset.n)))
+def _framed(*buffers, end=True) -> bytes:
+    return b"".join(len(b).to_bytes(8, "little") + b for b in buffers) + (bytes(8) if end else b"")
+
+
+@pytest.mark.parametrize("stream, frames", [
+    (_framed(b"ab", b"cde"), [b"ab", b"cde"]),
+    (_framed(), []),
+    (b"", [None]),
+    (_framed(b"ab", end=False) + b"\x03\x00", [b"ab", None]),
+    (_framed(b"ab", end=False) + (3).to_bytes(8, "little") + b"cd", [b"ab", None]),
+    (_framed(b"ab", b"cde", end=False), [b"ab", b"cde", None]),
+], ids=["complete", "no-frames", "empty", "cut-in-a-length", "cut-in-a-frame", "no-end-frame"])
+def test_ingest_and_emit_read_frames_up_to_the_end_frame_or_none(stream, frames):
+    """The frames of a child's stream, each an 8-byte little-endian length
+    and its bytes, up to the empty end frame; a stream that ends before
+    that frame, wherever it is cut, gives its whole frames and then None."""
+    assert list(interdag.cli._frames(io.BytesIO(stream))) == frames
 
 
 @pytest.mark.parametrize("child", ["whole", "exits", "short"])
 def test_emit_writes_the_same_bytes_forked_and_in_one_process(tmp_path, monkeypatch, forks, child):
     """The head rows written here and the tail rows copied from a child
     make the bytes one process writes, and so do the tail rows formatted
-    here when the child dies or sends less than it announced."""
+    here when the child dies before it sends ("exits") or its stream ends
+    after one frame, with no end frame ("short"): there, the child's
+    second buffer cannot be written, and it dies writing it."""
     monkeypatch.setattr(interdag.cli, "_CHUNK_CHARS", 256)
     rng = np.random.default_rng(5)
     targets = [InterventionTarget.empty(), InterventionTarget.of(2), InterventionTarget.of(1, 3)] * 70
     data = Dataset(3, tuple(targets), rng.standard_normal((210, 3)) * 10.0 ** rng.integers(-300, 300, (210, 3)))
     with _one_core():
         emit_csv(data, tmp_path / "one.csv")
-    if child == "exits":
-        monkeypatch.setattr(interdag.cli, "_send_text", lambda *args: os._exit(1))
-    elif child == "short":
-        monkeypatch.setattr(interdag.cli, "_send_text", _short_text)
+    parent, rows, frames, seen = os.getpid(), interdag.cli._csv_rows, interdag.cli._frames, []
+
+    def child_rows(*args):
+        if os.getpid() == parent:
+            return rows(*args)
+        return os._exit(1) if child == "exits" else iter([next(rows(*args)), None])
+
+    if child != "whole":
+        monkeypatch.setattr(interdag.cli, "_csv_rows", child_rows)
+    monkeypatch.setattr(interdag.cli, "_frames", lambda f: (seen.append(frame) or frame for frame in frames(f)))
     emit_csv(data, tmp_path / "two.csv")
     _assert_no_child_left()
     assert len(forks) == 1
+    # the frames read here: the 27 chunks of 4 rows of the 105 tail rows, or
+    # what the child sent before its stream ended
+    ends = {"whole": [False] * 27, "exits": [True], "short": [False, True]}[child]
+    assert [frame is None for frame in seen] == ends
     assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
     assert ingest_csv(tmp_path / "two.csv").values.tobytes() == data.values.tobytes()
 
@@ -1076,7 +1121,7 @@ def test_experiment_rejects_n_below_interventional_rows(capsys):
     "text, message",
     [
         ("seed = 1\np 4\n", "{cfg}: line 2: expected 'key = value', got 'p 4'"),
-        ("p = x\n", "bad value for p: 'x' (invalid literal for int() with base 10: 'x')"),
+        ("seed = 1\np = x\n", "{cfg}: line 2: bad value for p: 'x' (invalid literal for int() with base 10: 'x')"),
     ],
     ids=["no-equals", "bad-value"],
 )

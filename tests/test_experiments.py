@@ -10,7 +10,8 @@ Core claims:
       family run_fit observes in data with a vertex intervened in every row
       is a DataError naming that vertex, for both methods.
     - ExperimentConfig checks itself when built, its search settings
-      included, and refuses the exact search beyond its vertex limit and a
+      included: every integer setting holds integers (a bool is refused, a
+      numpy integer is stored as an int), and it refuses the exact search beyond its vertex limit and a
       largest dataset beyond physical memory, the default grid's when memory
       is one byte short of what sampling it holds, a count at least the
       peak tracemalloc sees while a replicate draws it; where memory is
@@ -28,6 +29,7 @@ Core claims:
 import hashlib
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -265,6 +267,45 @@ def test_experiment_config_errors_name_their_cause(settings, message):
     with pytest.raises(ParameterError) as info:
         ExperimentConfig(seed=1, **settings)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"p": 5.0}, "p must be an integer, got 5.0"),
+        ({"replicates": 1.0}, "replicates must be an integer, got 1.0"),
+        ({"k": 2.0}, "k must be an integer, got 2.0"),
+        ({"n_grid": (50.0,)}, "n_grid must be a tuple of integers, got (50.0,)"),
+        ({"n_grid": 50}, "n_grid must be a tuple of integers, got 50"),
+        ({"workers": 2.0}, "workers must be an integer, got 2.0"),
+        ({"max_parents": 2.0, "method": "dp"}, "max_parents must be an integer, got 2.0"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"p": np.True_}, f"p must be an integer, got {np.True_!r}"),
+    ],
+    ids=["p", "replicates", "k", "n-grid", "n-grid-scalar", "workers", "max-parents-dp", "seed-bool", "p-numpy-bool"],
+)
+def test_experiment_config_refuses_a_non_integer_when_built(tmp_path, settings, message):
+    """Every int, optional int and tuple-of-int setting is checked when the
+    config is built, before a grid makes its out directory, as ``_rng``
+    checks a seed: a bool is refused."""
+    with pytest.raises(ParameterError) as info:
+        config = ExperimentConfig(**{"seed": 1, "p": 4, "k": 1, "replicates": 1, "n_grid": (50,), **settings})
+        run_consistency_experiment(config, out_dir=tmp_path / "out")
+    assert str(info.value) == message
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiment_config_stores_numpy_integers_as_ints():
+    """A numpy integer is taken as the int it holds, in every integer
+    setting, and the grid is the one that int gives."""
+    settings = {"seed": 5, "p": 4, "k": 1, "replicates": 1, "n_grid": (50, 80), "max_parents": 2}
+    config = ExperimentConfig(**{key: np.int64(value) if isinstance(value, int) else tuple(map(np.int64, value))
+                                 for key, value in settings.items()})
+    assert config == ExperimentConfig(**settings)
+    assert {type(value) for value in (config.seed, config.p, config.max_parents, *config.n_grid)} == {int}
+    rows = [[replace(row, runtime_seconds=0.0) for row in run_consistency_experiment(c)]
+            for c in (config, ExperimentConfig(**settings))]
+    assert rows[0] == rows[1]
 
 
 def test_experiment_config_refuses_a_dataset_beyond_physical_memory(monkeypatch):

@@ -22,6 +22,8 @@ Core claims:
       each pattern's mixture once, into read-only flags, and no scorer
       proves one again.
     - Both searchers respect max_parents; the DP refuses p > 20.
+      SearchConfig refuses a max_parents or max_steps that is not an
+      integer, a bool included, and stores a numpy integer as an int.
     - Score equivalence: every member of the estimate's class gets the
       same BIC up to float noise.
     - Greedy traces and DP results on fixed seeds are pinned to the bit, so
@@ -770,6 +772,25 @@ def test_estimate_dp_branch():
 def test_estimate_rejects_unknown_method():
     with pytest.raises(ParameterError, match="method must be one of"):
         SearchConfig(method="anneal")
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"max_steps": 2.0}, "max_steps must be an integer, got 2.0"),
+    ({"max_steps": True}, "max_steps must be an integer, got True"),
+    ({"max_parents": 1.5}, "max_parents must be an integer, got 1.5"),
+    ({"max_parents": "2"}, "max_parents must be an integer, got '2'"),
+])
+def test_search_config_refuses_a_non_integer_when_built(settings, message):
+    with pytest.raises(ParameterError) as info:
+        SearchConfig(**settings)
+    assert str(info.value) == message
+
+
+def test_search_config_stores_numpy_integers_as_ints():
+    config = SearchConfig(max_parents=np.int32(2), max_steps=np.uint8(3))
+    assert config == SearchConfig(max_parents=2, max_steps=3)
+    assert type(config.max_parents) is type(config.max_steps) is int
+    assert SearchConfig(max_parents=None).max_parents is None
 
 
 def test_score_equivalence_across_estimated_class():
