@@ -36,7 +36,7 @@ from .model import (
     sample_normalized_model,
     sample_random_dag,
 )
-from .search import METHODS, SearchConfig, SearchTrace, _check_dp_vertices, _check_integers, exhaustive_dp
+from .search import METHODS, SearchConfig, SearchTrace, _check_dp_vertices, _check_numbers, exhaustive_dp
 from .search import format_trace, greedy_search
 
 __all__ = ["ExperimentConfig", "ResultRow", "fit_structure", "estimate_essential_graph", "run_fit",
@@ -73,7 +73,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        _check_integers(self)
+        _check_numbers(self)
         if not 0 <= self.seed < 2**64:
             raise ParameterError("seed is mandatory and must fit in 64 bits")
         if self.p < 1:
@@ -135,10 +135,13 @@ class ExperimentConfig:
         for the Dataset's finiteness mask, all alive at once; per row, 32 for
         four pointer-sized entries, its target in the cell's row sequence
         and in the Dataset's tuple, its index in its target's group, and one
-        for the sequence's spare capacity; and per mu and target, the mean
-        and covariance root, p + p * p floats, which a replicate keeps."""
+        for the sequence's spare capacity; and means and covariance roots,
+        p + p * p floats each: with more than one n, one per mu and target,
+        the observational one included, which a replicate keeps; otherwise
+        the observational one and the target's being drawn."""
         p = self.p
-        return n * (17 * p + 32) + len(self.mu_grid) * (self.k + 1) * (p + 1) * p * 8
+        roots = len(self.mu_grid) * (self.k + 1) if len(self.n_grid) > 1 else min(self.k + 1, 2)
+        return n * (17 * p + 32) + roots * (p + 1) * p * 8
 
     @property
     def search_config(self) -> SearchConfig:
@@ -298,8 +301,8 @@ def _confusion_fields(prefix: str, counts: ConfusionCounts) -> dict[str, int]:
 def _run_replicate(args: tuple) -> list[ResultRow]:
     """Every grid point of one replicate: its DAG and model are drawn once,
     its targets from one seed at every grid point, each target's mean and
-    covariance root once per mu, and the true essential graph once per
-    observed family."""
+    covariance root once per mu when there is more than one n, and the
+    true essential graph once per observed family."""
     config, rep = args
     dag, model = _draw_model(config, rep)
     target_seed = derive_seed(config.seed, 3, rep)
@@ -307,8 +310,10 @@ def _run_replicate(args: tuple) -> list[ResultRow]:
     settings = {name: getattr(config, name) for name in _CONFIG_COLUMNS}
     truth_graphs: dict[TargetFamily, EssentialGraph] = {}
     # a target's mean and covariance root depend only on the model, the
-    # target and its (mu, tau), so each (mu, target) pair gets them once
-    roots: list[dict] = [{} for _ in config.mu_grid]
+    # target and its (mu, tau), so with more than one n each (mu, target)
+    # pair gets them once; with one n no pair is drawn twice, and sampling
+    # keeps no root beyond its call
+    roots = [{} if len(config.n_grid) > 1 else None for _ in config.mu_grid]
     rows = []
     for n_idx, n in enumerate(config.n_grid):
         singles, sequence = _draw_cell(config, n, target_seed)

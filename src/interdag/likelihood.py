@@ -50,7 +50,6 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 from numpy.linalg import _umath_linalg
 
 from .errors import CapacityError, DataError, DegenerateFitError, ParameterError
@@ -77,9 +76,14 @@ def _load_flapack():
     only two of this module's routines.  CPython initializes an extension
     module once per process, so a later ``import scipy.linalg`` hands out
     these very objects, whichever import comes first; ``sys.modules`` is
-    left alone.  Every scipy since 1.10 ships the file.
+    left alone.  scipy's directory is found without importing ``scipy``
+    itself, whose ``__init__`` the kernel does not need either.  Every scipy
+    since 1.10 ships the file.
     """
-    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    directory = os.path.join(scipy.submodule_search_locations[0], "linalg")
     finder = importlib.machinery.FileFinder(
         directory, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
     )

@@ -12,13 +12,14 @@ equations of the targeted vertices by independent N(mu_U, tau2) draws and
 cuts the edges pointing into them.
 """
 
+import functools
 import heapq
 import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -129,26 +130,56 @@ class Dag:
         return self.has_edge(a, b) or self.has_edge(b, a)
 
     @cached_property
-    def topological_order(self) -> tuple[int, ...]:
-        """Parents-first vertex order; smallest label first among ready vertices."""
-        indeg = [len(ps) for ps in self.parent_sets]
+    def child_sets(self) -> tuple[tuple[int, ...], ...]:
+        """``child_sets[k-1]`` lists the children of vertex k in ascending order."""
         children: list[list[int]] = [[] for _ in range(self.p)]
         for k in range(1, self.p + 1):
             for j in self.parents(k):
                 children[j - 1].append(k)
+        return tuple(map(tuple, children))
+
+    @cached_property
+    def topological_order(self) -> tuple[int, ...]:
+        """Parents-first vertex order; smallest label first among ready vertices."""
+        indeg = [len(ps) for ps in self.parent_sets]
         ready = [k for k in range(1, self.p + 1) if indeg[k - 1] == 0]
         heapq.heapify(ready)
         order: list[int] = []
         while ready:
             v = heapq.heappop(ready)
             order.append(v)
-            for c in children[v - 1]:
+            for c in self.child_sets[v - 1]:
                 indeg[c - 1] -= 1
                 if indeg[c - 1] == 0:
                     heapq.heappush(ready, c)
         if len(order) != self.p:
             raise ParameterError("parent sets contain a directed cycle")
         return tuple(order)
+
+    @cached_property
+    def descendants(self) -> tuple[int, ...]:
+        """Every vertex's descendants as an integer bitset (``_descendant_bits``)."""
+        return tuple(_descendant_bits(self.parent_sets, self.child_sets))
+
+
+def _descendant_bits(parents: Sequence[Collection[int]], children: Sequence[Collection[int]]) -> list[int]:
+    """Every vertex's descendants as an integer bitset with bit j for vertex
+    j, at index k - 1 for vertex k; each vertex is finished after all of its
+    children."""
+    desc = [0] * len(children)
+    waiting = [len(c) for c in children]
+    ready = [k for k in range(1, len(children) + 1) if not waiting[k - 1]]
+    while ready:
+        v = ready.pop()
+        bits = 0
+        for c in children[v - 1]:
+            bits |= desc[c - 1] | 1 << c
+        desc[v - 1] = bits
+        for u in parents[v - 1]:
+            waiting[u - 1] -= 1
+            if not waiting[u - 1]:
+                ready.append(u)
+    return desc
 
 
 @dataclass(frozen=True, order=True)
@@ -475,10 +506,12 @@ def sample_random_dag(p: int, expected_degree: float, seed: int) -> Dag:
     parents: list[list[int]] = [[] for _ in range(p)]
     if p > 1:
         q = min(1.0, d / (p - 1))
-        for i in range(p):
-            for u in range(i + 1, p):
-                if rng.random() < q:
-                    parents[order[u] - 1].append(order[i])
+        # one uniform per forward pair (i, u), i < u, row by row: in bulk a
+        # Philox generator gives the doubles it gives one at a time
+        tails, heads = np.triu_indices(p, 1)
+        hit = rng.random(p * (p - 1) // 2) < q
+        for i, u in zip(tails[hit].tolist(), heads[hit].tolist()):
+            parents[order[u] - 1].append(order[i])
     return Dag(p, tuple(tuple(ps) for ps in parents))
 
 
@@ -544,18 +577,34 @@ def _mean_and_root(
     model: GaussianCausalModel,
     target: InterventionTarget,
     spec: InterventionSpec | None,
+    base: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean vector and square-root factor A (cov = A A^T) under a target.
 
-    Solved by a single pass along the topological order; the cut structural
-    system is triangular there, so no general matrix inversion is needed.
+    Solved along the topological order; the cut structural system is
+    triangular there, so no general matrix inversion is needed.  Without
+    ``base`` every row is solved.  ``base`` is the observational pair,
+    which is left unchanged: the target replaces only its members'
+    equations, so only their rows and their descendants' differ from it.
+    A copy has those rows of the root zeroed and solved again, in the same
+    order and by the same statements, while every other row reads only rows of its
+    ancestors, which are the base's too; each row has the full pass's bits.
     """
     p = model.p
-    mu = np.zeros(p)
-    A = np.zeros((p, p))
     mu_u, tau2 = _target_params(spec, target)
     pos = {v: i for i, v in enumerate(target.members)}
-    for k in model.dag.topological_order:
+    order = model.dag.topological_order
+    if base is None:
+        mu = np.zeros(p)
+        A = np.zeros((p, p))
+    else:
+        desc = model.dag.descendants
+        # a member beyond p changes no row; the Dataset of the draws refuses it
+        cut = functools.reduce(operator.or_, (desc[v - 1] | 1 << v for v in target if v <= p), 0)
+        order = [k for k in order if cut >> k & 1]
+        mu, A = base[0].copy(), base[1].copy()
+        A[[k - 1 for k in order]] = 0.0  # as the full pass starts them
+    for k in order:
         ki = k - 1
         if k in pos:
             mu[ki] = mu_u[pos[k]]
@@ -611,15 +660,19 @@ def sample_dataset(
     The rows are grouped by target in one pass over their runs, and the
     returned Dataset keeps that grouping as its ``row_groups`` and the
     drawn values uncopied; each distinct target is validated once, by the
-    Dataset, gets its mean and covariance root once, and has its rows drawn
-    with one matrix product.  A group whose rows are one run
-    (``_rows_index``) is written in place: the product goes straight into
-    its slice of the values and the mean is added there, so no temporary of
-    its rows is made.  Other groups are gathered, drawn and scattered.
+    Dataset, and has its rows drawn with one matrix product.  The
+    observational mean and covariance root are solved once, in full; each
+    other target's are solved from them, again only at its members and
+    their descendants (``_mean_and_root``), when its group is drawn, and
+    dropped after it, so at most two roots are held at a time.  A group
+    whose rows are one run (``_rows_index``) is written in place: the
+    product goes straight into its slice of the values and the mean is
+    added there, so no temporary of its rows is made.  Other groups are
+    gathered, drawn and scattered.
 
-    ``_roots`` is private: a dict that keeps each target's mean and root
-    across calls, for a caller that samples several datasets from one model
-    and one ``spec``.
+    ``_roots`` is private: a dict that keeps each target's mean and root,
+    the observational one included, across calls, for a caller that
+    samples several datasets from one model and one ``spec``.
     """
     p = model.p
     targets = tuple(target_sequence)
@@ -630,16 +683,26 @@ def sample_dataset(
     X = np.empty((n, p))  # the groups cover every row
     if n:
         Z = rng.standard_normal((n, p))
+        observational = InterventionTarget.empty()
+        if observational not in roots:
+            roots[observational] = _mean_and_root(model, observational, spec)
+        base = roots[observational]
         for t, rows in groups.items():
-            if t not in roots:
-                roots[t] = _mean_and_root(model, t, spec)
-            mu, A = roots[t]
+            if t.is_empty:
+                mu, A = base
+            elif t in roots:
+                mu, A = roots[t]
+            else:
+                mu, A = _mean_and_root(model, t, spec, base)
+                if _roots is not None:
+                    roots[t] = mu, A
             index = _rows_index(rows)
             if isinstance(index, slice):
                 np.matmul(Z[index], A.T, out=X[index])
                 X[index] += mu
             else:
                 X[index] = Z[index] @ A.T + mu
+            del mu, A  # a root that is not kept goes before the next is solved
     return Dataset._grouped(p, targets, X, groups)
 
 

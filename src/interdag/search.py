@@ -9,6 +9,7 @@ best-parent-set / best-sink recursion over vertex subsets.
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, get_type_hints
 
@@ -22,7 +23,7 @@ from .likelihood import (
     _scores,
     check_scorable,
 )
-from .model import _FLOAT_FMT, Dag, _is_integer
+from .model import _FLOAT_FMT, Dag, _descendant_bits, _is_integer
 
 __all__ = [
     "SearchConfig",
@@ -46,21 +47,36 @@ def _check_dp_vertices(p: int) -> None:
         raise CapacityError(f"exact search supports at most {DP_VERTEX_LIMIT} vertices, got {p}")
 
 
-def _check_integers(config) -> None:
-    """Raise ParameterError unless every ``int``, ``int | None`` and
-    ``tuple[int, ...]`` field of the frozen dataclass ``config`` holds
-    integers as ``_rng`` takes a seed: a bool is refused, and a numpy
-    integer is stored as an int."""
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number: an int, a float or a numpy number, not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+# per kind of number: the rule each value of that kind follows, and its
+# names in an error, for one value and for several
+_NUMBER_RULES = {int: (_is_integer, "an integer", "integers"), float: (_is_real, "a real number", "real numbers")}
+
+
+def _check_numbers(config) -> None:
+    """Raise ParameterError, naming the field, unless every ``int``,
+    ``float``, ``int | None``, ``float | None``, ``tuple[int, ...]`` and
+    ``tuple[float, ...]`` field of the frozen dataclass ``config`` holds
+    numbers of its kind: integers as ``_rng`` takes a seed, or real
+    numbers; a bool is neither.  A numpy integer in an integer field is
+    stored as an int, and a list as a tuple; other numbers are kept as
+    given."""
     for name, hint in get_type_hints(type(config)).items():
         value = getattr(config, name)
-        if hint == tuple[int, ...]:
-            if not isinstance(value, (tuple, list)) or not all(map(_is_integer, value)):
-                raise ParameterError(f"{name} must be a tuple of integers, got {value!r}")
-            object.__setattr__(config, name, tuple(map(int, value)))
-        elif hint is int or (hint == int | None and value is not None):
-            if not _is_integer(value):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(config, name, int(value))
+        for kind, (rule, one, several) in _NUMBER_RULES.items():
+            if hint == tuple[kind, ...]:
+                if not isinstance(value, (tuple, list)) or not all(map(rule, value)):
+                    raise ParameterError(f"{name} must be a tuple of {several}, got {value!r}")
+                object.__setattr__(config, name, tuple(map(int, value)) if kind is int else tuple(value))
+            elif hint is kind or (hint == kind | None and value is not None):
+                if not rule(value):
+                    raise ParameterError(f"{name} must be {one}, got {value!r}")
+                if kind is int:
+                    object.__setattr__(config, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -79,7 +95,7 @@ class SearchConfig:
     method: str = field(default="greedy", metadata={"choices": METHODS})
 
     def __post_init__(self):
-        _check_integers(self)
+        _check_numbers(self)
         if self.max_parents is not None and self.max_parents < 0:
             raise ParameterError("max_parents must be non-negative")
         if self.max_steps < 0:
@@ -127,26 +143,6 @@ def format_trace(trace: SearchTrace) -> str:
         delta = s.score_after - s.score_before
         lines.append(f"{s.step} {s.kind} {s.edge[0]}->{s.edge[1]} " + _FLOAT_FMT.format(delta))
     return "\n".join(lines) + "\n"
-
-
-def _descendant_bits(parents: list[set[int]], children: list[set[int]]) -> list[int]:
-    """Every vertex's descendants as an integer bitset with bit j for vertex
-    j, at index k - 1 for vertex k; each vertex is finished after all of its
-    children."""
-    desc = [0] * len(children)
-    waiting = [len(c) for c in children]
-    ready = [k for k in range(1, len(children) + 1) if not waiting[k - 1]]
-    while ready:
-        v = ready.pop()
-        bits = 0
-        for c in children[v - 1]:
-            bits |= desc[c - 1] | 1 << c
-        desc[v - 1] = bits
-        for u in parents[v - 1]:
-            waiting[u - 1] -= 1
-            if not waiting[u - 1]:
-                ready.append(u)
-    return desc
 
 
 def greedy_search(local: LocalStats, config: SearchConfig = SearchConfig()) -> tuple[Dag, SearchTrace]:

@@ -10,7 +10,8 @@ the score-expression oracle scores one residual at a time, the greedy
 oracle rescans every candidate move on every step, reading one score at a
 time, the DP oracle loops over subset masks in Python, and
 the sampling, statistics and CSV-reading oracles are the per-row loops
-those functions were first written as.
+those functions were first written as, and the random-DAG oracle draws
+one uniform per vertex pair.
 """
 
 import itertools
@@ -394,6 +395,24 @@ def density_oracle_loglik(model, dataset: Dataset, spec) -> float:
         mu, cov = cache[target]
         total += float(multivariate_normal.logpdf(x, mean=mu, cov=cov))
     return total
+
+
+def reference_random_dag(p: int, expected_degree: float, seed: int) -> Dag:
+    """``sample_random_dag`` the way it was first written: one ``rng.random()``
+    call per forward pair of the permuted order, in row order.
+
+    The bulk draw in ``sample_random_dag`` must give this same DAG.
+    """
+    rng = _rng(seed)
+    order = [int(v) + 1 for v in rng.permutation(p)]
+    parents: list[list[int]] = [[] for _ in range(p)]
+    if p > 1:
+        q = min(1.0, float(expected_degree) / (p - 1))
+        for i in range(p):
+            for u in range(i + 1, p):
+                if rng.random() < q:
+                    parents[order[u] - 1].append(order[i])
+    return Dag(p, tuple(tuple(ps) for ps in parents))
 
 
 def reference_sample_dataset(

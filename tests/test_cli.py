@@ -1159,6 +1159,23 @@ def test_dataset_beyond_physical_memory_exits_4_before_out(tmp_path, capsys, mon
     assert not (tmp_path / "x").exists()
 
 
+def test_fully_targeted_simulate_is_checked_for_two_roots(tmp_path, capsys, monkeypatch):
+    # sampling holds the observational mean and root and the one target's
+    # being drawn, so p=100 with every vertex targeted needs 500 rows of 17
+    # bytes per value and 32 per row, and two means and roots of 100 + 10,000
+    # floats: 1,027,600 bytes, where one per target would count 9,026,800
+    needed = 500 * (17 * 100 + 32) + 2 * 101 * 100 * 8
+    argv = ["simulate", "--p", "100", "--n", "500", "--k", "100", "--replicates-per-target", "5", "--seed", "1"]
+    monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: needed - 1)
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 4
+    assert capsys.readouterr().err == (
+        f"error: the arrays that sampling n=500 rows over p=100 vertices holds need {needed} bytes, "
+        f"more than the {needed - 1} bytes of physical memory\n")
+    monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: needed)
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 0
+    assert (tmp_path / "x" / "dataset.csv").read_text(encoding="utf-8").count("\n") == 501
+
+
 def test_simulate_n_beyond_a_float_exits_2_where_memory_is_unknown(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: None)
     code = main(["simulate", "--p", "4", "--n", _HUGE_N, "--seed", "1", "--out", str(tmp_path / "x")])

@@ -193,9 +193,9 @@ def test_grid_computes_each_mean_and_root_once_per_mu_and_target(tmp_path, monke
     calls = []
     mean_and_root = interdag.model._mean_and_root
 
-    def counting(model, target, spec):
+    def counting(model, target, *args):
         calls.append(target)
-        return mean_and_root(model, target, spec)
+        return mean_and_root(model, target, *args)
 
     monkeypatch.setattr(interdag.model, "_mean_and_root", counting)
     config = ExperimentConfig(seed=11, p=5, n_grid=(60, 300), k=2, mu_grid=(5.0, 10.0), replicates=2)
@@ -295,6 +295,41 @@ def test_experiment_config_refuses_a_non_integer_when_built(tmp_path, settings, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"tau": "0.2"}, "tau must be a real number, got '0.2'"),
+        ({"expected_degree": True}, "expected_degree must be a real number, got True"),
+        ({"expected_degree": "1"}, "expected_degree must be a real number, got '1'"),
+        ({"tau": 0.2j}, "tau must be a real number, got 0.2j"),
+        ({"mu_grid": 10.0}, "mu_grid must be a tuple of real numbers, got 10.0"),
+        ({"mu_grid": (1.0, np.True_)}, f"mu_grid must be a tuple of real numbers, got (1.0, {np.True_!r})"),
+    ],
+    ids=["tau-str", "degree-bool", "degree-str", "tau-complex", "mu-grid-scalar", "mu-grid-numpy-bool"],
+)
+def test_experiment_config_refuses_a_float_setting_that_is_not_real(settings, message):
+    """Every float and tuple-of-float setting is checked when the config is
+    built: a bool, a string or a complex number is refused, naming the
+    field."""
+    with pytest.raises(ParameterError) as info:
+        ExperimentConfig(**{"seed": 1, "p": 4, "k": 1, "replicates": 1, "n_grid": (50,), **settings})
+    assert str(info.value) == message
+
+
+def test_experiment_config_keeps_real_settings_as_given(tmp_path):
+    """A float setting takes any real number and keeps it as given, a list
+    of mu as a tuple: ints give the grid, and the bytes, their floats give."""
+    grid = {"seed": 3, "p": 4, "k": 1, "replicates": 2, "n_grid": (60,)}
+    given = ExperimentConfig(**grid, tau=1, mu_grid=[5, np.float64(2.5)], expected_degree=np.float32(1.5))
+    assert (given.tau, given.mu_grid, given.expected_degree) == (1, (5, 2.5), 1.5)
+    assert [type(v) for v in (given.tau, *given.mu_grid, given.expected_degree)] == [int, int, np.float64, np.float32]
+    floats = ExperimentConfig(**grid, tau=1.0, mu_grid=(5.0, 2.5), expected_degree=1.5)
+    run_consistency_experiment(given, out_dir=tmp_path / "given")
+    run_consistency_experiment(floats, out_dir=tmp_path / "floats")
+    for name in ("rows.csv", "medians.csv"):
+        assert (tmp_path / "given" / name).read_bytes() == (tmp_path / "floats" / name).read_bytes()
+
+
 def test_experiment_config_stores_numpy_integers_as_ints():
     """A numpy integer is taken as the int it holds, in every integer
     setting, and the grid is the one that int gives."""
@@ -329,22 +364,27 @@ def test_experiment_config_refuses_a_dataset_beyond_physical_memory(monkeypatch)
 
 @pytest.mark.parametrize(
     "settings",
-    [{}, {"p": 2, "k": 0, "expected_degree": 1.0}, {"p": 40, "k": 40, "replicates_per_target": 25}],
-    ids=["default", "observational-p2", "every-vertex-targeted-p40"],
+    [{}, {"p": 2, "k": 0, "expected_degree": 1.0}, {"p": 40, "k": 40, "replicates_per_target": 25},
+     {"p": 300, "k": 300, "replicates_per_target": 5, "n_grid": (2000,)}],
+    ids=["default", "observational-p2", "every-vertex-targeted-p40", "every-vertex-targeted-p300"],
 )
 def test_memory_guard_counts_at_least_what_sampling_holds(settings):
     """The guard's count for the largest dataset is at least the peak that
     tracemalloc sees while a replicate draws that cell: its row sequence,
-    its targets' means and roots, and the dataset."""
-    config = ExperimentConfig(seed=1, n_grid=(10000,), replicates=1, **settings)
+    its targets' means and roots, and the dataset.  With one n sampling
+    holds two roots, the observational one and the target's being drawn:
+    at p=300 with every vertex targeted they are 1.4 MB of the count's
+    11.7 MB, where one root per target would be 217 MB."""
+    config = ExperimentConfig(**{"seed": 1, "n_grid": (10000,), "replicates": 1, **settings})
+    (n,) = config.n_grid
     _, model = _draw_model(config, 0)
     tracemalloc.start()
     try:
-        singles, sequence = _draw_cell(config, 10000, 5)
+        singles, sequence = _draw_cell(config, n, 5)
         spec = InterventionSpec.constant(singles, config.mu_grid[0], config.tau**2)
         data = sample_dataset(model, sequence, spec, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert data.n == 10000
-    assert config._sampling_bytes(10000) >= peak
+    assert data.n == n
+    assert config._sampling_bytes(n) >= peak

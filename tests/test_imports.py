@@ -6,8 +6,9 @@ Core claims:
       one module's ``__all__``, and every name of every module's ``__all__``
       resolves.
     - ``import interdag.cli`` in a fresh interpreter loads neither
-      ``scipy.linalg`` (nor the ``numpy.f2py`` it brings in) nor the
-      process-pool machinery, which only ``--workers`` above 1 uses.
+      ``scipy`` nor ``scipy.linalg`` (nor the ``numpy.f2py`` it brings in)
+      nor the process-pool machinery, which only ``--workers`` above 1
+      uses.
     - The kernel's ``dposv`` and ``dtrtri`` are the very objects
       ``scipy.linalg.lapack`` exports, whichever of the two is imported
       first, so loading them directly cannot change a bit of any score.
@@ -15,6 +16,8 @@ Core claims:
       an ImportError that names the directory searched.
 """
 
+import importlib.machinery
+import importlib.util
 import os
 import re
 import subprocess
@@ -22,7 +25,6 @@ import sys
 from pathlib import Path
 
 import pytest
-import scipy
 
 import interdag
 import interdag.cli
@@ -78,10 +80,11 @@ def test_package_exports_each_module_name_once():
 def test_cli_import_leaves_out_scipy_linalg_f2py_and_process_pools():
     out = _run_fresh(
         "import sys, interdag.cli\n"
-        "for name in ('scipy.linalg', 'numpy.f2py', 'concurrent.futures.process'):\n"
+        "for name in ('scipy', 'scipy.linalg', 'numpy.f2py', 'concurrent.futures.process'):\n"
         "    print(name, name in sys.modules)\n"
     )
     assert out.split("\n")[:-1] == [
+        "scipy False",
         "scipy.linalg False",
         "numpy.f2py False",
         "concurrent.futures.process False",
@@ -101,6 +104,8 @@ def test_kernel_lapack_routines_are_scipys(interdag_first):
 
 
 def test_missing_flapack_names_the_directory_searched(monkeypatch, tmp_path):
-    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    found = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    found.submodule_search_locations.append(str(tmp_path))
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: found if name == "scipy" else None)
     with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
         interdag.likelihood._load_flapack()

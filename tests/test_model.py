@@ -2,7 +2,8 @@
 
 Core claims:
     - Dag constructors validate labels, self-loops, and acyclicity.
-    - sample_random_dag hits the requested expected skeleton degree.
+    - sample_random_dag hits the requested expected skeleton degree, and
+      its bulk draw gives the DAG of one draw per vertex pair.
     - sample_normalized_model yields unit marginal variances, through its
       half-variance fallback too, which a star of 100 roots always takes.
     - observational_covariance matches the hand-expanded 2x2 formula.
@@ -10,17 +11,23 @@ Core claims:
     - interventional_moments agree with Monte Carlo samples and with the
       full-replacement and small-variance limits.
     - sample_dataset draws a group whose rows are one run in place, with
-      no temporary of its rows (tracemalloc).
+      no temporary of its rows, and holds at most two means and covariance
+      roots at a time (tracemalloc).
+    - The mean and root of a target solved from the observational pair,
+      at its members and their descendants only, have the full pass's bits.
     - Text serialization round-trips bit-exactly.
     - Each construction and sampling error that no other test reaches
       raises its type with its message.
 """
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interdag import (
     Dag,
@@ -41,8 +48,9 @@ from interdag import (
     sample_normalized_model,
     sample_random_dag,
 )
+from interdag.model import _mean_and_root
 
-from helpers import demo_trio
+from helpers import demo_trio, reference_random_dag
 
 
 # -- Dag ---------------------------------------------------------------------
@@ -85,6 +93,13 @@ def test_topological_order_puts_parents_first():
         assert sorted(order) == list(range(1, 9))
         for tail, head in d.edges:
             assert pos[tail] < pos[head]
+
+
+def test_child_sets_and_descendant_bitsets():
+    d = Dag.from_edges(5, [(1, 2), (2, 3), (1, 4), (5, 4)])
+    assert d.child_sets == ((2, 4), (3,), (), (), (4,))
+    # bit j stands for vertex j
+    assert d.descendants == (0b11100, 0b1000, 0, 0, 0b10000)
 
 
 def test_dag_equality_and_canonical_parent_order():
@@ -196,6 +211,16 @@ def test_random_dag_mean_degree():
     total_edges = sum(sample_random_dag(p, d, seed).num_edges for seed in range(1000))
     mean_degree = 2.0 * total_edges / (1000 * p)
     assert abs(mean_degree - d) < 0.1
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.integers(1, 60), degree=st.floats(0.0, 1.0), seed=st.integers(0, 2**64 - 1))
+def test_random_dag_matches_the_one_draw_per_pair_oracle(p, degree, seed):
+    """Drawing every pair's uniform in one call gives the DAG that one call
+    per pair gives: a Philox generator's doubles do not depend on how
+    many are asked for at a time."""
+    d = degree * (p - 1)
+    assert sample_random_dag(p, d, seed) == reference_random_dag(p, d, seed)
 
 
 def test_random_dag_deterministic():
@@ -367,6 +392,74 @@ def test_sample_dataset_writes_single_run_groups_in_place(k):
     assert peak < 2 * data.values.nbytes + data.values.nbytes // 2
 
 
+@st.composite
+def _targeted_models(draw):
+    """A random model on 1 to 9 vertices, from the empty graph to the
+    complete one, and a target of 1 to 3 of its vertices with random means
+    and standard deviations."""
+    p = draw(st.integers(1, 9))
+    dag = sample_random_dag(p, draw(st.floats(0.0, p - 1.0)), draw(st.integers(0, 2**32 - 1)))
+    model = sample_normalized_model(dag, draw(st.integers(0, 2**32 - 1)))
+    members = draw(st.sets(st.integers(1, p), min_size=1, max_size=min(3, p)))
+    mu = draw(st.lists(st.floats(-1e3, 1e3), min_size=len(members), max_size=len(members)))
+    tau = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(members), max_size=len(members)))
+    target = InterventionTarget(tuple(members))
+    return model, target, InterventionSpec({target: (mu, np.square(tau))})
+
+
+def _assert_base_gives_the_full_pass(model, target, spec):
+    base = _mean_and_root(model, InterventionTarget.empty(), None)
+    kept = [a.tobytes() for a in base]
+    full = _mean_and_root(model, target, spec)
+    assert [a.tobytes() for a in _mean_and_root(model, target, spec, base)] == [a.tobytes() for a in full]
+    assert [a.tobytes() for a in base] == kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_targeted_models())
+def test_mean_and_root_from_the_observational_base_matches_the_full_pass(case):
+    """Solving only a target's members and their descendants on a copy of
+    the observational mean and root gives the full pass's bits, and leaves
+    the observational pair as it was."""
+    _assert_base_gives_the_full_pass(*case)
+
+
+def test_mean_and_root_from_the_base_on_every_target_of_a_complete_dag():
+    """Every target of 1 to 3 vertices of a complete DAG on 6 vertices: its
+    source, its sink, and members that descend from each other."""
+    model = sample_normalized_model(sample_random_dag(6, 5.0, 21), 22)
+    assert model.dag.num_edges == 15
+    for size in (1, 2, 3):
+        for members in itertools.combinations(range(1, 7), size):
+            target = InterventionTarget(members)
+            spec = InterventionSpec({target: (np.linspace(-2.0, 3.0, size), np.linspace(0.5, 2.0, size))})
+            _assert_base_gives_the_full_pass(model, target, spec)
+
+
+def test_sample_dataset_holds_at_most_two_roots():
+    """Sampling solves each target's mean and covariance root when its group
+    is drawn and drops it after: with every vertex of p=80 targeted, the
+    peak is the normals, the values, their finiteness mask and at most two
+    roots, within three p x p arrays of a quarter of the vertices targeted;
+    one root per target would hold 80."""
+    p, n = 80, 800
+    model = sample_normalized_model(sample_random_dag(p, 3.0, 1), 2)
+    root = 8 * p * (p + 1)
+    peaks = {}
+    for k in (p, p // 4):
+        singles = [InterventionTarget.of(v) for v in range(1, k + 1)]
+        sequence = [InterventionTarget.empty()] * (n - 10 * k) + [t for t in singles for _ in range(10)]
+        spec = InterventionSpec.constant(singles, 10.0, 0.04)
+        tracemalloc.start()
+        try:
+            data = sample_dataset(model, sequence, spec, seed=3)
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[p] <= 2 * data.values.nbytes + data.values.size + 2 * root
+    assert abs(peaks[p] - peaks[p // 4]) <= 3 * 8 * p * p
+
+
 def test_sample_dataset_requires_spec_for_interventions():
     model = sample_normalized_model(Dag.empty(2), 0)
     with pytest.raises(ParameterError):
@@ -434,9 +527,13 @@ def test_normalized_model_falls_back_to_half_variance():
         (lambda: sample_random_dag(3, 1.0, 1.5), ParameterError, "seed must be an integer, got 1.5"),
         (lambda: sample_random_dag(3, 1.0, 2**64), ParameterError, "seed must fit in 64 bits"),
         (lambda: parse_model("p 0\n"), DataError, "line 1: cannot parse 'p 0' (vertex count must be positive)"),
+        # the target's members in range are solved, and the dataset then refuses it
+        (lambda: sample_dataset(sample_normalized_model(Dag.from_edges(2, [(1, 2)]), 0), [InterventionTarget.of(1, 3)],
+                                InterventionSpec.constant([InterventionTarget.of(1, 3)], 1.0, 1.0), 1),
+         ParameterError, "target vertex 3 is out of range 1..2"),
     ],
     ids=["parent-sets", "weight-shape", "variance-length", "spec-non-finite", "dataset-p0", "random-dag-p0",
-         "float-seed", "seed-2**64", "parse-p0"],
+         "float-seed", "seed-2**64", "parse-p0", "sampled-target-out-of-range"],
 )
 def test_model_errors_name_their_cause(build, error, message):
     with pytest.raises(error) as info:

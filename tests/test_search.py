@@ -779,6 +779,8 @@ def test_estimate_rejects_unknown_method():
     ({"max_steps": True}, "max_steps must be an integer, got True"),
     ({"max_parents": 1.5}, "max_parents must be an integer, got 1.5"),
     ({"max_parents": "2"}, "max_parents must be an integer, got '2'"),
+    ({"penalty_weight": True}, "penalty_weight must be a real number, got True"),
+    ({"penalty_weight": "1.5"}, "penalty_weight must be a real number, got '1.5'"),
 ])
 def test_search_config_refuses_a_non_integer_when_built(settings, message):
     with pytest.raises(ParameterError) as info:
@@ -791,6 +793,8 @@ def test_search_config_stores_numpy_integers_as_ints():
     assert config == SearchConfig(max_parents=2, max_steps=3)
     assert type(config.max_parents) is type(config.max_steps) is int
     assert SearchConfig(max_parents=None).max_parents is None
+    # a real penalty weight is kept as given
+    assert type(SearchConfig(penalty_weight=2).penalty_weight) is int
 
 
 def test_score_equivalence_across_estimated_class():
