@@ -5,8 +5,9 @@ empty for observational rows or a semicolon-separated list of 1-based vertex
 labels.  Exit codes: 0 success, 2 configuration or parameter error, 3 data
 error, 4 capacity guard.
 
-The search flags of ``fit`` and the flags and config keys of ``experiment``
-are the fields of ``SearchConfig`` and ``ExperimentConfig``, read by type.
+The search flags of ``fit``, the flags and config keys of ``experiment``, and
+the flags of ``simulate`` but its cell's n and mu, its seed and its --out, are
+fields of ``SearchConfig`` and ``ExperimentConfig``, read by their kind.
 """
 
 import argparse
@@ -18,7 +19,6 @@ import os
 import signal
 import sys
 import threading
-import typing
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -39,7 +39,7 @@ from .model import (
     group_rows,
     sample_dataset,
 )
-from .search import SearchConfig
+from .search import SearchConfig, _field_kinds
 
 __all__ = ["ingest_csv", "emit_csv", "main"]
 
@@ -369,25 +369,30 @@ def _frames(child):
 
 
 def _setting_types(config_cls) -> dict:
-    """Each field name of ``config_cls`` with the parser of its text, from the
-    field's type: a tuple takes a comma-separated list, an optional its inner type."""
-    types = {}
-    for name, hint in typing.get_type_hints(config_cls).items():
-        inner = [a for a in typing.get_args(hint) if a is not type(None)]
-        if typing.get_origin(hint) is tuple:
-            types[name] = {int: _parse_int_list, float: _parse_float_list}[inner[0]]
-        else:
-            types[name] = inner[0] if inner else hint
-    return types
+    """Each field name of ``config_cls`` with the parser of its text, by the
+    field's kind (``search._field_kinds``): a tuple takes a comma-separated
+    list of its kind."""
+    return {name: _list_of(kind) if several else kind for name, (kind, several, _) in _field_kinds(config_cls).items()}
 
 
-def _add_settings(parser: argparse.ArgumentParser, config_cls, defaults: bool) -> None:
-    """One ``--field-name`` flag per field of ``config_cls``, defaulting to
-    the field's default, or to None when ``defaults`` is false."""
+def _list_of(kind):
+    """The parser of a comma-separated list of ``kind``, named for argparse's
+    errors (``invalid int list value``)."""
+    def parse(text: str) -> tuple:
+        return tuple(kind(v.strip()) for v in text.split(",") if v.strip())
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
+
+
+def _add_settings(parser: argparse.ArgumentParser, config_cls, defaults: bool, names=None) -> None:
+    """One ``--field-name`` flag per field of ``config_cls``, or per field in
+    ``names``, defaulting to the field's default, or to None when
+    ``defaults`` is false."""
     types = _setting_types(config_cls)
     for f in fields(config_cls):
-        parser.add_argument("--" + f.name.replace("_", "-"), type=types[f.name],
-                            default=f.default if defaults else None, choices=f.metadata.get("choices"))
+        if names is None or f.name in names:
+            parser.add_argument("--" + f.name.replace("_", "-"), type=types[f.name],
+                                default=f.default if defaults else None, choices=f.metadata.get("choices"))
 
 
 def _read_config_file(path: str | Path) -> dict:
@@ -430,17 +435,19 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+# the ExperimentConfig fields that are flags of ``simulate``
+_SIMULATED = ("p", "expected_degree", "k", "replicates_per_target", "tau")
+
+
 def _cmd_simulate(args) -> int:
     # one dataset is one cell of an experiment grid, under the same rules
-    config = ExperimentConfig(
-        seed=args.seed, p=args.p, expected_degree=args.expected_degree, k=args.k,
-        replicates_per_target=args.replicates_per_target, tau=args.tau,
-        n_grid=(args.n,), mu_grid=(args.mu,),
-    )
+    config = ExperimentConfig(seed=args.seed, n_grid=(args.n,), mu_grid=(args.mu,),
+                              **{name: getattr(args, name) for name in _SIMULATED})
+    (n,), (mu,) = config.n_grid, config.mu_grid
     dag, model = _draw_model(config)
-    singles, sequence = _draw_cell(config, args.n, derive_seed(args.seed, 3))
-    spec = InterventionSpec.constant(singles, args.mu, args.tau**2)
-    data = sample_dataset(model, sequence, spec, derive_seed(args.seed, 4))
+    singles, sequence = _draw_cell(config, n, derive_seed(config.seed, 3))
+    spec = InterventionSpec.constant(singles, mu, config.tau**2)
+    data = sample_dataset(model, sequence, spec, derive_seed(config.seed, 4))
     graph = essential_graph(dag, data.observed_targets())
     out = _created(args.out)
     with _writing(out):
@@ -479,16 +486,13 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.set_defaults(func=_cmd_fit)
 
     sim = sub.add_parser("simulate", help="draw a random model and dataset")
-    sim.add_argument("--p", type=int, default=10)
-    sim.add_argument("--expected-degree", type=float, default=1.8)
+    _add_settings(sim, ExperimentConfig, defaults=True, names=_SIMULATED)
     sim.add_argument("--n", type=int, default=1000)
-    sim.add_argument("--k", type=int, default=0, help="number of single-vertex targets")
-    sim.add_argument("--replicates-per-target", type=int, default=1)
     sim.add_argument("--mu", type=float, default=10.0)
-    sim.add_argument("--tau", type=float, default=0.2)
     sim.add_argument("--seed", type=int, default=None, required=True)
     sim.add_argument("--out", required=True, help="output directory")
-    sim.set_defaults(func=_cmd_simulate)
+    # a single dataset defaults to observational rows and one row per target
+    sim.set_defaults(k=0, replicates_per_target=1, func=_cmd_simulate)
 
     exp = sub.add_parser("experiment", help="run a seeded replicate grid")
     exp.add_argument("--config", default=None, help="flat key = value settings file")
@@ -497,14 +501,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--out", default=None, help="directory for result CSVs")
     exp.set_defaults(func=_cmd_experiment)
     return parser
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v.strip()) for v in text.split(",") if v.strip())
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v.strip()) for v in text.split(",") if v.strip())
 
 
 def main(argv=None) -> int:

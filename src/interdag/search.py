@@ -11,7 +11,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -52,31 +52,45 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
 
+def _field_kinds(config_cls) -> dict[str, tuple[type, bool, bool]]:
+    """Each field name of the dataclass ``config_cls`` with what its type
+    hint, ``X``, ``X | None`` or ``tuple[X, ...]``, says it holds: its kind
+    X (``int``, ``float`` or ``str``), whether it is a tuple of them, and
+    whether it may be None.  String annotations resolve as the evaluated
+    ones do."""
+    kinds = {}
+    for name, hint in get_type_hints(config_cls).items():
+        args = get_args(hint)
+        kinds[name] = (args[0] if args else hint, get_origin(hint) is tuple, type(None) in args)
+    return kinds
+
+
 # per kind of number: the rule each value of that kind follows, and its
 # names in an error, for one value and for several
 _NUMBER_RULES = {int: (_is_integer, "an integer", "integers"), float: (_is_real, "a real number", "real numbers")}
 
 
 def _check_numbers(config) -> None:
-    """Raise ParameterError, naming the field, unless every ``int``,
-    ``float``, ``int | None``, ``float | None``, ``tuple[int, ...]`` and
-    ``tuple[float, ...]`` field of the frozen dataclass ``config`` holds
-    numbers of its kind: integers as ``_rng`` takes a seed, or real
-    numbers; a bool is neither.  A numpy integer in an integer field is
-    stored as an int, and a list as a tuple; other numbers are kept as
-    given."""
-    for name, hint in get_type_hints(type(config)).items():
+    """Raise ParameterError, naming the field, unless every number field of
+    the frozen dataclass ``config`` (an int or a float by ``_field_kinds``,
+    optional or a tuple) holds numbers of its kind: integers as ``_rng``
+    takes a seed, or real numbers that a float can hold; a bool is neither.
+    Each number is stored in its kind, as an int or a float, and a list as
+    a tuple."""
+    for name, (kind, several, optional) in _field_kinds(type(config)).items():
         value = getattr(config, name)
-        for kind, (rule, one, several) in _NUMBER_RULES.items():
-            if hint == tuple[kind, ...]:
-                if not isinstance(value, (tuple, list)) or not all(map(rule, value)):
-                    raise ParameterError(f"{name} must be a tuple of {several}, got {value!r}")
-                object.__setattr__(config, name, tuple(map(int, value)) if kind is int else tuple(value))
-            elif hint is kind or (hint == kind | None and value is not None):
-                if not rule(value):
-                    raise ParameterError(f"{name} must be {one}, got {value!r}")
-                if kind is int:
-                    object.__setattr__(config, name, int(value))
+        if kind not in _NUMBER_RULES or (optional and value is None):
+            continue
+        rule, one, many = _NUMBER_RULES[kind]
+        what = f"a tuple of {many}" if several else one
+        values = value if several else (value,)
+        if not isinstance(values, (tuple, list)) or not all(map(rule, values)):
+            raise ParameterError(f"{name} must be {what}, got {value!r}")
+        try:
+            stored = tuple(map(kind, values))
+        except OverflowError:
+            raise ParameterError(f"{name} must be {what} that a float can hold, got {value!r}") from None
+        object.__setattr__(config, name, stored if several else stored[0])
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,17 @@ Core claims:
       text at a time (tracemalloc).
       Inputs the size of the exact-search benchmark's, and experiment
       grids, never fork.
-    - A seeded simulate writes the same dataset.csv bytes as recorded, and
-      one at p=100 whose class is too large to list exits 0.  One with no
+    - A seeded simulate writes the same dataset.csv bytes as recorded, with
+      every other flag at its default the dataset.csv, model.txt and
+      essential.txt bytes as recorded, and one at p=100 whose class is too
+      large to list exits 0.  One with no
       observational rows writes the essential.txt bytes recorded when its
       truth graph's family still held the empty target.
-    - The fit and experiment flags and the config-file keys come from the
-      fields of SearchConfig and ExperimentConfig, typed by their
-      annotations (string ones too); a config file and the equivalent
-      flags give the same rows.csv and medians.csv.
+    - The fit and experiment flags, simulate's flags of ExperimentConfig
+      fields and the config-file keys come from the fields of SearchConfig
+      and ExperimentConfig, typed by their annotations (string ones too); a
+      config file and the equivalent flags give the same rows.csv and
+      medians.csv.
     - A config file that repeats a key is rejected, naming the line and
       the key, and so are a line without '=' and a value of the wrong
       type, each after the file's path and line; fit rejects a bad search
@@ -182,6 +185,21 @@ def test_simulate_dataset_bytes_pinned(tmp_path):
     assert digest == "c368f4b6f26a134614e5f4af1afd8e5aba7748f1aacf7c7c04661339a0465dae"
 
 
+def test_simulate_defaults_pinned(tmp_path, capsys):
+    # every flag but --seed and --out at its default: p=10, expected degree
+    # 1.8, n=1000, no targets, mu 10 and tau 0.2, so 1000 observational rows
+    out = tmp_path / "sim"
+    assert main(["simulate", "--seed", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 1000 rows over 10 columns to {out / 'dataset.csv'}\n"
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("dataset.csv", "model.txt", "essential.txt")}
+    assert digests == {
+        "dataset.csv": "302d58961d67c930eb17ddc5fe2e3a4cf44de8b05b12444152feba5e375156a4",
+        "model.txt": "b91837baa617deabc2f6a4e79eeb7e6f9a77cad3fca8454731577f4c2bfc2dd0",
+        "essential.txt": "8a5d1f098e65bfa922dbeb7a968d4054707a6d8aca2d173b965f186b45fb6875",
+    }
+
+
 def test_csv_header_and_target_text(tmp_path):
     path = tmp_path / "d.csv"
     _sample_csv(path)
@@ -206,6 +224,12 @@ def test_multi_label_target_round_trip(tmp_path):
     assert data.targets == (InterventionTarget.of(1, 3),)
 
 
+# floors (every test_ingest_*): each chunk's lines parsed by one np.loadtxt
+# call, every field read and the target field through a constant converter,
+# against the row loop, in one chunk and in chunks of a few characters, with
+# any warning an error; files of 8 chunks or more split with a forked child,
+# against the row loop and against one process
+@pytest.mark.floors
 @pytest.mark.parametrize(
     "text, fragment",
     [
@@ -239,6 +263,7 @@ def test_ingest_rejections_carry_line_numbers(tmp_path, text, fragment):
         ingest_csv(path)
 
 
+@pytest.mark.floors
 def test_ingest_parses_a_clean_file_in_bulk(tmp_path, monkeypatch):
     """A well-formed file never reaches the row loop; one ``1_5`` cell,
     which float() reads and loadtxt does not, sends it there."""
@@ -256,6 +281,7 @@ def test_ingest_parses_a_clean_file_in_bulk(tmp_path, monkeypatch):
     assert ingest_csv(path).values[6, 2] == 15.0 and len(loops) == 1
 
 
+@pytest.mark.floors
 def test_ingest_holds_one_chunk_of_text_at_a_time(tmp_path):
     """A CSV of more than 4 MiB is read in chunks of ``_CHUNK_CHARS``
     characters: the peak traced allocation stays within twice the values
@@ -357,6 +383,7 @@ def _check_ingest_against_the_row_loop_oracle(data) -> None:
             assert got.values.view(np.uint64).tolist() == want.values.view(np.uint64).tolist()
 
 
+@pytest.mark.floors
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_ingest_matches_the_row_loop_oracle(data):
@@ -364,6 +391,7 @@ def test_ingest_matches_the_row_loop_oracle(data):
     _check_ingest_against_the_row_loop_oracle(data)
 
 
+@pytest.mark.floors
 def test_ingest_in_chunks_of_a_few_bytes_matches_the_row_loop_oracle(forks):
     """Chunks of a few characters end between lines, defects and targets,
     so a file is parsed partly in bulk and partly by the row loop, with one
@@ -383,6 +411,7 @@ def test_ingest_in_chunks_of_a_few_bytes_matches_the_row_loop_oracle(forks):
     assert len(forks) >= 10
 
 
+@pytest.mark.floors
 def test_ingest_missing_file():
     with pytest.raises(DataError):
         ingest_csv("/nonexistent/never.csv")
@@ -450,6 +479,7 @@ def _tail_csv(path, defect: str, newline: str = "\n", rows: int = 400) -> None:
     path.write_bytes(text)
 
 
+@pytest.mark.floors
 @pytest.mark.parametrize("defect, newline, message", [
     ("cell", "\n", "line 321: column x3: not a number: 'oops'"),
     ("target", "\n", "line 321: bad target '7'"),
@@ -477,6 +507,7 @@ def test_ingest_defect_in_the_tail_half_gives_what_one_process_gives(tmp_path, m
         assert message in got
 
 
+@pytest.mark.floors
 def test_ingest_whose_child_exits_early_gives_the_same_dataset(tmp_path, monkeypatch, forks):
     """A child that dies before it sends a block leaves this process to
     parse every chunk itself, with the same bits."""
@@ -492,6 +523,7 @@ def test_ingest_whose_child_exits_early_gives_the_same_dataset(tmp_path, monkeyp
     assert len(forks) == 1
 
 
+@pytest.mark.floors
 def test_ingest_whose_child_sends_a_wrong_sized_block_gives_the_same_dataset(tmp_path, monkeypatch, forks):
     """A frame that does not hold a value for every field of its chunk, here
     one row short, is not used: this process parses that chunk and every
@@ -508,6 +540,7 @@ def test_ingest_whose_child_sends_a_wrong_sized_block_gives_the_same_dataset(tmp
     assert len(forks) == 1
 
 
+@pytest.mark.floors
 def test_ingest_of_a_file_replaced_after_its_header_reads_the_file_opened(tmp_path, monkeypatch, forks):
     """A file replaced by another of as many rows once this process has
     opened it is read whole from the file opened: the child, which opens
@@ -528,6 +561,7 @@ def _framed(*buffers, end=True) -> bytes:
     return b"".join(len(b).to_bytes(8, "little") + b for b in buffers) + (bytes(8) if end else b"")
 
 
+@pytest.mark.floors
 @pytest.mark.parametrize("stream, frames", [
     (_framed(b"ab", b"cde"), [b"ab", b"cde"]),
     (_framed(), []),
@@ -577,6 +611,7 @@ def test_emit_writes_the_same_bytes_forked_and_in_one_process(tmp_path, monkeypa
     assert ingest_csv(tmp_path / "two.csv").values.tobytes() == data.values.tobytes()
 
 
+@pytest.mark.floors
 def test_ingest_and_emit_run_in_one_process_when_fork_fails(tmp_path, monkeypatch, forks):
     """A fork refused by the system, for want of processes or memory,
     leaves the whole file to this process, with the same bytes and bits."""
@@ -675,7 +710,11 @@ class _QuotedSettings:
 
 def test_settings_flags_come_from_the_config_fields(tmp_path, capsys):
     # string annotations resolve as the evaluated ones do
-    assert interdag.cli._setting_types(_QuotedSettings) == {"grid": interdag.cli._parse_float_list, "cap": int}
+    assert interdag.search._field_kinds(_QuotedSettings) == {"grid": (float, True, False), "cap": (int, False, True)}
+    types = interdag.cli._setting_types(_QuotedSettings)
+    assert types["cap"] is int
+    assert types["grid"]("1, 2.5,") == (1.0, 2.5)
+    assert [type(v) for v in types["grid"]("1")] == [float]
     parser = interdag.cli._build_parser()
     args = parser.parse_args(["fit", "--data", "d.csv"])
     assert (args.max_parents, args.max_steps, args.penalty_weight, args.method) == (None, 100_000, None, "greedy")
@@ -1138,33 +1177,36 @@ _GRID4 = ["experiment", "--seed", "1", "--p", "4", "--k", "1", "--replicates", "
 
 
 @pytest.mark.parametrize(
-    "argv, n, roots",
+    "argv, n, k",
     [
-        ([*_GRID4, str(10**15)], str(10**15), 2),
-        ([*_GRID4, _HUGE_N], _HUGE_N, 2),
-        (["simulate", "--p", "4", "--n", _HUGE_N, "--seed", "1"], _HUGE_N, 1),
+        ([*_GRID4, str(10**15)], str(10**15), 1),
+        ([*_GRID4, _HUGE_N], _HUGE_N, 1),
+        (["simulate", "--p", "4", "--n", _HUGE_N, "--seed", "1"], _HUGE_N, 0),
     ],
     ids=["experiment-1e15", "experiment-401-digits", "simulate-401-digits"],
 )
-def test_dataset_beyond_physical_memory_exits_4_before_out(tmp_path, capsys, monkeypatch, argv, n, roots):
+def test_dataset_beyond_physical_memory_exits_4_before_out(tmp_path, capsys, monkeypatch, argv, n, k):
     # 2**40 bytes: less than sampling 10**15 rows of 4 values holds, whatever
-    # this machine holds: 17 bytes per value and 32 per row, and a mean and
-    # root of 4 + 16 floats for each of the observational and k targets
+    # this machine holds: 17 bytes per value and 32 per row, a mean and root
+    # of 4 + 16 floats for each of the observational and k targets, and
+    # 2048 bytes per target for its Python objects
     monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: 2**40)
     code = main([*argv, "--out", str(tmp_path / "x")])
     err = capsys.readouterr().err
     assert code == 4
     assert err == (f"error: the arrays that sampling n={n} rows over p=4 vertices holds need "
-                   f"{int(n) * 100 + roots * 160} bytes, more than the {2**40} bytes of physical memory\n")
+                   f"{int(n) * 100 + (k + 1) * 160 + k * 2048} bytes, more than the {2**40} bytes "
+                   "of physical memory\n")
     assert not (tmp_path / "x").exists()
 
 
 def test_fully_targeted_simulate_is_checked_for_two_roots(tmp_path, capsys, monkeypatch):
     # sampling holds the observational mean and root and the one target's
     # being drawn, so p=100 with every vertex targeted needs 500 rows of 17
-    # bytes per value and 32 per row, and two means and roots of 100 + 10,000
-    # floats: 1,027,600 bytes, where one per target would count 9,026,800
-    needed = 500 * (17 * 100 + 32) + 2 * 101 * 100 * 8
+    # bytes per value and 32 per row, two means and roots of 100 + 10,000
+    # floats and 2048 bytes per target: 1,232,400 bytes, where one root per
+    # target would count 9,231,600
+    needed = 500 * (17 * 100 + 32) + 2 * 101 * 100 * 8 + 100 * 2048
     argv = ["simulate", "--p", "100", "--n", "500", "--k", "100", "--replicates-per-target", "5", "--seed", "1"]
     monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: needed - 1)
     assert main([*argv, "--out", str(tmp_path / "x")]) == 4

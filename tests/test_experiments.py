@@ -11,13 +11,18 @@ Core claims:
       is a DataError naming that vertex, for both methods.
     - ExperimentConfig checks itself when built, its search settings
       included: every integer setting holds integers (a bool is refused, a
-      numpy integer is stored as an int), and it refuses the exact search beyond its vertex limit and a
+      numpy integer is stored as an int), every real one a real number a
+      float can hold (stored as a float), and it refuses the exact search beyond its vertex limit and a
       largest dataset beyond physical memory, the default grid's when memory
       is one byte short of what sampling it holds, a count at least the
       peak tracemalloc sees while a replicate draws it; where memory is
       unknown, an n too large for a float is a ParameterError naming n.
+    - A seeded greedy fit and a seeded DP fit are as accurate as pinned:
+      their SHD against the true essential graph, their fitted edges and
+      the true edges.
     - Seeded greedy and DP grids write rows.csv and medians.csv to the
-      byte, pinned by sha256, and the same bytes with one worker or two.
+      byte, pinned by sha256, and the same bytes with one worker or two;
+      each cell's mu is one text in rows.csv, medians.csv and timings.csv.
     - A grid never asks for more pool workers than it has replicates, and
       runs in this process when that is one.
     - The kernel calls and fitted parent sets of a small greedy grid are
@@ -49,6 +54,8 @@ from interdag import (
     ParameterError,
     SearchConfig,
     TargetFamily,
+    derive_seed,
+    essential_graph,
     estimate_essential_graph,
     exhaustive_dp,
     fit_structure,
@@ -57,6 +64,7 @@ from interdag import (
     run_consistency_experiment,
     run_fit,
     sample_dataset,
+    shd,
     sufficient_stats,
 )
 
@@ -131,6 +139,24 @@ def test_run_fit_writes_the_method_of_its_config(tmp_path):
     run_fit(data, family, SearchConfig(method="dp"), out_dir=tmp_path)
     assert not (tmp_path / "trace.txt").exists()
     assert json.loads((tmp_path / "fit.json").read_text())["method"] == "dp"
+
+
+@pytest.mark.parametrize("method, seed, pinned", [("greedy", 101, (1, 10, 9)), ("dp", 202, (0, 10, 10))])
+def test_fit_accuracy_pinned(method, seed, pinned):
+    """A fit of what ``simulate --p 8 --n 200 --k 2 --replicates-per-target
+    10 --seed <seed>`` writes, by each method: its SHD against the true
+    interventional essential graph, its fitted edges and the true edges.
+    Neither seed was used to develop anything else."""
+    config = ExperimentConfig(seed=seed, p=8, n_grid=(200,), k=2, replicates_per_target=10, replicates=1,
+                              method=method)
+    (n,), (mu,) = config.n_grid, config.mu_grid
+    dag, model = _draw_model(config)
+    singles, sequence = _draw_cell(config, n, derive_seed(seed, 3))
+    spec = InterventionSpec.constant(singles, mu, config.tau**2)
+    data = sample_dataset(model, sequence, spec, derive_seed(seed, 4))
+    fitted, graph, _ = run_fit(data, config=config.search_config)
+    truth = essential_graph(dag, data.observed_targets())
+    assert (shd(truth, graph), fitted.dag.num_edges, dag.num_edges) == pinned
 
 
 # sha256 of the output files, recorded before the fit pipeline was shared
@@ -210,6 +236,9 @@ def test_grid_computes_each_mean_and_root_once_per_mu_and_target(tmp_path, monke
         assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "own" / name).read_bytes()
 
 
+# floors: whole grids, whose sampling and statistics read single-run groups
+# through slice views, give the same bytes with one worker or two
+@pytest.mark.floors
 def test_grid_outputs_do_not_depend_on_worker_count(tmp_path):
     outputs = []
     for workers in (1, 2):
@@ -304,30 +333,52 @@ def test_experiment_config_refuses_a_non_integer_when_built(tmp_path, settings, 
         ({"tau": 0.2j}, "tau must be a real number, got 0.2j"),
         ({"mu_grid": 10.0}, "mu_grid must be a tuple of real numbers, got 10.0"),
         ({"mu_grid": (1.0, np.True_)}, f"mu_grid must be a tuple of real numbers, got (1.0, {np.True_!r})"),
+        ({"tau": 10**400}, f"tau must be a real number that a float can hold, got {10**400}"),
+        ({"mu_grid": (2.5, 10**400)},
+         f"mu_grid must be a tuple of real numbers that a float can hold, got (2.5, {10**400})"),
     ],
-    ids=["tau-str", "degree-bool", "degree-str", "tau-complex", "mu-grid-scalar", "mu-grid-numpy-bool"],
+    ids=["tau-str", "degree-bool", "degree-str", "tau-complex", "mu-grid-scalar", "mu-grid-numpy-bool",
+         "tau-beyond-float", "mu-grid-beyond-float"],
 )
 def test_experiment_config_refuses_a_float_setting_that_is_not_real(settings, message):
     """Every float and tuple-of-float setting is checked when the config is
-    built: a bool, a string or a complex number is refused, naming the
-    field."""
+    built: a bool, a string, a complex number, or an integer no float can
+    hold, is refused, naming the field, and not with a bare OverflowError."""
     with pytest.raises(ParameterError) as info:
         ExperimentConfig(**{"seed": 1, "p": 4, "k": 1, "replicates": 1, "n_grid": (50,), **settings})
     assert str(info.value) == message
 
 
-def test_experiment_config_keeps_real_settings_as_given(tmp_path):
-    """A float setting takes any real number and keeps it as given, a list
-    of mu as a tuple: ints give the grid, and the bytes, their floats give."""
+def test_experiment_config_stores_real_settings_as_floats(tmp_path):
+    """A float setting takes any real number and stores it as a float, a
+    list of mu as a tuple: ints give the grid, and the bytes, their floats
+    give."""
     grid = {"seed": 3, "p": 4, "k": 1, "replicates": 2, "n_grid": (60,)}
     given = ExperimentConfig(**grid, tau=1, mu_grid=[5, np.float64(2.5)], expected_degree=np.float32(1.5))
     assert (given.tau, given.mu_grid, given.expected_degree) == (1, (5, 2.5), 1.5)
-    assert [type(v) for v in (given.tau, *given.mu_grid, given.expected_degree)] == [int, int, np.float64, np.float32]
+    assert [type(v) for v in (given.tau, *given.mu_grid, given.expected_degree)] == [float] * 4
     floats = ExperimentConfig(**grid, tau=1.0, mu_grid=(5.0, 2.5), expected_degree=1.5)
     run_consistency_experiment(given, out_dir=tmp_path / "given")
     run_consistency_experiment(floats, out_dir=tmp_path / "floats")
     for name in ("rows.csv", "medians.csv"):
         assert (tmp_path / "given" / name).read_bytes() == (tmp_path / "floats" / name).read_bytes()
+
+
+def test_grid_tables_write_each_mu_in_one_text(tmp_path):
+    """rows.csv, medians.csv and timings.csv write a cell's mu as the same
+    text: the float that mu is stored as, in _FMT, also for an int beyond
+    2**53 and for a numpy float32."""
+    config = ExperimentConfig(seed=2, p=4, k=1, replicates=2, n_grid=(50, 80),
+                              mu_grid=(10**20, np.float32(0.1)))
+    run_consistency_experiment(config, out_dir=tmp_path)
+    cells = {}
+    for name in ("rows.csv", "medians.csv", "timings.csv"):
+        header, *lines = (tmp_path / name).read_text().splitlines()
+        n_at, mu_at = header.split(",").index("n"), header.split(",").index("mu")
+        cells[name] = [(line.split(",")[n_at], line.split(",")[mu_at]) for line in lines]
+    assert {mu for _, mu in cells["rows.csv"]} == {"1e+20", "0.10000000149011612"}
+    assert cells["rows.csv"] == cells["timings.csv"]
+    assert sorted(set(cells["rows.csv"])) == sorted(cells["medians.csv"])
 
 
 def test_experiment_config_stores_numpy_integers_as_ints():
@@ -346,15 +397,16 @@ def test_experiment_config_stores_numpy_integers_as_ints():
 def test_experiment_config_refuses_a_dataset_beyond_physical_memory(monkeypatch):
     # sampling the default grid's largest dataset, n=10000 rows over p=10
     # vertices, holds 2,020,000 bytes of normals, values, finiteness mask and
-    # row bookkeeping, and 6 means and roots of 10 + 100 floats
-    needed = 10000 * (17 * 10 + 32) + 6 * 110 * 8
+    # row bookkeeping, 6 means and roots of 10 + 100 floats, and 2048 bytes
+    # for the Python objects of each of its 5 targets
+    needed = 10000 * (17 * 10 + 32) + 6 * 110 * 8 + 5 * 2048
     monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: needed)
     assert ExperimentConfig(seed=1).n_grid == (100, 1000, 10000)
     monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: needed - 1)
     with pytest.raises(CapacityError) as info:
         ExperimentConfig(seed=1)
     assert str(info.value) == ("the arrays that sampling n=10000 rows over p=10 vertices holds need "
-                               "2025280 bytes, more than the 2025279 bytes of physical memory")
+                               "2035520 bytes, more than the 2035519 bytes of physical memory")
     # where memory is unknown, an n too large for a float is named
     monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: None)
     with pytest.raises(ParameterError) as info:
@@ -365,24 +417,31 @@ def test_experiment_config_refuses_a_dataset_beyond_physical_memory(monkeypatch)
 @pytest.mark.parametrize(
     "settings",
     [{}, {"p": 2, "k": 0, "expected_degree": 1.0}, {"p": 40, "k": 40, "replicates_per_target": 25},
-     {"p": 300, "k": 300, "replicates_per_target": 5, "n_grid": (2000,)}],
-    ids=["default", "observational-p2", "every-vertex-targeted-p40", "every-vertex-targeted-p300"],
+     {"p": 300, "k": 300, "replicates_per_target": 5, "n_grid": (2000,)},
+     {"p": 60, "k": 60, "replicates_per_target": 10, "n_grid": (600,)},
+     {"p": 120, "k": 120, "replicates_per_target": 2, "n_grid": (240,)},
+     {"p": 60, "k": 60, "replicates_per_target": 10, "n_grid": (600, 601)}],
+    ids=["default", "observational-p2", "every-vertex-targeted-p40", "every-vertex-targeted-p300",
+         "ten-rows-per-target-p60", "two-rows-per-target-p120", "roots-kept-p60"],
 )
 def test_memory_guard_counts_at_least_what_sampling_holds(settings):
     """The guard's count for the largest dataset is at least the peak that
     tracemalloc sees while a replicate draws that cell: its row sequence,
-    its targets' means and roots, and the dataset.  With one n sampling
-    holds two roots, the observational one and the target's being drawn:
-    at p=300 with every vertex targeted they are 1.4 MB of the count's
-    11.7 MB, where one root per target would be 217 MB."""
+    its targets' means and roots, their Python objects, and the dataset.
+    With one n sampling holds two roots, the observational one and the
+    target's being drawn: at p=300 with every vertex targeted they are
+    1.4 MB of the count's 12.3 MB, where one root per target would be
+    217 MB.  With several n it keeps every root in the dict the grid
+    passes.  With few rows per target the targets' objects, which no array
+    count sees, are a large part of the peak."""
     config = ExperimentConfig(**{"seed": 1, "n_grid": (10000,), "replicates": 1, **settings})
-    (n,) = config.n_grid
+    n = max(config.n_grid)
     _, model = _draw_model(config, 0)
     tracemalloc.start()
     try:
         singles, sequence = _draw_cell(config, n, 5)
         spec = InterventionSpec.constant(singles, config.mu_grid[0], config.tau**2)
-        data = sample_dataset(model, sequence, spec, 6)
+        data = sample_dataset(model, sequence, spec, 6, _roots={} if len(config.n_grid) > 1 else None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

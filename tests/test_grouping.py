@@ -33,6 +33,7 @@ Core claims:
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +57,14 @@ from helpers import (
     reference_sample_dataset,
     reference_sufficient_stats,
 )
+
+# floors: the fold of local_stats, target-major over each pattern's packed
+# upper triangle and then mirrored, against a full fold per vertex, which
+# holds only if this numpy's X.T @ X is exactly symmetric; one mixture per
+# exclusion pattern, rows grouped by runs against the per-row loop, and
+# every mixture equal to its transpose bit for bit, which the kernel's
+# factorization relies on (test_local_stats_mixtures_are_bitwise_symmetric)
+pytestmark = pytest.mark.floors
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:

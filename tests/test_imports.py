@@ -30,6 +30,10 @@ import interdag
 import interdag.cli
 import interdag.likelihood
 
+# floors: the kernel finds scipy's _flapack and loads dposv and dtrtri from
+# it on the oldest scipy pyproject.toml admits too
+pytestmark = pytest.mark.floors
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 

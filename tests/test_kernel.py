@@ -70,6 +70,14 @@ from interdag.likelihood import LocalStats, _cond_bound, _fit_rows, _proven_well
 
 from helpers import random_instance, reference_fit_row, reference_penalized
 
+# floors: every test here compares the kernel with in-repo oracles on one
+# library build, the stacks that mix vertices through the flat take of every
+# set's block against single-vertex fits and the one-set oracle, and the
+# numpy score expression against the scalar one in helpers
+# (test_score_expression_matches_the_scalar_oracle); the exact search's
+# premise that a multi-column dposv solves each column as alone is here too
+pytestmark = pytest.mark.floors
+
 
 def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
