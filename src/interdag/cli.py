@@ -16,15 +16,13 @@ import functools
 import itertools
 import math
 import os
-import signal
 import sys
-import threading
-import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
+from ._fork import _forked
 from .equivalence import essential_graph, format_essential_graph
 from .errors import CapacityError, DataError, ParameterError
 from .experiments import ExperimentConfig, _cell_summaries, _draw_cell, _draw_model
@@ -75,9 +73,9 @@ def ingest_csv(path: str | Path) -> Dataset:
     the array the Dataset keeps.
 
     Once the header is read, a file of at least 8 chunks is split with a
-    forked child (see ``_forked``): the child parses the tail half's chunks
-    by ``np.loadtxt`` and sends each as one frame of raw float64 values
-    (``_bulk_blocks``), while this process parses the head half.  Both
+    forked child (see ``_fork._forked``): the child parses the tail half's
+    chunks by ``np.loadtxt`` and sends each as one frame of raw float64
+    values (``_bulk_blocks``), while this process parses the head half.  Both
     chunk the same file the same way.  For each tail chunk this process
     reads the child's next frame in place of its own ``np.loadtxt`` call,
     still reading every line for targets and line numbers.  From the first
@@ -100,7 +98,8 @@ def ingest_csv(path: str | Path) -> Dataset:
         size = identity[0] if identity else 0
         start = size // _CHUNK_CHARS // 2  # the child's frames are of chunks start on
         lineno = 2  # the line number of lines[0]
-        with _forked(size, functools.partial(_bulk_blocks, path, identity, p, start)) as frames:
+        worth = size >= 8 * _CHUNK_CHARS
+        with _forked(worth, functools.partial(_bulk_blocks, path, identity, p, start)) as frames:
             for index, (lines, bulk) in enumerate(itertools.chain([(lines[1:], bulk)], map(_split, reader))):
                 if not lines:
                     continue
@@ -259,19 +258,19 @@ def emit_csv(dataset: Dataset, path: str | Path) -> None:
     Each distinct target's label is computed once; the rows are formatted
     and written in chunks of about ``_CHUNK_CHARS`` characters, each row by
     one call of a row-wide template.  A text of at least 8 chunks, by its
-    n·p values, is split with a forked child (see ``_forked``): the child
-    formats the tail half of the rows, one frame per chunk, while this
-    process writes the head half, then writes the child's frames after it
-    as they arrive.  If the child's frames end before its end frame, this
-    process truncates the file back to the head and formats the tail
-    itself, so the bytes are the same either way.
+    n·p values, is split with a forked child (see ``_fork._forked``): the
+    child formats the tail half of the rows, one frame per chunk, while
+    this process writes the head half, then writes the child's frames
+    after it as they arrive.  If the child's frames end before its end
+    frame, this process truncates the file back to the head and formats
+    the tail itself, so the bytes are the same either way.
     """
     labels = {t: t.label() for t in dataset.row_groups}
     middle = dataset.n // 2
     tail = functools.partial(_csv_rows, dataset, labels, middle, dataset.n)
     with open(path, "wb") as out:
         out.write(("target," + ",".join(f"x{i}" for i in range(1, dataset.p + 1)) + "\n").encode())
-        with _forked(dataset.n * dataset.p * _VALUE_CHARS, tail) as frames:
+        with _forked(dataset.n * dataset.p * _VALUE_CHARS >= 8 * _CHUNK_CHARS, tail) as frames:
             out.writelines(_csv_rows(dataset, labels, 0, dataset.n if frames is None else middle))
             mark = out.tell()
             for frame in frames or ():
@@ -286,82 +285,12 @@ def emit_csv(dataset: Dataset, path: str | Path) -> None:
 def _csv_rows(dataset: Dataset, labels: dict, start: int, stop: int):
     """The CSV lines of rows start..stop - 1, encoded, in chunks of about
     ``_CHUNK_CHARS`` characters."""
-    row_text = ",".join([_FLOAT_FMT] * dataset.p).format
+    row_text = ",".join([_FLOAT_FMT] * dataset.p)
     step = max(1, _CHUNK_CHARS // (_VALUE_CHARS * dataset.p))
     for i in range(start, stop, step):
         j = min(i + step, stop)
         rows = zip(dataset.targets[i:j], dataset.values[i:j].tolist())
-        yield "".join([labels[t] + "," + row_text(*row) + "\n" for t, row in rows]).encode()
-
-
-@contextlib.contextmanager
-def _forked(chars: int, work):
-    """Run ``work()`` in a child started with ``os.fork`` and yield the
-    frames it sends, read by ``_frames``; yield None, and start nothing,
-    unless CSV text of about ``chars`` characters is worth a second
-    process: at least 8 chunks, a platform that forks, two usable cores,
-    and no other thread, as a fork copies only the calling thread.
-
-    The child collects every buffer ``work()`` yields before it writes
-    any, as the parent reads none before it has done its own half, and a
-    full pipe would stall the child until then.  It then writes each as a
-    frame, its length in 8 little-endian bytes and then its bytes, and ends
-    with an empty frame; ``work()`` yields no empty buffer, so an empty
-    frame can only be the end.  The child always leaves through
-    ``os._exit``, so it neither flushes inherited buffers nor returns into
-    the caller; on every exit, an exception or an interrupt included, the
-    parent kills the child and reaps it."""
-    if not (chars >= 8 * _CHUNK_CHARS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and threading.active_count() == 1 and len(os.sched_getaffinity(0)) >= 2):
-        yield None
-        return
-    read_fd, write_fd = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12 warns of native threads too, such as a BLAS pool,
-            # which hold no lock the child takes
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        pid = None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            buffers = list(work())
-            with open(write_fd, "wb") as out:
-                for buffer in buffers:
-                    out.write(memoryview(buffer).nbytes.to_bytes(8, "little"))
-                    out.write(buffer)
-                out.write(bytes(8))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    if pid is None:
-        os.close(read_fd)
-        yield None
-        return
-    try:
-        with open(read_fd, "rb") as child:
-            yield _frames(child)
-    finally:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-
-
-def _frames(child):
-    """Each frame read from the binary file ``child``, as bytes, up to the
-    empty frame that ends them; then None, once, if the stream ends first."""
-    while len(head := child.read(8)) == 8:
-        size = int.from_bytes(head, "little")
-        if not size:
-            return
-        frame = child.read(size)
-        if len(frame) < size:
-            break
-        yield frame
-    yield None
+        yield "".join([labels[t] + "," + row_text % tuple(row) + "\n" for t, row in rows]).encode()
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .search import format_trace, greedy_search
 __all__ = ["ExperimentConfig", "ResultRow", "fit_structure", "estimate_essential_graph", "run_fit",
            "run_consistency_experiment"]
 
-_FMT = _FLOAT_FMT.format
+_FMT = _FLOAT_FMT.__mod__
 
 
 @dataclass(frozen=True)
@@ -142,12 +142,15 @@ class ExperimentConfig:
         the observational one and the target's being drawn; and 2048 per
         target for its Python objects: the InterventionTarget, its
         InterventionSpec vectors, its row group's index array and, where
-        roots are kept, the objects and dict entry of its mean and root.
-        Under tracemalloc on Python 3.11 those take 0.3 to 1.1 KB, the most
-        with every root kept and one row per target."""
+        roots are kept, the objects and dict entry of its mean and root;
+        and 16 KiB for what a draw allocates whatever its size, such as its
+        random generators.  Under tracemalloc on Python 3.11 a target's
+        objects take 0.3 to 1.1 KB, the most with every root kept and one
+        row per target, and a draw of one or two rows over one or two
+        vertices peaks at 4 to 8.5 KB."""
         p = self.p
         roots = len(self.mu_grid) * (self.k + 1) if len(self.n_grid) > 1 else min(self.k + 1, 2)
-        return n * (17 * p + 32) + roots * (p + 1) * p * 8 + self.k * 2048
+        return n * (17 * p + 32) + roots * (p + 1) * p * 8 + self.k * 2048 + 16384
 
     @property
     def search_config(self) -> SearchConfig:

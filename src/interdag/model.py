@@ -709,7 +709,7 @@ def sample_dataset(
 # ---------------------------------------------------------------------------
 # text serialization
 
-_FLOAT_FMT = "{:.17g}"  # 17 significant digits round-trip double precision exactly
+_FLOAT_FMT = "%.17g"  # 17 significant digits round-trip double precision exactly
 
 
 def format_model(model: GaussianCausalModel) -> str:
@@ -717,9 +717,9 @@ def format_model(model: GaussianCausalModel) -> str:
     lines = [f"p {model.p}"]
     for tail, head in model.dag.edges:
         beta = model.weights[head - 1, tail - 1]
-        lines.append(f"{tail} -> {head} : " + _FLOAT_FMT.format(beta))
+        lines.append(f"{tail} -> {head} : " + _FLOAT_FMT % beta)
     for k in range(1, model.p + 1):
-        lines.append(f"var {k} : " + _FLOAT_FMT.format(model.error_vars[k - 1]))
+        lines.append(f"var {k} : " + _FLOAT_FMT % model.error_vars[k - 1])
     return "\n".join(lines) + "\n"
 
 

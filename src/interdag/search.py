@@ -11,10 +11,12 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from ._fork import _forked
 from .errors import CapacityError, ParameterError
 from .likelihood import (
     _CHUNK,
@@ -40,6 +42,14 @@ IMPROVEMENT_EPS = 1e-9
 DP_VERTEX_LIMIT = 20
 
 METHODS = ("greedy", "dp")  # greedy hill climbing or the exact DP
+
+# the exact search shares its scoring with a forked child from this many
+# (vertex, parent set) pairs on: from p = 11 at the default max_parents
+_DP_FORK_PAIRS = 10_000
+
+# a kernel call's estimated cost beyond its sets', in factorizations of a
+# parent block, fitted to the kernel's times at p = 12 to 16 (``_dp_cut``)
+_DP_CALL_COST = 120
 
 
 def _check_dp_vertices(p: int) -> None:
@@ -152,10 +162,10 @@ class SearchTrace:
 
 def format_trace(trace: SearchTrace) -> str:
     """Line-oriented log: step, move kind, edge, and score delta."""
-    lines = ["start " + _FLOAT_FMT.format(trace.start_score)]
+    lines = ["start " + _FLOAT_FMT % trace.start_score]
     for s in trace.steps:
         delta = s.score_after - s.score_before
-        lines.append(f"{s.step} {s.kind} {s.edge[0]}->{s.edge[1]} " + _FLOAT_FMT.format(delta))
+        lines.append(f"{s.step} {s.kind} {s.edge[0]}->{s.edge[1]} " + _FLOAT_FMT % delta)
     return "\n".join(lines) + "\n"
 
 
@@ -392,37 +402,107 @@ def _best_subsets(scores: np.ndarray, set_masks: np.ndarray, n: int) -> tuple[np
     return scores[order][rank], set_masks[order]
 
 
+def _dp_calls(p: int, max_parents: int, sizes: list[int]):
+    """The kernel calls of ``_dp_scores`` in order, each as (d, q, start,
+    stop): the sets of size d from start to stop - 1, in
+    ``_combinations(p, d)`` order, each with the vertices of pattern q
+    outside it, where ``sizes`` are the patterns' vertex counts.  A call
+    takes whole sets, at most _CHUNK sets and vertices, so that one call is
+    one kernel stack."""
+    for d in range(max_parents + 1):
+        count = math.comb(p, d)
+        for q, size in enumerate(sizes):
+            step = max(1, _CHUNK // size)
+            for start in range(0, count, step):
+                yield d, q, start, min(start + step, count)
+
+
+def _dp_cut(p: int, calls: list[tuple[int, int, int, int]], sizes: list[int]) -> int:
+    """How many of ``calls`` (``_dp_calls``) this process makes when a child
+    makes the rest: the fewest whose estimated cost reaches half of all.
+    A call of s sets of size d, with a pattern of m vertices, scores about
+    s * m * (p - d) / p pairs of a vertex and a set, and factors the block
+    of each set with a vertex outside it, about min(s, pairs) blocks; it is
+    estimated at _DP_CALL_COST plus one per block plus d / 10 per pair."""
+    cost = []
+    for d, q, start, stop in calls:
+        pairs = (stop - start) * sizes[q] * (p - d) / p
+        cost.append(_DP_CALL_COST + min(stop - start, pairs) + pairs * d / 10)
+    return int(np.searchsorted(np.cumsum(cost), sum(cost) / 2)) + 1
+
+
+def _dp_blocks(p: int, patterns: list[np.ndarray], calls):
+    """Per call of ``calls`` (``_dp_calls``): the vertices it scores, the
+    place of each one's set in the vertex's row of ``_dp_scores``, and the
+    sets, as rows of labels.  Dropping a vertex's own sets keeps the
+    lexicographic order, so a set's place in a vertex's row is the count of
+    that vertex's sets before it."""
+    for d, of_size in itertools.groupby(calls, itemgetter(0)):
+        sets = _combinations(p, d)
+        inside = np.zeros((len(sets), p), dtype=bool)
+        inside[np.arange(len(sets))[:, None], sets] = True
+        sets += 1  # the kernel takes labels
+        offset = sum(math.comb(p - 1, e) for e in range(d))  # where the sets of size d start in every row
+        for q, of_pattern in itertools.groupby(of_size, itemgetter(1)):
+            members = patterns[q]
+            outside = ~inside[:, members]
+            position = np.cumsum(outside, axis=0) + (offset - 1)
+            for _, _, start, stop in of_pattern:
+                at, which = np.nonzero(outside[start:stop])
+                at += start
+                yield members[which], position[at, which], sets[at]
+
+
 def _dp_scores(local: LocalStats, max_parents: int, penalty: float) -> np.ndarray:
     """Every vertex's score of every parent set of at most max_parents of
     the others, one row per vertex, by size and then lexicographically.
 
     The vertices of one exclusion pattern are scored together, size by
     size: set by set, each vertex of the pattern outside the set, so that
-    they form one group of the kernel and share the set's parent block.
-    Each call takes whole sets, at most _CHUNK sets and vertices, so one
-    call is one kernel stack.  Dropping a vertex's own sets keeps the
-    lexicographic order, so a set's place in a vertex's row is the count of
-    that vertex's sets before it.
+    they form one group of the kernel and share the set's parent block
+    (``_dp_calls``, ``_dp_blocks``).
+
+    From _DP_FORK_PAIRS (vertex, set) pairs on, the calls are shared with
+    a forked child (``_fork._forked``): this process makes the first
+    ``_dp_cut`` calls and the child the rest.  A vertex's sets come in its
+    row's order, so the child's calls score the rest of each vertex's row
+    after the sets this process scored.  The child sends its table as one
+    frame of float64 values, and this process copies those rests from it.
+    Without that frame, whole, this process makes the child's calls
+    itself, so its errors are this process's own.  A set's score has the
+    same bits in any stack, so the table is the same either way.
     """
     p = local.p
     scores = np.empty((p, sum(math.comb(p - 1, d) for d in range(max_parents + 1))))
     patterns = [np.flatnonzero(local.pattern_of == q) for q in np.flatnonzero(np.bincount(local.pattern_of))]
-    offset = 0  # where the sets of size d start in every row
-    for d in range(max_parents + 1):
-        sets = _combinations(p, d)
-        inside = np.zeros((len(sets), p), dtype=bool)
-        inside[np.arange(len(sets))[:, None], sets] = True
-        sets += 1  # the kernel takes labels
-        for members in patterns:
-            outside = ~inside[:, members]
-            position = np.cumsum(outside, axis=0) + (offset - 1)
-            step = max(1, _CHUNK // len(members))
-            for start in range(0, len(sets), step):
-                at, which = np.nonzero(outside[start:start + step])
-                at += start
-                vertex = members[which]
-                scores[vertex, position[at, which]] = _scores(vertex + 1, sets[at], local, penalty)
-        offset += math.comb(p - 1, d)
+    sizes = [len(members) for members in patterns]
+    calls = list(_dp_calls(p, max_parents, sizes))
+    cut = _dp_cut(p, calls, sizes) if scores.size >= _DP_FORK_PAIRS else len(calls)
+    head, tail = calls[:cut], calls[cut:]
+
+    def score(part) -> np.ndarray:
+        """Put the scores of the calls ``part`` in the table; return how many
+        sets of each vertex they scored."""
+        done = np.zeros(p, dtype=np.intp)
+        for vertex, position, sets in _dp_blocks(p, patterns, part):
+            scores[vertex, position] = _scores(vertex + 1, sets, local, penalty)
+            done += np.bincount(vertex, minlength=p)
+        return done
+
+    def child():
+        score(tail)
+        yield scores
+
+    with _forked(bool(tail), child) as frames:
+        done = score(head)
+        frame = None if frames is None else next(frames, None)
+        if frame is None or len(frame) != scores.nbytes:
+            score(tail)
+        else:
+            # a vertex's sets in the child's calls are the rest of its row
+            table = np.frombuffer(frame).reshape(scores.shape)
+            for k, start in enumerate(done.tolist()):
+                scores[k, start:] = table[k, start:]
     return scores
 
 
@@ -447,12 +527,21 @@ def exhaustive_dp(local: LocalStats, config: SearchConfig = SearchConfig()) -> D
     parent sets decoded.
 
     Memory and time grow as p * 2^p; vertices are hard-capped at
-    DP_VERTEX_LIMIT.  With the default max_parents and n=2000, on one core
-    of a 2-core x86-64 host (Python 3.11, numpy 2.4, scipy 1.17; median of
-    three runs), it took on observational data 0.019 s at p=12,
-    0.069 s at p=14, 0.25 s at p=16, 0.83 s at p=18 and 2.5 s at p=20, and
-    with three single-vertex targets 0.023, 0.082, 0.29, 0.97 and 2.9 s;
-    peak RSS was 80 MB at p=18 and 169 MB at p=20.  Observational data has
+    DP_VERTEX_LIMIT.  With the default max_parents and n=2000, on a 2-core
+    x86-64 host (Python 3.11, numpy 2.4, scipy 1.17, one BLAS thread;
+    median of seven runs at p=12 and 14, of three above), it took:
+
+        p                              12     14     16    18    20
+        observational, one core (s)   0.028  0.10   0.49  1.6   5.8
+        observational, two cores (s)  0.025  0.073  0.29  1.0   4.4
+        three targets, one core (s)   0.036  0.13   0.52  1.7   5.9
+        three targets, two cores (s)  0.030  0.10   0.46  1.2   3.8
+
+    with three single-vertex targets of five rows each.  Peak RSS was 80 MB
+    at p=18 and 168 MB at p=20; on two cores the child's, pages shared with
+    this process included, was 31 MB at p=12 and 88 to 124 MB at p=20.
+    From p=18 on, the best-subset pass and the sink recursion, which one
+    process runs, are a growing share.  Observational data has
     one pattern, so a factorization serves up to p - d vertices.  The
     kernel runs Python once per factorization, so its loop of ``dposv``
     calls, one per pattern and parent set, is its largest part: about

@@ -11,15 +11,19 @@ oracle rescans every candidate move on every step, reading one score at a
 time, the DP oracle loops over subset masks in Python, and
 the sampling, statistics and CSV-reading oracles are the per-row loops
 those functions were first written as, and the random-DAG oracle draws
-one uniform per vertex pair.
+one uniform per vertex pair.  The fork fixtures give any machine two usable
+cores, or one, and check that no forked child outlives a call.
 """
 
+import contextlib
 import itertools
 import math
+import os
 from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.linalg
 from scipy.stats import multivariate_normal
 
@@ -51,6 +55,29 @@ from interdag.equivalence import MAX_CLASS_MEMBERS, MAX_UNDECIDED_EDGES, _pair
 from interdag.likelihood import _checked_penalty, _scores, check_scorable
 from interdag.model import _mean_and_root, _rng
 from interdag.search import IMPROVEMENT_EPS
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks made, with two usable cores whatever the machine has."""
+    made = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: made.append(os.getpid()) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return made
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def one_core():
+    """A context in which nothing forks."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        yield
 
 
 def demo_trio() -> tuple[Dag, Dag, Dag]:

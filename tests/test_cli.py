@@ -18,8 +18,10 @@ Core claims:
       is left after any call; a stream ends at its empty end frame, or
       else with None wherever it is cut.  emit_csv holds a few chunks of
       text at a time (tracemalloc).
-      Inputs the size of the exact-search benchmark's, and experiment
-      grids, never fork.
+      The simulate and CSV ingest of the exact-search benchmark's input
+      and an experiment grid never fork; its exact-search fit forks once,
+      with the bytes of a fit on one core, and a grid's pool workers never
+      fork.
     - A seeded simulate writes the same dataset.csv bytes as recorded, with
       every other flag at its default the dataset.csv, model.txt and
       essential.txt bytes as recorded, and one at p=100 whose class is too
@@ -71,6 +73,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import interdag._fork
 import interdag.cli
 import interdag.experiments
 import interdag.likelihood
@@ -91,7 +94,7 @@ from interdag import (
 )
 from interdag.cli import emit_csv, ingest_csv, main
 
-from helpers import reference_ingest_csv
+from helpers import assert_no_child_left, forks, one_core, reference_ingest_csv
 
 
 def _sample_csv(path, seed=5, n=40, mu=8.0):
@@ -405,7 +408,7 @@ def test_ingest_in_chunks_of_a_few_bytes_matches_the_row_loop_oracle(forks):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(interdag.cli, "_CHUNK_CHARS", data.draw(st.integers(1, 40), label="chunk"))
             _check_ingest_against_the_row_loop_oracle(data)
-        _assert_no_child_left()
+        assert_no_child_left()
 
     check()
     assert len(forks) >= 10
@@ -420,29 +423,6 @@ def test_ingest_missing_file():
 # -- CSV I/O split with a forked child ----------------------------------------------
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The forks made, with two usable cores whatever the machine has."""
-    made = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: made.append(os.getpid()) or fork())
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    return made
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@contextlib.contextmanager
-def _one_core():
-    """A context in which no CSV I/O forks."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        yield
-
-
 def _ingest_outcome(path):
     """What ingest_csv makes of the file: its error text, or its dataset's
     columns, targets and value bits."""
@@ -452,7 +432,7 @@ def _ingest_outcome(path):
         outcome = str(exc)
     else:
         outcome = (data.p, data.targets, data.values.tobytes())
-    _assert_no_child_left()
+    assert_no_child_left()
     return outcome
 
 
@@ -498,7 +478,7 @@ def test_ingest_defect_in_the_tail_half_gives_what_one_process_gives(tmp_path, m
     _tail_csv(path, defect, newline)
     got = _ingest_outcome(path)
     assert len(forks) == 1
-    with _one_core():
+    with one_core():
         assert _ingest_outcome(path) == got
     assert len(forks) == 1
     if message is None:
@@ -514,7 +494,7 @@ def test_ingest_whose_child_exits_early_gives_the_same_dataset(tmp_path, monkeyp
     monkeypatch.setattr(interdag.cli, "_CHUNK_CHARS", 256)
     path = tmp_path / "d.csv"
     _tail_csv(path, "none")
-    with _one_core():
+    with one_core():
         want = _ingest_outcome(path)
     parent, block = os.getpid(), interdag.cli._numeric_block
     monkeypatch.setattr(interdag.cli, "_numeric_block",
@@ -531,7 +511,7 @@ def test_ingest_whose_child_sends_a_wrong_sized_block_gives_the_same_dataset(tmp
     monkeypatch.setattr(interdag.cli, "_CHUNK_CHARS", 256)
     path = tmp_path / "d.csv"
     _tail_csv(path, "none")
-    with _one_core():
+    with one_core():
         want = _ingest_outcome(path)
     parent, block = os.getpid(), interdag.cli._numeric_block
     monkeypatch.setattr(interdag.cli, "_numeric_block",
@@ -550,7 +530,7 @@ def test_ingest_of_a_file_replaced_after_its_header_reads_the_file_opened(tmp_pa
     _tail_csv(path, "none")
     _tail_csv(other, "none")
     other.write_text(other.read_text().replace(",-", ",+"))
-    with _one_core():
+    with one_core():
         want = _ingest_outcome(path)
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: os.replace(other, path) or fork())
@@ -574,7 +554,7 @@ def test_ingest_and_emit_read_frames_up_to_the_end_frame_or_none(stream, frames)
     """The frames of a child's stream, each an 8-byte little-endian length
     and its bytes, up to the empty end frame; a stream that ends before
     that frame, wherever it is cut, gives its whole frames and then None."""
-    assert list(interdag.cli._frames(io.BytesIO(stream))) == frames
+    assert list(interdag._fork._frames(io.BytesIO(stream))) == frames
 
 
 @pytest.mark.parametrize("child", ["whole", "exits", "short"])
@@ -588,9 +568,9 @@ def test_emit_writes_the_same_bytes_forked_and_in_one_process(tmp_path, monkeypa
     rng = np.random.default_rng(5)
     targets = [InterventionTarget.empty(), InterventionTarget.of(2), InterventionTarget.of(1, 3)] * 70
     data = Dataset(3, tuple(targets), rng.standard_normal((210, 3)) * 10.0 ** rng.integers(-300, 300, (210, 3)))
-    with _one_core():
+    with one_core():
         emit_csv(data, tmp_path / "one.csv")
-    parent, rows, frames, seen = os.getpid(), interdag.cli._csv_rows, interdag.cli._frames, []
+    parent, rows, frames, seen = os.getpid(), interdag.cli._csv_rows, interdag._fork._frames, []
 
     def child_rows(*args):
         if os.getpid() == parent:
@@ -599,9 +579,9 @@ def test_emit_writes_the_same_bytes_forked_and_in_one_process(tmp_path, monkeypa
 
     if child != "whole":
         monkeypatch.setattr(interdag.cli, "_csv_rows", child_rows)
-    monkeypatch.setattr(interdag.cli, "_frames", lambda f: (seen.append(frame) or frame for frame in frames(f)))
+    monkeypatch.setattr(interdag._fork, "_frames", lambda f: (seen.append(frame) or frame for frame in frames(f)))
     emit_csv(data, tmp_path / "two.csv")
-    _assert_no_child_left()
+    assert_no_child_left()
     assert len(forks) == 1
     # the frames read here: the 27 chunks of 4 rows of the 105 tail rows, or
     # what the child sent before its stream ended
@@ -618,7 +598,7 @@ def test_ingest_and_emit_run_in_one_process_when_fork_fails(tmp_path, monkeypatc
     monkeypatch.setattr(interdag.cli, "_CHUNK_CHARS", 256)
     path = tmp_path / "d.csv"
     _tail_csv(path, "none")
-    with _one_core():
+    with one_core():
         want = _ingest_outcome(path)
         data = ingest_csv(path)
         emit_csv(data, tmp_path / "one.csv")
@@ -645,7 +625,7 @@ def test_emit_holds_a_few_chunks_of_text_at_a_time(tmp_path, forks, forked):
     rng = np.random.default_rng(3)
     data = Dataset(p, (InterventionTarget.empty(),) * n, rng.standard_normal((n, p)))
     path = tmp_path / "big.csv"
-    with contextlib.nullcontext() if forked else _one_core():
+    with contextlib.nullcontext() if forked else one_core():
         tracemalloc.start()
         try:
             emit_csv(data, path)
@@ -658,18 +638,51 @@ def test_emit_holds_a_few_chunks_of_text_at_a_time(tmp_path, forks, forked):
     assert peak <= 8 * interdag.cli._CHUNK_CHARS < data.values.nbytes
 
 
-def test_fit_exact_sized_inputs_and_the_grid_never_fork(tmp_path, capsys, monkeypatch):
-    """A simulate and a fit at the size of the exact-search benchmark input
-    (p=12, n=2000, 486 KB of CSV) and an experiment grid, which writes no
-    CSV, run in one process."""
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def test_fit_exact_sized_io_and_the_grid_never_fork_and_the_dp_fit_forks_once(tmp_path, capsys, forks):
+    """At the size of the exact-search benchmark input (p=12, n=2000, 486 KB
+    of CSV) the simulate and the CSV ingest run in one process, and so does
+    an experiment grid, which writes no CSV; the exact search's fit scores
+    its 23,772 sets with one forked child, and writes the bytes of a fit on
+    one core."""
     sim = tmp_path / "sim"
     assert main(["simulate", "--p", "12", "--n", "2000", "--k", "3", "--replicates-per-target", "5",
                  "--seed", "7", "--out", str(sim)]) == 0
-    assert main(["fit", "--data", str(sim / "dataset.csv"), "--method", "dp", "--out", str(tmp_path / "fit")]) == 0
+    ingest_csv(sim / "dataset.csv")
     assert main(["experiment", "--seed", "1", "--p", "6", "--replicates", "2", "--n-grid", "50,100",
                  "--workers", "1", "--out", str(tmp_path / "exp")]) == 0
+    assert forks == []
+    fit = ["fit", "--data", str(sim / "dataset.csv"), "--method", "dp", "--out"]
+    assert main([*fit, str(tmp_path / "two")]) == 0
+    assert_no_child_left()
+    assert len(forks) == 1
+    with one_core():
+        assert main([*fit, str(tmp_path / "one")]) == 0
+    assert len(forks) == 1
+    for name in ("model.txt", "essential.txt", "fit.json"):
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_grid_workers_never_fork(tmp_path, capsys, monkeypatch):
+    """A grid's pool workers own the cores: the exact search at p=11, which
+    forks in a process of its own, does not in a worker (a fork there
+    raises), and the grid gives the rows of one worker."""
+    fork = os.fork
+
+    def pool_fork():
+        import multiprocessing
+
+        if multiprocessing.parent_process() is not None:
+            raise AssertionError("a pool worker forked")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", pool_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    grid = ["experiment", "--seed", "3", "--p", "11", "--k", "0", "--method", "dp", "--replicates", "2",
+            "--n-grid", "60", "--out"]
+    assert main([*grid, str(tmp_path / "two"), "--workers", "2"]) == 0
+    assert main([*grid, str(tmp_path / "one"), "--workers", "1"]) == 0
+    for name in ("rows.csv", "medians.csv"):
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 # -- fit command ---------------------------------------------------------------------
@@ -1188,14 +1201,14 @@ _GRID4 = ["experiment", "--seed", "1", "--p", "4", "--k", "1", "--replicates", "
 def test_dataset_beyond_physical_memory_exits_4_before_out(tmp_path, capsys, monkeypatch, argv, n, k):
     # 2**40 bytes: less than sampling 10**15 rows of 4 values holds, whatever
     # this machine holds: 17 bytes per value and 32 per row, a mean and root
-    # of 4 + 16 floats for each of the observational and k targets, and
-    # 2048 bytes per target for its Python objects
+    # of 4 + 16 floats for each of the observational and k targets, 2048
+    # bytes per target for its Python objects and 16 KiB for the draw's
     monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: 2**40)
     code = main([*argv, "--out", str(tmp_path / "x")])
     err = capsys.readouterr().err
     assert code == 4
     assert err == (f"error: the arrays that sampling n={n} rows over p=4 vertices holds need "
-                   f"{int(n) * 100 + (k + 1) * 160 + k * 2048} bytes, more than the {2**40} bytes "
+                   f"{int(n) * 100 + (k + 1) * 160 + k * 2048 + 16384} bytes, more than the {2**40} bytes "
                    "of physical memory\n")
     assert not (tmp_path / "x").exists()
 
@@ -1204,9 +1217,9 @@ def test_fully_targeted_simulate_is_checked_for_two_roots(tmp_path, capsys, monk
     # sampling holds the observational mean and root and the one target's
     # being drawn, so p=100 with every vertex targeted needs 500 rows of 17
     # bytes per value and 32 per row, two means and roots of 100 + 10,000
-    # floats and 2048 bytes per target: 1,232,400 bytes, where one root per
-    # target would count 9,231,600
-    needed = 500 * (17 * 100 + 32) + 2 * 101 * 100 * 8 + 100 * 2048
+    # floats, 2048 bytes per target and 16 KiB for the draw: 1,248,784
+    # bytes, where one root per target would count 9,247,984
+    needed = 500 * (17 * 100 + 32) + 2 * 101 * 100 * 8 + 100 * 2048 + 16384
     argv = ["simulate", "--p", "100", "--n", "500", "--k", "100", "--replicates-per-target", "5", "--seed", "1"]
     monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: needed - 1)
     assert main([*argv, "--out", str(tmp_path / "x")]) == 4

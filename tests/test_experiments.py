@@ -397,16 +397,16 @@ def test_experiment_config_stores_numpy_integers_as_ints():
 def test_experiment_config_refuses_a_dataset_beyond_physical_memory(monkeypatch):
     # sampling the default grid's largest dataset, n=10000 rows over p=10
     # vertices, holds 2,020,000 bytes of normals, values, finiteness mask and
-    # row bookkeeping, 6 means and roots of 10 + 100 floats, and 2048 bytes
-    # for the Python objects of each of its 5 targets
-    needed = 10000 * (17 * 10 + 32) + 6 * 110 * 8 + 5 * 2048
+    # row bookkeeping, 6 means and roots of 10 + 100 floats, 2048 bytes for
+    # the Python objects of each of its 5 targets and 16 KiB for the draw's
+    needed = 10000 * (17 * 10 + 32) + 6 * 110 * 8 + 5 * 2048 + 16384
     monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: needed)
     assert ExperimentConfig(seed=1).n_grid == (100, 1000, 10000)
     monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: needed - 1)
     with pytest.raises(CapacityError) as info:
         ExperimentConfig(seed=1)
     assert str(info.value) == ("the arrays that sampling n=10000 rows over p=10 vertices holds need "
-                               "2035520 bytes, more than the 2035519 bytes of physical memory")
+                               "2051904 bytes, more than the 2051903 bytes of physical memory")
     # where memory is unknown, an n too large for a float is named
     monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: None)
     with pytest.raises(ParameterError) as info:
@@ -420,9 +420,12 @@ def test_experiment_config_refuses_a_dataset_beyond_physical_memory(monkeypatch)
      {"p": 300, "k": 300, "replicates_per_target": 5, "n_grid": (2000,)},
      {"p": 60, "k": 60, "replicates_per_target": 10, "n_grid": (600,)},
      {"p": 120, "k": 120, "replicates_per_target": 2, "n_grid": (240,)},
-     {"p": 60, "k": 60, "replicates_per_target": 10, "n_grid": (600, 601)}],
+     {"p": 60, "k": 60, "replicates_per_target": 10, "n_grid": (600, 601)},
+     {"p": 1, "k": 1, "expected_degree": 0.0, "replicates_per_target": 1, "n_grid": (2, 3)},
+     {"p": 2, "k": 2, "replicates_per_target": 1, "n_grid": (2,)}],
     ids=["default", "observational-p2", "every-vertex-targeted-p40", "every-vertex-targeted-p300",
-         "ten-rows-per-target-p60", "two-rows-per-target-p120", "roots-kept-p60"],
+         "ten-rows-per-target-p60", "two-rows-per-target-p120", "roots-kept-p60", "three-rows-p1",
+         "two-rows-p2"],
 )
 def test_memory_guard_counts_at_least_what_sampling_holds(settings):
     """The guard's count for the largest dataset is at least the peak that
@@ -433,7 +436,8 @@ def test_memory_guard_counts_at_least_what_sampling_holds(settings):
     1.4 MB of the count's 12.3 MB, where one root per target would be
     217 MB.  With several n it keeps every root in the dict the grid
     passes.  With few rows per target the targets' objects, which no array
-    count sees, are a large part of the peak."""
+    count sees, are a large part of the peak, and with a row or two over a
+    vertex or two what every draw allocates is most of it."""
     config = ExperimentConfig(**{"seed": 1, "n_grid": (10000,), "replicates": 1, **settings})
     n = max(config.n_grid)
     _, model = _draw_model(config, 0)

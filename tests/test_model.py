@@ -15,7 +15,8 @@ Core claims:
       roots at a time (tracemalloc).
     - The mean and root of a target solved from the observational pair,
       at its members and their descendants only, have the full pass's bits.
-    - Text serialization round-trips bit-exactly.
+    - Text serialization round-trips bit-exactly, and its ``%`` format
+      writes the text of ``str.format``'s ``{:.17g}`` for every double.
     - Each construction and sampling error that no other test reaches
       raises its type with its message.
 """
@@ -48,7 +49,7 @@ from interdag import (
     sample_normalized_model,
     sample_random_dag,
 )
-from interdag.model import _mean_and_root
+from interdag.model import _FLOAT_FMT, _mean_and_root
 
 from helpers import demo_trio, reference_random_dag
 
@@ -484,6 +485,13 @@ def test_model_round_trip_bit_exact():
         assert np.array_equal(back.weights, model.weights)
         assert np.array_equal(back.error_vars, model.error_vars)
         assert format_model(back) == format_model(model)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.8e308]))
+def test_float_format_writes_the_text_of_str_format(x):
+    assert _FLOAT_FMT % x == "{:.17g}".format(x)
+    assert _FLOAT_FMT % np.float64(x) == "{:.17g}".format(x)
 
 
 def test_parse_model_error_reporting():

@@ -14,7 +14,14 @@ Core claims:
       still returns the oracle's parent sets, on patterns that are not
       proven and on patterns with no more excluding rows than parents; its
       kernel calls, fitted sets, dposv calls and proofs on one seeded p=12
-      input are pinned.
+      input are pinned, on one core.
+    - On two cores the DP shares its kernel calls with one forked child:
+      the calls made here and the child's, by the assignment rule, make up
+      the pinned calls and sets, none made twice; its score table has the
+      bits of one process's and its parent sets the oracle's; a child
+      that exits early, is killed mid-stream or sends a frame of the wrong
+      size leaves its calls to this process, with the same table and DAG,
+      and no child is left after any call.
     - Greedy, the DP and the refit run no SVD on mixtures proven well
       conditioned, and a whole fit proves each pattern's mixture once; with
       a duplicated column no mixture is proven, and greedy's DAG and trace
@@ -46,6 +53,8 @@ Core claims:
 """
 
 import hashlib
+import os
+import signal
 import sys
 
 import numpy as np
@@ -53,6 +62,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import interdag._fork
 import interdag.likelihood
 import interdag.search
 
@@ -87,7 +97,8 @@ from interdag import (
 from interdag.cli import ingest_csv, main
 from interdag.likelihood import _checked_penalty, _scores
 
-from helpers import all_dags, random_instance, reference_exhaustive_dp, reference_greedy_search
+from helpers import all_dags, assert_no_child_left, forks, one_core, random_instance, reference_exhaustive_dp
+from helpers import reference_greedy_search
 
 
 def _local(dataset, family=None):
@@ -628,7 +639,7 @@ def test_dp_work_counters_pinned(monkeypatch, tmp_path):
     set.  A kernel call takes whole sets, at most 1,024 // 9 = 113 of them
     for the shared pattern and so 40 calls over sizes 0 to 8, and one call
     per size for each of the others: 67 calls, against 12 * 9 = 108 with
-    one per vertex and size.
+    one per vertex and size.  One core is usable, so no child scores any.
     """
     calls = {"scores": 0, "sets": 0, "dposv": 0, "proof": 0}
     scores, dposv, proof = interdag.likelihood._scores, interdag.likelihood.dposv, interdag.likelihood._proven_well_conditioned
@@ -650,10 +661,137 @@ def test_dp_work_counters_pinned(monkeypatch, tmp_path):
     monkeypatch.setattr(interdag.search, "_scores", counting_scores)
     monkeypatch.setattr(interdag.likelihood, "dposv", counting_dposv)
     monkeypatch.setattr(interdag.likelihood, "_proven_well_conditioned", counting_proof)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     local = _fit_exact_local(tmp_path)
     assert len(local.mixtures) == 4
     exhaustive_dp(local)
     assert calls == {"scores": 67, "sets": 23_772, "dposv": 9_736, "proof": 4}
+
+
+@pytest.mark.floors
+def test_dp_calls_are_split_between_this_process_and_one_child(monkeypatch, tmp_path, forks):
+    """On two cores the 67 kernel calls and 23,772 sets of the input above
+    are shared with one forked child: by the assignment rule, this process
+    makes the first 39 calls and the child the other 28.  The calls made
+    here, counted here, are those 39, so together with the child's they
+    make up the 67 calls and 23,772 sets, none made twice."""
+    calls = {"scores": 0, "sets": 0}
+    scores = interdag.search._scores
+
+    def counting_scores(k, parent_sets, *args):
+        calls["scores"] += 1
+        calls["sets"] += len(parent_sets)
+        return scores(k, parent_sets, *args)
+
+    local = _fit_exact_local(tmp_path)
+    monkeypatch.setattr(interdag.search, "_scores", counting_scores)
+    exhaustive_dp(local)
+    assert_no_child_left()
+    assert len(forks) == 1
+    patterns = [np.flatnonzero(local.pattern_of == q) for q in np.flatnonzero(np.bincount(local.pattern_of))]
+    sizes = [len(members) for members in patterns]
+    planned = list(interdag.search._dp_calls(12, 8, sizes))
+    cut = interdag.search._dp_cut(12, planned, sizes)
+    assert (len(planned), cut) == (67, 39)
+    child_sets = sum(len(vertex) for vertex, _, _ in interdag.search._dp_blocks(12, patterns, planned[cut:]))
+    assert calls == {"scores": cut, "sets": 23_772 - child_sets}
+    assert calls["scores"] + len(planned) - cut == 67
+
+
+def test_dp_scores_forked_match_one_process(monkeypatch, forks):
+    """With the fork threshold at one pair and two usable cores, every DP
+    of two calls or more is shared with a child: its score table has the
+    bits of the table scored in one process, with ties and singular blocks
+    from copied columns, and its parent sets are the oracle's."""
+    monkeypatch.setattr(interdag.search, "_DP_FORK_PAIRS", 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(2, 9),
+        n=st.integers(15, 400),
+        max_parents=st.sampled_from([None, 0, 1, 2, 3]),
+        duplicates=st.integers(0, 2),
+    )
+    def check(seed, p, n, max_parents, duplicates):
+        model, family, spec, data = random_instance(seed, p=p, n=n)
+        values = np.array(data.values)
+        rng = np.random.default_rng(seed)
+        for _ in range(duplicates):
+            src, dst = rng.choice(p, size=2, replace=False)
+            values[:, dst] = values[:, src]
+        local = _local(Dataset(p, data.targets, values), family)
+        config = SearchConfig(max_parents=max_parents)
+        table = (local, config.resolved_max_parents(p), config.resolved_penalty(local.n))
+        forked = interdag.search._dp_scores(*table)
+        assert_no_child_left()
+        with one_core():
+            alone = interdag.search._dp_scores(*table)
+        assert forked.tobytes() == alone.tobytes()
+        assert exhaustive_dp(local, config).parent_sets == reference_exhaustive_dp(local, config).parent_sets
+        assert_no_child_left()
+
+    check()
+    assert len(forks) >= 40
+
+
+class _CutPipe:
+    """The write end of a child's pipe that sends only half of the first
+    frame: "killed" writes its full length and half its bytes, then kills
+    the child; "short" writes half as a whole frame and the end frame."""
+
+    def __init__(self, handle, how):
+        self.handle, self.how, self.writes = handle, how, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, data):
+        data = bytes(data)
+        self.writes += 1
+        if self.writes == 1 and self.how == "short":
+            data = (int.from_bytes(data, "little") // 2).to_bytes(8, "little")
+        elif self.writes == 2:
+            data = data[:len(data) // 2]
+        self.handle.write(data)
+        if self.writes == 2 and self.how == "killed":
+            self.handle.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("child", ["exits", "killed", "short"])
+def test_dp_whose_child_fails_gives_the_same_dag(monkeypatch, tmp_path, forks, child):
+    """A child that exits before it sends its scores ("exits"), is killed
+    halfway through sending them ("killed") or sends half of them as a
+    whole frame ("short") leaves this process to make the child's calls
+    itself, all 67, with the table and DAG of one process; no child is
+    left."""
+    local = _fit_exact_local(tmp_path)
+    penalty = interdag.likelihood._checked_penalty(local.n, None)
+    with one_core():
+        want = exhaustive_dp(local)
+        table = interdag.search._dp_scores(local, 8, penalty)
+    parent, scores, calls = os.getpid(), interdag.search._scores, []
+
+    def counting_scores(*args):
+        if os.getpid() != parent and child == "exits":
+            os._exit(1)
+        calls.append(os.getpid())
+        return scores(*args)
+
+    monkeypatch.setattr(interdag.search, "_scores", counting_scores)
+    if child != "exits":
+        monkeypatch.setattr(interdag._fork, "open", lambda fd, mode: open(fd, mode) if os.getpid() == parent
+                            else _CutPipe(open(fd, mode), child), raising=False)
+    assert exhaustive_dp(local) == want
+    assert_no_child_left()
+    assert len(calls) == 67
+    assert interdag.search._dp_scores(local, 8, penalty).tobytes() == table.tobytes()
+    assert_no_child_left()
+    assert len(forks) == 2
 
 
 @pytest.mark.floors
