@@ -9,7 +9,6 @@ second process may start at all.
 
 import contextlib
 import os
-import select
 import signal
 import sys
 import threading
@@ -19,7 +18,7 @@ import warnings
 @contextlib.contextmanager
 def _forked(worth: bool, work):
     """Run ``work()`` in a child started with ``os.fork`` and yield the
-    frames it sends, read by ``_Frames``; yield None, and start nothing,
+    frames it sends, read by ``_frames``; yield None, and start nothing,
     unless the caller finds the work ``worth`` a second process, the
     platform forks, two cores are usable, no other thread runs, as a fork
     copies only the calling thread, and this process is not a worker of a
@@ -72,7 +71,7 @@ def _forked(worth: bool, work):
         return
     try:
         with open(read_fd, "rb") as child:
-            yield _Frames(child)
+            yield _frames(child)
     finally:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
@@ -85,34 +84,15 @@ def _pool_worker() -> bool:
     return multiprocessing is not None and multiprocessing.parent_process() is not None
 
 
-class _Frames:
+def _frames(child):
     """Each frame read from the binary file ``child``, as bytes, up to the
     empty frame that ends them; then None, once, if the stream ends first."""
-
-    def __init__(self, child):
-        self._child = child
-        self._frames = self._read()
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        return next(self._frames)
-
-    def sent(self) -> bool:
-        """Whether a read would not wait for the child: it has written bytes
-        not read yet, or closed its end.  Bytes already buffered here do not
-        count."""
-        return bool(select.select([self._child], [], [], 0)[0])
-
-    def _read(self):
-        child = self._child
-        while len(head := child.read(8)) == 8:
-            size = int.from_bytes(head, "little")
-            if not size:
-                return
-            frame = child.read(size)
-            if len(frame) < size:
-                break
-            yield frame
-        yield None
+    while len(head := child.read(8)) == 8:
+        size = int.from_bytes(head, "little")
+        if not size:
+            return
+        frame = child.read(size)
+        if len(frame) < size:
+            break
+        yield frame
+    yield None

@@ -468,12 +468,9 @@ def _dp_scores(local: LocalStats, max_parents: int, penalty: float) -> np.ndarra
     row's order, so the child's calls score the rest of each vertex's row
     after the sets this process scored.  The child sends its table as one
     frame of float64 values, and this process copies those rests from it.
-    Until the child has sent, this process makes the child's calls itself,
-    from the last back, so a child slowed by a busy core costs no more
-    than its calls; once it has made them all it does not wait.  Without
-    the frame, whole, this process makes the child's calls left, so its
-    errors are this process's own.  A set's score has the same bits in any
-    stack, so the table is the same either way.
+    Without that frame, whole, this process makes the child's calls
+    itself, so its errors are this process's own.  A set's score has the
+    same bits in any stack, so the table is the same either way.
     """
     p = local.p
     scores = np.empty((p, sum(math.comb(p - 1, d) for d in range(max_parents + 1))))
@@ -498,14 +495,7 @@ def _dp_scores(local: LocalStats, max_parents: int, penalty: float) -> np.ndarra
 
     with _forked(bool(tail), child) as frames:
         done = score(head)
-        if frames is not None:
-            # until the child has sent, make its calls here, from its last back
-            for vertex, position, sets in _dp_blocks(p, patterns, tail[::-1]):
-                if frames.sent():
-                    break
-                scores[vertex, position] = _scores(vertex + 1, sets, local, penalty)
-                del tail[-1]
-        frame = next(frames, None) if frames is not None and tail else None
+        frame = None if frames is None else next(frames, None)
         if frame is None or len(frame) != scores.nbytes:
             score(tail)
         else:

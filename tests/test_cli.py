@@ -554,7 +554,7 @@ def test_ingest_and_emit_read_frames_up_to_the_end_frame_or_none(stream, frames)
     """The frames of a child's stream, each an 8-byte little-endian length
     and its bytes, up to the empty end frame; a stream that ends before
     that frame, wherever it is cut, gives its whole frames and then None."""
-    assert list(interdag._fork._Frames(io.BytesIO(stream))) == frames
+    assert list(interdag._fork._frames(io.BytesIO(stream))) == frames
 
 
 @pytest.mark.parametrize("child", ["whole", "exits", "short"])
@@ -570,7 +570,7 @@ def test_emit_writes_the_same_bytes_forked_and_in_one_process(tmp_path, monkeypa
     data = Dataset(3, tuple(targets), rng.standard_normal((210, 3)) * 10.0 ** rng.integers(-300, 300, (210, 3)))
     with one_core():
         emit_csv(data, tmp_path / "one.csv")
-    parent, rows, frames, seen = os.getpid(), interdag.cli._csv_rows, interdag._fork._Frames, []
+    parent, rows, frames, seen = os.getpid(), interdag.cli._csv_rows, interdag._fork._frames, []
 
     def child_rows(*args):
         if os.getpid() == parent:
@@ -579,7 +579,7 @@ def test_emit_writes_the_same_bytes_forked_and_in_one_process(tmp_path, monkeypa
 
     if child != "whole":
         monkeypatch.setattr(interdag.cli, "_csv_rows", child_rows)
-    monkeypatch.setattr(interdag._fork, "_Frames", lambda f: (seen.append(frame) or frame for frame in frames(f)))
+    monkeypatch.setattr(interdag._fork, "_frames", lambda f: (seen.append(frame) or frame for frame in frames(f)))
     emit_csv(data, tmp_path / "two.csv")
     assert_no_child_left()
     assert len(forks) == 1

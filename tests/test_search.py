@@ -56,7 +56,6 @@ import hashlib
 import os
 import signal
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -673,12 +672,9 @@ def test_dp_work_counters_pinned(monkeypatch, tmp_path):
 def test_dp_calls_are_split_between_this_process_and_one_child(monkeypatch, tmp_path, forks):
     """On two cores the 67 kernel calls and 23,772 sets of the input above
     are shared with one forked child: by the assignment rule, this process
-    makes the first 39 calls and the child the other 28.  With the child
-    taken to have sent at once, so that this process makes none of its
-    calls while it waits, the calls made here, counted here, are those 39,
-    and together with the child's they make up the 67 calls and 23,772
-    sets, none made twice."""
-    monkeypatch.setattr(interdag._fork._Frames, "sent", lambda self: True)
+    makes the first 39 calls and the child the other 28.  The calls made
+    here, counted here, are those 39, so together with the child's they
+    make up the 67 calls and 23,772 sets, none made twice."""
     calls = {"scores": 0, "sets": 0}
     scores = interdag.search._scores
 
@@ -764,33 +760,6 @@ class _CutPipe:
         if self.writes == 2 and self.how == "killed":
             self.handle.flush()
             os.kill(os.getpid(), signal.SIGKILL)
-
-
-def test_dp_does_not_wait_for_a_slow_child(monkeypatch, tmp_path, forks):
-    """A child that has sent nothing by the time this process has made its
-    own calls, here one that sleeps, is not waited for: this process makes
-    the child's calls itself, from the last back, all 67 in all, with the
-    table of one process, and kills the child."""
-    local = _fit_exact_local(tmp_path)
-    penalty = interdag.likelihood._checked_penalty(local.n, None)
-    with one_core():
-        table = interdag.search._dp_scores(local, 8, penalty)
-    parent, scores, calls = os.getpid(), interdag.search._scores, []
-
-    def slow_child_scores(*args):
-        if os.getpid() != parent:
-            time.sleep(600)
-        calls.append(args[1])
-        return scores(*args)
-
-    monkeypatch.setattr(interdag.search, "_scores", slow_child_scores)
-    start = time.perf_counter()
-    assert interdag.search._dp_scores(local, 8, penalty).tobytes() == table.tobytes()
-    assert time.perf_counter() - start < 60
-    assert_no_child_left()
-    assert len(forks) == 1 and len(calls) == 67
-    # the child's 28 calls were made last to first: their sets' sizes fall
-    assert [len(sets[0]) for sets in calls[39:]] == sorted((len(sets[0]) for sets in calls[39:]), reverse=True)
 
 
 @pytest.mark.parametrize("child", ["exits", "killed", "short"])
