@@ -44,11 +44,16 @@ DP_VERTEX_LIMIT = 20
 METHODS = ("greedy", "dp")  # greedy hill climbing or the exact DP
 
 # the exact search shares its scoring with a forked child from this many
-# (vertex, parent set) pairs on: from p = 11 at the default max_parents
-_DP_FORK_PAIRS = 10_000
+# (vertex, parent set) pairs on: from p = 12 at the default max_parents.
+# Near 10,000 pairs (p = 11, or p = 17 with max_parents = 3) the fork's
+# round trip and the slower calls of two busy processes cost about what
+# the second core saves
+_DP_FORK_PAIRS = 20_000
 
 # a kernel call's estimated cost beyond its sets', in factorizations of a
-# parent block, fitted to the kernel's times at p = 12 to 16 (``_dp_cut``)
+# parent block, fitted to the kernel's times at p = 12 to 16 (``_dp_cut``).
+# Without it and the per-pair weight, a cut at half the pairs gives the
+# child the larger sets and up to a third more time than this process
 _DP_CALL_COST = 120
 
 
@@ -466,11 +471,11 @@ def _dp_scores(local: LocalStats, max_parents: int, penalty: float) -> np.ndarra
     a forked child (``_fork._forked``): this process makes the first
     ``_dp_cut`` calls and the child the rest.  A vertex's sets come in its
     row's order, so the child's calls score the rest of each vertex's row
-    after the sets this process scored.  The child sends its table as one
-    frame of float64 values, and this process copies those rests from it.
-    Without that frame, whole, this process makes the child's calls
-    itself, so its errors are this process's own.  A set's score has the
-    same bits in any stack, so the table is the same either way.
+    after the sets this process scored.  The child sends those rests, row
+    after row, as one frame of float64 values.  Without that frame, whole,
+    this process makes the child's calls itself, so its errors are this
+    process's own.  A set's score has the same bits in any stack, so the
+    table is the same either way.
     """
     p = local.p
     scores = np.empty((p, sum(math.comb(p - 1, d) for d in range(max_parents + 1))))
@@ -489,20 +494,20 @@ def _dp_scores(local: LocalStats, max_parents: int, penalty: float) -> np.ndarra
             done += np.bincount(vertex, minlength=p)
         return done
 
+    def rests(done: np.ndarray) -> np.ndarray:
+        """Where each row's rest after its first ``done`` sets is."""
+        return np.arange(scores.shape[1]) >= done[:, None]
+
     def child():
-        score(tail)
-        yield scores
+        yield scores[rests(scores.shape[1] - score(tail))]
 
     with _forked(bool(tail), child) as frames:
-        done = score(head)
+        rest = rests(score(head))
         frame = None if frames is None else next(frames, None)
-        if frame is None or len(frame) != scores.nbytes:
+        if frame is None or len(frame) != 8 * np.count_nonzero(rest):
             score(tail)
         else:
-            # a vertex's sets in the child's calls are the rest of its row
-            table = np.frombuffer(frame).reshape(scores.shape)
-            for k, start in enumerate(done.tolist()):
-                scores[k, start:] = table[k, start:]
+            scores[rest] = np.frombuffer(frame)
     return scores
 
 

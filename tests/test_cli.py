@@ -61,7 +61,10 @@ import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -662,25 +665,38 @@ def test_fit_exact_sized_io_and_the_grid_never_fork_and_the_dp_fit_forks_once(tm
         assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
-def test_grid_workers_never_fork(tmp_path, capsys, monkeypatch):
-    """A grid's pool workers own the cores: the exact search at p=11, which
-    forks in a process of its own, does not in a worker (a fork there
-    raises), and the grid gives the rows of one worker."""
-    fork = os.fork
+# in a process of its own, as the helper processes that spawn and forkserver
+# pools start outlive the pool
+_POOL_WORKER_CHECK = """
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from interdag._fork import _pool_worker
+for method in multiprocessing.get_all_start_methods():
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context(method)) as pool:
+        print(method, _pool_worker(), pool.submit(_pool_worker).result())
+"""
 
-    def pool_fork():
-        import multiprocessing
 
-        if multiprocessing.parent_process() is not None:
-            raise AssertionError("a pool worker forked")
-        return fork()
-
-    monkeypatch.setattr(os, "fork", pool_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    grid = ["experiment", "--seed", "3", "--p", "11", "--k", "0", "--method", "dp", "--replicates", "2",
+def test_grid_workers_never_fork(tmp_path, capsys, forks):
+    """A grid's pool workers own the cores: the fork helper, which starts a
+    child here, knows a pool worker as one, whichever way the pool starts
+    its workers, and starts none there; and a p=12 exact-search grid, whose
+    fits fork with one worker, gives the same rows with two."""
+    with interdag._fork._forked(True, lambda: iter([b"frame"])) as frames:
+        assert next(frames) == b"frame"
+    assert_no_child_left()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(interdag.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    checked = subprocess.run([sys.executable, "-c", _POOL_WORKER_CHECK], env=env, capture_output=True,
+                             text=True, check=True).stdout.splitlines()
+    assert checked == [f"{method} False True" for method in multiprocessing.get_all_start_methods()]
+    grid = ["experiment", "--seed", "3", "--p", "12", "--k", "0", "--method", "dp", "--replicates", "2",
             "--n-grid", "60", "--out"]
     assert main([*grid, str(tmp_path / "two"), "--workers", "2"]) == 0
+    before = len(forks)
     assert main([*grid, str(tmp_path / "one"), "--workers", "1"]) == 0
+    assert_no_child_left()
+    assert len(forks) == before + 2
     for name in ("rows.csv", "medians.csv"):
         assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
