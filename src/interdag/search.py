@@ -52,8 +52,9 @@ _DP_FORK_PAIRS = 20_000
 
 # a kernel call's estimated cost beyond its sets', in factorizations of a
 # parent block, fitted to the kernel's times at p = 12 to 16 (``_dp_cut``).
-# Without it and the per-pair weight, a cut at half the pairs gives the
-# child the larger sets and up to a third more time than this process
+# Without it and the per-pair weight, a cut at half the pairs left the
+# child, whose calls take the larger sets, a third to a half more time
+# than this process at p = 12
 _DP_CALL_COST = 120
 
 
