@@ -25,12 +25,11 @@ import numpy as np
 from ._fork import _forked
 from .equivalence import essential_graph, format_essential_graph
 from .errors import CapacityError, DataError, ParameterError
-from .experiments import ExperimentConfig, _cell_summaries, _draw_cell, _draw_model
+from .experiments import _CELL, ExperimentConfig, _cell_summaries, _draw_model, _draw_targets, _lay_out_cell
 from .experiments import _created, _writing, run_consistency_experiment, run_fit
 from .model import (
     _FLOAT_FMT,
     Dataset,
-    InterventionSpec,
     InterventionTarget,
     derive_seed,
     format_model,
@@ -372,11 +371,11 @@ def _cmd_simulate(args) -> int:
     # one dataset is one cell of an experiment grid, under the same rules
     config = ExperimentConfig(seed=args.seed, n_grid=(args.n,), mu_grid=(args.mu,),
                               **{name: getattr(args, name) for name in _SIMULATED})
-    (n,), (mu,) = config.n_grid, config.mu_grid
+    (n,) = config.n_grid
     dag, model = _draw_model(config)
-    singles, sequence = _draw_cell(config, n, derive_seed(config.seed, 3))
-    spec = InterventionSpec.constant(singles, mu, config.tau**2)
-    data = sample_dataset(model, sequence, spec, derive_seed(config.seed, 4))
+    singles, (spec,) = _draw_targets(config)
+    sequence, groups = _lay_out_cell(config, singles, n)
+    data = sample_dataset(model, sequence, spec, derive_seed(config.seed, 4), groups)
     graph = essential_graph(dag, data.observed_targets())
     out = _created(args.out)
     with _writing(out):
@@ -394,11 +393,18 @@ def _cmd_experiment(args) -> int:
     if "seed" not in settings:
         raise ParameterError("--seed is mandatory for experiments")
     rows = run_consistency_experiment(ExperimentConfig(**settings), out_dir=args.out)
-    for n, mu, replicates, median_shd, _ in _cell_summaries(rows):
-        print(f"n={n} mu={mu:g} replicates={replicates} median_shd={median_shd:g}")
+    for *cell, replicates, median_shd, _ in _cell_summaries(rows):
+        named = " ".join(f"{name}={_summary_text(value)}" for name, value in zip(_CELL, cell))
+        print(f"{named} replicates={replicates} median_shd={median_shd:g}")
     if args.out:
         print(f"wrote rows.csv, medians.csv, timings.csv to {args.out}")
     return 0
+
+
+def _summary_text(value) -> str:
+    """A cell field's text in ``experiment``'s summary lines: a float such as
+    mu in ``:g``, anything else, such as n, as ``str`` gives it."""
+    return format(value, "g") if isinstance(value, float) else str(value)
 
 
 def _build_parser() -> argparse.ArgumentParser:

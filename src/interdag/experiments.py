@@ -10,13 +10,14 @@ their own output file.
 
 import json
 import math
-import statistics
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
+
+import numpy as np
 
 from .equivalence import EssentialGraph, essential_graph, format_essential_graph
 from .errors import ParameterError
@@ -274,20 +275,37 @@ def run_fit(
     return fitted, graph, trace
 
 
-def _draw_cell(
-    config: ExperimentConfig, n: int, seed: int
-) -> tuple[list[InterventionTarget], list[InterventionTarget]]:
-    """A cell's k single-vertex targets, drawn from ``seed`` uniformly without
-    replacement, and its row sequence of n targets: the observational rows
-    first, then ``replicates_per_target`` rows per target."""
+def _draw_targets(
+    config: ExperimentConfig, *rep: int
+) -> tuple[list[InterventionTarget], list[InterventionSpec]]:
+    """A replicate's k single-vertex targets, drawn from ``derive_seed(config.seed,
+    3, *rep)`` uniformly without replacement, in ascending order, and per mu
+    of ``config.mu_grid`` the InterventionSpec that gives each of them that
+    mean and variance tau^2; ``interdag simulate`` passes no ``rep``."""
     singles = []
     if config.k:
-        chosen = _rng(seed).choice(config.p, size=config.k, replace=False)
+        chosen = _rng(derive_seed(config.seed, 3, *rep)).choice(config.p, size=config.k, replace=False)
         singles = [InterventionTarget.of(v) for v in sorted(int(v) + 1 for v in chosen)]
-    sequence = [InterventionTarget.empty()] * (n - config.n_interventional)
-    for t in singles:
-        sequence.extend([t] * config.replicates_per_target)
-    return singles, sequence
+    return singles, [InterventionSpec.constant(singles, mu, config.tau**2) for mu in config.mu_grid]
+
+
+def _lay_out_cell(
+    config: ExperimentConfig, singles: list[InterventionTarget], n: int
+) -> tuple[tuple[InterventionTarget, ...], dict[InterventionTarget, np.ndarray]]:
+    """A cell's row sequence of n targets, the observational rows first and
+    then ``replicates_per_target`` rows per target of ``singles``, in order;
+    and its row groups, read off that layout: the dict that
+    ``group_rows(sequence)`` returns, without a scan of the sequence."""
+    empty = InterventionTarget.empty()
+    r = config.replicates_per_target
+    observational = n - config.n_interventional
+    sequence = (empty,) * observational + tuple(t for t in singles for _ in range(r))
+    groups = {empty: np.arange(observational, dtype=np.intp)} if observational else {}
+    for i, t in enumerate(singles):
+        groups[t] = np.arange(observational + i * r, observational + (i + 1) * r, dtype=np.intp)
+    for rows in groups.values():
+        rows.setflags(write=False)
+    return sequence, groups
 
 
 def _draw_model(config: ExperimentConfig, *rep: int) -> tuple[Dag, GaussianCausalModel]:
@@ -308,13 +326,15 @@ def _confusion_fields(prefix: str, counts: ConfusionCounts) -> dict[str, int]:
 
 
 def _run_replicate(args: tuple) -> list[ResultRow]:
-    """Every grid point of one replicate: its DAG and model are drawn once,
-    its targets from one seed at every grid point, each target's mean and
-    covariance root once per mu when there is more than one n, and the
-    true essential graph once per observed family."""
+    """Every grid point of one replicate.  Its DAG and model, its targets
+    and, per mu, their intervention settings are drawn once; each n's row
+    sequence and row groups are laid out once, for all its mu; each
+    target's mean and covariance root is computed once per mu when there
+    is more than one n; and the true essential graph once per observed
+    family, so its adjacency, which the metrics keep, is built once too."""
     config, rep = args
     dag, model = _draw_model(config, rep)
-    target_seed = derive_seed(config.seed, 3, rep)
+    singles, specs = _draw_targets(config, rep)
     search_config = config.search_config
     settings = {name: getattr(config, name) for name in _CONFIG_COLUMNS}
     truth_graphs: dict[TargetFamily, EssentialGraph] = {}
@@ -325,11 +345,10 @@ def _run_replicate(args: tuple) -> list[ResultRow]:
     roots = [{} if len(config.n_grid) > 1 else None for _ in config.mu_grid]
     rows = []
     for n_idx, n in enumerate(config.n_grid):
-        singles, sequence = _draw_cell(config, n, target_seed)
+        sequence, groups = _lay_out_cell(config, singles, n)
         for mu_idx, mu in enumerate(config.mu_grid):
-            spec = InterventionSpec.constant(singles, mu, config.tau**2)
-            data = sample_dataset(model, sequence, spec, derive_seed(config.seed, 4, rep, n_idx, mu_idx),
-                                  _roots=roots[mu_idx])
+            seed = derive_seed(config.seed, 4, rep, n_idx, mu_idx)
+            data = sample_dataset(model, sequence, specs[mu_idx], seed, groups, _roots=roots[mu_idx])
             family = data.observed_targets()
 
             t0 = time.perf_counter()
@@ -416,5 +435,15 @@ def _cell_summaries(rows: list[ResultRow]) -> list[tuple]:
     cell_of = attrgetter(*_CELL)
     for r in rows:
         cells.setdefault(cell_of(r), []).append(r)
-    return [(*cell, len(g), float(statistics.median(r.shd for r in g)), sum(r.exact for r in g) / len(g))
+    return [(*cell, len(g), float(_median([r.shd for r in g])), sum(r.exact for r in g) / len(g))
             for cell, g in sorted(cells.items())]
+
+
+def _median(values: list[int]) -> int | float:
+    """The median of a non-empty list of integers, as ``statistics.median``
+    gives it: the middle value, or the mean of the two middle values; this
+    leaves ``statistics``, which loads ``fractions`` and ``decimal``, out of
+    the command's start-up."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2

@@ -49,7 +49,9 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _rng(seed) -> np.random.Generator:
+# the annotation is quoted so that importing the package leaves numpy.random,
+# and the hashlib and OpenSSL it loads, to the first command that draws
+def _rng(seed) -> "np.random.Generator":
     """Counter-based generator from a 64-bit seed; the only RNG in the package."""
     if not _is_integer(seed):
         raise ParameterError(f"seed must be an integer, got {seed!r}")
@@ -515,7 +517,7 @@ def sample_random_dag(p: int, expected_degree: float, seed: int) -> Dag:
     return Dag(p, tuple(tuple(ps) for ps in parents))
 
 
-def _draw_weight_row(rng: np.random.Generator, m: int) -> np.ndarray:
+def _draw_weight_row(rng: "np.random.Generator", m: int) -> np.ndarray:
     mag = rng.uniform(0.1, 1.0, size=m)
     sign = np.where(rng.random(m) < 0.5, -1.0, 1.0)
     return sign * mag
@@ -652,31 +654,36 @@ def sample_dataset(
     target_sequence: Sequence[InterventionTarget],
     spec: InterventionSpec | None = None,
     seed: int = 0,
+    _groups: dict | None = None,
     *,
     _roots: dict | None = None,
 ) -> Dataset:
     """Draw one independent row per entry of ``target_sequence``, in order.
 
-    The rows are grouped by target in one pass over their runs, and the
-    returned Dataset keeps that grouping as its ``row_groups`` and the
-    drawn values uncopied; each distinct target is validated once, by the
-    Dataset, and has its rows drawn with one matrix product.  The
-    observational mean and covariance root are solved once, in full; each
-    other target's are solved from them, again only at its members and
-    their descendants (``_mean_and_root``), when its group is drawn, and
-    dropped after it, so at most two roots are held at a time.  A group
-    whose rows are one run (``_rows_index``) is written in place: the
-    product goes straight into its slice of the values and the mean is
-    added there, so no temporary of its rows is made.  Other groups are
-    gathered, drawn and scattered.
+    The rows are grouped by target in one pass over their runs, unless
+    ``_groups`` gives the grouping, and the returned Dataset keeps that
+    grouping as its ``row_groups`` and the drawn values uncopied; each
+    distinct target is validated once, by the Dataset, and has its rows
+    drawn with one matrix product.  The observational mean and covariance
+    root are solved once, in full; each other target's are solved from
+    them, again only at its members and their descendants
+    (``_mean_and_root``), when its group is drawn, and dropped after it, so
+    at most two roots are held at a time.  A group whose rows are one run
+    (``_rows_index``) is written in place: the product goes straight into
+    its slice of the values and the mean is added there, so no temporary
+    of its rows is made.  Other groups are gathered, drawn and scattered.
 
-    ``_roots`` is private: a dict that keeps each target's mean and root,
-    the observational one included, across calls, for a caller that
-    samples several datasets from one model and one ``spec``.
+    ``_groups`` and ``_roots`` are private.  ``_groups`` is the rows'
+    grouping, which must be what ``group_rows(target_sequence)`` returns,
+    for a caller that laid the rows out and so knows it without a scan of
+    the sequence; it may be passed by position, as the fifth argument.
+    ``_roots`` is a dict that keeps each target's mean and root, the
+    observational one included, across calls, for a caller that samples
+    several datasets from one model and one ``spec``.
     """
     p = model.p
     targets = tuple(target_sequence)
-    groups = group_rows(targets)
+    groups = group_rows(targets) if _groups is None else _groups
     roots = {} if _roots is None else _roots
     rng = _rng(seed)
     n = len(targets)

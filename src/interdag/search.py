@@ -7,12 +7,14 @@ full cycle yields no improvement; the exact searcher runs the classic
 best-parent-set / best-sink recursion over vertex subsets.
 """
 
+import functools
 import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import NamedTuple, get_args, get_origin, get_type_hints
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -68,17 +70,20 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
 
-def _field_kinds(config_cls) -> dict[str, tuple[type, bool, bool]]:
+@functools.cache
+def _field_kinds(config_cls) -> Mapping[str, tuple[type, bool, bool]]:
     """Each field name of the dataclass ``config_cls`` with what its type
     hint, ``X``, ``X | None`` or ``tuple[X, ...]``, says it holds: its kind
     X (``int``, ``float`` or ``str``), whether it is a tuple of them, and
     whether it may be None.  String annotations resolve as the evaluated
-    ones do."""
+    ones do.  Resolving them takes ``get_type_hints``, so the kinds are
+    worked out once per class and shared, as a read-only mapping, by every
+    config built and every parser."""
     kinds = {}
     for name, hint in get_type_hints(config_cls).items():
         args = get_args(hint)
         kinds[name] = (args[0] if args else hint, get_origin(hint) is tuple, type(None) in args)
-    return kinds
+    return MappingProxyType(kinds)
 
 
 # per kind of number: the rule each value of that kind follows, and its

@@ -54,7 +54,8 @@ Core claims:
       exits 2, naming n).  A fit that fails after
       its --out is created leaves that directory empty.
     - fit/simulate/experiment write the documented artifact files, and
-      experiment output is bit-identical across runs with the same seed.
+      experiment output is bit-identical across runs with the same seed;
+      experiment prints one summary line per cell, its fields named.
 """
 
 import contextlib
@@ -89,6 +90,7 @@ from interdag import (
     InterventionSpec,
     InterventionTarget,
     ParameterError,
+    ResultRow,
     SearchConfig,
     parse_essential_graph,
     parse_model,
@@ -1074,6 +1076,27 @@ def test_experiment_tiny_grid(tmp_path, capsys):
     med = float(medians[1].split(",")[3])
     assert med == sorted(shds)[0] / 2 + sorted(shds)[1] / 2
     assert (out / "timings.csv").exists()
+
+
+def test_experiment_summary_lines_name_each_cell_field(capsys, monkeypatch):
+    """One line per cell, its fields named in ``_CELL`` order: n as an
+    integer's text, a million included, and mu in ``:g``."""
+    def rows(config, out_dir=None):
+        counts = {f"{kind}_{count}": 0 for kind in ("skeleton", "directed") for count in ("tp", "fp", "fn", "tn")}
+        return [ResultRow(p=2, expected_degree=0.5, k=0, replicates_per_target=1, tau=0.2, method="greedy",
+                          n=n, mu=mu, replicate=rep, shd=rep + i, exact=rep + i == 0, runtime_seconds=0.0, **counts)
+                for i, n in enumerate(config.n_grid) for mu in config.mu_grid for rep in range(config.replicates)]
+
+    monkeypatch.setattr(interdag.cli, "run_consistency_experiment", rows)
+    assert interdag.experiments._CELL == ("n", "mu")
+    assert main(["experiment", "--seed", "1", "--p", "2", "--k", "0", "--replicates", "2",
+                 "--n-grid", "50,1000000", "--mu-grid", "2.5e-05,10"]) == 0
+    assert capsys.readouterr().out == (
+        "n=50 mu=2.5e-05 replicates=2 median_shd=0.5\n"
+        "n=50 mu=10 replicates=2 median_shd=0.5\n"
+        "n=1000000 mu=2.5e-05 replicates=2 median_shd=1.5\n"
+        "n=1000000 mu=10 replicates=2 median_shd=1.5\n"
+    )
 
 
 def test_experiment_bit_identical_across_runs(tmp_path):

@@ -29,15 +29,23 @@ Core claims:
       pinned.
     - A replicate computes each target's mean and covariance root once per
       mu, for all its n, with the bytes of one computation per cell.
+    - A replicate draws its targets once and builds their intervention
+      settings once per mu; each n's row groups are read off its layout,
+      and equal what ``group_rows`` finds in its row sequence, so sampling
+      with them gives the same bits, and the grid scans no row sequence.
+    - A cell's median SHD is the one ``statistics.median`` gives.
 """
 
 import hashlib
 import json
+import statistics
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import interdag.experiments
 import interdag.likelihood
@@ -68,7 +76,7 @@ from interdag import (
     sufficient_stats,
 )
 
-from interdag.experiments import _draw_cell, _draw_model
+from interdag.experiments import _draw_model, _draw_targets, _lay_out_cell
 
 from helpers import random_instance
 
@@ -149,11 +157,11 @@ def test_fit_accuracy_pinned(method, seed, pinned):
     Neither seed was used to develop anything else."""
     config = ExperimentConfig(seed=seed, p=8, n_grid=(200,), k=2, replicates_per_target=10, replicates=1,
                               method=method)
-    (n,), (mu,) = config.n_grid, config.mu_grid
+    (n,) = config.n_grid
     dag, model = _draw_model(config)
-    singles, sequence = _draw_cell(config, n, derive_seed(seed, 3))
-    spec = InterventionSpec.constant(singles, mu, config.tau**2)
-    data = sample_dataset(model, sequence, spec, derive_seed(seed, 4))
+    singles, (spec,) = _draw_targets(config)
+    sequence, groups = _lay_out_cell(config, singles, n)
+    data = sample_dataset(model, sequence, spec, derive_seed(seed, 4), groups)
     fitted, graph, _ = run_fit(data, config=config.search_config)
     truth = essential_graph(dag, data.observed_targets())
     assert (shd(truth, graph), fitted.dag.num_edges, dag.num_edges) == pinned
@@ -443,11 +451,98 @@ def test_memory_guard_counts_at_least_what_sampling_holds(settings):
     _, model = _draw_model(config, 0)
     tracemalloc.start()
     try:
-        singles, sequence = _draw_cell(config, n, 5)
-        spec = InterventionSpec.constant(singles, config.mu_grid[0], config.tau**2)
-        data = sample_dataset(model, sequence, spec, 6, _roots={} if len(config.n_grid) > 1 else None)
+        singles, specs = _draw_targets(config, 0)
+        sequence, groups = _lay_out_cell(config, singles, n)
+        data = sample_dataset(model, sequence, specs[0], 6, groups, _roots={} if len(config.n_grid) > 1 else None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert data.n == n
     assert config._sampling_bytes(n) >= peak
+
+
+@st.composite
+def _cell_shapes(draw):
+    """An ExperimentConfig of one n and a replicate index: any p, k and
+    rows per target (none when k is 0), and n from the interventional
+    rows alone, where two or more targets allow it, to 30 more."""
+    p = draw(st.integers(1, 12))
+    k = draw(st.integers(0, p))
+    r = draw(st.integers(1, 4)) if k else draw(st.integers(0, 4))
+    extra = draw(st.integers(0 if k >= 2 else 1, 30))
+    config = ExperimentConfig(seed=draw(st.integers(0, 2**64 - 1)), p=p, expected_degree=0.0, k=k,
+                              replicates_per_target=r, n_grid=(k * r + extra,), replicates=1)
+    return config, draw(st.integers(0, 100))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_cell_shapes())
+@example(case=(ExperimentConfig(seed=1, p=3, expected_degree=0.0, k=0, replicates_per_target=0, n_grid=(4,)), 0))
+@example(case=(ExperimentConfig(seed=1, p=3, expected_degree=0.0, k=3, n_grid=(6,)), 0))
+def test_laid_out_groups_are_what_group_rows_finds(case):
+    """A cell's row groups, read off its layout, are the dict that
+    ``group_rows`` returns for its row sequence: the same keys in the same
+    order, each an ``np.intp`` range, read-only; one group when k is 0, and
+    no observational group when every row is interventional."""
+    config, rep = case
+    (n,) = config.n_grid
+    singles, _ = _draw_targets(config, rep)
+    sequence, groups = _lay_out_cell(config, singles, n)
+    observational = n - config.n_interventional
+    assert sequence == (InterventionTarget.empty(),) * observational + tuple(
+        t for t in singles for _ in range(config.replicates_per_target))
+    expected = interdag.model.group_rows(sequence)
+    assert list(groups) == list(expected)
+    for target, rows in groups.items():
+        assert rows.dtype == np.intp and not rows.flags.writeable
+        assert np.array_equal(rows, expected[target])
+    assert (InterventionTarget.empty() in groups) == (observational > 0)
+    assert len(groups) == (observational > 0) + config.k
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_cell_shapes())
+def test_sampling_with_the_layout_gives_the_bits_it_gives_without(case):
+    config, rep = case
+    (n,) = config.n_grid
+    _, model = _draw_model(config, rep)
+    singles, (spec,) = _draw_targets(config, rep)
+    sequence, groups = _lay_out_cell(config, singles, n)
+    laid_out = sample_dataset(model, sequence, spec, rep, groups)
+    scanned = sample_dataset(model, sequence, spec, rep)
+    assert laid_out.targets == scanned.targets
+    assert laid_out.values.tobytes() == scanned.values.tobytes()
+    assert list(laid_out.row_groups) == list(scanned.row_groups)
+    for target, rows in laid_out.row_groups.items():
+        assert np.array_equal(rows, scanned.row_groups[target])
+
+
+def test_grid_lays_out_each_replicate_once(monkeypatch):
+    """The default grid, at two mu and three replicates, finds no row group
+    by a scan (``group_rows``), draws each replicate's targets once, builds
+    each replicate's InterventionSpec once per mu, and lays out each n once
+    for both mu."""
+    counts = {"group_rows": 0, "targets": 0, "specs": 0, "layouts": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(interdag.model, "group_rows", counted("group_rows", interdag.model.group_rows))
+    monkeypatch.setattr(interdag.experiments, "_rng", counted("targets", interdag.experiments._rng))
+    monkeypatch.setattr(InterventionSpec, "constant", classmethod(counted("specs", InterventionSpec.constant.__func__)))
+    monkeypatch.setattr(interdag.experiments, "_lay_out_cell", counted("layouts", interdag.experiments._lay_out_cell))
+    rows = run_consistency_experiment(ExperimentConfig(seed=1, mu_grid=(5.0, 10.0), replicates=3))
+    assert len(rows) == 18
+    assert counts == {"group_rows": 0, "targets": 3, "specs": 6, "layouts": 9}
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=40))
+@example(values=[2**53 + 1, 2**53 + 2])
+def test_cell_median_is_statistics_median(values):
+    expected = statistics.median(values)
+    got = interdag.experiments._median(values)
+    assert got == expected and type(got) is type(expected)

@@ -8,7 +8,9 @@ Core claims:
     - ``import interdag.cli`` in a fresh interpreter loads neither
       ``scipy`` nor ``scipy.linalg`` (nor the ``numpy.f2py`` it brings in)
       nor the process-pool machinery, which only ``--workers`` above 1
-      uses.
+      uses, nor ``numpy.random`` with the ``secrets`` and ``hashlib`` (and
+      OpenSSL) it loads, which only a command that draws uses, nor
+      ``statistics``.
     - The kernel's ``dposv`` and ``dtrtri`` are the very objects
       ``scipy.linalg.lapack`` exports, whichever of the two is imported
       first, so loading them directly cannot change a bit of any score.
@@ -82,17 +84,14 @@ def test_package_exports_each_module_name_once():
 
 
 def test_cli_import_leaves_out_scipy_linalg_f2py_and_process_pools():
+    names = ["scipy", "scipy.linalg", "numpy.f2py", "concurrent.futures.process", "numpy.random", "secrets",
+             "hashlib", "statistics"]
     out = _run_fresh(
         "import sys, interdag.cli\n"
-        "for name in ('scipy', 'scipy.linalg', 'numpy.f2py', 'concurrent.futures.process'):\n"
+        f"for name in {names!r}:\n"
         "    print(name, name in sys.modules)\n"
     )
-    assert out.split("\n")[:-1] == [
-        "scipy False",
-        "scipy.linalg False",
-        "numpy.f2py False",
-        "concurrent.futures.process False",
-    ]
+    assert out.split("\n")[:-1] == [f"{name} False" for name in names]
 
 
 @pytest.mark.parametrize("interdag_first", [True, False])

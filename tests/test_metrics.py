@@ -7,12 +7,16 @@ Core claims:
       equal patterns, triangle inequality.
     - Confusion counts partition all pairs and match hand-computed examples.
     - DAGs and essential graphs mix freely in one comparison.
+    - The adjacency each graph object keeps gives the counts of one built
+      afresh, and ``adjacency`` still returns a fresh, writable matrix.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interdag import (
     Dag,
@@ -163,3 +167,49 @@ def test_directed_count_of_perfect_essential_estimate():
     g = essential_graph(dag, TargetFamily.of(()))
     c = skeleton_confusion(dag, g)
     assert c.false_positives == 0 and c.false_negatives == 0
+
+
+# -- adjacencies kept on the graph objects ------------------------------------------
+
+
+def _fresh_metrics(g1, g2) -> tuple:
+    """shd, skeleton and directed confusion counts from freshly built
+    adjacency matrices, as the metrics were computed before they kept them."""
+    A1, A2 = adjacency(g1), adjacency(g2)
+    p = A1.shape[0]
+    upper = np.triu_indices(p, k=1)
+    off = ~np.eye(p, dtype=bool)
+
+    def counts(t, e):
+        return tuple(int(np.count_nonzero(x)) for x in (t & e, ~t & e, t & ~e, ~t & ~e))
+
+    distance = int(np.count_nonzero((A1[upper] != A2[upper]) | (A1.T[upper] != A2.T[upper])))
+    return distance, counts((A1 | A1.T)[upper], (A2 | A2.T)[upper]), counts(A1[off], A2[off])
+
+
+def _metrics(g1, g2) -> tuple:
+    def counts(c):
+        return c.true_positives, c.false_positives, c.false_negatives, c.true_negatives
+
+    return shd(g1, g2), counts(skeleton_confusion(g1, g2)), counts(directed_confusion(g1, g2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.integers(1, 9), seed=st.integers(0, 2**32 - 1), target=st.integers(0, 9))
+def test_kept_adjacencies_give_the_metrics_of_fresh_ones(p, seed, target):
+    """Two random DAGs and their essential graphs, observational and under
+    one single-vertex target, compared in every ordered pair, twice: the
+    graph objects keep their adjacencies from the first comparison on, and
+    every count equals the one from matrices built afresh.  ``adjacency``
+    still returns a fresh, writable matrix."""
+    family = TargetFamily.of((), *([(target,)] if 1 <= target <= p else []))
+    dags = [sample_random_dag(p, min(1.8, p - 1), seed + i) for i in range(2)]
+    graphs = [*dags, *(essential_graph(dag, family) for dag in dags)]
+    for _ in range(2):
+        for g1, g2 in itertools.product(graphs, repeat=2):
+            assert _metrics(g1, g2) == _fresh_metrics(g1, g2)
+    for g in graphs:
+        A = adjacency(g)
+        assert A.flags.writeable and not np.shares_memory(A, adjacency(g))
+        A[:] = True
+        assert shd(g, g) == 0

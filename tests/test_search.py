@@ -50,6 +50,7 @@ Core claims:
     - Both searchers reject vertices that every observed target contains,
       and vertices with no positive finite second moment, with one message
       each.
+    - A config class's field kinds are worked out once and shared read-only.
 """
 
 import hashlib
@@ -71,6 +72,7 @@ from interdag import (
     Dag,
     Dataset,
     DegenerateFitError,
+    ExperimentConfig,
     GaussianCausalModel,
     InterventionSpec,
     InterventionTarget,
@@ -959,6 +961,18 @@ def test_search_config_stores_numpy_integers_as_ints():
     # a real penalty weight is stored as a float
     config = SearchConfig(penalty_weight=2)
     assert config.penalty_weight == 2.0 and type(config.penalty_weight) is float
+
+
+def test_field_kinds_are_worked_out_once_per_class():
+    """Every config built and every parser share one read-only mapping of a
+    class's field kinds, equal to the kinds worked out afresh."""
+    kinds = interdag.search._field_kinds(SearchConfig)
+    assert interdag.search._field_kinds(SearchConfig) is kinds
+    assert kinds == interdag.search._field_kinds.__wrapped__(SearchConfig)
+    assert kinds["max_parents"] == (int, False, True)
+    assert interdag.search._field_kinds(ExperimentConfig)["n_grid"] == (int, True, False)
+    with pytest.raises(TypeError):
+        kinds["max_parents"] = (float, False, False)
 
 
 def test_score_equivalence_across_estimated_class():
