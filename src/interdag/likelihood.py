@@ -34,7 +34,10 @@ and residual quadratic forms, and the score expression, whose logarithms are
 is a principal sub-block of its pattern's mixture, so the conditioning test
 is decided once per pattern, by ``local_stats``: where ``LocalStats.proven``
 says the mixture is proven well conditioned, the kernel skips the test;
-otherwise it runs the SVD condition number on the parent block.
+otherwise it runs the SVD condition number on the parent block.  Every
+mixture holds the weighted moment of the observational rows, so one
+Cholesky factorization of that floor proves every pattern it can, and only
+the others get a factorization of their own.
 
 ``dposv`` and ``dtrtri`` (the latter for the proof) are scipy's own
 wrappers, the very objects ``scipy.linalg.lapack`` exports, loaded straight
@@ -198,8 +201,11 @@ class LocalStats:
     Vertices in exactly the same observed targets share a pattern, and so
     their count and mixture: ``mixtures`` has shape (m, p, p), one matrix
     per pattern, ``pattern_of[k - 1]`` is vertex k's pattern, and
-    ``proven[q]`` says whether ``_proven_well_conditioned`` holds for
-    pattern q's mixture.  Observational data has one pattern.  Every
+    ``proven[q]`` says that pattern q's mixture is proven finite, positive
+    definite and conditioned no worse than ``_COND_BOUND``, by the floor
+    every mixture holds or else by ``_proven_well_conditioned``: True
+    wherever that proof alone says True, and maybe elsewhere too.
+    Observational data has one pattern.  Every
     mixture from ``local_stats`` equals its transpose bit for bit by
     construction: it folds only the upper triangle and mirrors it.
 
@@ -312,8 +318,18 @@ def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> L
     mixtures; each is divided by its count and mirrored into the full
     matrix.  Every n_t * S_t is exactly symmetric, so the lower triangle
     gets the bits a full fold would give it, and every mixture is exactly
-    symmetric by construction.  Then each pattern's mixture is proven well
-    conditioned or not (``_proven_well_conditioned``), once.  Raises
+    symmetric by construction.
+
+    Then each pattern's mixture is proven well conditioned or not, once.
+    The running prefix when the first pattern starts is the floor F, with
+    observational rows n_obs * S_obs, which every pattern's fold holds.  F
+    is factored once, at that moment, and only two norms of its factor's
+    inverse outlive it: they bound the least eigenvalue of every n_q * M_q
+    from below, less a rounding allowance (``_floor_margin``), and prove
+    the patterns whose ||M_q||_1 * n_q over that bound is at most
+    ``_COND_BOUND`` (``_floor_proves``).  Any other pattern gets a proof
+    of its own (``_proven_well_conditioned``), and so does every pattern
+    when F is empty (no observational rows) or is not proven.  Raises
     CapacityError before allocating mixtures larger than physical memory,
     and DataError, naming the vertices, when a mixture is not finite.
     """
@@ -351,6 +367,10 @@ def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> L
     weighted = np.empty(len(upper))  # n_t * S_t of targets[i]
     n_prefix = 0
     started: list[tuple[int, tuple[int, ...]]] = []
+    # the floor: the prefix when the first pattern starts, which every
+    # pattern's fold holds; its proof's two norms alone outlive it
+    first = min(i for i, patterns in enumerate(starts) if patterns)
+    floor_norms = None
     # values near 1e154 or beyond overflow their squares: such mixtures are
     # rejected below, without a floating-point warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -358,6 +378,8 @@ def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> L
             for q, _ in patterns:
                 packed[q] = prefix
                 counts[q] = n_prefix
+            if i == first and n_prefix:
+                floor_norms = _inverse_norms(prefix[mirror].reshape(p, p))
             if i == len(targets):
                 break
             started += patterns
@@ -374,8 +396,13 @@ def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> L
                 packed[q] /= n_ex
             # the gather is a new array, so the slot may be overwritten
             slots[q] = packed[q][mirror]
+        # the prefix now holds the fold of every target, whose trace sizes
+        # the floor's rounding allowance
+        margin = _floor_margin(floor_norms, float(prefix[mirror[::p + 1]].sum()),
+                               max(stats.counts.values(), default=0), len(targets))
+        proven = np.array([_floor_proves(S, n_ex, margin) or _proven_well_conditioned(S)
+                           for S, n_ex in zip(mixtures, counts)], dtype=bool)
     counts = np.array(counts, dtype=np.int64)[pattern_of]
-    proven = np.array([_proven_well_conditioned(S) for S in mixtures], dtype=bool)
     # a proven mixture is finite, so only the others are tested
     overflowed = [q for q in np.flatnonzero(~proven) if not np.isfinite(mixtures[q]).all()]
     if overflowed:
@@ -394,30 +421,95 @@ def _cond_or_inf(block: np.ndarray) -> float:
         return math.inf
 
 
+def _inverse_norms(S: np.ndarray) -> tuple[np.float64, np.float64] | None:
+    """||L^-1||_1 and ||L^-1||_inf of the Cholesky factor L of symmetric S,
+    S = L L^T, or None when numpy's factorization fails.
+
+    S^-1 = L^-T L^-1, so ||S^-1||_2 = ||L^-1||_2^2, which is at most their
+    product.  L is ``np.linalg.cholesky``'s factor, from the gufunc that
+    function wraps, called directly (``_cholesky_lo``) without the
+    wrapper's checks and error state: where the factorization fails it
+    fills the factor with NaNs, and otherwise the factor's first entry, the
+    square root of the positive S[0, 0], is not NaN.  LAPACK's ``dtrtri``
+    inverts L^T, which is the factor's memory in Fortran order, so f2py
+    copies nothing, and the inverse's absolute values are taken in place.
+    The caller ignores overflow and invalid values (``np.errstate``).
+    """
+    factor = _cholesky_lo(S)
+    if math.isnan(factor[0, 0]):
+        return None
+    inverse = dtrtri(factor.T, lower=0, overwrite_c=1)[0]
+    np.abs(inverse, out=inverse)
+    return inverse.sum(axis=0).max(), inverse.sum(axis=1).max()
+
+
 def _cond_bound(S: np.ndarray) -> float:
     """An upper bound on cond_2(S) for symmetric S, or inf when numpy's
-    Cholesky factorization S = L L^T fails.
-
-    S^-1 = L^-T L^-1, so cond_2(S) = ||S||_2 ||L^-1||_2^2, which is at most
-    ||S||_1 ||L^-1||_1 ||L^-1||_inf.  L is ``np.linalg.cholesky``'s factor,
-    from the gufunc that function wraps, called directly (``_cholesky_lo``)
-    without the wrapper's checks and error state: where the factorization
-    fails it fills the factor with NaNs, and otherwise the factor's first
-    entry, the square root of the positive S[0, 0], is not NaN.
-    LAPACK's ``dtrtri`` inverts L^T, which is the factor's memory in
-    Fortran order, so f2py copies nothing.
+    Cholesky factorization S = L L^T fails: cond_2(S) = ||S||_2 ||S^-1||_2,
+    which is at most ||S||_1 ||L^-1||_1 ||L^-1||_inf (``_inverse_norms``).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        factor = _cholesky_lo(S)
-        if math.isnan(factor[0, 0]):
+        norms = _inverse_norms(S)
+        if norms is None:
             return math.inf
-        inverse = np.abs(dtrtri(factor.T, lower=0, overwrite_c=1)[0])
-        return float(np.abs(S).sum(axis=0).max() * inverse.sum(axis=0).max() * inverse.sum(axis=1).max())
+        return float(np.abs(S).sum(axis=0).max() * norms[0] * norms[1])
+
+
+def _floor_margin(norms: tuple[np.float64, np.float64] | None, trace: float, n_max: int, folded: int) -> float:
+    """A lower bound on the least eigenvalue of n_q * M_q, for every mixture
+    M_q of count n_q that ``local_stats`` folds from the floor F whose
+    ``_inverse_norms`` are ``norms``, or 0.0 when there is none.
+
+    Every pattern's fold starts as a copy of a prefix that holds F and adds
+    only weighted moments n_t * S_t.  S_t is a Gram product X^T X over the
+    target's rows divided by their count, or any positive semidefinite
+    matrix, so in exact arithmetic n_q * M_q - F is positive semidefinite
+    and lambda_min(n_q * M_q) >= lambda_min(F) >= 1 / (||L^-1||_1
+    ||L^-1||_inf).  That bound is read from F's Cholesky factor as
+    ``_cond_bound`` reads it, with the same margin of ten against the
+    factor's rounding.
+
+    The rest is the fold's own rounding, with u = 2^-53 and tr the trace of
+    the fold of every target, ``trace``.  Computing a Gram product of n_t
+    rows errs by at most about n_t u |X|^T |X| entrywise, and entry (i, j)
+    of |X|^T |X| is at most sqrt(G_ii G_jj), a rank-one matrix of 2-norm
+    tr(G); its division by n_t and the product n_t * S_t add 2u |G|.  So
+    the weighted moments err by at most (n_max + 2) u tr in 2-norm, taken
+    together.  Each of the at most ``folded`` adds of a pattern's chain of
+    prefix and pattern adds, and the division by n_q, errs by u times a
+    partial sum, whose entries are again at most sqrt(D_i D_j) for the
+    fold's diagonal D: u tr each.  Weyl's inequality then gives
+    lambda_min(n_q * M_q) >= lambda_min(F) - (n_max + folded + 3) u tr, to
+    first order in u; two more u tr cover the second-order terms, the trace
+    as computed and the ratio's rounding in ``_floor_proves``.  A floor
+    that is not proven, or whose bound the allowance exhausts, and any
+    overflow, which is quiet in Python's floats, give 0.0.
+    """
+    if norms is None:
+        return 0.0
+    inverse_norm = float(norms[0]) * float(norms[1])
+    if not inverse_norm > 0:
+        return 0.0
+    margin = 1.0 / inverse_norm - (n_max + folded + 5) * 2.0 ** -53 * trace
+    return margin if margin > 0 else 0.0
+
+
+def _floor_proves(S: np.ndarray, n_ex: int, margin: float) -> bool:
+    """True when ``_floor_margin``'s bound ``margin`` on the least
+    eigenvalue of n_ex * S proves the mixture S positive definite with
+    cond_2(S) <= ||S||_1 * n_ex / margin <= _COND_BOUND; a mixture that is
+    not finite has no finite norm.  Called one mixture at a time, so no
+    temporary of the mixtures' size is made, under the caller's
+    ``np.errstate`` that ignores overflow and invalid values.
+    """
+    return margin > 0 and n_ex * float(np.abs(S).sum(axis=0).max()) / margin <= _COND_BOUND
 
 
 def _proven_well_conditioned(S: np.ndarray) -> bool:
     """True when the mixture S is proven to be finite, exactly symmetric,
-    positive definite and conditioned no worse than _COND_BOUND.
+    positive definite and conditioned no worse than _COND_BOUND, by its own
+    Cholesky factorization: ``local_stats`` asks it for the patterns that
+    the floor of observational rows does not prove (``_floor_proves``).
 
     By Cauchy interlacing every principal sub-block M of such an S is
     positive definite with cond_2(M) <= cond_2(S), so the SVD would find

@@ -528,7 +528,8 @@ def exhaustive_dp(local: LocalStats, config: SearchConfig = SearchConfig()) -> D
     block serves every vertex of the pattern outside it, and the kernel
     skips its conditioning test when the pattern's mixture is proven well
     conditioned (``LocalStats.proven``, decided once per pattern by
-    ``local_stats``).  The scores come back in each
+    ``local_stats``, for every pattern at once from the observational rows'
+    floor when it can).  The scores come back in each
     vertex's order, by size and then lexicographically, and
     ``_best_subsets`` then finds the best parent set within every subset of
     the others.  Ties go to the smaller set, then the lexicographically

@@ -52,7 +52,11 @@ Core claims:
       whose largest dataset exceeds physical memory, refused before its
       --out is made; where memory is unknown, an n too large for a float
       exits 2, naming n).  A fit that fails after
-      its --out is created leaves that directory empty.
+      its --out is created leaves that directory empty.  On small random
+      CSVs (p 1 to 7, n 1 to 12, constant, duplicated, integer and
+      1e+-150-scaled columns, random multi-vertex targets) greedy and DP
+      fits exit 0, or 3 with a named reason, and raise nothing, a
+      floating-point warning included.
     - fit/simulate/experiment write the documented artifact files, and
       experiment output is bit-identical across runs with the same seed;
       experiment prints one summary line per cell, its fields named.
@@ -807,6 +811,49 @@ def test_fit_on_rows_all_targeting_one_vertex_is_a_data_error(tmp_path, capsys):
     code = main(["fit", "--data", str(csv)])
     assert code == 3
     assert "not conservative: vertices [1] lie in every target" in capsys.readouterr().err
+
+
+_COLUMN_KINDS = ("normal", "constant", "duplicate", "integer", "huge", "tiny")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 7),
+    n=st.integers(1, 12),
+    kinds=st.lists(st.sampled_from(_COLUMN_KINDS), min_size=7, max_size=7),
+    method=st.sampled_from(["greedy", "dp"]),
+)
+def test_fit_on_small_random_csvs_exits_0_or_3_with_a_reason(seed, p, n, kinds, method):
+    """The exit-code contract on small awkward inputs: constant, duplicated,
+    integer and 1e+-150-scaled columns, rows over random multi-vertex
+    targets, empty ones included.  Each fit exits 0, or 3 with a named
+    reason, and raises nothing; a floating-point warning would raise, so the
+    proofs' arithmetic, overflow included, is quiet."""
+    rng = np.random.default_rng(seed)
+    pool = [InterventionTarget.empty()]
+    pool += [InterventionTarget(tuple(sorted(rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False) + 1)))
+             for _ in range(int(rng.integers(1, 4)))]
+    targets = tuple(pool[i] for i in rng.integers(len(pool), size=n))
+    X = rng.standard_normal((n, p))
+    for j, kind in enumerate(kinds[:p]):
+        if kind == "constant":
+            X[:, j] = float(rng.standard_normal())
+        elif kind == "duplicate" and j:
+            X[:, j] = X[:, int(rng.integers(j))]
+        elif kind == "integer":
+            X[:, j] = np.round(3 * X[:, j])
+        elif kind in ("huge", "tiny"):
+            X[:, j] *= 1e150 if kind == "huge" else 1e-150
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "d.csv"
+        emit_csv(Dataset(p, targets, X), csv)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["fit", "--data", str(csv), "--method", method, "--out", str(Path(tmp) / "fit")])
+    assert code in (0, 3), err.getvalue()
+    if code == 3:
+        assert err.getvalue().startswith("error: ") and len(err.getvalue()) > len("error: \n")
 
 
 @pytest.mark.parametrize("method", ["greedy", "dp"])

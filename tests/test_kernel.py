@@ -28,6 +28,18 @@ Core claims:
       for every parent set; a singular mixture, a duplicated column, an
       indefinite mixture of cond 3, a 1-ulp asymmetry and an inf entry are
       not accepted.
+    - local_stats proves every pattern it can from one Cholesky
+      factorization of the floor every mixture holds, the observational
+      rows' weighted moment, less a rounding allowance: on random designs
+      with and without observational rows, with fewer of them than
+      vertices, a duplicated column, rows scaled per target, and a column
+      scaled so that the bound lands near 1e11, every pattern that
+      _proven_well_conditioned accepts is still proven, and every vertex
+      and parent set gets the usable flags and bits of the fit with no
+      pattern proven (the SVD path).  The fully targeted benchmark's shape
+      (p=100) takes that one factorization and no proof of a pattern's own;
+      with no observational rows there is no floor, and every pattern gets
+      its own proof and that proof's flag.
     - Column j of a g-column dposv solve, laid out as the kernel lays it
       out, has the bits and the info of a one-column solve, at scales from
       1e-4 to 1e4, with near-duplicate columns and singular blocks.  So a
@@ -60,9 +72,13 @@ from hypothesis import strategies as st
 
 from interdag import (
     Dataset,
+    InterventionSpec,
     InterventionTarget,
     local_score,
     local_stats,
+    sample_dataset,
+    sample_normalized_model,
+    sample_random_dag,
     sufficient_stats,
 )
 from interdag import likelihood
@@ -347,6 +363,105 @@ def test_cond_bound_holds_and_proven_mixtures_have_well_conditioned_blocks(seed,
         for d in range(1, min(3, p) + 1):
             for pa in itertools.combinations(range(p), d):
                 assert np.linalg.cond(S[np.ix_(pa, pa)]) <= 1e11 * (1 + 1e-6), pa
+
+
+def _floor_design(seed: int, p: int, n_obs: int, duplicate: bool, spread: float) -> Dataset:
+    """Rows over random targets of random sizes and scales: ``n_obs``
+    observational rows first (none at all, or fewer than p), then one to
+    twelve rows for each of one to four nonempty targets, each target's rows
+    scaled by its own power of ten.  ``duplicate`` copies a column onto
+    another; ``spread`` scales one column by 10**spread, so that from about
+    5 the proof's bound lands near 1e11, and from about 6 the SVD rejects
+    parent blocks that hold that column."""
+    rng = np.random.default_rng(seed)
+    members = [tuple(sorted(rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False) + 1))
+               for _ in range(int(rng.integers(1, 5)))]
+    targets = [InterventionTarget.empty()] * n_obs
+    scales = [1.0] * n_obs
+    for t in members:
+        rows = int(rng.integers(1, 13))
+        targets += [InterventionTarget(t)] * rows
+        scales += [10.0 ** rng.uniform(-2, 2)] * rows
+    X = rng.standard_normal((len(targets), p)) * np.array(scales)[:, None]
+    if duplicate:
+        src, dst = rng.choice(p, size=2, replace=False)
+        X[:, dst] = X[:, src]
+    X[:, rng.integers(p)] *= 10.0 ** spread
+    return Dataset(p, tuple(targets), X)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 7),
+    n_obs=st.integers(0, 40),
+    duplicate=st.booleans(),
+    spread=st.one_of(st.just(0.0), st.floats(4.5, 7.0)),
+)
+def test_floor_proof_keeps_every_proof_and_every_bit(seed, p, n_obs, duplicate, spread):
+    """Every pattern that a proof of its own accepts is still proven, and a
+    pattern that the observational rows' floor proves instead gives, for
+    every vertex and parent set, the usable flags and bits of the SVD path:
+    the fit with no pattern proven."""
+    local = local_stats(sufficient_stats(_floor_design(seed, p, n_obs, duplicate, spread)))
+    for q, M in enumerate(local.mixtures):
+        if _proven_well_conditioned(M):
+            assert local.proven[q], q
+    unproven = LocalStats(local.p, local.n, local.counts_excluding, local.mixtures, local.pattern_of,
+                          np.zeros_like(local.proven))
+    for k in range(p):
+        others = [j for j in range(p) if j != k]
+        for d in range(min(3, p - 1) + 1):
+            sets = [list(c) for c in itertools.combinations(others, d)]
+            fast = _fit_rows(local, k, sets)
+            slow = _fit_rows(unproven, k, sets)
+            assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow], (k, d)
+
+
+def _counted_proofs(monkeypatch) -> dict[str, int]:
+    """Counts of Cholesky factorizations, the floor's and the proofs', and
+    of proofs of a pattern's own mixture, from here on."""
+    calls = {"cholesky": 0, "proof": 0}
+    for name, key in (("_cholesky_lo", "cholesky"), ("_proven_well_conditioned", "proof")):
+        def counted(S, _original=getattr(likelihood, name), _key=key):
+            calls[_key] += 1
+            return _original(S)
+
+        monkeypatch.setattr(likelihood, name, counted)
+    return calls
+
+
+def test_one_floor_factorization_proves_every_pattern_of_a_fully_targeted_fit(monkeypatch):
+    """The shape of the fully targeted benchmark input: 4,000 observational
+    rows and ten rows on each of 100 single-vertex targets, so 100 patterns.
+    One Cholesky factorization, of the observational rows' weighted moment,
+    proves all of them, and no pattern needs a proof of its own."""
+    p = 100
+    model = sample_normalized_model(sample_random_dag(p, 1.5, 7), 8)
+    singles = [InterventionTarget.of(v) for v in range(1, p + 1)]
+    sequence = [InterventionTarget.empty()] * 4000 + [t for t in singles for _ in range(10)]
+    stats = sufficient_stats(sample_dataset(model, sequence, InterventionSpec.constant(singles, 2.0, 0.5), 9))
+    calls = _counted_proofs(monkeypatch)
+    local = local_stats(stats)
+    assert len(local.mixtures) == p and local.proven.all()
+    assert calls == {"cholesky": 1, "proof": 0}
+
+
+def test_without_observational_rows_every_pattern_is_proven_alone(monkeypatch):
+    """Every vertex targeted and no observational rows: the fold's prefix
+    is empty when the first pattern starts, so there is no floor, and each
+    of the twelve patterns gets the proof of its own mixture, with the flag
+    that proof gives."""
+    p = 12
+    model = sample_normalized_model(sample_random_dag(p, 1.5, 5), 6)
+    singles = [InterventionTarget.of(v) for v in range(1, p + 1)]
+    sequence = [t for t in singles for _ in range(5)]
+    stats = sufficient_stats(sample_dataset(model, sequence, InterventionSpec.constant(singles, 2.0, 0.5), 7))
+    calls = _counted_proofs(monkeypatch)
+    local = local_stats(stats)
+    assert len(local.mixtures) == p
+    assert calls == {"cholesky": p, "proof": p}
+    assert local.proven.tolist() == [_proven_well_conditioned(M) for M in local.mixtures]
 
 
 @pytest.mark.parametrize("case", ["well", "singular", "duplicate", "indefinite", "asymmetric", "inf"])

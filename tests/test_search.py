@@ -23,10 +23,12 @@ Core claims:
       size leaves its calls to this process, with the same table and DAG,
       and no child is left after any call.
     - Greedy, the DP and the refit run no SVD on mixtures proven well
-      conditioned, and a whole fit proves each pattern's mixture once; with
-      a duplicated column no mixture is proven, and greedy's DAG and trace
+      conditioned, and a whole fit proves every pattern's mixture from the
+      observational rows' floor, with no proof of a mixture's own; with a
+      duplicated column no mixture is proven, and greedy's DAG and trace
       and the DP's parent sets equal their oracles'.  local_stats proves
-      each pattern's mixture once, into read-only flags, and no scorer
+      the patterns with one Cholesky factorization, into read-only flags
+      that hold every pattern a proof of its own accepts, and no scorer
       proves one again.
     - Both searchers respect max_parents; the DP refuses p > 20.
       SearchConfig refuses a max_parents or max_steps that is not an
@@ -633,7 +635,9 @@ def test_dp_work_counters_pinned(monkeypatch, tmp_path):
     --replicates-per-target 5 --seed 7`` writes.
 
     Three vertices are targeted alone and nine share the observational
-    pattern, so four mixtures are proven.  Every vertex still scores its
+    pattern, so four mixtures, all proven by ``local_stats``'s one Cholesky
+    of the observational rows' floor and none by a proof of its own
+    (``_proven_well_conditioned``).  Every vertex still scores its
     1,981 sets of at most 8 of the other 11 (23,772 sets), but one
     factorization serves every vertex of a pattern outside a set: 3,796
     nonempty sets of the 12 labels for the shared pattern and 3 * 1,980
@@ -667,7 +671,7 @@ def test_dp_work_counters_pinned(monkeypatch, tmp_path):
     local = _fit_exact_local(tmp_path)
     assert len(local.mixtures) == 4
     exhaustive_dp(local)
-    assert calls == {"scores": 67, "sets": 23_772, "dposv": 9_736, "proof": 4}
+    assert calls == {"scores": 67, "sets": 23_772, "dposv": 9_736, "proof": 0}
 
 
 @pytest.mark.floors
@@ -815,17 +819,18 @@ def test_scorers_run_the_conditioning_test_only_on_unproven_mixtures(monkeypatch
     # targets (), (3,) and (8,): vertices 3 and 8 each have a pattern of
     # their own and the other six share one, so three mixtures
     assert local.pattern_of.tolist() == [0, 0, 1, 0, 0, 0, 0, 2]
-    # every mixture is proven, once per pattern, so no scorer runs an SVD
+    # every mixture is proven by the observational rows' floor, with no
+    # proof of its own, so no scorer runs an SVD
     dag, _ = greedy_search(local)
     exhaustive_dp(local)
     mle_given_dag(dag, local)
     assert all(local.proven[local.pattern(k)] for k in range(1, 9))
-    assert calls == {"cond": 0, "proof": 3}
-    # a whole fit, from the data on, proves each pattern exactly once
+    assert calls == {"cond": 0, "proof": 0}
+    # a whole fit, from the data on, needs no proof of a pattern's own
     for method in ("greedy", "dp"):
         calls.update(cond=0, proof=0)
         run_fit(data, family, SearchConfig(method=method))
-        assert calls == {"cond": 0, "proof": 3}, method
+        assert calls == {"cond": 0, "proof": 0}, method
     # column 3 copied onto column 4: no mixture is proven, so every stack
     # with parents gets the SVD, and both searchers return their oracle's
     # result
@@ -844,20 +849,30 @@ def test_scorers_run_the_conditioning_test_only_on_unproven_mixtures(monkeypatch
 @pytest.mark.floors
 def test_local_stats_proves_each_pattern_once_and_no_scorer_proves_again(monkeypatch):
     calls = []
-    proof = interdag.likelihood._proven_well_conditioned
+    factorizations = []
+    proof, cholesky = interdag.likelihood._proven_well_conditioned, interdag.likelihood._cholesky_lo
 
     def counting(S):
         calls.append(S)
         return proof(S)
 
+    def counting_cholesky(S):
+        factorizations.append(S)
+        return cholesky(S)
+
     monkeypatch.setattr(interdag.likelihood, "_proven_well_conditioned", counting)
+    monkeypatch.setattr(interdag.likelihood, "_cholesky_lo", counting_cholesky)
     model, family, spec, data = random_instance(12, p=8, n=400)
     local = _local(data, family)
-    # three patterns, as in the test above: local_stats proves each mixture
-    # once, in pattern order
-    assert len(local.mixtures) == 3 and len(calls) == 3
-    assert all(np.shares_memory(S, M) for S, M in zip(calls, local.mixtures))
-    assert local.proven.dtype == bool and local.proven.tolist() == [proof(M) for M in local.mixtures]
+    # three patterns, as in the test above: local_stats proves all three
+    # mixtures with one Cholesky factorization, of the observational rows'
+    # floor, and needs no proof of a mixture's own
+    assert len(local.mixtures) == 3 and len(factorizations) == 1 and calls == []
+    assert not any(np.shares_memory(factorizations[0], M) for M in local.mixtures)
+    # every pattern that a proof of its own accepts is proven
+    assert local.proven.dtype == bool and all(local.proven[q] for q, M in enumerate(local.mixtures) if proof(M))
+    assert local.proven.all()
+    factorizations.clear()
     with pytest.raises(ValueError):
         local.proven[0] = not local.proven[0]
     # no scorer proves a mixture again
@@ -868,7 +883,7 @@ def test_local_stats_proves_each_pattern_once_and_no_scorer_proves_again(monkeyp
     cache = LocalScoreCache(local)
     cache.score(8, (1,))
     cache.dag_score(dag)
-    assert len(calls) == 3
+    assert calls == [] and factorizations == []
 
 
 @pytest.mark.floors
