@@ -25,17 +25,10 @@ import numpy as np
 from ._fork import _forked
 from .equivalence import essential_graph, format_essential_graph
 from .errors import CapacityError, DataError, ParameterError
-from .experiments import _CELL, ExperimentConfig, _cell_summaries, _draw_model, _draw_targets, _lay_out_cell
-from .experiments import _created, _writing, run_consistency_experiment, run_fit
-from .model import (
-    _FLOAT_FMT,
-    Dataset,
-    InterventionTarget,
-    derive_seed,
-    format_model,
-    group_rows,
-    sample_dataset,
-)
+from .experiments import _CELL, ExperimentConfig, _cell_summaries, _cells, _created, _writing
+from .experiments import run_consistency_experiment, run_fit
+from .model import _FLOAT_FMT, Dataset, InterventionTarget, format_model, group_rows
+from .model import sample_dataset  # not called here: perfbench/tracer.py wraps interdag.cli.sample_dataset
 from .search import SearchConfig, _field_kinds
 
 __all__ = ["ingest_csv", "emit_csv", "main"]
@@ -371,11 +364,7 @@ def _cmd_simulate(args) -> int:
     # one dataset is one cell of an experiment grid, under the same rules
     config = ExperimentConfig(seed=args.seed, n_grid=(args.n,), mu_grid=(args.mu,),
                               **{name: getattr(args, name) for name in _SIMULATED})
-    (n,) = config.n_grid
-    dag, model = _draw_model(config)
-    singles, (spec,) = _draw_targets(config)
-    sequence, groups = _lay_out_cell(config, singles, n)
-    data = sample_dataset(model, sequence, spec, derive_seed(config.seed, 4), groups)
+    ((_, _, dag, model, data),) = _cells(config)
     graph = essential_graph(dag, data.observed_targets())
     out = _created(args.out)
     with _writing(out):

@@ -27,7 +27,6 @@ from .model import (
     _FLOAT_FMT,
     Dag,
     Dataset,
-    GaussianCausalModel,
     InterventionSpec,
     InterventionTarget,
     TargetFamily,
@@ -49,16 +48,13 @@ _FMT = _FLOAT_FMT.__mod__
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Grid description for a consistency experiment.
+    """Grid description for a consistency experiment, whose cells ``_cells`` draws.
 
-    Every replicate uses ``k`` distinct single-vertex targets drawn uniformly
-    without replacement, ``replicates_per_target`` rows per target, and the
-    remaining rows observational.  ``seed`` is mandatory.  Construction
-    checks every setting, those of the search included, and raises
-    ParameterError on the first bad one, or CapacityError when drawing the
-    largest dataset would hold more than physical memory
-    (``_sampling_bytes``); then CapacityError when the exact search is
-    asked for more vertices than it supports.
+    ``seed`` is mandatory.  Construction checks every setting, those of
+    the search included, and raises ParameterError on the first bad one,
+    or CapacityError when drawing the largest dataset would hold more than
+    physical memory (``_sampling_bytes``); then CapacityError when the
+    exact search is asked for more vertices than it supports.
     """
 
     seed: int
@@ -138,7 +134,7 @@ class ExperimentConfig:
         four pointer-sized entries, its target in the cell's row sequence
         and in the Dataset's tuple, its index in its target's group, and one
         for the sequence's spare capacity; means and covariance roots,
-        p + p * p floats each: with more than one n, one per mu and target,
+        p + p * p floats each: where ``_keeps_roots``, one per mu and target,
         the observational one included, which a replicate keeps; otherwise
         the observational one and the target's being drawn; and 2048 per
         target for its Python objects: the InterventionTarget, its
@@ -150,8 +146,16 @@ class ExperimentConfig:
         row per target, and a draw of one or two rows over one or two
         vertices peaks at 4 to 8.5 KB."""
         p = self.p
-        roots = len(self.mu_grid) * (self.k + 1) if len(self.n_grid) > 1 else min(self.k + 1, 2)
+        roots = len(self.mu_grid) * (self.k + 1) if self._keeps_roots else min(self.k + 1, 2)
         return n * (17 * p + 32) + roots * (p + 1) * p * 8 + self.k * 2048 + 16384
+
+    @property
+    def _keeps_roots(self) -> bool:
+        """Whether a replicate keeps each (mu, target)'s mean and covariance
+        root across its n: they depend only on the model, the target and
+        its (mu, tau), so they are worth keeping only when some are drawn
+        again, which takes more than one n."""
+        return len(self.n_grid) > 1
 
     @property
     def search_config(self) -> SearchConfig:
@@ -275,44 +279,41 @@ def run_fit(
     return fitted, graph, trace
 
 
-def _draw_targets(
-    config: ExperimentConfig, *rep: int
-) -> tuple[list[InterventionTarget], list[InterventionSpec]]:
-    """A replicate's k single-vertex targets, drawn from ``derive_seed(config.seed,
-    3, *rep)`` uniformly without replacement, in ascending order, and per mu
-    of ``config.mu_grid`` the InterventionSpec that gives each of them that
-    mean and variance tau^2; ``interdag simulate`` passes no ``rep``."""
+def _cells(config: ExperimentConfig, *rep: int):
+    """Each cell of a replicate, in grid order, as ``(n, mu, dag, model, dataset)``.
+
+    The DAG, its model and the k single-vertex targets, drawn without
+    replacement and sorted, come from ``derive_seed(config.seed, 1, *rep)``,
+    ``(.., 2, *rep)`` and ``(.., 3, *rep)``, and a cell's rows from
+    ``(.., 4, *rep, n_idx, mu_idx)``.  ``interdag simulate`` passes no
+    ``rep``: SeedSequence pads entropy with zeros, so its model and targets
+    are replicate 0's, but its rows come from ``(.., 4)``, which no cell
+    uses.  Each n's rows, observational first, then ``replicates_per_target``
+    per target, are laid out once for all its mu, with the groups
+    ``group_rows`` would find; each (mu, target)'s mean and root is kept
+    across the n when ``config._keeps_roots``."""
+    dag = sample_random_dag(config.p, config.expected_degree, derive_seed(config.seed, 1, *rep))
+    model = sample_normalized_model(dag, derive_seed(config.seed, 2, *rep))
     singles = []
     if config.k:
         chosen = _rng(derive_seed(config.seed, 3, *rep)).choice(config.p, size=config.k, replace=False)
         singles = [InterventionTarget.of(v) for v in sorted(int(v) + 1 for v in chosen)]
-    return singles, [InterventionSpec.constant(singles, mu, config.tau**2) for mu in config.mu_grid]
-
-
-def _lay_out_cell(
-    config: ExperimentConfig, singles: list[InterventionTarget], n: int
-) -> tuple[tuple[InterventionTarget, ...], dict[InterventionTarget, np.ndarray]]:
-    """A cell's row sequence of n targets, the observational rows first and
-    then ``replicates_per_target`` rows per target of ``singles``, in order;
-    and its row groups, read off that layout: the dict that
-    ``group_rows(sequence)`` returns, without a scan of the sequence."""
+    specs = [InterventionSpec.constant(singles, mu, config.tau**2) for mu in config.mu_grid]
+    roots = [{} if config._keeps_roots else None for _ in config.mu_grid]
     empty = InterventionTarget.empty()
     r = config.replicates_per_target
-    observational = n - config.n_interventional
-    sequence = (empty,) * observational + tuple(t for t in singles for _ in range(r))
-    groups = {empty: np.arange(observational, dtype=np.intp)} if observational else {}
-    for i, t in enumerate(singles):
-        groups[t] = np.arange(observational + i * r, observational + (i + 1) * r, dtype=np.intp)
-    for rows in groups.values():
-        rows.setflags(write=False)
-    return sequence, groups
-
-
-def _draw_model(config: ExperimentConfig, *rep: int) -> tuple[Dag, GaussianCausalModel]:
-    """A replicate's random DAG and normalized model, from ``derive_seed(config.seed,
-    1, *rep)`` and ``(config.seed, 2, *rep)``; ``interdag simulate`` passes no ``rep``."""
-    dag = sample_random_dag(config.p, config.expected_degree, derive_seed(config.seed, 1, *rep))
-    return dag, sample_normalized_model(dag, derive_seed(config.seed, 2, *rep))
+    for n_idx, n in enumerate(config.n_grid):
+        observational = n - config.n_interventional
+        sequence = (empty,) * observational + tuple(t for t in singles for _ in range(r))
+        groups = {empty: np.arange(observational, dtype=np.intp)} if observational else {}
+        for i, t in enumerate(singles):
+            groups[t] = np.arange(observational + i * r, observational + (i + 1) * r, dtype=np.intp)
+        for rows in groups.values():
+            rows.setflags(write=False)
+        for mu_idx, mu in enumerate(config.mu_grid):
+            seed = derive_seed(config.seed, 4, *rep, n_idx, mu_idx) if rep else derive_seed(config.seed, 4)
+            yield n, mu, dag, model, sample_dataset(model, sequence, specs[mu_idx], seed,
+                                                    _groups=groups, _roots=roots[mu_idx])
 
 
 # the ResultRow fields that copy an ExperimentConfig setting
@@ -326,48 +327,34 @@ def _confusion_fields(prefix: str, counts: ConfusionCounts) -> dict[str, int]:
 
 
 def _run_replicate(args: tuple) -> list[ResultRow]:
-    """Every grid point of one replicate.  Its DAG and model, its targets
-    and, per mu, their intervention settings are drawn once; each n's row
-    sequence and row groups are laid out once, for all its mu; each
-    target's mean and covariance root is computed once per mu when there
-    is more than one n; and the true essential graph once per observed
-    family, so its adjacency, which the metrics keep, is built once too."""
+    """Every cell of one replicate, drawn by ``_cells``, fitted and scored
+    against the true essential graph, built once per observed family, so
+    its adjacency, which the metrics keep, is built once too."""
     config, rep = args
-    dag, model = _draw_model(config, rep)
-    singles, specs = _draw_targets(config, rep)
     search_config = config.search_config
     settings = {name: getattr(config, name) for name in _CONFIG_COLUMNS}
     truth_graphs: dict[TargetFamily, EssentialGraph] = {}
-    # a target's mean and covariance root depend only on the model, the
-    # target and its (mu, tau), so with more than one n each (mu, target)
-    # pair gets them once; with one n no pair is drawn twice, and sampling
-    # keeps no root beyond its call
-    roots = [{} if len(config.n_grid) > 1 else None for _ in config.mu_grid]
     rows = []
-    for n_idx, n in enumerate(config.n_grid):
-        sequence, groups = _lay_out_cell(config, singles, n)
-        for mu_idx, mu in enumerate(config.mu_grid):
-            seed = derive_seed(config.seed, 4, rep, n_idx, mu_idx)
-            data = sample_dataset(model, sequence, specs[mu_idx], seed, groups, _roots=roots[mu_idx])
-            family = data.observed_targets()
+    for n, mu, dag, _, data in _cells(config, rep):
+        family = data.observed_targets()
 
-            t0 = time.perf_counter()
-            _, fitted_dag, _ = fit_structure(data, family, search_config)
-            runtime = time.perf_counter() - t0
-            # the next cell's draw holds no dataset but its own
-            del data
+        t0 = time.perf_counter()
+        _, fitted_dag, _ = fit_structure(data, family, search_config)
+        runtime = time.perf_counter() - t0
+        # the next cell's draw holds no dataset but its own
+        del data
 
-            if family not in truth_graphs:
-                truth_graphs[family] = essential_graph(dag, family)
-            truth_graph = truth_graphs[family]
-            est_graph = essential_graph(fitted_dag, family)
-            distance = shd(truth_graph, est_graph)
-            rows.append(ResultRow(
-                **settings, n=n, mu=mu, replicate=rep, shd=distance, exact=distance == 0,
-                runtime_seconds=runtime,
-                **_confusion_fields("skeleton", skeleton_confusion(truth_graph, est_graph)),
-                **_confusion_fields("directed", directed_confusion(truth_graph, est_graph)),
-            ))
+        if family not in truth_graphs:
+            truth_graphs[family] = essential_graph(dag, family)
+        truth_graph = truth_graphs[family]
+        est_graph = essential_graph(fitted_dag, family)
+        distance = shd(truth_graph, est_graph)
+        rows.append(ResultRow(
+            **settings, n=n, mu=mu, replicate=rep, shd=distance, exact=distance == 0,
+            runtime_seconds=runtime,
+            **_confusion_fields("skeleton", skeleton_confusion(truth_graph, est_graph)),
+            **_confusion_fields("directed", directed_confusion(truth_graph, est_graph)),
+        ))
     return rows
 
 

@@ -79,20 +79,21 @@ class Dag:
     parent_sets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 1:
+        if not _is_integer(self.p) or self.p < 1:
             raise ParameterError(f"vertex count must be a positive integer, got {self.p!r}")
+        object.__setattr__(self, "p", int(self.p))
         if len(self.parent_sets) != self.p:
             raise ParameterError(
                 f"expected {self.p} parent sets, got {len(self.parent_sets)}"
             )
         canonical = []
         for k, ps in enumerate(self.parent_sets, start=1):
-            ps = tuple(sorted(set(int(j) for j in ps)))
             for j in ps:
-                if not 1 <= j <= self.p:
-                    raise ParameterError(f"parent {j} of vertex {k} is out of range 1..{self.p}")
-                if j == k:
-                    raise ParameterError(f"self-loop at vertex {k}")
+                if not _is_integer(j) or not 1 <= j <= self.p:
+                    raise ParameterError(f"parent {j!r} of vertex {k} is not an integer in 1..{self.p}")
+            ps = tuple(sorted(set(int(j) for j in ps)))
+            if k in ps:
+                raise ParameterError(f"self-loop at vertex {k}")
             canonical.append(ps)
         object.__setattr__(self, "parent_sets", tuple(canonical))
         self.topological_order  # fails on cycles
@@ -192,12 +193,12 @@ class InterventionTarget:
 
     def __post_init__(self):
         raw = tuple(self.members)
+        for v in raw:
+            if not _is_integer(v) or v < 1:
+                raise ParameterError(f"vertex labels are integers from 1, got {v!r}")
         members = tuple(sorted(set(int(v) for v in raw)))
         if len(members) != len(raw):
             raise ParameterError(f"duplicate vertices in target {raw!r}")
-        for v in members:
-            if v < 1:
-                raise ParameterError(f"vertex labels start at 1, got {v}")
         object.__setattr__(self, "members", members)
 
     @classmethod
@@ -420,6 +421,8 @@ class Dataset:
     values: np.ndarray
 
     def __post_init__(self):
+        if not _is_integer(self.p):
+            raise ParameterError(f"column count must be an integer, got {self.p!r}")
         if self.p < 1:
             raise ParameterError("dataset must have at least one column")
         object.__setattr__(self, "targets", tuple(self.targets))
@@ -498,7 +501,7 @@ def sample_random_dag(p: int, expected_degree: float, seed: int) -> Dag:
     seed : int
         64-bit seed.
     """
-    if not isinstance(p, int) or p < 1:
+    if not _is_integer(p) or p < 1:
         raise ParameterError(f"vertex count must be a positive integer, got {p!r}")
     d = float(expected_degree)
     if not math.isfinite(d) or d < 0 or d >= p:
@@ -654,8 +657,8 @@ def sample_dataset(
     target_sequence: Sequence[InterventionTarget],
     spec: InterventionSpec | None = None,
     seed: int = 0,
-    _groups: dict | None = None,
     *,
+    _groups: dict | None = None,
     _roots: dict | None = None,
 ) -> Dataset:
     """Draw one independent row per entry of ``target_sequence``, in order.
@@ -673,13 +676,10 @@ def sample_dataset(
     its slice of the values and the mean is added there, so no temporary
     of its rows is made.  Other groups are gathered, drawn and scattered.
 
-    ``_groups`` and ``_roots`` are private.  ``_groups`` is the rows'
-    grouping, which must be what ``group_rows(target_sequence)`` returns,
-    for a caller that laid the rows out and so knows it without a scan of
-    the sequence; it may be passed by position, as the fifth argument.
+    ``_groups`` and ``_roots`` are private, for ``experiments._cells``.
+    ``_groups`` must be what ``group_rows(target_sequence)`` returns;
     ``_roots`` is a dict that keeps each target's mean and root, the
-    observational one included, across calls, for a caller that samples
-    several datasets from one model and one ``spec``.
+    observational one included, across calls with one model and ``spec``.
     """
     p = model.p
     targets = tuple(target_sequence)

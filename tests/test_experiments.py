@@ -20,6 +20,8 @@ Core claims:
     - A seeded greedy fit and a seeded DP fit are as accurate as pinned:
       their SHD against the true essential graph, their fitted edges and
       the true edges.
+    - simulate's cell has the model and targets of replicate 0 and rows
+      of its own.
     - Seeded greedy and DP grids write rows.csv and medians.csv to the
       byte, pinned by sha256, and the same bytes with one worker or two;
       each cell's mu is one text in rows.csv, medians.csv and timings.csv.
@@ -31,8 +33,9 @@ Core claims:
       mu, for all its n, with the bytes of one computation per cell.
     - A replicate draws its targets once and builds their intervention
       settings once per mu; each n's row groups are read off its layout,
-      and equal what ``group_rows`` finds in its row sequence, so sampling
-      with them gives the same bits, and the grid scans no row sequence.
+      once for all its mu, and equal what ``group_rows`` finds in its row
+      sequence, so sampling with them gives the same bits, and the grid
+      scans no row sequence.
     - A cell's median SHD is the one ``statistics.median`` gives.
 """
 
@@ -62,7 +65,6 @@ from interdag import (
     ParameterError,
     SearchConfig,
     TargetFamily,
-    derive_seed,
     essential_graph,
     estimate_essential_graph,
     exhaustive_dp,
@@ -76,7 +78,7 @@ from interdag import (
     sufficient_stats,
 )
 
-from interdag.experiments import _draw_model, _draw_targets, _lay_out_cell
+from interdag.experiments import _cells
 
 from helpers import random_instance
 
@@ -157,14 +159,22 @@ def test_fit_accuracy_pinned(method, seed, pinned):
     Neither seed was used to develop anything else."""
     config = ExperimentConfig(seed=seed, p=8, n_grid=(200,), k=2, replicates_per_target=10, replicates=1,
                               method=method)
-    (n,) = config.n_grid
-    dag, model = _draw_model(config)
-    singles, (spec,) = _draw_targets(config)
-    sequence, groups = _lay_out_cell(config, singles, n)
-    data = sample_dataset(model, sequence, spec, derive_seed(seed, 4), groups)
+    ((_, _, dag, _, data),) = _cells(config)
     fitted, graph, _ = run_fit(data, config=config.search_config)
     truth = essential_graph(dag, data.observed_targets())
     assert (shd(truth, graph), fitted.dag.num_edges, dag.num_edges) == pinned
+
+
+def test_simulate_draws_the_model_of_replicate_0_and_rows_of_its_own():
+    """``simulate``'s cell, drawn with no replicate index, has the DAG,
+    model and targets of replicate 0, since ``derive_seed(s, 1)`` equals
+    ``derive_seed(s, 1, 0)``, but rows from a seed no grid cell uses."""
+    config = ExperimentConfig(seed=5, p=8, n_grid=(200,), k=3, replicates_per_target=4, replicates=1)
+    ((_, _, dag, model, data),) = _cells(config)
+    ((_, _, grid_dag, grid_model, grid_data),) = _cells(config, 0)
+    assert dag == grid_dag and model.weights.tobytes() == grid_model.weights.tobytes()
+    assert data.targets == grid_data.targets
+    assert data.values.tobytes() != grid_data.values.tobytes()
 
 
 # sha256 of the output files, recorded before the fit pipeline was shared
@@ -237,7 +247,7 @@ def test_grid_computes_each_mean_and_root_once_per_mu_and_target(tmp_path, monke
     assert len(calls) == 12
     calls.clear()
     sample = interdag.experiments.sample_dataset
-    monkeypatch.setattr(interdag.experiments, "sample_dataset", lambda *args, _roots=None: sample(*args))
+    monkeypatch.setattr(interdag.experiments, "sample_dataset", lambda *args, _roots, **kwargs: sample(*args, **kwargs))
     run_consistency_experiment(config, out_dir=tmp_path / "own")
     assert len(calls) == 24
     for name in ("rows.csv", "medians.csv"):
@@ -436,29 +446,31 @@ def test_experiment_config_refuses_a_dataset_beyond_physical_memory(monkeypatch)
          "two-rows-p2"],
 )
 def test_memory_guard_counts_at_least_what_sampling_holds(settings):
-    """The guard's count for the largest dataset is at least the peak that
-    tracemalloc sees while a replicate draws that cell: its row sequence,
-    its targets' means and roots, their Python objects, and the dataset.
-    With one n sampling holds two roots, the observational one and the
-    target's being drawn: at p=300 with every vertex targeted they are
-    1.4 MB of the count's 12.3 MB, where one root per target would be
-    217 MB.  With several n it keeps every root in the dict the grid
-    passes.  With few rows per target the targets' objects, which no array
+    """The guard's count for each n is at least the peak that tracemalloc
+    sees while a replicate draws that n's cell, the first with its model:
+    its row sequence, its targets' means and roots, their Python objects,
+    and the dataset.  With one n sampling holds two roots, the
+    observational one and the target's being drawn: at p=300 with every
+    vertex targeted they are 1.4 MB of the count's 12.3 MB, where one root
+    per target would be 217 MB.  With several n the replicate keeps every
+    root.  With few rows per target the targets' objects, which no array
     count sees, are a large part of the peak, and with a row or two over a
     vertex or two what every draw allocates is most of it."""
     config = ExperimentConfig(**{"seed": 1, "n_grid": (10000,), "replicates": 1, **settings})
-    n = max(config.n_grid)
-    _, model = _draw_model(config, 0)
+    drawn = []
+    # numpy.random, which a process's first draw imports, is loaded first
+    interdag.model._rng(0)
     tracemalloc.start()
     try:
-        singles, specs = _draw_targets(config, 0)
-        sequence, groups = _lay_out_cell(config, singles, n)
-        data = sample_dataset(model, sequence, specs[0], 6, groups, _roots={} if len(config.n_grid) > 1 else None)
-        peak = tracemalloc.get_traced_memory()[1]
+        for n, _, _, _, data in _cells(config, 0):
+            drawn.append((n, data.n, tracemalloc.get_traced_memory()[1]))
+            del data
+            tracemalloc.reset_peak()
     finally:
         tracemalloc.stop()
-    assert data.n == n
-    assert config._sampling_bytes(n) >= peak
+    assert [cell[:2] for cell in drawn] == [(n, n) for n in config.n_grid]
+    for n, _, peak in drawn:
+        assert config._sampling_bytes(n) >= peak
 
 
 @st.composite
@@ -480,17 +492,21 @@ def _cell_shapes(draw):
 @example(case=(ExperimentConfig(seed=1, p=3, expected_degree=0.0, k=0, replicates_per_target=0, n_grid=(4,)), 0))
 @example(case=(ExperimentConfig(seed=1, p=3, expected_degree=0.0, k=3, n_grid=(6,)), 0))
 def test_laid_out_groups_are_what_group_rows_finds(case):
-    """A cell's row groups, read off its layout, are the dict that
-    ``group_rows`` returns for its row sequence: the same keys in the same
-    order, each an ``np.intp`` range, read-only; one group when k is 0, and
-    no observational group when every row is interventional."""
+    """A cell's row sequence lists its observational rows, then
+    ``replicates_per_target`` rows of each of k distinct single-vertex
+    targets in ascending order; its row groups, read off that layout, are
+    the dict that ``group_rows`` returns for the sequence: the same keys in
+    the same order, each an ``np.intp`` range, read-only; one group when k
+    is 0, and no observational group when every row is interventional."""
     config, rep = case
-    (n,) = config.n_grid
-    singles, _ = _draw_targets(config, rep)
-    sequence, groups = _lay_out_cell(config, singles, n)
+    ((n, _, _, _, laid_out),) = _cells(config, rep)
+    sequence, groups = laid_out.targets, laid_out.row_groups
     observational = n - config.n_interventional
+    members = [t.members for t in dict.fromkeys(sequence[observational:])]
+    assert len(members) == config.k and members == sorted(members)
+    assert all(len(m) == 1 and 1 <= m[0] <= config.p for m in members)
     assert sequence == (InterventionTarget.empty(),) * observational + tuple(
-        t for t in singles for _ in range(config.replicates_per_target))
+        InterventionTarget(m) for m in members for _ in range(config.replicates_per_target))
     expected = interdag.model.group_rows(sequence)
     assert list(groups) == list(expected)
     for target, rows in groups.items():
@@ -503,13 +519,21 @@ def test_laid_out_groups_are_what_group_rows_finds(case):
 @settings(max_examples=60, deadline=None)
 @given(case=_cell_shapes())
 def test_sampling_with_the_layout_gives_the_bits_it_gives_without(case):
+    """Sampling a cell with its laid-out row groups gives the targets, bits
+    and groups that sampling the same sequence, spec and seed without them
+    gives."""
     config, rep = case
-    (n,) = config.n_grid
-    _, model = _draw_model(config, rep)
-    singles, (spec,) = _draw_targets(config, rep)
-    sequence, groups = _lay_out_cell(config, singles, n)
-    laid_out = sample_dataset(model, sequence, spec, rep, groups)
-    scanned = sample_dataset(model, sequence, spec, rep)
+    sample = interdag.experiments.sample_dataset
+    scans = []
+
+    def scanning_too(*args, _groups, _roots):
+        scans.append(sample(*args))
+        return sample(*args, _groups=_groups, _roots=_roots)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interdag.experiments, "sample_dataset", scanning_too)
+        ((_, _, _, _, laid_out),) = _cells(config, rep)
+    (scanned,) = scans
     assert laid_out.targets == scanned.targets
     assert laid_out.values.tobytes() == scanned.values.tobytes()
     assert list(laid_out.row_groups) == list(scanned.row_groups)
@@ -521,8 +545,10 @@ def test_grid_lays_out_each_replicate_once(monkeypatch):
     """The default grid, at two mu and three replicates, finds no row group
     by a scan (``group_rows``), draws each replicate's targets once, builds
     each replicate's InterventionSpec once per mu, and lays out each n once
-    for both mu."""
-    counts = {"group_rows": 0, "targets": 0, "specs": 0, "layouts": 0}
+    for both mu: they share one row groups object."""
+    counts = {"group_rows": 0, "targets": 0, "specs": 0}
+    laid_out = []
+    sample = interdag.experiments.sample_dataset
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -530,13 +556,20 @@ def test_grid_lays_out_each_replicate_once(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
+    def recording(*args, _groups, _roots):
+        laid_out.append(_groups)
+        return sample(*args, _groups=_groups, _roots=_roots)
+
     monkeypatch.setattr(interdag.model, "group_rows", counted("group_rows", interdag.model.group_rows))
     monkeypatch.setattr(interdag.experiments, "_rng", counted("targets", interdag.experiments._rng))
     monkeypatch.setattr(InterventionSpec, "constant", classmethod(counted("specs", InterventionSpec.constant.__func__)))
-    monkeypatch.setattr(interdag.experiments, "_lay_out_cell", counted("layouts", interdag.experiments._lay_out_cell))
+    monkeypatch.setattr(interdag.experiments, "sample_dataset", recording)
     rows = run_consistency_experiment(ExperimentConfig(seed=1, mu_grid=(5.0, 10.0), replicates=3))
     assert len(rows) == 18
-    assert counts == {"group_rows": 0, "targets": 3, "specs": 6, "layouts": 9}
+    assert counts == {"group_rows": 0, "targets": 3, "specs": 6}
+    # cells in grid order: both mu of an n in a row, and each n's groups its own
+    assert all(laid_out[i] is laid_out[i + 1] for i in range(0, 18, 2))
+    assert len({id(groups) for groups in laid_out}) == 9
 
 
 @settings(max_examples=300, deadline=None)

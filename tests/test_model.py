@@ -19,6 +19,8 @@ Core claims:
       writes the text of ``str.format``'s ``{:.17g}`` for every double.
     - Each construction and sampling error that no other test reaches
       raises its type with its message.
+    - A vertex label or count that is a float or a bool is a ParameterError
+      naming it; a numpy integer is accepted.
 """
 
 import itertools
@@ -545,11 +547,27 @@ def test_normalized_model_falls_back_to_half_variance():
         (lambda: sample_dataset(sample_normalized_model(Dag.from_edges(2, [(1, 2)]), 0), [InterventionTarget.of(1, 3)],
                                 InterventionSpec.constant([InterventionTarget.of(1, 3)], 1.0, 1.0), 1),
          ParameterError, "target vertex 3 is out of range 1..2"),
+        # a label or count that is not an integer, a bool included, is not truncated to an int
+        (lambda: InterventionTarget((1.5,)), ParameterError, "vertex labels are integers from 1, got 1.5"),
+        (lambda: InterventionTarget((True,)), ParameterError, "vertex labels are integers from 1, got True"),
+        (lambda: Dag(3, ((), (1.7,), ())), ParameterError, "parent 1.7 of vertex 2 is not an integer in 1..3"),
+        (lambda: Dag(2.0, ((), ())), ParameterError, "vertex count must be a positive integer, got 2.0"),
+        (lambda: sample_random_dag(True, 0.5, 1), ParameterError, "vertex count must be a positive integer, got True"),
+        (lambda: Dataset(2.0, (), np.empty((0, 2))), ParameterError, "column count must be an integer, got 2.0"),
     ],
     ids=["parent-sets", "weight-shape", "variance-length", "spec-non-finite", "dataset-p0", "random-dag-p0",
-         "float-seed", "seed-2**64", "parse-p0", "sampled-target-out-of-range"],
+         "float-seed", "seed-2**64", "parse-p0", "sampled-target-out-of-range", "float-label", "bool-label",
+         "float-parent", "float-vertex-count", "bool-vertex-count", "float-column-count"],
 )
 def test_model_errors_name_their_cause(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
+
+
+def test_numpy_integer_labels_and_counts_are_accepted():
+    assert InterventionTarget((np.int64(2), np.int32(1))).members == (1, 2)
+    dag = Dag(np.int64(2), ((), (np.int64(1),)))
+    assert dag == Dag.from_edges(2, [(1, 2)]) and type(dag.p) is int
+    assert sample_random_dag(np.int64(4), 1.0, 5) == sample_random_dag(4, 1.0, 5)
+    assert Dataset(np.int64(2), (InterventionTarget.empty(),), np.zeros((1, 2))).n == 1
