@@ -140,14 +140,16 @@ class ExperimentConfig:
         target for its Python objects: the InterventionTarget, its
         InterventionSpec vectors, its row group's index array and, where
         roots are kept, the objects and dict entry of its mean and root;
-        and 16 KiB for what a draw allocates whatever its size, such as its
-        random generators.  Under tracemalloc on Python 3.11 a target's
-        objects take 0.3 to 1.1 KB, the most with every root kept and one
-        row per target, and a draw of one or two rows over one or two
-        vertices peaks at 4 to 8.5 KB."""
+        and 2 MiB for what a draw holds whatever its size: the modules that
+        a process's first draw imports, numpy.random and the hashlib it
+        loads, and each draw's random generators.  Under tracemalloc on
+        Python 3.11 with numpy 2.4 that import peaks at 1.03 MB and keeps
+        0.75 MB, a target's objects take 0.3 to 1.1 KB, the most with every
+        root kept and one row per target, and a later draw of one or two
+        rows over one or two vertices peaks at 4 to 8.5 KB."""
         p = self.p
         roots = len(self.mu_grid) * (self.k + 1) if self._keeps_roots else min(self.k + 1, 2)
-        return n * (17 * p + 32) + roots * (p + 1) * p * 8 + self.k * 2048 + 16384
+        return n * (17 * p + 32) + roots * (p + 1) * p * 8 + self.k * 2048 + 2 * 1024 * 1024
 
     @property
     def _keeps_roots(self) -> bool:
@@ -328,8 +330,7 @@ def _confusion_fields(prefix: str, counts: ConfusionCounts) -> dict[str, int]:
 
 def _run_replicate(args: tuple) -> list[ResultRow]:
     """Every cell of one replicate, drawn by ``_cells``, fitted and scored
-    against the true essential graph, built once per observed family, so
-    its adjacency, which the metrics keep, is built once too."""
+    against the true essential graph, built once per observed family."""
     config, rep = args
     search_config = config.search_config
     settings = {name: getattr(config, name) for name in _CONFIG_COLUMNS}

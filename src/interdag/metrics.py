@@ -1,13 +1,12 @@
 """Structural distance and confusion counts between graphs.
 
-All comparisons run on adjacency matrices: a directed edge a -> b sets
-entry (a, b); an undirected edge of a partially directed graph sets both
-(a, b) and (b, a).  A DAG and an essential graph can therefore be compared
-directly.  Each graph object's matrix is built once and kept on it
-(``_kept_adjacency``), and the pair indices once per vertex count.
+All comparisons run on edge sets: each graph maps every adjacent pair
+(a, b), a < b, to its edge, (tail, head) if directed and None if undirected,
+so a DAG and an essential graph compare directly, in time linear in their
+edges.  ``adjacency`` builds the p x p matrix of the same edges, in which an
+undirected edge sets both (a, b) and (b, a).
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,48 +53,40 @@ def adjacency(graph: Dag | EssentialGraph) -> np.ndarray:
     raise ParameterError(f"cannot build an adjacency matrix from {type(graph).__name__}")
 
 
-def _kept_adjacency(graph: Dag | EssentialGraph) -> np.ndarray:
-    """``adjacency(graph)``, read-only, built at the first call for the graph
-    object and kept on it, as ``cached_property`` keeps a value: a Dag and an
-    EssentialGraph are immutable, so a graph that several comparisons read,
-    such as the true graph of every cell of a grid replicate, builds it once."""
-    kept = getattr(graph, "__dict__", {}).get("_adjacency")
-    if kept is None:
-        kept = adjacency(graph)
-        kept.setflags(write=False)
-        graph.__dict__["_adjacency"] = kept
-    return kept
+def _edge_status(graph: Dag | EssentialGraph) -> tuple[int, dict[tuple[int, int], tuple[int, int] | None]]:
+    """The graph's vertex count, and a map from each adjacent pair (a, b),
+    a < b, to its edge: (tail, head) if directed, None if undirected."""
+    if isinstance(graph, Dag):
+        return graph.p, {(min(e), max(e)): e for e in graph.edges}
+    if isinstance(graph, EssentialGraph):
+        status = {(min(e), max(e)): e for e in graph.directed}
+        status.update(dict.fromkeys(graph.undirected))
+        return graph.p, status
+    raise ParameterError(f"cannot compare {type(graph).__name__}: not a Dag or an EssentialGraph")
 
 
-@functools.lru_cache(maxsize=8)
-def _pair_indices(p: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """The index arrays of the p-vertex upper triangle, one entry per
-    unordered pair, and the mask of the off-diagonal entries, one per
-    ordered pair; read-only, built once per p."""
-    upper = np.triu_indices(p, k=1)
-    off = ~np.eye(p, dtype=bool)
-    for a in (*upper, off):
-        a.setflags(write=False)
-    return upper, off
+def _matched_status(g1, g2) -> tuple[int, dict, dict]:
+    (p1, s1), (p2, s2) = _edge_status(g1), _edge_status(g2)
+    if p1 != p2:
+        raise ParameterError(f"graphs have different vertex counts: {p1} vs {p2}")
+    return int(p1), s1, s2
 
 
-def _matched_adjacency(g1, g2) -> tuple[np.ndarray, np.ndarray]:
-    A1, A2 = _kept_adjacency(g1), _kept_adjacency(g2)
-    if A1.shape != A2.shape:
-        raise ParameterError(
-            f"graphs have different vertex counts: {A1.shape[0]} vs {A2.shape[0]}"
-        )
-    return A1, A2
+def _arrows(status: dict) -> set[tuple[int, int]]:
+    """The ordered pairs (a, b) with an edge from a to b: a directed edge
+    gives its own, an undirected one both."""
+    return {arrow for pair, edge in status.items() for arrow in ((edge,) if edge else (pair, pair[::-1]))}
 
 
-def _confusion(t: np.ndarray, e: np.ndarray) -> ConfusionCounts:
-    """Confusion counts of the estimate's flags ``e`` against the truth's ``t``,
-    one flag per pair, true where the pair holds an edge."""
+def _confusion(t: set, e: set, pairs: int) -> ConfusionCounts:
+    """Confusion counts of the estimate's edges ``e`` against the truth's
+    ``t``, out of ``pairs`` pairs in all."""
+    hits = len(t & e)
     return ConfusionCounts(
-        true_positives=int(np.count_nonzero(t & e)),
-        false_positives=int(np.count_nonzero(~t & e)),
-        false_negatives=int(np.count_nonzero(t & ~e)),
-        true_negatives=int(np.count_nonzero(~t & ~e)),
+        true_positives=hits,
+        false_positives=len(e) - hits,
+        false_negatives=len(t) - hits,
+        true_negatives=pairs - len(t) - len(e) + hits,
     )
 
 
@@ -105,21 +96,18 @@ def shd(g1: Dag | EssentialGraph, g2: Dag | EssentialGraph) -> int:
     A pair counts once whether it differs by presence, by orientation, or by
     directed versus undirected status.
     """
-    A1, A2 = _matched_adjacency(g1, g2)
-    upper, _ = _pair_indices(A1.shape[0])
-    diff = (A1[upper] != A2[upper]) | (A1.T[upper] != A2.T[upper])
-    return int(np.count_nonzero(diff))
+    _, s1, s2 = _matched_status(g1, g2)
+    return len(s1.keys() ^ s2.keys()) + sum(s1[pair] != s2[pair] for pair in s1.keys() & s2.keys())
 
 
 def skeleton_confusion(truth: Dag | EssentialGraph, estimate: Dag | EssentialGraph) -> ConfusionCounts:
     """Confusion counts over unordered vertex pairs; positive means adjacent."""
-    A_t, A_e = _matched_adjacency(truth, estimate)
-    upper, _ = _pair_indices(A_t.shape[0])
-    return _confusion((A_t | A_t.T)[upper], (A_e | A_e.T)[upper])
+    p, s_t, s_e = _matched_status(truth, estimate)
+    return _confusion(s_t.keys(), s_e.keys(), p * (p - 1) // 2)
 
 
 def directed_confusion(truth: Dag | EssentialGraph, estimate: Dag | EssentialGraph) -> ConfusionCounts:
-    """Confusion counts over ordered vertex pairs of the adjacency matrices."""
-    A_t, A_e = _matched_adjacency(truth, estimate)
-    _, off = _pair_indices(A_t.shape[0])
-    return _confusion(A_t[off], A_e[off])
+    """Confusion counts over ordered vertex pairs; (a, b) is positive when the
+    graph has a -> b or the undirected a - b."""
+    p, s_t, s_e = _matched_status(truth, estimate)
+    return _confusion(_arrows(s_t), _arrows(s_e), p * (p - 1))

@@ -61,7 +61,13 @@ def _rng(seed) -> "np.random.Generator":
 
 
 def derive_seed(*entropy: int) -> int:
-    """Deterministically mix integers into a fresh 64-bit seed."""
+    """Deterministically mix integers into a fresh 64-bit seed.
+
+    The mix is not injective: numpy's ``SeedSequence`` pads its entropy with
+    zeros and splits an integer of 2**32 or more into 32-bit words, so
+    ``derive_seed(S, 1) == derive_seed(S, 1, 0)`` and
+    ``derive_seed(7 + 2**32, 2) == derive_seed(7, 1, 2)``.  Changing the mix
+    would change every seeded output, so it stays as it is."""
     ss = np.random.SeedSequence([int(e) for e in entropy])
     return int(ss.generate_state(1, np.uint64)[0])
 

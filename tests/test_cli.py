@@ -1288,13 +1288,14 @@ def test_dataset_beyond_physical_memory_exits_4_before_out(tmp_path, capsys, mon
     # 2**40 bytes: less than sampling 10**15 rows of 4 values holds, whatever
     # this machine holds: 17 bytes per value and 32 per row, a mean and root
     # of 4 + 16 floats for each of the observational and k targets, 2048
-    # bytes per target for its Python objects and 16 KiB for the draw's
+    # bytes per target for its Python objects and 2 MiB for the draw's
+    # imports and generators
     monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: 2**40)
     code = main([*argv, "--out", str(tmp_path / "x")])
     err = capsys.readouterr().err
     assert code == 4
     assert err == (f"error: the arrays that sampling n={n} rows over p=4 vertices holds need "
-                   f"{int(n) * 100 + (k + 1) * 160 + k * 2048 + 16384} bytes, more than the {2**40} bytes "
+                   f"{int(n) * 100 + (k + 1) * 160 + k * 2048 + 2 * 1024 * 1024} bytes, more than the {2**40} bytes "
                    "of physical memory\n")
     assert not (tmp_path / "x").exists()
 
@@ -1303,9 +1304,9 @@ def test_fully_targeted_simulate_is_checked_for_two_roots(tmp_path, capsys, monk
     # sampling holds the observational mean and root and the one target's
     # being drawn, so p=100 with every vertex targeted needs 500 rows of 17
     # bytes per value and 32 per row, two means and roots of 100 + 10,000
-    # floats, 2048 bytes per target and 16 KiB for the draw: 1,248,784
-    # bytes, where one root per target would count 9,247,984
-    needed = 500 * (17 * 100 + 32) + 2 * 101 * 100 * 8 + 100 * 2048 + 16384
+    # floats, 2048 bytes per target and 2 MiB for the draw: 3,329,552
+    # bytes, where one root per target would count 11,328,752
+    needed = 500 * (17 * 100 + 32) + 2 * 101 * 100 * 8 + 100 * 2048 + 2 * 1024 * 1024
     argv = ["simulate", "--p", "100", "--n", "500", "--k", "100", "--replicates-per-target", "5", "--seed", "1"]
     monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: needed - 1)
     assert main([*argv, "--out", str(tmp_path / "x")]) == 4

@@ -15,7 +15,8 @@ Core claims:
       float can hold (stored as a float), and it refuses the exact search beyond its vertex limit and a
       largest dataset beyond physical memory, the default grid's when memory
       is one byte short of what sampling it holds, a count at least the
-      peak tracemalloc sees while a replicate draws it; where memory is
+      peak tracemalloc sees while a replicate draws it, in a fresh process
+      too, with what its first draw imports; where memory is
       unknown, an n too large for a float is a ParameterError naming n.
     - A seeded greedy fit and a seeded DP fit are as accurate as pinned:
       their SHD against the true essential graph, their fitted edges and
@@ -41,9 +42,13 @@ Core claims:
 
 import hashlib
 import json
+import os
 import statistics
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,15 +421,16 @@ def test_experiment_config_refuses_a_dataset_beyond_physical_memory(monkeypatch)
     # sampling the default grid's largest dataset, n=10000 rows over p=10
     # vertices, holds 2,020,000 bytes of normals, values, finiteness mask and
     # row bookkeeping, 6 means and roots of 10 + 100 floats, 2048 bytes for
-    # the Python objects of each of its 5 targets and 16 KiB for the draw's
-    needed = 10000 * (17 * 10 + 32) + 6 * 110 * 8 + 5 * 2048 + 16384
+    # the Python objects of each of its 5 targets and 2 MiB for the draw's
+    # imports and generators
+    needed = 10000 * (17 * 10 + 32) + 6 * 110 * 8 + 5 * 2048 + 2 * 1024 * 1024
     monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: needed)
     assert ExperimentConfig(seed=1).n_grid == (100, 1000, 10000)
     monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: needed - 1)
     with pytest.raises(CapacityError) as info:
         ExperimentConfig(seed=1)
     assert str(info.value) == ("the arrays that sampling n=10000 rows over p=10 vertices holds need "
-                               "2051904 bytes, more than the 2051903 bytes of physical memory")
+                               "4132672 bytes, more than the 4132671 bytes of physical memory")
     # where memory is unknown, an n too large for a float is named
     monkeypatch.setattr(interdag.likelihood, "_physical_memory", lambda: None)
     with pytest.raises(ParameterError) as info:
@@ -471,6 +477,35 @@ def test_memory_guard_counts_at_least_what_sampling_holds(settings):
     assert [cell[:2] for cell in drawn] == [(n, n) for n in config.n_grid]
     for n, _, peak in drawn:
         assert config._sampling_bytes(n) >= peak
+
+
+_FIRST_DRAW = """
+import tracemalloc
+from interdag.experiments import ExperimentConfig, _cells
+config = ExperimentConfig(seed=1)
+tracemalloc.start()
+for n, _, _, _, data in _cells(config, 0):
+    print(n, config._sampling_bytes(n), tracemalloc.get_traced_memory()[1])
+    del data
+    tracemalloc.reset_peak()
+"""
+
+
+def test_memory_guard_counts_what_a_first_draw_imports():
+    """In a fresh process, as in ``simulate`` or a grid's pool worker, the
+    first draw imports numpy.random and the hashlib it loads: about 1 MB
+    at its peak, most of which it keeps.  The guard's count for each n of
+    the default grid is at least the peak tracemalloc sees while the
+    process draws that n's cell, the import included."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(interdag.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _FIRST_DRAW], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    drawn = [tuple(map(int, line.split())) for line in done.stdout.splitlines()]
+    assert [n for n, _, _ in drawn] == [100, 1000, 10000]
+    for _, count, peak in drawn:
+        assert count >= peak
 
 
 @st.composite

@@ -7,8 +7,10 @@ Core claims:
       equal patterns, triangle inequality.
     - Confusion counts partition all pairs and match hand-computed examples.
     - DAGs and essential graphs mix freely in one comparison.
-    - The adjacency each graph object keeps gives the counts of one built
-      afresh, and ``adjacency`` still returns a fresh, writable matrix.
+    - The metrics compare edge sets and give the counts of the adjacency
+      matrices, the oracle; ``adjacency`` returns a fresh, writable matrix.
+    - Every metric refuses graphs of different vertex counts and a
+      non-graph, naming the counts or the type.
 """
 
 import itertools
@@ -108,9 +110,28 @@ def test_shd_equal_skeletons_counts_flipped_edges():
         assert shd(dag, other) == flipped
 
 
-def test_shd_vertex_count_mismatch():
-    with pytest.raises(ParameterError):
-        shd(Dag.empty(3), Dag.empty(4))
+_METRICS = pytest.mark.parametrize(
+    "metric", [shd, skeleton_confusion, directed_confusion], ids=lambda m: m.__name__
+)
+
+
+@_METRICS
+def test_metric_vertex_count_mismatch(metric):
+    dag = Dag.from_edges(3, [(1, 2)])
+    g = essential_graph(Dag.from_edges(4, [(1, 2)]), TargetFamily.of(()))
+    with pytest.raises(ParameterError, match="graphs have different vertex counts: 3 vs 4"):
+        metric(dag, g)
+    with pytest.raises(ParameterError, match="graphs have different vertex counts: 4 vs 3"):
+        metric(g, dag)
+
+
+@_METRICS
+def test_metric_refuses_a_non_graph(metric):
+    dag = Dag.empty(3)
+    for other in ("not a graph", adjacency(dag), None):
+        for args in ((dag, other), (other, dag)):
+            with pytest.raises(ParameterError, match=type(other).__name__):
+                metric(*args)
 
 
 # -- confusion counts -----------------------------------------------------------------
@@ -169,12 +190,12 @@ def test_directed_count_of_perfect_essential_estimate():
     assert c.false_positives == 0 and c.false_negatives == 0
 
 
-# -- adjacencies kept on the graph objects ------------------------------------------
+# -- edge sets against adjacency matrices ---------------------------------------------
 
 
-def _fresh_metrics(g1, g2) -> tuple:
-    """shd, skeleton and directed confusion counts from freshly built
-    adjacency matrices, as the metrics were computed before they kept them."""
+def _matrix_metrics(g1, g2) -> tuple:
+    """shd, skeleton and directed confusion counts from the graphs'
+    adjacency matrices: the oracle of the edge-set metrics."""
     A1, A2 = adjacency(g1), adjacency(g2)
     p = A1.shape[0]
     upper = np.triu_indices(p, k=1)
@@ -194,20 +215,28 @@ def _metrics(g1, g2) -> tuple:
     return shd(g1, g2), counts(skeleton_confusion(g1, g2)), counts(directed_confusion(g1, g2))
 
 
+# floors: the edge-set metrics against the adjacency-matrix oracle, whose
+# boolean indexing and counts run on the numpy build under test
+@pytest.mark.floors
 @settings(max_examples=150, deadline=None)
-@given(p=st.integers(1, 9), seed=st.integers(0, 2**32 - 1), target=st.integers(0, 9))
-def test_kept_adjacencies_give_the_metrics_of_fresh_ones(p, seed, target):
-    """Two random DAGs and their essential graphs, observational and under
-    one single-vertex target, compared in every ordered pair, twice: the
-    graph objects keep their adjacencies from the first comparison on, and
-    every count equals the one from matrices built afresh.  ``adjacency``
-    still returns a fresh, writable matrix."""
-    family = TargetFamily.of((), *([(target,)] if 1 <= target <= p else []))
+@given(
+    p=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    targets=st.lists(st.sets(st.integers(1, 30), min_size=1, max_size=4), max_size=3),
+)
+def test_edge_set_metrics_give_the_counts_of_adjacency_matrices(p, seed, targets):
+    """Two random DAGs and their essential graphs, observational and under up
+    to three targets of up to four vertices each, compared in every ordered
+    pair, twice: every count equals the one from the adjacency matrices,
+    and the second comparison gives the first's.  ``adjacency`` returns a
+    fresh, writable matrix, which the metrics do not read."""
+    in_range = [t for t in ({v for v in t if v <= p} for t in targets) if t]
+    family = TargetFamily.of((), *in_range)
     dags = [sample_random_dag(p, min(1.8, p - 1), seed + i) for i in range(2)]
     graphs = [*dags, *(essential_graph(dag, family) for dag in dags)]
     for _ in range(2):
         for g1, g2 in itertools.product(graphs, repeat=2):
-            assert _metrics(g1, g2) == _fresh_metrics(g1, g2)
+            assert _metrics(g1, g2) == _matrix_metrics(g1, g2)
     for g in graphs:
         A = adjacency(g)
         assert A.flags.writeable and not np.shares_memory(A, adjacency(g))
