@@ -37,12 +37,13 @@ says the mixture is proven well conditioned, the kernel skips the test;
 otherwise it runs the SVD condition number on the parent block.  Every
 mixture holds the weighted moment of the observational rows, so one
 Cholesky factorization of that floor proves every pattern it can, and only
-the others get a factorization of their own.
+the others get a factorization of their own, by the same routine.
 
-``dposv`` and ``dtrtri`` (the latter for the proof) are scipy's own
+``dposv``, and ``dpotrf`` and ``dtrtri`` for the proof, are scipy's own
 wrappers, the very objects ``scipy.linalg.lapack`` exports, loaded straight
 from scipy's compiled ``_flapack`` module without importing the
-``scipy.linalg`` package (see ``_load_flapack``).
+``scipy.linalg`` package (see ``_load_flapack``), so every factorization is
+made by one LAPACK copy.
 """
 
 import importlib.machinery
@@ -53,7 +54,6 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import CapacityError, DataError, DegenerateFitError, ParameterError
 from .model import (
@@ -76,7 +76,7 @@ def _load_flapack():
     That package import (array-API helpers, ``numpy.f2py``, ``numpy.ma``,
     docstring machinery) would take about half the time of
     ``import interdag.cli`` and 18 MB of its memory, and the kernel needs
-    only two of this module's routines.  CPython initializes an extension
+    only three of this module's routines.  CPython initializes an extension
     module once per process, so a later ``import scipy.linalg`` hands out
     these very objects, whichever import comes first; ``sys.modules`` is
     left alone.  scipy's directory is found without importing ``scipy``
@@ -100,8 +100,6 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 dposv, dtrtri = _flapack.dposv, _flapack.dtrtri
-# the gufunc that np.linalg.cholesky wraps, which every numpy since 1.24 has
-_cholesky_lo = _umath_linalg.cholesky_lo
 
 __all__ = [
     "SufficientStats",
@@ -202,8 +200,9 @@ class LocalStats:
     their count and mixture: ``mixtures`` has shape (m, p, p), one matrix
     per pattern, ``pattern_of[k - 1]`` is vertex k's pattern, and
     ``proven[q]`` says that pattern q's mixture is proven finite, positive
-    definite and conditioned no worse than ``_COND_BOUND``, by the floor
-    every mixture holds or else by ``_proven_well_conditioned``: True
+    definite and conditioned no worse than ``_COND_BOUND``, by one proof
+    routine (``_floor_proves``) run on the floor every mixture holds or
+    else on the mixture itself (``_proven_well_conditioned``): True
     wherever that proof alone says True, and maybe elsewhere too.
     Observational data has one pattern.  Every
     mixture from ``local_stats`` equals its transpose bit for bit by
@@ -328,8 +327,9 @@ def local_stats(stats: SufficientStats, family: TargetFamily | None = None) -> L
     from below, less a rounding allowance (``_floor_margin``), and prove
     the patterns whose ||M_q||_1 * n_q over that bound is at most
     ``_COND_BOUND`` (``_floor_proves``).  Any other pattern gets a proof
-    of its own (``_proven_well_conditioned``), and so does every pattern
-    when F is empty (no observational rows) or is not proven.  Raises
+    of its own, the same one with its mixture as its own floor
+    (``_proven_well_conditioned``), and so does every pattern when F is
+    empty (no observational rows) or is not proven.  Raises
     CapacityError before allocating mixtures larger than physical memory,
     and DataError, naming the vertices, when a mixture is not finite.
     """
@@ -423,36 +423,23 @@ def _cond_or_inf(block: np.ndarray) -> float:
 
 def _inverse_norms(S: np.ndarray) -> tuple[np.float64, np.float64] | None:
     """||L^-1||_1 and ||L^-1||_inf of the Cholesky factor L of symmetric S,
-    S = L L^T, or None when numpy's factorization fails.
+    S = L L^T, or None when LAPACK's ``dpotrf`` finds S not positive
+    definite.
 
     S^-1 = L^-T L^-1, so ||S^-1||_2 = ||L^-1||_2^2, which is at most their
-    product.  L is ``np.linalg.cholesky``'s factor, from the gufunc that
-    function wraps, called directly (``_cholesky_lo``) without the
-    wrapper's checks and error state: where the factorization fails it
-    fills the factor with NaNs, and otherwise the factor's first entry, the
-    square root of the positive S[0, 0], is not NaN.  LAPACK's ``dtrtri``
-    inverts L^T, which is the factor's memory in Fortran order, so f2py
-    copies nothing, and the inverse's absolute values are taken in place.
-    The caller ignores overflow and invalid values (``np.errstate``).
+    product.  ``dpotrf`` factors a copy of S.T, the same matrix in Fortran
+    order, and zeroes the factor's upper triangle; ``dtrtri`` inverts the
+    factor in place, and the inverse's absolute values are taken in place.
+    A NaN that the factorization lets through makes both norms NaN, which
+    proves nothing.  The caller ignores overflow and invalid values
+    (``np.errstate``).
     """
-    factor = _cholesky_lo(S)
-    if math.isnan(factor[0, 0]):
+    factor, info = _flapack.dpotrf(S.T, lower=1)
+    if info != 0:
         return None
-    inverse = dtrtri(factor.T, lower=0, overwrite_c=1)[0]
+    inverse = dtrtri(factor, lower=1, overwrite_c=1)[0]
     np.abs(inverse, out=inverse)
     return inverse.sum(axis=0).max(), inverse.sum(axis=1).max()
-
-
-def _cond_bound(S: np.ndarray) -> float:
-    """An upper bound on cond_2(S) for symmetric S, or inf when numpy's
-    Cholesky factorization S = L L^T fails: cond_2(S) = ||S||_2 ||S^-1||_2,
-    which is at most ||S||_1 ||L^-1||_1 ||L^-1||_inf (``_inverse_norms``).
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = _inverse_norms(S)
-        if norms is None:
-            return math.inf
-        return float(np.abs(S).sum(axis=0).max() * norms[0] * norms[1])
 
 
 def _floor_margin(norms: tuple[np.float64, np.float64] | None, trace: float, n_max: int, folded: int) -> float:
@@ -465,9 +452,11 @@ def _floor_margin(norms: tuple[np.float64, np.float64] | None, trace: float, n_m
     target's rows divided by their count, or any positive semidefinite
     matrix, so in exact arithmetic n_q * M_q - F is positive semidefinite
     and lambda_min(n_q * M_q) >= lambda_min(F) >= 1 / (||L^-1||_1
-    ||L^-1||_inf).  That bound is read from F's Cholesky factor as
-    ``_cond_bound`` reads it, with the same margin of ten against the
-    factor's rounding.
+    ||L^-1||_inf), read from F's Cholesky factor with the margin of ten
+    between ``_COND_BOUND`` and ``_COND_LIMIT`` against its rounding.  A
+    mixture is its own floor with nothing folded after it, for which
+    ``trace``, ``n_max`` and ``folded`` are all 0 and the bound is that
+    one alone (``_proven_well_conditioned``).
 
     The rest is the fold's own rounding, with u = 2^-53 and tr the trace of
     the fold of every target, ``trace``.  Computing a Gram product of n_t
@@ -507,9 +496,11 @@ def _floor_proves(S: np.ndarray, n_ex: int, margin: float) -> bool:
 
 def _proven_well_conditioned(S: np.ndarray) -> bool:
     """True when the mixture S is proven to be finite, exactly symmetric,
-    positive definite and conditioned no worse than _COND_BOUND, by its own
-    Cholesky factorization: ``local_stats`` asks it for the patterns that
-    the floor of observational rows does not prove (``_floor_proves``).
+    positive definite and conditioned no worse than _COND_BOUND, by the
+    floor proof with S as its own floor (``_floor_proves``), so by its own
+    Cholesky factorization: cond_2(S) <= ||S||_1 ||L^-1||_1 ||L^-1||_inf.
+    ``local_stats`` asks it for the patterns that the floor of
+    observational rows does not prove, under its ``np.errstate``.
 
     By Cauchy interlacing every principal sub-block M of such an S is
     positive definite with cond_2(M) <= cond_2(S), so the SVD would find
@@ -519,7 +510,7 @@ def _proven_well_conditioned(S: np.ndarray) -> bool:
     """
     if not (np.isfinite(S).all() and (S == S.T).all()):
         return False
-    return _cond_bound(S) <= _COND_BOUND
+    return _floor_proves(S, 1, _floor_margin(_inverse_norms(S), 0.0, 0, 0))
 
 
 def _fit_rows(

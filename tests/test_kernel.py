@@ -21,13 +21,19 @@ Core claims:
       that dposv finds indefinite is unusable, with zero coefficients and a
       NaN residual, and its neighbours in the stack keep their bits.
     - ||S||_1 ||L^-1||_1 ||L^-1||_inf, from the Cholesky factor L, bounds
-      cond_2(S) from above.  A mixture that _proven_well_conditioned accepts
-      (finite, exactly symmetric, Cholesky-factorable, that bound <= 1e11)
+      cond_2(S) from above; it is the floor proof's bound with S as its own
+      floor.  A mixture that _proven_well_conditioned accepts (finite,
+      exactly symmetric, Cholesky-factorable, that bound <= 1e11)
       has every parent block conditioned no worse than 1e11, and lets the
       kernel skip the conditioning test with the same usable flags and bits
       for every parent set; a singular mixture, a duplicated column, an
       indefinite mixture of cond 3, a 1-ulp asymmetry and an inf entry are
-      not accepted.
+      not accepted.  On random symmetric matrices, well and ill conditioned,
+      singular, clearly indefinite or holding a NaN or an infinity, the
+      factorization fails wherever numpy's eigenvalues show a clearly
+      negative one, the bound is otherwise at least numpy's condition
+      number, and every principal block of an accepted matrix is
+      conditioned no worse than 1e12 by the SVD.
     - local_stats proves every pattern it can from one Cholesky
       factorization of the floor every mixture holds, the observational
       rows' weighted moment, less a rounding allowance: on random designs
@@ -82,7 +88,13 @@ from interdag import (
     sufficient_stats,
 )
 from interdag import likelihood
-from interdag.likelihood import LocalStats, _cond_bound, _fit_rows, _proven_well_conditioned
+from interdag.likelihood import (
+    LocalStats,
+    _fit_rows,
+    _floor_margin,
+    _inverse_norms,
+    _proven_well_conditioned,
+)
 
 from helpers import random_instance, reference_fit_row, reference_penalized
 
@@ -300,6 +312,13 @@ def test_dposv_runs_once_per_set_that_passes_the_conditioning_test(monkeypatch):
     assert seen == []
 
 
+def _bound(S: np.ndarray) -> float:
+    """The conditioning bound ||S||_1 ||L^-1||_1 ||L^-1||_inf that proves S
+    as its own floor, or inf when the factorization S = L L^T fails."""
+    margin = _floor_margin(_inverse_norms(S), 0.0, 0, 0)
+    return float(np.abs(S).sum(axis=0).max()) / margin if margin > 0 else math.inf
+
+
 def _mixed_scale_mixture(seed: int, p: int, n: int, duplicate: bool) -> tuple[np.ndarray, int]:
     """One vertex's exclusion mixture of n rows of mixed scale over random
     targets, and its excluding row count; ``duplicate`` copies a column."""
@@ -348,21 +367,77 @@ def test_proven_mixture_skips_the_conditioning_test_with_the_same_bits(seed, p, 
 )
 def test_cond_bound_holds_and_proven_mixtures_have_well_conditioned_blocks(seed, p, n, duplicate):
     S, _ = _mixed_scale_mixture(seed, p, n, duplicate)
-    try:
-        np.linalg.cholesky(S)
-        factored = True
-    except np.linalg.LinAlgError:
-        factored = False
+    factored = _inverse_norms(S) is not None
     cond = np.linalg.cond(S)
     # past 1e12 the SVD's own relative error, about cond * 1e-16, outgrows
     # the margin, and a numerically singular mixture that Cholesky factors
     # by rounding gives neither number a meaning; the proof's limit is 1e11
     if factored and cond <= 1e12:
-        assert _cond_bound(S) >= cond * (1 - 1e-6)
+        assert _bound(S) >= cond * (1 - 1e-6)
     if _proven_well_conditioned(S):
         for d in range(1, min(3, p) + 1):
             for pa in itertools.combinations(range(p), d):
                 assert np.linalg.cond(S[np.ix_(pa, pa)]) <= 1e11 * (1 + 1e-6), pa
+
+
+def _symmetric_matrix(seed: int, p: int, kind: str) -> np.ndarray:
+    """An exactly symmetric p x p matrix Q diag(e) Q^T, of random scale, with
+    a random orthogonal Q and eigenvalues e of ``kind``: spread over two
+    decades ("well") or up to sixteen ("ill"), with one zero ("singular"),
+    or with one negative of at least 1e-6 of the largest in size
+    ("indefinite"); "nan" and "inf" put that value on a well conditioned
+    matrix's diagonal or, mirrored, off it."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    e = 10.0 ** rng.uniform(-16 if kind == "ill" else -2, 0, size=p)
+    if kind == "singular":
+        e[rng.integers(p)] = 0.0
+    if kind == "indefinite":
+        e[rng.integers(p)] = -(10.0 ** rng.uniform(-6, 0))
+    S = (Q * e) @ Q.T * 10.0 ** rng.uniform(-3, 3)
+    S = np.triu(S) + np.triu(S, 1).T
+    if kind in ("nan", "inf"):
+        i, j = rng.integers(p, size=2)
+        S[i, j] = S[j, i] = math.nan if kind == "nan" else math.inf
+    return S
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 7),
+    kind=st.sampled_from(["well", "ill", "singular", "indefinite", "nan", "inf"]),
+)
+def test_proof_factorization_against_numpy(seed, p, kind):
+    """numpy is the oracle of the proof's LAPACK, dpotrf and dtrtri.  The
+    factorization fails wherever numpy's eigenvalues show one clearly
+    negative, at most -1e-8 ||S||_2, since a Cholesky factorization that
+    succeeds is exact for S plus a perturbation of about p u ||S||_2.
+    Otherwise the bound is at least numpy's condition number, to within
+    the SVD's own error, wherever that number means something (see
+    test_cond_bound_holds_and_proven_mixtures_have_well_conditioned_blocks).
+    A matrix that is not finite has no finite norm, so the bound proves
+    nothing, whatever the factorization gives; and every principal block
+    of a matrix the proof accepts is conditioned no worse than 1e12."""
+    S = _symmetric_matrix(seed, p, kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = _inverse_norms(S)
+        bound = _bound(S)
+    if not np.isfinite(S).all():
+        assert not bound <= 1e11
+        assert not _proven_well_conditioned(S)
+        return
+    eigenvalues = np.linalg.eigvalsh(S)
+    if eigenvalues.min() < -1e-8 * np.abs(eigenvalues).max():
+        assert norms is None
+    cond = np.linalg.cond(S)
+    if norms is not None and cond <= 1e12:
+        assert bound >= cond * (1 - 1e-6)
+    if _proven_well_conditioned(S):
+        assert kind not in ("singular", "indefinite")
+        for d in range(1, p + 1):
+            blocks = np.stack([S[np.ix_(pa, pa)] for pa in itertools.combinations(range(p), d)])
+            assert (np.linalg.cond(blocks) <= 1e12).all(), d
 
 
 def _floor_design(seed: int, p: int, n_obs: int, duplicate: bool, spread: float) -> Dataset:
@@ -419,10 +494,11 @@ def test_floor_proof_keeps_every_proof_and_every_bit(seed, p, n_obs, duplicate, 
 
 
 def _counted_proofs(monkeypatch) -> dict[str, int]:
-    """Counts of Cholesky factorizations, the floor's and the proofs', and
-    of proofs of a pattern's own mixture, from here on."""
+    """Counts of Cholesky factorizations, the floor's and the proofs', each
+    one ``_inverse_norms`` call, and of proofs of a pattern's own mixture,
+    from here on."""
     calls = {"cholesky": 0, "proof": 0}
-    for name, key in (("_cholesky_lo", "cholesky"), ("_proven_well_conditioned", "proof")):
+    for name, key in (("_inverse_norms", "cholesky"), ("_proven_well_conditioned", "proof")):
         def counted(S, _original=getattr(likelihood, name), _key=key):
             calls[_key] += 1
             return _original(S)
@@ -479,7 +555,7 @@ def test_proven_well_conditioned_cases(case):
         S = np.array([[3.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
         assert np.linalg.cond(S) == pytest.approx(3.0) and np.linalg.cond(S) <= 1e12
         assert np.linalg.norm(S, 1) * np.linalg.norm(np.linalg.inv(S), 1) == pytest.approx(3.0)
-        assert _cond_bound(S) == math.inf
+        assert _inverse_norms(S) is None and _bound(S) == math.inf
     if case == "asymmetric":
         S[1, 3] = np.nextafter(S[1, 3], math.inf)
     if case == "inf":

@@ -520,10 +520,10 @@ def test_dp_result_pinned(seed, n, parent_sets):
 
 # floors (the DP oracles, its work counters and the proof tests): the proof
 # of conditioning, made once per pattern by local_stats, relies on this
-# numpy's cholesky and this scipy's dtrtri; the exact search's shared
-# factorizations rely on this LAPACK's multi-column dposv solving each
-# column as alone (its premise test is in test_kernel.py), so the DP runs
-# on shared patterns and its pinned dposv count run here too
+# scipy's dpotrf and dtrtri; the exact search's shared factorizations rely
+# on this LAPACK's multi-column dposv solving each column as alone (its
+# premise test is in test_kernel.py), so the DP runs on shared patterns and
+# its pinned dposv count run here too
 @pytest.mark.floors
 @settings(max_examples=80, deadline=None)
 @given(
@@ -850,7 +850,7 @@ def test_scorers_run_the_conditioning_test_only_on_unproven_mixtures(monkeypatch
 def test_local_stats_proves_each_pattern_once_and_no_scorer_proves_again(monkeypatch):
     calls = []
     factorizations = []
-    proof, cholesky = interdag.likelihood._proven_well_conditioned, interdag.likelihood._cholesky_lo
+    proof, cholesky = interdag.likelihood._proven_well_conditioned, interdag.likelihood._inverse_norms
 
     def counting(S):
         calls.append(S)
@@ -861,7 +861,7 @@ def test_local_stats_proves_each_pattern_once_and_no_scorer_proves_again(monkeyp
         return cholesky(S)
 
     monkeypatch.setattr(interdag.likelihood, "_proven_well_conditioned", counting)
-    monkeypatch.setattr(interdag.likelihood, "_cholesky_lo", counting_cholesky)
+    monkeypatch.setattr(interdag.likelihood, "_inverse_norms", counting_cholesky)
     model, family, spec, data = random_instance(12, p=8, n=400)
     local = _local(data, family)
     # three patterns, as in the test above: local_stats proves all three
